@@ -31,7 +31,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,6 +142,11 @@ def build_scenario(raw: dict) -> Scenario:
     z_star_init = float(_require(ctl, "z_star_init", "controller"))
     epsilon = float(ctl.get(
         "epsilon", ControllerConfig.default_epsilon(z_star_init)))
+    # the dwell-time certificates need the band d/c - epsilon to be positive;
+    # rejecting here avoids integrating a run whose report cannot be built
+    if not epsilon < params.d / params.c:
+        raise ValueError(f"controller.epsilon={epsilon} must be below "
+                         f"d/c={params.d / params.c}")
     cfg = ControllerConfig(
         z_star_init=z_star_init,
         k_prime=float(ctl.get("k_prime", 1.0)),
@@ -404,7 +408,9 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
     Writes trajectory CSV, plot extracts and the JSON report into out_dir
     (default: the config file's directory). Returns 0 iff every enabled
     check passed in every executed run; on a validation or runtime error an
-    error JSON is written (and echoed to stderr) and 1 is returned.
+    error JSON is written (and echoed to stderr) and 1 is returned. Sweep
+    variants run one after another, each with its own report or error
+    JSON in its own directory.
     """
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else config_path.parent
@@ -433,18 +439,14 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
         scn, dest = job
         try:
             return execute(scn, dest, checks=checks)
-        except XbstabError as exc:
+        except (XbstabError, ValueError) as exc:
             payload = _error_payload(exc)
             dest.mkdir(parents=True, exist_ok=True)
             _write_json(dest / "error.json", payload)
             print(json.dumps(payload, sort_keys=True), file=sys.stderr)
             return payload
 
-    if len(scenarios) == 1:
-        reports = [_one(scenarios[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-            reports = list(pool.map(_one, scenarios))
+    reports = [_one(job) for job in scenarios]
     return 0 if all(r.get("all_checks_passed", False) for r in reports) else 1
 
 

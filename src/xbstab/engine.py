@@ -146,7 +146,12 @@ def _run_segment(params, gains, cert, cfg, solver, k, state, t_start,
 
     Appends all recorded samples (excluding the start sample) to the
     recorder and returns (code, t_final, state_final, bracket_width).
+    buf must hold more than one step's worst-case output
+    (fastpath.MAX_STEP_ROWS); the segment resumes as often as it fills.
     """
+    if buf.shape[0] <= fastpath.MAX_STEP_ROWS:
+        raise ValueError(f"sample buffer of {buf.shape[0]} rows cannot hold "
+                         f"one step ({fastpath.MAX_STEP_ROWS} rows)")
     sc = fastpath.pack_scalars(
         params, gains, k, state.z_star, cfg.z_star_init,
         cfg.h_of(state.cycle, cert.gamma), cert, solver, solver.t_end)

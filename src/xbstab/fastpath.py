@@ -1,4 +1,4 @@
-"""Compiled inner loop of the hybrid engine.
+"""Inner loop of the hybrid engine.
 
 One call integrates a single flow segment (between jumps) of the 9-state
 closed loop
@@ -13,8 +13,11 @@ consecutive recorded samples would drift from the integrated tau by more
 than a small relative budget, so the stored trajectory satisfies the
 tau-consistency contract by construction.
 
-The module works without numba (plain Python, slow); with numba present the
-segment function is jit-compiled.
+The kernel is written once, in scalar-local style: every value it does
+arithmetic on is a float local or a 9-tuple of floats, and numpy arrays are
+touched only to read the inputs, write sample rows and write the results
+back. The same source is jit-compiled when numba is installed (the ``fast``
+extra) and runs as plain CPython otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 try:
     from numba import njit
     HAVE_NUMBA = True
-except ImportError:               # pragma: no cover - numba is a declared dep
+except ImportError:               # numba is the optional ``fast`` extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -56,55 +59,83 @@ CODE_STEP_FAILURE = 6
 
 _TAU_ABS_FLOOR = 1e-15
 
+# _emit_span subdivides at most this deep, so one span records at most
+# 2**_SPAN_MAX_DEPTH rows. One step can flush a pending row and then emit
+# two spans (up to a z1 root, then up to the endpoint or the event), so
+# MAX_STEP_ROWS free rows before a step guarantee that it fits the buffer.
+_SPAN_MAX_DEPTH = 12
+MAX_STEP_ROWS = 2 * (1 << _SPAN_MAX_DEPTH) + 1
+
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5); subtracted terms carry a negative coefficient, which rounds
+# exactly like the subtraction.
+_A21 = 0.2
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
+                          64448.0 / 6561.0, -212.0 / 729.0)
+_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
+                                46732.0 / 5247.0, 49.0 / 176.0,
+                                -5103.0 / 18656.0)
+_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
+                           -2187.0 / 6784.0, 11.0 / 84.0)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
+                                71.0 / 1920.0, -17253.0 / 339200.0,
+                                22.0 / 525.0, -1.0 / 40.0)
+
 
 @njit(cache=True)
-def _rhs(y, sc, dy):
-    a = sc[SC_A]
-    c = sc[SC_C]
-    d = sc[SC_D]
-    k = sc[SC_K]
-    zstar = sc[SC_ZSTAR]
-    z1 = y[1]
-    z2 = y[2]
-    zt1 = y[3]
-    zt2 = y[4]
+def _rhs_params(sc):
+    """(a, c, d, k, z*, k1+, k2+, k1-, k2-) from the scalar vector."""
+    return (float(sc[SC_A]), float(sc[SC_C]), float(sc[SC_D]),
+            float(sc[SC_K]), float(sc[SC_ZSTAR]),
+            float(sc[SC_K1P]), float(sc[SC_K2P]),
+            float(sc[SC_K1M]), float(sc[SC_K2M]))
+
+
+@njit(cache=True)
+def _guard_params(sc):
+    """(thr, z*, P11, P12, P22, lambda_min h(i)^2) from the scalar vector."""
+    return (float(sc[SC_THR]), float(sc[SC_ZSTAR]), float(sc[SC_P11]),
+            float(sc[SC_P12]), float(sc[SC_P22]), float(sc[SC_LMH2]))
+
+
+@njit(cache=True)
+def _rhs(p, y):
+    a, c, d, k, zstar, k1p, k2p, k1m, k2m = p
+    _, z1, z2, zt1, zt2, f11, f12, f21, f22 = y
     zh2 = z2 + zt2
     u = a * z1 * zh2 - k * (z1 - zstar)
     if z1 > 0.0:
-        k1 = sc[SC_K1P]
-        k2 = sc[SC_K2P]
+        k1 = k1p
+        k2 = k2p
     elif z1 < 0.0:
-        k1 = sc[SC_K1M]
-        k2 = sc[SC_K2M]
+        k1 = k1m
+        k2 = k2m
     else:
         k1 = 0.0
         k2 = 0.0
-    dy[0] = abs(z1)
-    dy[1] = -a * z1 * z2 + u
-    dy[2] = (c * z2 + d) * z1
-    dy[3] = z1 * (-k1 * zt1 - a * zt2)
-    dy[4] = z1 * (-k2 * zt1 + c * zt2)
-    # dPhi = z1 * M * Phi with the same mode matrix M
-    dy[5] = z1 * (-k1 * y[5] - a * y[7])
-    dy[6] = z1 * (-k1 * y[6] - a * y[8])
-    dy[7] = z1 * (-k2 * y[5] + c * y[7])
-    dy[8] = z1 * (-k2 * y[6] + c * y[8])
+    # dPhi = z1 * M * Phi with the same mode matrix M as the error flow
+    return (abs(z1),
+            -a * z1 * z2 + u,
+            (c * z2 + d) * z1,
+            z1 * (-k1 * zt1 - a * zt2),
+            z1 * (-k2 * zt1 + c * zt2),
+            z1 * (-k1 * f11 - a * f21),
+            z1 * (-k1 * f12 - a * f22),
+            z1 * (-k2 * f11 + c * f21),
+            z1 * (-k2 * f12 + c * f22))
 
 
 @njit(cache=True)
-def _guard_dc(y, sc):
+def _guard_any(y, g):
+    """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc, else 0."""
+    thr, zstar, p11, p12, p22, lmh2 = g
     zh2 = y[2] + y[4]
-    return abs(zh2) >= sc[SC_THR] and zh2 * sc[SC_ZSTAR] >= 0.0
-
-
-@njit(cache=True)
-def _guard_dnc(y, sc):
-    zh2 = y[2] + y[4]
-    if abs(zh2) > sc[SC_THR] or zh2 * sc[SC_ZSTAR] > 0.0:
-        return False
-    p11 = sc[SC_P11]
-    p12 = sc[SC_P12]
-    p22 = sc[SC_P22]
+    if abs(zh2) >= thr and zh2 * zstar >= 0.0:
+        return CODE_DC
+    if abs(zh2) > thr or zh2 * zstar > 0.0:
+        return 0
     f11, f12, f21, f22 = y[5], y[6], y[7], y[8]
     # S = Phi' P Phi, symmetric 2x2
     s11 = p11 * f11 * f11 + 2.0 * p12 * f11 * f21 + p22 * f21 * f21
@@ -112,35 +143,145 @@ def _guard_dnc(y, sc):
     s12 = p11 * f11 * f12 + p12 * (f11 * f22 + f12 * f21) + p22 * f21 * f22
     half_tr = 0.5 * (s11 + s22)
     rad = math.sqrt(0.25 * (s11 - s22) * (s11 - s22) + s12 * s12)
-    return half_tr + rad <= sc[SC_LMH2]
-
-
-@njit(cache=True)
-def _guard_any(y, sc):
-    if _guard_dc(y, sc):
-        return CODE_DC
-    if _guard_dnc(y, sc):
+    if half_tr + rad <= lmh2:
         return CODE_DNC
     return 0
 
 
 @njit(cache=True)
-def _hermite(t0, h, y0, f0, y1, f1, tt, out):
+def _dp_step(p, y, k1, h):
+    """One Dormand-Prince 5(4) step of size h from y with k1 = f(y).
+
+    Returns (y1, k7, err): the 5th-order solution, f(y1) (FSAL) and the
+    embedded error estimate.
+    """
+    k2 = _rhs(p, (
+        y[0] + h * (_A21 * k1[0]), y[1] + h * (_A21 * k1[1]),
+        y[2] + h * (_A21 * k1[2]), y[3] + h * (_A21 * k1[3]),
+        y[4] + h * (_A21 * k1[4]), y[5] + h * (_A21 * k1[5]),
+        y[6] + h * (_A21 * k1[6]), y[7] + h * (_A21 * k1[7]),
+        y[8] + h * (_A21 * k1[8])))
+    k3 = _rhs(p, (
+        y[0] + h * (_A31 * k1[0] + _A32 * k2[0]),
+        y[1] + h * (_A31 * k1[1] + _A32 * k2[1]),
+        y[2] + h * (_A31 * k1[2] + _A32 * k2[2]),
+        y[3] + h * (_A31 * k1[3] + _A32 * k2[3]),
+        y[4] + h * (_A31 * k1[4] + _A32 * k2[4]),
+        y[5] + h * (_A31 * k1[5] + _A32 * k2[5]),
+        y[6] + h * (_A31 * k1[6] + _A32 * k2[6]),
+        y[7] + h * (_A31 * k1[7] + _A32 * k2[7]),
+        y[8] + h * (_A31 * k1[8] + _A32 * k2[8])))
+    k4 = _rhs(p, (
+        y[0] + h * (_A41 * k1[0] + _A42 * k2[0] + _A43 * k3[0]),
+        y[1] + h * (_A41 * k1[1] + _A42 * k2[1] + _A43 * k3[1]),
+        y[2] + h * (_A41 * k1[2] + _A42 * k2[2] + _A43 * k3[2]),
+        y[3] + h * (_A41 * k1[3] + _A42 * k2[3] + _A43 * k3[3]),
+        y[4] + h * (_A41 * k1[4] + _A42 * k2[4] + _A43 * k3[4]),
+        y[5] + h * (_A41 * k1[5] + _A42 * k2[5] + _A43 * k3[5]),
+        y[6] + h * (_A41 * k1[6] + _A42 * k2[6] + _A43 * k3[6]),
+        y[7] + h * (_A41 * k1[7] + _A42 * k2[7] + _A43 * k3[7]),
+        y[8] + h * (_A41 * k1[8] + _A42 * k2[8] + _A43 * k3[8])))
+    k5 = _rhs(p, (
+        y[0] + h * (_A51 * k1[0] + _A52 * k2[0] + _A53 * k3[0]
+                    + _A54 * k4[0]),
+        y[1] + h * (_A51 * k1[1] + _A52 * k2[1] + _A53 * k3[1]
+                    + _A54 * k4[1]),
+        y[2] + h * (_A51 * k1[2] + _A52 * k2[2] + _A53 * k3[2]
+                    + _A54 * k4[2]),
+        y[3] + h * (_A51 * k1[3] + _A52 * k2[3] + _A53 * k3[3]
+                    + _A54 * k4[3]),
+        y[4] + h * (_A51 * k1[4] + _A52 * k2[4] + _A53 * k3[4]
+                    + _A54 * k4[4]),
+        y[5] + h * (_A51 * k1[5] + _A52 * k2[5] + _A53 * k3[5]
+                    + _A54 * k4[5]),
+        y[6] + h * (_A51 * k1[6] + _A52 * k2[6] + _A53 * k3[6]
+                    + _A54 * k4[6]),
+        y[7] + h * (_A51 * k1[7] + _A52 * k2[7] + _A53 * k3[7]
+                    + _A54 * k4[7]),
+        y[8] + h * (_A51 * k1[8] + _A52 * k2[8] + _A53 * k3[8]
+                    + _A54 * k4[8])))
+    k6 = _rhs(p, (
+        y[0] + h * (_A61 * k1[0] + _A62 * k2[0] + _A63 * k3[0]
+                    + _A64 * k4[0] + _A65 * k5[0]),
+        y[1] + h * (_A61 * k1[1] + _A62 * k2[1] + _A63 * k3[1]
+                    + _A64 * k4[1] + _A65 * k5[1]),
+        y[2] + h * (_A61 * k1[2] + _A62 * k2[2] + _A63 * k3[2]
+                    + _A64 * k4[2] + _A65 * k5[2]),
+        y[3] + h * (_A61 * k1[3] + _A62 * k2[3] + _A63 * k3[3]
+                    + _A64 * k4[3] + _A65 * k5[3]),
+        y[4] + h * (_A61 * k1[4] + _A62 * k2[4] + _A63 * k3[4]
+                    + _A64 * k4[4] + _A65 * k5[4]),
+        y[5] + h * (_A61 * k1[5] + _A62 * k2[5] + _A63 * k3[5]
+                    + _A64 * k4[5] + _A65 * k5[5]),
+        y[6] + h * (_A61 * k1[6] + _A62 * k2[6] + _A63 * k3[6]
+                    + _A64 * k4[6] + _A65 * k5[6]),
+        y[7] + h * (_A61 * k1[7] + _A62 * k2[7] + _A63 * k3[7]
+                    + _A64 * k4[7] + _A65 * k5[7]),
+        y[8] + h * (_A61 * k1[8] + _A62 * k2[8] + _A63 * k3[8]
+                    + _A64 * k4[8] + _A65 * k5[8])))
+    y1 = (
+        y[0] + h * (_B1 * k1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0]
+                    + _B6 * k6[0]),
+        y[1] + h * (_B1 * k1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1]
+                    + _B6 * k6[1]),
+        y[2] + h * (_B1 * k1[2] + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2]
+                    + _B6 * k6[2]),
+        y[3] + h * (_B1 * k1[3] + _B3 * k3[3] + _B4 * k4[3] + _B5 * k5[3]
+                    + _B6 * k6[3]),
+        y[4] + h * (_B1 * k1[4] + _B3 * k3[4] + _B4 * k4[4] + _B5 * k5[4]
+                    + _B6 * k6[4]),
+        y[5] + h * (_B1 * k1[5] + _B3 * k3[5] + _B4 * k4[5] + _B5 * k5[5]
+                    + _B6 * k6[5]),
+        y[6] + h * (_B1 * k1[6] + _B3 * k3[6] + _B4 * k4[6] + _B5 * k5[6]
+                    + _B6 * k6[6]),
+        y[7] + h * (_B1 * k1[7] + _B3 * k3[7] + _B4 * k4[7] + _B5 * k5[7]
+                    + _B6 * k6[7]),
+        y[8] + h * (_B1 * k1[8] + _B3 * k3[8] + _B4 * k4[8] + _B5 * k5[8]
+                    + _B6 * k6[8]))
+    k7 = _rhs(p, y1)
+    err = (
+        h * (_E1 * k1[0] + _E3 * k3[0] + _E4 * k4[0] + _E5 * k5[0]
+             + _E6 * k6[0] + _E7 * k7[0]),
+        h * (_E1 * k1[1] + _E3 * k3[1] + _E4 * k4[1] + _E5 * k5[1]
+             + _E6 * k6[1] + _E7 * k7[1]),
+        h * (_E1 * k1[2] + _E3 * k3[2] + _E4 * k4[2] + _E5 * k5[2]
+             + _E6 * k6[2] + _E7 * k7[2]),
+        h * (_E1 * k1[3] + _E3 * k3[3] + _E4 * k4[3] + _E5 * k5[3]
+             + _E6 * k6[3] + _E7 * k7[3]),
+        h * (_E1 * k1[4] + _E3 * k3[4] + _E4 * k4[4] + _E5 * k5[4]
+             + _E6 * k6[4] + _E7 * k7[4]),
+        h * (_E1 * k1[5] + _E3 * k3[5] + _E4 * k4[5] + _E5 * k5[5]
+             + _E6 * k6[5] + _E7 * k7[5]),
+        h * (_E1 * k1[6] + _E3 * k3[6] + _E4 * k4[6] + _E5 * k5[6]
+             + _E6 * k6[6] + _E7 * k7[6]),
+        h * (_E1 * k1[7] + _E3 * k3[7] + _E4 * k4[7] + _E5 * k5[7]
+             + _E6 * k6[7] + _E7 * k7[7]),
+        h * (_E1 * k1[8] + _E3 * k3[8] + _E4 * k4[8] + _E5 * k5[8]
+             + _E6 * k6[8] + _E7 * k7[8]))
+    return y1, k7, err
+
+
+@njit(cache=True)
+def _hermite(t0, h, y0, f0, y1, f1, tt):
     th = (tt - t0) / h
     om = 1.0 - th
     h00 = (1.0 + 2.0 * th) * om * om
-    h10 = th * om * om
+    h10 = th * om * om * h
     h01 = th * th * (3.0 - 2.0 * th)
-    h11 = th * th * (th - 1.0)
-    for m in range(9):
-        out[m] = (h00 * y0[m] + h10 * h * f0[m]
-                  + h01 * y1[m] + h11 * h * f1[m])
+    h11 = th * th * (th - 1.0) * h
+    return (h00 * y0[0] + h10 * f0[0] + h01 * y1[0] + h11 * f1[0],
+            h00 * y0[1] + h10 * f0[1] + h01 * y1[1] + h11 * f1[1],
+            h00 * y0[2] + h10 * f0[2] + h01 * y1[2] + h11 * f1[2],
+            h00 * y0[3] + h10 * f0[3] + h01 * y1[3] + h11 * f1[3],
+            h00 * y0[4] + h10 * f0[4] + h01 * y1[4] + h11 * f1[4],
+            h00 * y0[5] + h10 * f0[5] + h01 * y1[5] + h11 * f1[5],
+            h00 * y0[6] + h10 * f0[6] + h01 * y1[6] + h11 * f1[6],
+            h00 * y0[7] + h10 * f0[7] + h01 * y1[7] + h11 * f1[7],
+            h00 * y0[8] + h10 * f0[8] + h01 * y1[8] + h11 * f1[8])
 
 
 @njit(cache=True)
 def _record(buf, n, tt, y):
-    if n >= buf.shape[0]:
-        return n
     buf[n, 0] = tt
     for m in range(9):
         buf[n, m + 1] = y[m]
@@ -148,54 +289,40 @@ def _record(buf, n, tt, y):
 
 
 @njit(cache=True)
-def _tau_budget(dtau, tau_now, sc):
-    return sc[SC_TAUBUDGET] * abs(dtau) + _TAU_ABS_FLOOR * (1.0 + abs(tau_now))
+def _tau_budget(dtau, tau_now, budget_rel):
+    return budget_rel * abs(dtau) + _TAU_ABS_FLOOR * (1.0 + abs(tau_now))
 
 
 @njit(cache=True)
-def _emit_span(buf, n, t0, h, y0, f0, y1, f1, ta, ya_tau, ya_z1, tb, sc,
-               tmp):
+def _emit_span(buf, n, t0, h, y0, f0, y1, f1, ta, ya_tau, ya_z1, tb,
+               budget_rel):
     """Record samples on (ta, tb] (within the current step) so consecutive
-    recorded samples satisfy the tau/trapezoid budget. Returns new n."""
-    stack_a = np.empty(64)
-    stack_b = np.empty(64)
-    stack_d = np.empty(64, dtype=np.int64)
-    stack_a[0] = ta
-    stack_b[0] = tb
-    stack_d[0] = 0
-    top = 1
+    recorded samples satisfy the tau/trapezoid budget. Returns new n; at
+    most 2**_SPAN_MAX_DEPTH rows are written."""
+    stack = [(ta, tb, 0)]
     last_t = ta
     last_tau = ya_tau
     last_z1 = ya_z1
-    while top > 0:
-        top -= 1
-        a = stack_a[top]
-        b = stack_b[top]
-        depth = stack_d[top]
-        _hermite(t0, h, y0, f0, y1, f1, b, tmp)
-        dtau = tmp[0] - last_tau
-        trap = 0.5 * (abs(last_z1) + abs(tmp[1])) * (b - last_t)
-        if (abs(dtau - trap) <= _tau_budget(dtau, tmp[0], sc)
-                or (b - a) < 1e-12 or depth >= 12):
-            n = _record(buf, n, b, tmp)
+    while len(stack) > 0:
+        a, b, depth = stack.pop()
+        yb = _hermite(t0, h, y0, f0, y1, f1, b)
+        dtau = yb[0] - last_tau
+        trap = 0.5 * (abs(last_z1) + abs(yb[1])) * (b - last_t)
+        if (abs(dtau - trap) <= _tau_budget(dtau, yb[0], budget_rel)
+                or (b - a) < 1e-12 or depth >= _SPAN_MAX_DEPTH):
+            n = _record(buf, n, b, yb)
             last_t = b
-            last_tau = tmp[0]
-            last_z1 = tmp[1]
+            last_tau = yb[0]
+            last_z1 = yb[1]
         else:
             m = 0.5 * (a + b)
-            stack_a[top] = m
-            stack_b[top] = b
-            stack_d[top] = depth + 1
-            top += 1
-            stack_a[top] = a
-            stack_b[top] = m
-            stack_d[top] = depth + 1
-            top += 1
+            stack.append((m, b, depth + 1))
+            stack.append((a, m, depth + 1))
     return n
 
 
 @njit(cache=True)
-def _bisect_guard(t0, h, y0, f0, y1, f1, sc, event_tol, tmp):
+def _bisect_guard(t0, h, y0, f0, y1, f1, g, event_tol):
     """Earliest guard activation in (t0, t0+h]; guard is false at t0 and
     true at t0+h. Returns (t_event, width).
 
@@ -215,8 +342,7 @@ def _bisect_guard(t0, h, y0, f0, y1, f1, sc, event_tol, tmp):
         if hi - lo <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        _hermite(t0, h, y0, f0, y1, f1, mid, tmp)
-        if _guard_any(tmp, sc) != 0:
+        if _guard_any(_hermite(t0, h, y0, f0, y1, f1, mid), g) != 0:
             hi = mid
         else:
             lo = mid
@@ -224,7 +350,7 @@ def _bisect_guard(t0, h, y0, f0, y1, f1, sc, event_tol, tmp):
 
 
 @njit(cache=True)
-def _bisect_z1_root(t0, h, y0, f0, y1, f1, tmp):
+def _bisect_z1_root(t0, h, y0, f0, y1, f1):
     """Location of the z1 sign change inside the step (z1(t0)*z1(t0+h)<0)."""
     lo = t0
     hi = t0 + h
@@ -233,12 +359,22 @@ def _bisect_z1_root(t0, h, y0, f0, y1, f1, tmp):
         if hi - lo <= 1e-13 * (1.0 + abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        _hermite(t0, h, y0, f0, y1, f1, mid, tmp)
-        if (tmp[1] > 0.0) == s_lo:
+        if (_hermite(t0, h, y0, f0, y1, f1, mid)[1] > 0.0) == s_lo:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@njit(cache=True)
+def _finish(y, ys, ret, code, t, n, width):
+    """Write the state ys back into y and the exit record into ret."""
+    for m in range(9):
+        y[m] = ys[m]
+    ret[0] = code
+    ret[1] = t
+    ret[2] = n
+    ret[3] = width
 
 
 @njit(cache=True)
@@ -247,115 +383,64 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
 
     Writes samples into buf starting at row n0 (10 columns: t then y) and
     fills ret = [code, t_final, n_written, bracket_width]. y is updated in
-    place to the final state. The caller is expected to have recorded the
-    segment-start sample already.
+    place to the final state on every exit code. The caller is expected to
+    have recorded the segment-start sample already. A step starts only
+    with at least MAX_STEP_ROWS free rows in buf, so no sample is ever
+    dropped; otherwise the call returns CODE_BUFFER_FULL at the current
+    point, so a buffer of fewer than MAX_STEP_ROWS rows makes no progress.
     """
-    t = t_start
+    p = _rhs_params(sc)
+    g = _guard_params(sc)
+    rtol = float(sc[SC_RTOL])
+    atol = float(sc[SC_ATOL])
+    max_step = float(sc[SC_MAXSTEP])
+    event_tol = float(sc[SC_EVENTTOL])
+    t_stop = float(sc[SC_TSTOP])
+    rec_dt = float(sc[SC_RECDT])
+    conv_tol = float(sc[SC_CONVTOL])
+    budget_rel = float(sc[SC_TAUBUDGET])
+    z2_floor = float(sc[SC_Z2FLOOR])
+    t = float(t_start)
     cap = buf.shape[0]
+    ys = (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
+          float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
     # guard already active at the segment start: zero-width event
-    code0 = _guard_any(y, sc)
+    code0 = _guard_any(ys, g)
     if code0 != 0:
-        ret[0] = code0
-        ret[1] = t
-        ret[2] = n0
-        ret[3] = 0.0
+        _finish(y, ys, ret, code0, t, n0, 0.0)
         return
 
-    f0 = np.empty(9)
-    f1 = np.empty(9)
-    y1 = np.empty(9)
-    tmp = np.empty(9)
-    err = np.empty(9)
-    stages = np.empty((7, 9))
-    ytmp = np.empty(9)
-
-    _rhs(y, sc, f0)
-    h = min(sc[SC_MAXSTEP], max(1e-8, 0.01 * sc[SC_MAXSTEP]))
-    h = sc[SC_MAXSTEP] * 0.1
+    f0 = _rhs(p, ys)
+    h = max_step * 0.1
 
     last_rec_t = t
-    last_rec_tau = y[0]
-    last_rec_z1 = y[1]
-    pend = np.empty(9)
+    last_rec_tau = ys[0]
+    last_rec_z1 = ys[1]
+    pend = ys
     pend_t = t
     have_pend = False
     n = n0
 
     while True:
-        if n > cap - 4096:
-            ret[0] = CODE_BUFFER_FULL
-            ret[1] = t
-            ret[2] = n
-            ret[3] = 0.0
+        if n > cap - MAX_STEP_ROWS:
+            _finish(y, ys, ret, CODE_BUFFER_FULL, t, n, 0.0)
             return
-        t_left = sc[SC_TSTOP] - t
+        t_left = t_stop - t
         if t_left <= 0.0:
             break
-        if h > sc[SC_MAXSTEP]:
-            h = sc[SC_MAXSTEP]
+        if h > max_step:
+            h = max_step
         if h > t_left:
             h = t_left
         if h < 1e-14:
-            ret[0] = CODE_STEP_FAILURE
-            ret[1] = t
-            ret[2] = n
-            ret[3] = 0.0
+            _finish(y, ys, ret, CODE_STEP_FAILURE, t, n, 0.0)
             return
 
-        # Dormand-Prince 5(4) step (FSAL)
-        for m in range(9):
-            stages[0, m] = f0[m]
-        # stage 2
-        for m in range(9):
-            ytmp[m] = y[m] + h * (0.2 * stages[0, m])
-        _rhs(ytmp, sc, stages[1])
-        # stage 3
-        for m in range(9):
-            ytmp[m] = y[m] + h * (3.0 / 40.0 * stages[0, m]
-                                  + 9.0 / 40.0 * stages[1, m])
-        _rhs(ytmp, sc, stages[2])
-        # stage 4
-        for m in range(9):
-            ytmp[m] = y[m] + h * (44.0 / 45.0 * stages[0, m]
-                                  - 56.0 / 15.0 * stages[1, m]
-                                  + 32.0 / 9.0 * stages[2, m])
-        _rhs(ytmp, sc, stages[3])
-        # stage 5
-        for m in range(9):
-            ytmp[m] = y[m] + h * (19372.0 / 6561.0 * stages[0, m]
-                                  - 25360.0 / 2187.0 * stages[1, m]
-                                  + 64448.0 / 6561.0 * stages[2, m]
-                                  - 212.0 / 729.0 * stages[3, m])
-        _rhs(ytmp, sc, stages[4])
-        # stage 6
-        for m in range(9):
-            ytmp[m] = y[m] + h * (9017.0 / 3168.0 * stages[0, m]
-                                  - 355.0 / 33.0 * stages[1, m]
-                                  + 46732.0 / 5247.0 * stages[2, m]
-                                  + 49.0 / 176.0 * stages[3, m]
-                                  - 5103.0 / 18656.0 * stages[4, m])
-        _rhs(ytmp, sc, stages[5])
-        # 5th-order solution
-        for m in range(9):
-            y1[m] = y[m] + h * (35.0 / 384.0 * stages[0, m]
-                                + 500.0 / 1113.0 * stages[2, m]
-                                + 125.0 / 192.0 * stages[3, m]
-                                - 2187.0 / 6784.0 * stages[4, m]
-                                + 11.0 / 84.0 * stages[5, m])
-        _rhs(y1, sc, stages[6])
-        # embedded error estimate
-        for m in range(9):
-            err[m] = h * (71.0 / 57600.0 * stages[0, m]
-                          - 71.0 / 16695.0 * stages[2, m]
-                          + 71.0 / 1920.0 * stages[3, m]
-                          - 17253.0 / 339200.0 * stages[4, m]
-                          + 22.0 / 525.0 * stages[5, m]
-                          - 1.0 / 40.0 * stages[6, m])
+        y1, f1, err = _dp_step(p, ys, f0, h)
         enorm = 0.0
         for m in range(9):
-            sc_m = sc[SC_ATOL] + sc[SC_RTOL] * max(abs(y[m]), abs(y1[m]))
-            q = err[m] / sc_m
+            q = err[m] / (atol + rtol * max(abs(ys[m]), abs(y1[m])))
             enorm += q * q
         enorm = math.sqrt(enorm / 9.0)
         if enorm > 1.0:
@@ -372,10 +457,11 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         # z1 sign change are exempt: |z1| has a kink there and the recorder
         # splits the step at the root instead.
         tau_ratio = 0.0
-        if y[1] * y1[1] >= 0.0 and h > 1e-12:
-            dtau_s = y1[0] - y[0]
-            trap_s = 0.5 * (abs(y[1]) + abs(y1[1])) * h
-            tau_ratio = abs(dtau_s - trap_s) / _tau_budget(dtau_s, y1[0], sc)
+        if ys[1] * y1[1] >= 0.0 and h > 1e-12:
+            dtau_s = y1[0] - ys[0]
+            trap_s = 0.5 * (abs(ys[1]) + abs(y1[1])) * h
+            tau_ratio = (abs(dtau_s - trap_s)
+                         / _tau_budget(dtau_s, y1[0], budget_rel))
             if tau_ratio > 1.0:
                 fac = 0.8 * tau_ratio ** -0.5
                 if fac < 0.25:
@@ -383,72 +469,56 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
                 h *= fac
                 continue
 
-        # accepted step [t, t+h]; stages[6] is f at the new point (FSAL)
-        for m in range(9):
-            f1[m] = stages[6, m]
+        # accepted step [t, t+h]; f1 is f at the new point (FSAL)
         t_new = t + h
 
         # event detection at the accepted endpoint
-        ev = _guard_any(y1, sc)
+        ev = _guard_any(y1, g)
         t_ev = -1.0
         width = 0.0
         if ev != 0:
-            t_ev, width = _bisect_guard(t, h, y, f0, y1, f1, sc,
-                                        sc[SC_EVENTTOL], tmp)
+            t_ev, width = _bisect_guard(t, h, ys, f0, y1, f1, g, event_tol)
 
         # z1 sign change inside the (possibly truncated) step
         t_hi = t_ev if ev != 0 else t_new
-        if y[1] * y1[1] < 0.0:
-            r = _bisect_z1_root(t, h, y, f0, y1, f1, tmp)
+        if ys[1] * y1[1] < 0.0:
+            r = _bisect_z1_root(t, h, ys, f0, y1, f1)
             if r < t_hi:
                 # forced sample at the kink
                 if have_pend:
                     n = _record(buf, n, pend_t, pend)
                     have_pend = False
-                n = _emit_span(buf, n, t, h, y, f0, y1, f1,
-                               t, y[0], y[1], r, sc, tmp)
-                _hermite(t, h, y, f0, y1, f1, r, tmp)
+                n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
+                               t, ys[0], ys[1], r, budget_rel)
+                yr = _hermite(t, h, ys, f0, y1, f1, r)
                 last_rec_t = r
-                last_rec_tau = tmp[0]
-                last_rec_z1 = tmp[1]
+                last_rec_tau = yr[0]
+                last_rec_z1 = yr[1]
 
         if ev != 0:
             # flush and record up to the event point, then stop
             if have_pend:
                 n = _record(buf, n, pend_t, pend)
-                have_pend = False
             base_t = last_rec_t if last_rec_t > t else t
-            base_tau = last_rec_tau
-            base_z1 = last_rec_z1
-            if base_t < t:
-                base_t = t
-                base_tau = y[0]
-                base_z1 = y[1]
-            n = _emit_span(buf, n, t, h, y, f0, y1, f1,
-                           base_t, base_tau, base_z1, t_ev, sc, tmp)
-            _hermite(t, h, y, f0, y1, f1, t_ev, tmp)
-            for m in range(9):
-                y[m] = tmp[m]
-            ret[0] = ev
-            ret[1] = t_ev
-            ret[2] = n
-            ret[3] = width
+            n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
+                           base_t, last_rec_tau, last_rec_z1, t_ev,
+                           budget_rel)
+            _finish(y, _hermite(t, h, ys, f0, y1, f1, t_ev), ret, ev, t_ev,
+                    n, width)
             return
 
         # recording decision at the accepted endpoint
-        at_stop = t_new >= sc[SC_TSTOP] - 1e-14
-        z2_bad = y1[2] <= sc[SC_Z2FLOOR]
+        at_stop = t_new >= t_stop - 1e-14
+        z2_bad = y1[2] <= z2_floor
         converged = (abs(y1[1]) + abs(y1[2]) + abs(y1[3]) + abs(y1[4])
-                     < sc[SC_CONVTOL])
+                     < conv_tol)
         force = at_stop or z2_bad or converged
 
         dtau = y1[0] - last_rec_tau
         trap = 0.5 * (abs(last_rec_z1) + abs(y1[1])) * (t_new - last_rec_t)
-        coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, y1[0], sc)
-        if (not force and coarse_ok
-                and (t_new - last_rec_t) < sc[SC_RECDT]):
-            for m in range(9):
-                pend[m] = y1[m]
+        coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, y1[0], budget_rel)
+        if not force and coarse_ok and (t_new - last_rec_t) < rec_dt:
+            pend = y1
             pend_t = t_new
             have_pend = True
         else:
@@ -463,19 +533,18 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             base_z1 = last_rec_z1
             if base_t < t:
                 base_t = t
-                base_tau = y[0]
-                base_z1 = y[1]
-            n = _emit_span(buf, n, t, h, y, f0, y1, f1,
-                           base_t, base_tau, base_z1, t_new, sc, tmp)
+                base_tau = ys[0]
+                base_z1 = ys[1]
+            n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
+                           base_t, base_tau, base_z1, t_new, budget_rel)
             last_rec_t = t_new
             last_rec_tau = y1[0]
             last_rec_z1 = y1[1]
 
         # advance
         t = t_new
-        for m in range(9):
-            y[m] = y1[m]
-            f0[m] = f1[m]
+        ys = y1
+        f0 = f1
         fac = 0.9 * enorm ** -0.2 if enorm > 1e-30 else 5.0
         if fac > 5.0:
             fac = 5.0
@@ -488,23 +557,14 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         h *= fac
 
         if z2_bad:
-            ret[0] = CODE_DOMAIN
-            ret[1] = t
-            ret[2] = n
-            ret[3] = 0.0
+            _finish(y, ys, ret, CODE_DOMAIN, t, n, 0.0)
             return
         if converged:
-            ret[0] = CODE_CONVERGED
-            ret[1] = t
-            ret[2] = n
-            ret[3] = 0.0
+            _finish(y, ys, ret, CODE_CONVERGED, t, n, 0.0)
             return
 
     # horizon reached; the final sample was force-recorded above
-    ret[0] = CODE_HORIZON
-    ret[1] = t
-    ret[2] = n
-    ret[3] = 0.0
+    _finish(y, ys, ret, CODE_HORIZON, t, n, 0.0)
 
 
 def pack_scalars(params, gains, k, z_star, z_star_init, h_i, cert, solver,

@@ -404,8 +404,13 @@ class SolverConfig:
 
     tau_budget_rel is the relative budget of that consistency guarantee:
     between consecutive recorded samples, the trapezoid of |z1| matches the
-    integrated tau increment to this relative accuracy. Loosening it thins
-    long-horizon recordings; it never affects integration accuracy.
+    integrated tau increment to this relative accuracy. The kernel enforces
+    it partly through the step size: a step whose own endpoint trapezoid
+    misses the budget is rejected and retried shorter, and the next step is
+    grown more cautiously. The budget therefore changes the step sequence,
+    and with it the computed arc within the integration tolerance, not only
+    how densely the arc is recorded. Loosening it thins long-horizon
+    recordings.
     """
 
     rel_tol: float = 1e-9

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from xbstab import cli
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -165,6 +166,23 @@ class TestEndToEnd:
         assert not err["all_checks_passed"]
         assert "InvalidGains" in capsys.readouterr().err
 
+    def test_epsilon_at_or_above_d_over_c_rejected(self, tmp_path,
+                                                   scenario_dict):
+        """epsilon >= d/c leaves no dwell band; the run is refused before
+        any integration, with an error artifact instead of a traceback."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["controller"]["epsilon"] = 0.6     # d/c = 12.5/24 = 0.521
+        cfg["solver"]["t_end"] = 0.05
+        p = tmp_path / "eps.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "d/c" in err["error"]["message"]
+        assert not err["all_checks_passed"]
+        assert not (out / "trajectory.csv").exists()
+
     def test_nonconvergent_schedule_warned_not_failed(self, tmp_path,
                                                       scenario_dict):
         cfg = json.loads(json.dumps(scenario_dict))
@@ -190,6 +208,29 @@ class TestEndToEnd:
                 .read_text())
             assert rep["config"]["controller"]["k"] == k
             assert rep["checks"]["enabled"] == ["vobs", "phi", "zeno"]
+
+    def test_sweep_variant_value_error_writes_its_error_json(
+            self, short_scenario, tmp_path, monkeypatch):
+        """A ValueError raised while one variant runs ends in that
+        variant's error.json; the other variant still runs."""
+        simulate = cli.simulate
+
+        def failing_for_k400(scn_params, *args, k=None, **kw):
+            if k == 400:
+                raise ValueError("variant-specific failure")
+            return simulate(scn_params, *args, k=k, **kw)
+
+        monkeypatch.setattr(cli, "simulate", failing_for_k400)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,500")
+        assert rc == 1
+        err = json.loads((out / "sweep_controller_k=400" / "error.json")
+                         .read_text())
+        assert err["error"] == {"type": "ValueError",
+                                "message": "variant-specific failure"}
+        assert not (out / "sweep_controller_k=400" / "report.json").exists()
+        assert (out / "sweep_controller_k=500" / "report.json").exists()
 
     def test_checks_none_always_passes(self, short_scenario, tmp_path):
         out = tmp_path / "out"

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from xbstab import (HybridState, JumpKind, StateOutOfDomain, control_input,
-                    flow_map, in_Dc, in_Dnc, jump_map, observer_rhs_zhat,
-                    phi_contraction_norm)
+from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
+                    control_input, fastpath, flow_map, in_Dc, in_Dnc,
+                    jump_map, observer_rhs_zhat, phi_contraction_norm,
+                    simulate)
 from xbstab.dynamics import checked_jump, tracking_error_rhs_analysis_form
 from xbstab.errors import IllegalJump
 
@@ -182,3 +185,112 @@ class TestJumpMap:
         with pytest.raises(IllegalJump):
             checked_jump(sv_params, cfg, sv_cert, inside_band,
                          JumpKind.NEW_CYCLE)
+
+
+# --- the kernel's flow and guards against the definitions above ----------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _kernel_scalars(params, gains, cert, cfg, k, state):
+    return fastpath.pack_scalars(params, gains, k, state.z_star,
+                                 cfg.z_star_init,
+                                 cfg.h_of(state.cycle, cert.gamma), cert,
+                                 SolverConfig(), 1.0)
+
+
+def _kernel_state(state):
+    return (state.tau, *state.z, *state.z_tilde, *state.phi.ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(z1=_floats(-80.0, 80.0), z2_above_floor=_floats(1e-6, 3.0),
+       zt=st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0)),
+       phi=st.tuples(*[_floats(-2.0, 2.0)] * 4),
+       z_star=st.sampled_from([75.0, -37.5, 9.375, -0.5859375]),
+       k=_floats(50.0, 2000.0))
+def test_kernel_rhs_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
+                                     z2_above_floor, zt, phi, z_star, k):
+    """fastpath._rhs and dynamics.flow_map are the same flow, to 1e-12
+    relative to the magnitude of the terms each component sums."""
+    cfg = make_cfg()
+    state = make_state(z1=z1, z2=sv_params.z2_floor + z2_above_floor,
+                       zt1=zt[0], zt2=zt[1], z_star=z_star,
+                       phi=np.array(phi).reshape(2, 2))
+    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, cfg, k, state)
+    got = np.array(fastpath._rhs(fastpath._rhs_params(sc),
+                                 _kernel_state(state)))
+    d = flow_map(sv_params, sv_gains, k, state)
+    want = np.array([d.d_tau, d.d_z1, d.d_z2, *d.d_z_tilde,
+                     *d.d_phi.ravel()])
+
+    a, c, dd = sv_params.a, sv_params.c, sv_params.d
+    z2 = state.z[1]
+    k1, k2 = sv_gains.injection(z1)
+    absM = np.abs(np.array([[k1, a], [k2, c]]))
+    scale = np.concatenate([
+        [abs(z1),
+         abs(a * z1 * z2) + abs(a * z1 * (z2 + zt[1]))
+         + abs(k * (z1 - z_star)),
+         (abs(c * z2) + dd) * abs(z1)],
+        abs(z1) * (absM @ np.abs(state.z_tilde)),
+        (abs(z1) * (absM @ np.abs(state.phi))).ravel()])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want),
+                                                           scale))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycle=st.integers(1, 3), ref_sign=st.sampled_from([1.0, -1.0]),
+       zhat2_rel=_floats(-2.0, 2.0), zt2=_floats(-0.5, 0.5),
+       phi_dir=st.tuples(*[_floats(-1.0, 1.0)] * 4),
+       log_scale=_floats(-3.0, 0.0))
+def test_kernel_guard_matches_jump_sets(sv_params, sv_gains, sv_cert, cycle,
+                                        ref_sign, zhat2_rel, zt2, phi_dir,
+                                        log_scale):
+    """fastpath._guard_any agrees with in_Dc/in_Dnc on states at least
+    1e-9 away from the boundaries of either set."""
+    cfg = make_cfg()
+    z_star = ref_sign * cfg.z_star_init / 2.0 ** cycle
+    thr = sv_params.d * abs(z_star) / (sv_params.c * cfg.z_star_init)
+    phi = 10.0 ** log_scale * np.array(phi_dir).reshape(2, 2)
+    state = make_state(z1=0.3, z2=zhat2_rel * thr - zt2, zt2=zt2,
+                       z_star=z_star, cycle=cycle, phi=phi)
+    zhat2 = state.z[1] + state.z_tilde[1]
+    bound = math.sqrt(sv_cert.lambda_min) * cfg.h_of(cycle, sv_cert.gamma)
+    assume(abs(abs(zhat2) - thr) >= 1e-9 and abs(zhat2) >= 1e-9)
+    assume(abs(phi_contraction_norm(sv_cert, phi) - bound) >= 1e-9)
+
+    if in_Dc(sv_params, cfg, state):
+        want = fastpath.CODE_DC
+    elif in_Dnc(sv_params, cfg, sv_cert, state):
+        want = fastpath.CODE_DNC
+    else:
+        want = 0
+    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, cfg, 500.0, state)
+    assert fastpath._guard_any(_kernel_state(state),
+                               fastpath._guard_params(sc)) == want
+
+
+def test_backends_agree_on_short_run(monkeypatch, sv_params, sv_gains,
+                                     sv_cert, sv_cfg, sv_initial):
+    """The compiled kernel and its CPython source give the same arc on the
+    20 ms bundled run. Needs numba; skipped, not passed, without it."""
+    pytest.importorskip("numba")
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02)
+    compiled = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver,
+                        z0, z_hat0, k=500.0)
+    monkeypatch.setattr(fastpath, "flow_segment",
+                        fastpath.flow_segment.py_func)
+    plain = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver,
+                     z0, z_hat0, k=500.0)
+    assert [jr.kind for jr in plain.jumps] == \
+        [jr.kind for jr in compiled.jumps]
+    assert np.allclose([jr.t for jr in plain.jumps],
+                       [jr.t for jr in compiled.jumps], rtol=0.0, atol=1e-9)
+    assert plain.t[-1] == compiled.t[-1]
+    for name in ("z1", "z2", "z_tilde1", "z_tilde2", "tau"):
+        assert getattr(plain, name)[-1] == pytest.approx(
+            getattr(compiled, name)[-1], rel=1e-8, abs=1e-12)

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
-                    ZenoSuspected, flow_map, initialize, integrate_flow,
-                    simulate)
+                    ZenoSuspected, engine, fastpath, flow_map,
+                    initialize, integrate_flow, simulate)
+from xbstab.analysis import cycle_slice
 from xbstab.engine import _Recorder, _run_segment, initial_cycle
 from xbstab.model import g_of
 
@@ -126,7 +127,7 @@ class TestIntegrateFlow:
         small = _Recorder()
         code_b, t_b, end_b, _ = _run_segment(
             sv_params, sv_gains, sv_cert, cfg, solver, 500.0, state, 0.0,
-            small, 0, np.empty((4200, 10)))
+            small, 0, np.empty((fastpath.MAX_STEP_ROWS + 104, 10)))
         assert code_a == code_b and t_a == pytest.approx(t_b)
         assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
         assert np.allclose(end_a.z_tilde, end_b.z_tilde,
@@ -143,6 +144,71 @@ class TestIntegrateFlow:
         common = np.linspace(0.0, min(ta[-1], tb[-1]), 200)
         assert np.allclose(np.interp(common, ta, za),
                            np.interp(common, tb, zb), rtol=1e-6, atol=1e-9)
+
+    def test_buffer_below_one_step_rejected(self, sv_params, sv_gains,
+                                            sv_cert):
+        """A buffer that cannot hold one step's worst case would return
+        CODE_BUFFER_FULL without progress forever."""
+        cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
+        solver = SolverConfig(max_step=5.4e-5, t_end=5e-4)
+        with pytest.raises(ValueError, match="cannot hold one step"):
+            _run_segment(sv_params, sv_gains, sv_cert, cfg, solver, 500.0,
+                         state, 0.0, _Recorder(), 0,
+                         np.empty((fastpath.MAX_STEP_ROWS, 10)))
+
+
+def _max_tau_drift(traj):
+    """Largest excess of |tau - trapezoid of |z1|| over criterion 5's
+    bound 1e-6 |tau| + 1e-9, per cycle (<= 0 when the bound holds)."""
+    worst = -np.inf
+    for i in np.unique(traj.cycle):
+        sl = cycle_slice(traj, int(i))
+        a = np.abs(traj.z1[sl])
+        inc = 0.5 * (a[:-1] + a[1:]) * np.diff(traj.t[sl])
+        expected = traj.tau[sl.start] + np.concatenate([[0.0],
+                                                        np.cumsum(inc)])
+        excess = (np.abs(traj.tau[sl] - expected)
+                  - (1e-6 * np.abs(expected) + 1e-9))
+        worst = max(worst, float(excess.max()))
+    return worst
+
+
+def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
+                                          sv_cert, sv_cfg, sv_initial):
+    """The 20 ms bundled run with a buffer barely above one step's worst
+    case resumes many times mid-segment and still records the same arc."""
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02)
+    ref = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                   k=500.0)
+
+    codes = []
+    flow = fastpath.flow_segment
+
+    def counting_flow(y, t_start, sc, buf, n0, ret):
+        flow(y, t_start, sc, buf, n0, ret)
+        codes.append(int(ret[0]))
+
+    monkeypatch.setattr(fastpath, "flow_segment", counting_flow)
+    monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
+                        fastpath.MAX_STEP_ROWS + 200)
+    traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                    k=500.0)
+
+    assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+    assert [jr.kind for jr in traj.jumps] == [jr.kind for jr in ref.jumps]
+    assert np.allclose([jr.t for jr in traj.jumps],
+                       [jr.t for jr in ref.jumps], rtol=0.0, atol=1e-7)
+    assert np.all(np.diff(traj.t) >= 0.0)
+    assert traj.t[-1] == ref.t[-1]
+    assert _max_tau_drift(traj) <= 0.0
+    # no rows lost at a resume: a kernel that drops the rows of a step
+    # that overruns its buffer keeps criterion 5 but records about 30 %
+    # fewer samples here (a 4196-row buffer with a 4096-row margin).
+    # Resumes add re-anchor rows and restart the step controller, so the
+    # count may rise by about 1 %.
+    assert len(traj) >= 0.98 * len(ref)
 
 
 class TestSimulate:
