@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CycleNotFound, NoExcitation
 from .lyapunov import (DecayCertificate, LyapunovCertificate,
@@ -257,6 +256,9 @@ def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,
     ts = traj.t[sel] - t_c
     if ts.size == 0:
         return True
+    # imported here, not at module level: the CLI never runs this check,
+    # and importing scipy adds about 0.6 s to every CLI start
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(lambda _, z: [M * (c * z[0] + d)], (0.0, t_lmin),
                     [z2_0], t_eval=np.clip(ts, 0.0, t_lmin),
                     rtol=1e-12, atol=1e-14, method="DOP853")

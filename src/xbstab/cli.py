@@ -31,7 +31,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,22 @@ def _require(section: dict, name: str, where: str):
     return section[name]
 
 
+def _build_solver(section: dict) -> SolverConfig:
+    """SolverConfig from the "solver" section; unknown keys and values that
+    are not numbers are rejected with a ValueError naming the key."""
+    valid = [f.name for f in fields(SolverConfig)]
+    kwargs = {}
+    for key, val in section.items():
+        if key not in valid:
+            raise ValueError(f"unknown solver field '{key}'; valid fields: "
+                             f"{', '.join(valid)}")
+        try:
+            kwargs[key] = int(val) if key == "zeno_max_jumps" else float(val)
+        except TypeError as exc:
+            raise ValueError(f"solver.{key}={val!r} is not a number") from exc
+    return SolverConfig(**kwargs)
+
+
 def load_config(path) -> dict:
     """Read and schema-check a scenario configuration file."""
     with open(path, encoding="utf-8") as fh:
@@ -163,9 +179,7 @@ def build_scenario(raw: dict) -> Scenario:
     else:
         k = derive_control_gain(params, cfg, cert.gamma)
 
-    solver = SolverConfig(**{key: (int(val) if key == "zeno_max_jumps"
-                                   else float(val))
-                             for key, val in raw.get("solver", {}).items()})
+    solver = _build_solver(raw.get("solver", {}))
 
     init = raw["initial"]
     z0 = np.asarray(_require(init, "z0", "initial"), dtype=float)

@@ -7,14 +7,24 @@ closed loop
 
 with an adaptive Dormand-Prince 5(4) stepper, guard evaluation at every
 accepted step, bisection-based event localization on a cubic-Hermite dense
-output, and on-the-fly sample recording. Recording inserts extra samples at
-z1 sign changes and wherever the trapezoidal quadrature of |z1| between
-consecutive recorded samples would drift from the integrated tau by more
-than a small relative budget, so the stored trajectory satisfies the
-tau-consistency contract by construction.
+output, and on-the-fly sample recording.
+
+Step sizes serve accuracy only: a step ends where rel_tol, abs_tol,
+max_step, the horizon or an event say. Recording is decided inside each
+accepted step. A step whose recorded span would let the trapezoidal
+quadrature of |z1| drift from the integrated tau gets equally spaced
+interior samples, as many as the trapezoid's 1/m^2 error law needs to meet
+the recording budget, with a forced sample at a z1 sign change. Interior
+tau comes from the step's own z1 interpolant: the integrated tau increment
+is distributed in proportion to the integral of |z1| along the step's cubic
+Hermite of z1 (see _tau_curve). That tau is monotone, ends exactly at the
+step's endpoint tau and matches the trapezoid of the recorded z1 to third
+order in the sample spacing. Across a z1 sign change the endpoint tau
+itself comes from that integral, split at the root, because the
+Dormand-Prince quadrature of tau does not resolve the kink of |z1|.
 
 The kernel is written once, in scalar-local style: every value it does
-arithmetic on is a float local or a 9-tuple of floats, and numpy arrays are
+arithmetic on is a float local or a tuple of floats, and numpy arrays are
 touched only to read the inputs, write sample rows and write the results
 back. The same source is jit-compiled when numba is installed (the ``fast``
 extra) and runs as plain CPython otherwise.
@@ -59,12 +69,12 @@ CODE_STEP_FAILURE = 6
 
 _TAU_ABS_FLOOR = 1e-15
 
-# _emit_span subdivides at most this deep, so one span records at most
-# 2**_SPAN_MAX_DEPTH rows. One step can flush a pending row and then emit
-# two spans (up to a z1 root, then up to the endpoint or the event), so
-# MAX_STEP_ROWS free rows before a step guarantee that it fits the buffer.
-_SPAN_MAX_DEPTH = 12
-MAX_STEP_ROWS = 2 * (1 << _SPAN_MAX_DEPTH) + 1
+# _emit_span records at most _SPAN_MAX_ROWS rows. One step can flush a
+# pending row and then emit two spans (up to a z1 root, then up to the
+# endpoint or the event), so MAX_STEP_ROWS free rows before a step
+# guarantee that it fits the buffer.
+_SPAN_MAX_ROWS = 1 << 12
+MAX_STEP_ROWS = 2 * _SPAN_MAX_ROWS + 1
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # II.5); subtracted terms carry a negative coefficient, which rounds
@@ -262,14 +272,16 @@ def _dp_step(p, y, k1, h):
 
 
 @njit(cache=True)
-def _hermite(t0, h, y0, f0, y1, f1, tt):
+def _hermite(t0, h, y0, f0, y1, f1, tt, tau):
+    """Cubic Hermite of the step at tt; the tau component is the caller's
+    (from _tau_at, so that it stays consistent with the recorded z1)."""
     th = (tt - t0) / h
     om = 1.0 - th
     h00 = (1.0 + 2.0 * th) * om * om
     h10 = th * om * om * h
     h01 = th * th * (3.0 - 2.0 * th)
     h11 = th * th * (th - 1.0) * h
-    return (h00 * y0[0] + h10 * f0[0] + h01 * y1[0] + h11 * f1[0],
+    return (tau,
             h00 * y0[1] + h10 * f0[1] + h01 * y1[1] + h11 * f1[1],
             h00 * y0[2] + h10 * f0[2] + h01 * y1[2] + h11 * f1[2],
             h00 * y0[3] + h10 * f0[3] + h01 * y1[3] + h11 * f1[3],
@@ -278,6 +290,12 @@ def _hermite(t0, h, y0, f0, y1, f1, tt):
             h00 * y0[6] + h10 * f0[6] + h01 * y1[6] + h11 * f1[6],
             h00 * y0[7] + h10 * f0[7] + h01 * y1[7] + h11 * f1[7],
             h00 * y0[8] + h10 * f0[8] + h01 * y1[8] + h11 * f1[8])
+
+
+@njit(cache=True)
+def _with_tau(y, tau):
+    """y with its tau component replaced."""
+    return (tau, y[1], y[2], y[3], y[4], y[5], y[6], y[7], y[8])
 
 
 @njit(cache=True)
@@ -294,31 +312,83 @@ def _tau_budget(dtau, tau_now, budget_rel):
 
 
 @njit(cache=True)
-def _emit_span(buf, n, t0, h, y0, f0, y1, f1, ta, ya_tau, ya_z1, tb,
+def _z1_prim(tc, th):
+    """Integral over [0, th] of the step's z1 cubic, in units of h."""
+    c0, c1, c2, c3 = tc[0], tc[1], tc[2], tc[3]
+    return th * (c0 + th * (0.5 * c1 + th * (c2 / 3.0 + th * (0.25 * c3))))
+
+
+@njit(cache=True)
+def _tau_curve(h, y0, f0, y1, f1, root_tol):
+    """The step's tau interpolant, as (c0, c1, c2, c3, th_r, p_r, a1).
+
+    z1_H(th) = c0 + c1 th + c2 th^2 + c3 th^3 is the cubic Hermite of z1 in
+    th = (t - t0)/h. When z1 changes sign over the step, th_r is the root of
+    z1_H (bisected to root_tol), else 1; p_r is the integral of z1_H up to
+    th_r and a1 the integral of |z1_H| over the whole step, both in units
+    of h. Within a segment z* is fixed and z1 crosses zero with slope about
+    k z*, so z1_H has at most the one root that the endpoint signs show.
+    """
+    c0 = y0[1]
+    c1 = h * f0[1]
+    m1 = h * f1[1]
+    c2 = 3.0 * (y1[1] - c0) - 2.0 * c1 - m1
+    c3 = 2.0 * (c0 - y1[1]) + c1 + m1
+    th_r = 1.0
+    if c0 * y1[1] < 0.0:
+        lo = 0.0
+        hi = 1.0
+        s_lo = c0 > 0.0
+        for _ in range(80):
+            if hi - lo <= root_tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if (c0 + mid * (c1 + mid * (c2 + mid * c3)) > 0.0) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        th_r = 0.5 * (lo + hi)
+    tc = (c0, c1, c2, c3, th_r, 0.0, 0.0)
+    p_r = _z1_prim(tc, th_r)
+    a1 = abs(p_r) + abs(_z1_prim(tc, 1.0) - p_r)
+    return (c0, c1, c2, c3, th_r, p_r, a1)
+
+
+@njit(cache=True)
+def _tau_at(tc, tau0, tau1, th):
+    """tau at th inside the step: tau0 + (tau1 - tau0) A(th)/A(1), with A
+    the integral of |z1_H|. Monotone, and exactly tau1 at th = 1."""
+    a1 = tc[6]
+    if a1 <= 0.0:
+        return tau0 + (tau1 - tau0) * th
+    p = _z1_prim(tc, th)
+    if th <= tc[4]:
+        area = abs(p)
+    else:
+        area = abs(tc[5]) + abs(p - tc[5])
+    return tau0 + (tau1 - tau0) * (area / a1)
+
+
+@njit(cache=True)
+def _emit_span(buf, n, t0, h, y0, f0, y1, f1, tc, ta, tau_a, z1_a, tb, yb,
                budget_rel):
-    """Record samples on (ta, tb] (within the current step) so consecutive
-    recorded samples satisfy the tau/trapezoid budget. Returns new n; at
-    most 2**_SPAN_MAX_DEPTH rows are written."""
-    stack = [(ta, tb, 0)]
-    last_t = ta
-    last_tau = ya_tau
-    last_z1 = ya_z1
-    while len(stack) > 0:
-        a, b, depth = stack.pop()
-        yb = _hermite(t0, h, y0, f0, y1, f1, b)
-        dtau = yb[0] - last_tau
-        trap = 0.5 * (abs(last_z1) + abs(yb[1])) * (b - last_t)
-        if (abs(dtau - trap) <= _tau_budget(dtau, yb[0], budget_rel)
-                or (b - a) < 1e-12 or depth >= _SPAN_MAX_DEPTH):
-            n = _record(buf, n, b, yb)
-            last_t = b
-            last_tau = yb[0]
-            last_z1 = yb[1]
-        else:
-            m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1))
-            stack.append((a, m, depth + 1))
-    return n
+    """Record samples on (ta, tb] within the current step; yb is the state
+    at tb. The span gets m equally spaced samples, m chosen from the
+    endpoint tau/trapezoid mismatch e: the composite trapezoid error falls
+    as 1/m^2, so m > sqrt(e / budget) brings it within the budget. Returns
+    the new n; at most _SPAN_MAX_ROWS rows are written."""
+    dtau = yb[0] - tau_a
+    e = abs(dtau - 0.5 * (abs(z1_a) + abs(yb[1])) * (tb - ta))
+    q = math.sqrt(e / _tau_budget(dtau, yb[0], budget_rel))
+    m = _SPAN_MAX_ROWS
+    if q < _SPAN_MAX_ROWS - 1:
+        m = int(q) + 1
+    dt = (tb - ta) / m
+    for i in range(1, m):
+        tt = ta + i * dt
+        tau = _tau_at(tc, y0[0], y1[0], (tt - t0) / h)
+        n = _record(buf, n, tt, _hermite(t0, h, y0, f0, y1, f1, tt, tau))
+    return _record(buf, n, tb, yb)
 
 
 @njit(cache=True)
@@ -342,28 +412,11 @@ def _bisect_guard(t0, h, y0, f0, y1, f1, g, event_tol):
         if hi - lo <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        if _guard_any(_hermite(t0, h, y0, f0, y1, f1, mid), g) != 0:
+        if _guard_any(_hermite(t0, h, y0, f0, y1, f1, mid, 0.0), g) != 0:
             hi = mid
         else:
             lo = mid
     return hi, hi - lo
-
-
-@njit(cache=True)
-def _bisect_z1_root(t0, h, y0, f0, y1, f1):
-    """Location of the z1 sign change inside the step (z1(t0)*z1(t0+h)<0)."""
-    lo = t0
-    hi = t0 + h
-    s_lo = y0[1] > 0.0
-    for _ in range(80):
-        if hi - lo <= 1e-13 * (1.0 + abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if (_hermite(t0, h, y0, f0, y1, f1, mid)[1] > 0.0) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @njit(cache=True)
@@ -417,9 +470,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
     last_rec_t = t
     last_rec_tau = ys[0]
     last_rec_z1 = ys[1]
-    pend = ys
-    pend_t = t
-    have_pend = False
+    have_pend = False           # the step start (t, ys) is not recorded yet
+    tc = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)   # set by every recorded step
     n = n0
 
     while True:
@@ -450,93 +502,73 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             h *= fac
             continue
 
-        # tau/trapezoid consistency of the step itself: reject steps whose
-        # endpoint trapezoid drifts from the integrated tau increment beyond
-        # the recording budget (the trapezoid error scales with h^2, so the
-        # budget is enforceable through the step size). Steps containing a
-        # z1 sign change are exempt: |z1| has a kink there and the recorder
-        # splits the step at the root instead.
-        tau_ratio = 0.0
-        if ys[1] * y1[1] >= 0.0 and h > 1e-12:
-            dtau_s = y1[0] - ys[0]
-            trap_s = 0.5 * (abs(ys[1]) + abs(y1[1])) * h
-            tau_ratio = (abs(dtau_s - trap_s)
-                         / _tau_budget(dtau_s, y1[0], budget_rel))
-            if tau_ratio > 1.0:
-                fac = 0.8 * tau_ratio ** -0.5
-                if fac < 0.25:
-                    fac = 0.25
-                h *= fac
-                continue
-
         # accepted step [t, t+h]; f1 is f at the new point (FSAL)
         t_new = t + h
-
-        # event detection at the accepted endpoint
         ev = _guard_any(y1, g)
-        t_ev = -1.0
-        width = 0.0
-        if ev != 0:
-            t_ev, width = _bisect_guard(t, h, ys, f0, y1, f1, g, event_tol)
-
-        # z1 sign change inside the (possibly truncated) step
-        t_hi = t_ev if ev != 0 else t_new
-        if ys[1] * y1[1] < 0.0:
-            r = _bisect_z1_root(t, h, ys, f0, y1, f1)
-            if r < t_hi:
-                # forced sample at the kink
-                if have_pend:
-                    n = _record(buf, n, pend_t, pend)
-                    have_pend = False
-                n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
-                               t, ys[0], ys[1], r, budget_rel)
-                yr = _hermite(t, h, ys, f0, y1, f1, r)
+        cross = ys[1] * y1[1] < 0.0
+        if ev != 0 or cross:
+            if have_pend:
+                n = _record(buf, n, t, ys)
+                have_pend = False
+            last_rec_t = t
+            last_rec_tau = ys[0]
+            last_rec_z1 = ys[1]
+            tc = _tau_curve(h, ys, f0, y1, f1, 1e-13 * (1.0 + abs(t)) / h)
+            if cross:
+                # |z1| has a kink at the root, which the Dormand-Prince
+                # quadrature of tau does not resolve (on the bundled run it
+                # overshoots by up to 1 % of the step's increment); the
+                # split integral of |z1_H| is accurate to O(h^5)
+                y1 = _with_tau(y1, ys[0] + h * tc[6])
+            t_hi = t_new
+            width = 0.0
+            if ev != 0:
+                t_hi, width = _bisect_guard(t, h, ys, f0, y1, f1, g,
+                                            event_tol)
+            # forced sample at the z1 kink inside the (truncated) step
+            r = t + tc[4] * h
+            if cross and r < t_hi:
+                yr = _hermite(t, h, ys, f0, y1, f1, r,
+                              _tau_at(tc, ys[0], y1[0], tc[4]))
+                n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
+                               last_rec_tau, last_rec_z1, r, yr, budget_rel)
                 last_rec_t = r
                 last_rec_tau = yr[0]
                 last_rec_z1 = yr[1]
+            if ev != 0:
+                # record up to the event point, then stop there
+                yev = _hermite(t, h, ys, f0, y1, f1, t_hi,
+                               _tau_at(tc, ys[0], y1[0], (t_hi - t) / h))
+                n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
+                               last_rec_tau, last_rec_z1, t_hi, yev,
+                               budget_rel)
+                _finish(y, yev, ret, ev, t_hi, n, width)
+                return
 
-        if ev != 0:
-            # flush and record up to the event point, then stop
-            if have_pend:
-                n = _record(buf, n, pend_t, pend)
-            base_t = last_rec_t if last_rec_t > t else t
-            n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
-                           base_t, last_rec_tau, last_rec_z1, t_ev,
-                           budget_rel)
-            _finish(y, _hermite(t, h, ys, f0, y1, f1, t_ev), ret, ev, t_ev,
-                    n, width)
-            return
-
-        # recording decision at the accepted endpoint
+        # recording decision at the accepted endpoint: thinned recording
+        # leaves it pending while nothing forces a sample and one trapezoid
+        # from the last recorded sample still matches tau
         at_stop = t_new >= t_stop - 1e-14
         z2_bad = y1[2] <= z2_floor
         converged = (abs(y1[1]) + abs(y1[2]) + abs(y1[3]) + abs(y1[4])
                      < conv_tol)
         force = at_stop or z2_bad or converged
-
         dtau = y1[0] - last_rec_tau
         trap = 0.5 * (abs(last_rec_z1) + abs(y1[1])) * (t_new - last_rec_t)
         coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, y1[0], budget_rel)
         if not force and coarse_ok and (t_new - last_rec_t) < rec_dt:
-            pend = y1
-            pend_t = t_new
             have_pend = True
         else:
-            if have_pend and pend_t > last_rec_t:
-                n = _record(buf, n, pend_t, pend)
-                last_rec_t = pend_t
-                last_rec_tau = pend[0]
-                last_rec_z1 = pend[1]
-            have_pend = False
-            base_t = last_rec_t
-            base_tau = last_rec_tau
-            base_z1 = last_rec_z1
-            if base_t < t:
-                base_t = t
-                base_tau = ys[0]
-                base_z1 = ys[1]
-            n = _emit_span(buf, n, t, h, ys, f0, y1, f1,
-                           base_t, base_tau, base_z1, t_new, budget_rel)
+            if have_pend:
+                n = _record(buf, n, t, ys)
+                have_pend = False
+                last_rec_t = t
+                last_rec_tau = ys[0]
+                last_rec_z1 = ys[1]
+            if not cross:           # a crossing step has its curve already
+                tc = _tau_curve(h, ys, f0, y1, f1, 1.0)
+            n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
+                           last_rec_tau, last_rec_z1, t_new, y1, budget_rel)
             last_rec_t = t_new
             last_rec_tau = y1[0]
             last_rec_z1 = y1[1]
@@ -548,12 +580,6 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         fac = 0.9 * enorm ** -0.2 if enorm > 1e-30 else 5.0
         if fac > 5.0:
             fac = 5.0
-        if tau_ratio > 1e-4:
-            fac_tau = 0.8 * tau_ratio ** -0.5
-            if fac_tau < fac:
-                fac = fac_tau
-            if fac < 1.0:
-                fac = 1.0
         h *= fac
 
         if z2_bad:

@@ -398,19 +398,21 @@ class HybridTrajectory:
 class SolverConfig:
     """Integrator and runtime-guard settings (artifact policy, not physics).
 
-    record_interval = 0 records a sample at every accepted step; a positive
-    value thins the recording (extra samples are still inserted wherever the
-    tau/trapezoid consistency budget or a z1 sign change demands them).
+    rel_tol, abs_tol and max_step alone set the step sizes. record_interval
+    = 0 records a sample at every accepted step; a positive value thins the
+    recording (samples are still forced at a z1 sign change and wherever
+    the recording budget below demands them).
 
-    tau_budget_rel is the relative budget of that consistency guarantee:
-    between consecutive recorded samples, the trapezoid of |z1| matches the
-    integrated tau increment to this relative accuracy. The kernel enforces
-    it partly through the step size: a step whose own endpoint trapezoid
-    misses the budget is rejected and retried shorter, and the next step is
-    grown more cautiously. The budget therefore changes the step sequence,
-    and with it the computed arc within the integration tolerance, not only
-    how densely the arc is recorded. Loosening it thins long-horizon
-    recordings.
+    tau_budget_rel sets recording density only. Inside each accepted step
+    the kernel adds equally spaced samples until the trapezoid of |z1| over
+    the recorded span is expected to match the integrated tau increment to
+    this relative budget. It never changes the steps, the jumps or the
+    state: a looser budget records a subset of the same samples. What is
+    checked under the default budget is criterion 5's cumulative bound:
+    within each cycle, the running trapezoid of |z1| matches the recorded
+    tau to 1e-6 relative (plus 1e-9), and tau never decreases. Single
+    intervals can exceed the relative budget where |z1| varies strongly
+    within a step; loosening the budget thins long-horizon recordings.
     """
 
     rel_tol: float = 1e-9

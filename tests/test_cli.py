@@ -1,6 +1,10 @@
 """Unit and end-to-end tests for the scenario runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,28 @@ class TestEndToEnd:
         assert not err["all_checks_passed"]
         assert not (out / "trajectory.csv").exists()
 
+    def test_unknown_solver_key_writes_error_json(self, tmp_path,
+                                                  scenario_dict):
+        """A misspelt solver field is refused by name, with an error
+        artifact instead of a traceback."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["solver"]["max_stpe"] = 1e-4
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "max_stpe" in err["error"]["message"]
+        assert "max_step" in err["error"]["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    def test_non_numeric_solver_value_rejected(self, scenario_dict):
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["solver"]["rel_tol"] = [1e-9]
+        with pytest.raises(ValueError, match="rel_tol"):
+            build_scenario(cfg)
+
     def test_nonconvergent_schedule_warned_not_failed(self, tmp_path,
                                                       scenario_dict):
         cfg = json.loads(json.dumps(scenario_dict))
@@ -237,3 +263,17 @@ class TestEndToEnd:
         assert run_scenario(short_scenario, out_dir=out, checks="none") == 0
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["enabled"] == []
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is needed only by check_overshoot_bound, which the CLI never
+    runs; importing the CLI must not pay for it."""
+    code = ("import sys, xbstab.cli; "
+            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"

@@ -1,6 +1,7 @@
 """Unit tests for initialization, flow-segment integration and the hybrid
 execution loop, with a scipy reference integration as oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,30 @@ def _off_guard_state(sv_params, sv_gains, sv_cert):
                            [0.5, 0.3], [0.5, 0.35])
 
 
+def _reference_end(sv_params, sv_gains, y0, t_end):
+    """State at t_end by scipy DOP853 at rtol 1e-12 (k = 500, z* = 75),
+    restarted at each z1 sign change, where |z1| and the error flow have a
+    kink."""
+    def rhs(_, y):
+        s = HybridState(tau=max(y[0], 0.0), cycle=0, z=y[1:3],
+                        z_tilde=y[3:5], z_star=75.0,
+                        phi=y[5:9].reshape(2, 2))
+        d = flow_map(sv_params, sv_gains, 500.0, s)
+        return [d.d_tau, d.d_z1, d.d_z2, *d.d_z_tilde, *d.d_phi.ravel()]
+
+    def z1_root(_, y):
+        return y[1]
+
+    z1_root.terminal = True
+    t, y = 0.0, list(y0)
+    while True:
+        sol = solve_ivp(rhs, (t, t_end), y, rtol=1e-12, atol=1e-14,
+                        method="DOP853", events=z1_root)
+        t, y = sol.t[-1], sol.y[:, -1]
+        if sol.status == 0:
+            return y
+
+
 class TestIntegrateFlow:
     def test_matches_reference_integrator(self, sv_params, sv_gains,
                                           sv_cert):
@@ -86,20 +111,28 @@ class TestIntegrateFlow:
         assert event is None
         assert seg.t[0] == 0.0 and seg.t[-1] == pytest.approx(t_end)
 
-        def rhs(_, y):
-            s = HybridState(tau=max(y[0], 0.0), cycle=0, z=y[1:3],
-                            z_tilde=y[3:5], z_star=75.0,
-                            phi=y[5:9].reshape(2, 2))
-            d = flow_map(sv_params, sv_gains, 500.0, s)
-            return [d.d_tau, d.d_z1, d.d_z2, *d.d_z_tilde,
-                    *d.d_phi.ravel()]
-
         y0 = [0.0, 0.5, 0.3, 0.0, 0.05, 1.0, 0.0, 0.0, 1.0]
-        ref = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-12, atol=1e-14,
-                        method="DOP853").y[:, -1]
+        ref = _reference_end(sv_params, sv_gains, y0, t_end)
         got = np.array([seg.tau[-1], seg.z1[-1], seg.z2[-1],
                         seg.z_tilde1[-1], seg.z_tilde2[-1], *seg.phi[-1]])
         assert np.allclose(got, ref, rtol=1e-7, atol=1e-10)
+
+    def test_tau_across_z1_sign_change(self, sv_params, sv_gains, sv_cert):
+        """A step across a z1 root integrates tau through the kink of |z1|;
+        tau must still match the reference restarted at the root."""
+        cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
+        state = dataclasses.replace(state, z=np.array([-0.05, 0.3]))
+        t_end = 5e-4
+        solver = SolverConfig(max_step=5.4e-5, t_end=t_end)
+        seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
+                                    solver, state, 0.0, 0, k=500.0)
+        assert event is None
+        assert seg.z1[0] < 0.0 < seg.z1[-1]
+        assert np.count_nonzero(np.diff(np.sign(seg.z1))) == 1
+
+        y0 = [0.0, -0.05, 0.3, 0.0, 0.05, 1.0, 0.0, 0.0, 1.0]
+        ref = _reference_end(sv_params, sv_gains, y0, t_end)
+        assert seg.tau[-1] == pytest.approx(ref[0], rel=1e-9)
 
     def test_event_localization(self, sv_params, sv_gains, sv_cert):
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
@@ -209,6 +242,58 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
     # Resumes add re-anchor rows and restart the step controller, so the
     # count may rise by about 1 %.
     assert len(traj) >= 0.98 * len(ref)
+
+
+def _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+                  tau_budget_rel):
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02,
+                          tau_budget_rel=tau_budget_rel)
+    return simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                    k=500.0)
+
+
+@pytest.fixture(scope="module")
+def dense_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial):
+    """The 20 ms bundled run under the default recording budget."""
+    return _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+                         2e-7)
+
+
+def _rows(traj):
+    return np.column_stack([traj.t, traj.j, traj.z1, traj.z2, traj.z_tilde1,
+                            traj.z_tilde2, traj.tau])
+
+
+def test_step_sequence_ignores_recording_budget(dense_20ms, sv_params,
+                                                sv_gains, sv_cert, sv_cfg,
+                                                sv_initial):
+    """tau_budget_rel sets how densely each step is recorded, never the
+    steps: a budget that asks for no extra samples gives the same jumps,
+    bit for bit, and a subset of the same rows."""
+    sparse = _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+                           1e9)
+    assert [jr.kind for jr in sparse.jumps] == \
+        [jr.kind for jr in dense_20ms.jumps]
+    assert [jr.t for jr in sparse.jumps] == [jr.t for jr in dense_20ms.jumps]
+    dense_rows = set(map(tuple, _rows(dense_20ms)))
+    missing = [r for r in map(tuple, _rows(sparse)) if r not in dense_rows]
+    assert not missing, f"{len(missing)} of {len(sparse)} rows, first " \
+        f"at t={missing[0][0]}"
+    assert len(dense_20ms) > len(sparse)
+
+
+def test_dense_recording_contract(dense_20ms):
+    """Criterion 5's per-cycle bound and a monotone tau hold on the dense
+    run, and the recording stays small: steps are set by accuracy alone,
+    so a return of step inflation (38,676 samples when the budget shrank
+    the steps) fails the sample cap."""
+    assert _max_tau_drift(dense_20ms) <= 0.0
+    same_cycle = np.diff(dense_20ms.cycle) == 0
+    assert np.all(np.diff(dense_20ms.tau)[same_cycle] >= 0.0)
+    assert np.all(np.diff(dense_20ms.t) >= 0.0)
+    assert len(dense_20ms) <= 20_000
 
 
 class TestSimulate:
