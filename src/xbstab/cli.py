@@ -20,8 +20,17 @@ Config schema (``"schema": 1``)::
                      "phase_csv": ..., "timeseries_csv": ...}
     }
 
+The four file names in "outputs" must be distinct. A malformed field
+(missing, not a number, a section that is not an object, two outputs
+naming one file) is rejected by name before anything is integrated, and
+the run ends in an error.json.
+
 All output files are UTF-8 and deterministic: two runs of the same
-configuration produce byte-identical artifacts.
+configuration produce byte-identical artifacts. The three CSV files are
+written in one pass over blocks of rows: each value is formatted once
+("%.17g", integers in decimal) and the same string goes into every file
+that has its column, so the bytes are those of np.savetxt with the same
+formats, written file by file.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import copy
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,6 +60,14 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ("t", "j", "i", "tau", "z1", "z2", "z1_hat", "z2_hat",
                "z_tilde1", "z_tilde2", "z_star", "u")
 
+_PHASE_COLUMNS = ("z1", "z2")
+_TIMESERIES_COLUMNS = ("t", "z1", "z2", "z1_hat", "z2_hat", "z_star")
+# rows per block of the CSV writer. A block's strings are all it holds
+# besides the trajectory; speed is flat from 64 to 1024 rows, while 512
+# rows already lifted the peak memory of a short thinned run above that
+# of np.savetxt
+_CSV_BLOCK_ROWS = 256
+
 CHECK_NAMES = ("vobs", "envelope", "phi", "dwell", "zeno", "excitation")
 
 _DEFAULT_OUTPUTS = {
@@ -63,6 +81,13 @@ _DEFAULT_OUTPUTS = {
 # decided from the log partial product over this many cycles
 _G_PROBE_CYCLES = 400
 _G_ZERO_LOG = math.log(1e-12)
+
+# the failures that end a run, or one sweep variant, in an error.json
+# (json.JSONDecodeError is a ValueError)
+_RUN_ERRORS = (XbstabError, ValueError, KeyError, OSError)
+
+# marks a config field that has no default
+_REQUIRED = object()
 
 
 @dataclass
@@ -113,26 +138,81 @@ def _require(section: dict, name: str, where: str):
     return section[name]
 
 
+def _section(raw: dict, name: str) -> dict:
+    """Config section `name`, {} if absent; anything but a JSON object is
+    rejected with a ValueError naming it."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section '{name}' must be an object, "
+                         f"got {section!r}")
+    return section
+
+
+def _number(section: dict, name: str, where: str, default=_REQUIRED,
+            kind=float):
+    """section[name] converted by `kind`; a missing required field or a
+    value that is not a number is rejected with a ValueError naming it."""
+    val = (_require(section, name, where) if default is _REQUIRED
+           else section.get(name, default))
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}.{name}={val!r} is not a number") from exc
+
+
+def _state(section: dict, name: str) -> np.ndarray:
+    """An initial 2-vector from the "initial" section."""
+    val = _require(section, name, "initial")
+    try:
+        vec = np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        vec = np.empty(0)
+    if vec.shape != (2,):
+        raise ValueError(f"initial.{name}={val!r} must be a list of two "
+                         f"numbers")
+    return vec
+
+
 def _build_solver(section: dict) -> SolverConfig:
     """SolverConfig from the "solver" section; unknown keys and values that
     are not numbers are rejected with a ValueError naming the key."""
     valid = [f.name for f in fields(SolverConfig)]
     kwargs = {}
-    for key, val in section.items():
+    for key in section:
         if key not in valid:
             raise ValueError(f"unknown solver field '{key}'; valid fields: "
                              f"{', '.join(valid)}")
-        try:
-            kwargs[key] = int(val) if key == "zeno_max_jumps" else float(val)
-        except TypeError as exc:
-            raise ValueError(f"solver.{key}={val!r} is not a number") from exc
+        kwargs[key] = _number(section, key, "solver",
+                              kind=int if key == "zeno_max_jumps" else float)
     return SolverConfig(**kwargs)
+
+
+def _build_outputs(section: dict) -> dict:
+    """Artifact file names: the defaults overridden by the "outputs"
+    section. Unknown keys, names that are not non-empty strings and two
+    keys naming one file are rejected with a ValueError naming the keys."""
+    outputs = dict(_DEFAULT_OUTPUTS)
+    outputs.update(section)
+    owner = {}
+    for key, name in outputs.items():
+        if key not in _DEFAULT_OUTPUTS:
+            raise ValueError(f"unknown outputs field '{key}'; valid fields: "
+                             f"{', '.join(_DEFAULT_OUTPUTS)}")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"outputs.{key}={name!r} must be a file name")
+        if Path(name) in owner:
+            raise ValueError(f"outputs.{owner[Path(name)]} and "
+                             f"outputs.{key} both name {name!r}")
+        owner[Path(name)] = key
+    return outputs
 
 
 def load_config(path) -> dict:
     """Read and schema-check a scenario configuration file."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a scenario configuration must be a JSON object")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}; "
                          f"expected {SCHEMA_VERSION}")
@@ -143,93 +223,146 @@ def load_config(path) -> dict:
 
 
 def build_scenario(raw: dict) -> Scenario:
-    """Validate a configuration dict and construct all domain objects."""
-    plant = raw["plant"]
-    params = PlantParams(a=float(_require(plant, "a", "plant")),
-                         c=float(_require(plant, "c", "plant")),
-                         d=float(_require(plant, "d", "plant")))
-    obs = raw["observer"]
-    gains = complete_gains(params,
-                           float(_require(obs, "k1_plus", "observer")),
-                           float(_require(obs, "k2_plus", "observer")))
+    """Validate a configuration dict and construct all domain objects.
+
+    Every malformed field is rejected with a ValueError that names it,
+    before anything is integrated."""
+    plant = _section(raw, "plant")
+    params = PlantParams(a=_number(plant, "a", "plant"),
+                         c=_number(plant, "c", "plant"),
+                         d=_number(plant, "d", "plant"))
+    obs = _section(raw, "observer")
+    gains = complete_gains(params, _number(obs, "k1_plus", "observer"),
+                           _number(obs, "k2_plus", "observer"))
     cert = solve_common_lyapunov(gains)
 
-    ctl = raw["controller"]
-    z_star_init = float(_require(ctl, "z_star_init", "controller"))
-    epsilon = float(ctl.get(
-        "epsilon", ControllerConfig.default_epsilon(z_star_init)))
+    ctl = _section(raw, "controller")
+    z_star_init = _number(ctl, "z_star_init", "controller")
+    epsilon = _number(ctl, "epsilon", "controller",
+                      default=ControllerConfig.default_epsilon(z_star_init))
     # the dwell-time certificates need the band d/c - epsilon to be positive;
     # rejecting here avoids integrating a run whose report cannot be built
     if not epsilon < params.d / params.c:
         raise ValueError(f"controller.epsilon={epsilon} must be below "
                          f"d/c={params.d / params.c}")
+    h_spec = ctl.get("h_schedule", "paper_v")
+    try:
+        h_schedule = parse_h_schedule(h_spec)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"controller.h_schedule={h_spec!r}: {exc}") from exc
     cfg = ControllerConfig(
         z_star_init=z_star_init,
-        k_prime=float(ctl.get("k_prime", 1.0)),
+        k_prime=_number(ctl, "k_prime", "controller", default=1.0),
         epsilon=epsilon,
-        R=float(_require(ctl, "R", "controller")),
-        R_tilde=float(_require(ctl, "R_tilde", "controller")),
-        h_schedule=parse_h_schedule(ctl.get("h_schedule", "paper_v")),
-        max_cycles=int(ctl.get("max_cycles", 64)),
+        R=_number(ctl, "R", "controller"),
+        R_tilde=_number(ctl, "R_tilde", "controller"),
+        h_schedule=h_schedule,
+        max_cycles=_number(ctl, "max_cycles", "controller", default=64,
+                           kind=int),
     )
     if "k" in ctl:
-        k = float(ctl["k"])
+        k = _number(ctl, "k", "controller")
         if k <= 0:
             raise ValueError(f"control gain k must be positive, got {k}")
     else:
         k = derive_control_gain(params, cfg, cert.gamma)
 
-    solver = _build_solver(raw.get("solver", {}))
+    solver = _build_solver(_section(raw, "solver"))
 
-    init = raw["initial"]
-    z0 = np.asarray(_require(init, "z0", "initial"), dtype=float)
-    z_hat0 = np.asarray(_require(init, "z_hat0", "initial"), dtype=float)
-
-    outputs = dict(_DEFAULT_OUTPUTS)
-    outputs.update(raw.get("outputs", {}))
+    init = _section(raw, "initial")
     return Scenario(raw=raw, params=params, gains=gains, cert=cert,
-                    cfg=cfg, solver=solver, z0=z0, z_hat0=z_hat0, k=k,
-                    outputs=outputs)
+                    cfg=cfg, solver=solver, z0=_state(init, "z0"),
+                    z_hat0=_state(init, "z_hat0"), k=k,
+                    outputs=_build_outputs(_section(raw, "outputs")))
+
+
+def _write_csvs(columns: dict, files: list):
+    """Write CSV files drawn from one set of columns in a single pass.
+
+    `columns` maps a column name to a 1-D array; integer arrays are
+    written with str(), float arrays with "%.17g". `files` lists
+    (path, column names) pairs; each file gets a header of its column
+    names and one row per sample. The files stay open together while the
+    rows are walked in blocks of _CSV_BLOCK_ROWS: each value of a block is
+    formatted once and its string joined into the rows of every file that
+    has its column. The bytes equal those of np.savetxt with fmt "%.17g"
+    ("%d" for the integer columns), delimiter "," and no comment prefix.
+    """
+    names = list(dict.fromkeys(name for _, cols in files for name in cols))
+    n = len(columns[names[0]])
+    if n == 0:
+        raise ValueError("cannot write CSV files for an empty trajectory")
+    with ExitStack() as stack:
+        outs = []
+        for path, cols in files:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+            fh.write(",".join(cols) + "\n")
+            outs.append((fh, [names.index(c) for c in cols]))
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            float_fmt = "\n".join(["%.17g"] * (hi - lo))
+            text = []
+            for name in names:
+                block = columns[name][lo:hi]
+                if block.dtype.kind in "iu":
+                    text.append(list(map(str, block.tolist())))
+                else:
+                    text.append((float_fmt % tuple(block.tolist()))
+                                .split("\n"))
+            for fh, idx in outs:
+                fh.write("\n".join(map(",".join,
+                                       zip(*[text[i] for i in idx])))
+                         + "\n")
+
+
+def _plot_files(out: Path, phase_name: str, timeseries_name: str) -> list:
+    return [(out / phase_name, _PHASE_COLUMNS),
+            (out / timeseries_name, _TIMESERIES_COLUMNS)]
+
+
+def _columns(traj: HybridTrajectory) -> dict:
+    """Every trajectory column the CSV files can name, except u."""
+    return {"t": traj.t, "j": np.asarray(traj.j, dtype=np.int64),
+            "i": np.asarray(traj.cycle, dtype=np.int64), "tau": traj.tau,
+            "z1": traj.z1, "z2": traj.z2, "z1_hat": traj.z1_hat,
+            "z2_hat": traj.z2_hat, "z_tilde1": traj.z_tilde1,
+            "z_tilde2": traj.z_tilde2, "z_star": traj.z_star}
 
 
 def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
-    """Write the full sample table; one row per trajectory sample."""
-    cols = np.column_stack([
-        traj.t, traj.j.astype(float), traj.cycle.astype(float), traj.tau,
-        traj.z1, traj.z2, traj.z1_hat, traj.z2_hat,
-        traj.z_tilde1, traj.z_tilde2, traj.z_star,
-        traj.control(scn.params, scn.k),
-    ])
-    fmt = ["%.17g"] * len(CSV_COLUMNS)
-    fmt[1] = fmt[2] = "%d"
-    np.savetxt(path, cols, fmt=fmt, delimiter=",",
-               header=",".join(CSV_COLUMNS), comments="", encoding="utf-8")
+    """Write the three CSV files named by `scn.outputs` into the directory
+    `path`: the full sample table (one row per trajectory sample) and the
+    phase and time-series extracts of emit_plot_data.
+
+    One pass formats each value once and writes the same string into every
+    file that has its column; the bytes are those of formatting each file
+    on its own.
+    """
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    columns = _columns(traj)
+    columns["u"] = traj.control(scn.params, scn.k)
+    _write_csvs(columns,
+                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
+                + _plot_files(out, scn.outputs["phase_csv"],
+                              scn.outputs["timeseries_csv"]))
 
 
 def emit_plot_data(traj: HybridTrajectory, path,
                    phase_name: str = "phase.csv",
                    timeseries_name: str = "timeseries.csv") -> tuple:
     """Write plotting extracts: a phase-plane CSV (z1, z2) and a
-    time-series CSV (t, z1, z2, z1_hat, z2_hat, z_star).
+    time-series CSV (t, z1, z2, z1_hat, z2_hat, z_star), through the same
+    one-pass writer as write_trajectory_csv.
 
-    `path` is the output directory; returns the two file paths.
+    `path` is the output directory; returns the two file paths. An empty
+    trajectory raises ValueError.
     """
-    if len(traj) == 0:
-        raise ValueError("cannot emit plot data for an empty trajectory")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    phase_path = out / phase_name
-    ts_path = out / timeseries_name
-    np.savetxt(phase_path, np.column_stack([traj.z1, traj.z2]),
-               fmt="%.17g", delimiter=",", header="z1,z2", comments="",
-               encoding="utf-8")
-    np.savetxt(ts_path,
-               np.column_stack([traj.t, traj.z1, traj.z2,
-                                traj.z1_hat, traj.z2_hat, traj.z_star]),
-               fmt="%.17g", delimiter=",",
-               header="t,z1,z2,z1_hat,z2_hat,z_star", comments="",
-               encoding="utf-8")
-    return phase_path, ts_path
+    files = _plot_files(out, phase_name, timeseries_name)
+    _write_csvs(_columns(traj), files)
+    return files[0][0], files[1][0]
 
 
 def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
@@ -357,9 +490,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         "all_checks_passed": all_passed,
     }
 
-    write_trajectory_csv(scn, traj, out / scn.outputs["trajectory_csv"])
-    emit_plot_data(traj, out, phase_name=scn.outputs["phase_csv"],
-                   timeseries_name=scn.outputs["timeseries_csv"])
+    write_trajectory_csv(scn, traj, out)
     _write_json(out / scn.outputs["report_json"], report)
     return report
 
@@ -389,12 +520,17 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
-def _error_payload(exc: Exception) -> dict:
-    return {
+def _report_error(dest: Path, exc: Exception) -> dict:
+    """Write `exc` as dest/error.json, echo it to stderr; the payload."""
+    payload = {
         "schema": SCHEMA_VERSION,
         "error": {"type": type(exc).__name__, "message": str(exc)},
         "all_checks_passed": False,
     }
+    dest.mkdir(parents=True, exist_ok=True)
+    _write_json(dest / "error.json", payload)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return payload
 
 
 def _set_by_path(cfg: dict, dotted: str, value):
@@ -402,6 +538,9 @@ def _set_by_path(cfg: dict, dotted: str, value):
     parts = dotted.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"--sweep path {dotted!r}: '{part}' is not a "
+                             f"config section")
     node[parts[-1]] = value
 
 
@@ -423,8 +562,9 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
     (default: the config file's directory). Returns 0 iff every enabled
     check passed in every executed run; on a validation or runtime error an
     error JSON is written (and echoed to stderr) and 1 is returned. Sweep
-    variants run one after another, each with its own report or error
-    JSON in its own directory.
+    variants are built and run one after another, each with its own
+    report or error JSON in its own directory, so a bad value in one
+    variant does not stop the others.
     """
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else config_path.parent
@@ -435,32 +575,25 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
             jobs = [(raw, out)]
         else:
             param, values = _parse_sweep(sweep)
+            leaf = param.replace(".", "_")
             jobs = []
             for value in values:
                 variant = copy.deepcopy(raw)
                 _set_by_path(variant, param, value)
-                leaf = param.replace(".", "_")
                 jobs.append((variant, out / f"sweep_{leaf}={value}"))
-        scenarios = [(build_scenario(cfg), dest) for cfg, dest in jobs]
-    except (XbstabError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        payload = _error_payload(exc)
-        _write_json(out / "error.json", payload)
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    except _RUN_ERRORS as exc:
+        _report_error(out, exc)
         return 1
 
-    def _one(job):
-        scn, dest = job
+    def _one(cfg, dest):
+        # each variant is built here, so a bad value ends that variant
+        # alone in its own error.json
         try:
-            return execute(scn, dest, checks=checks)
-        except (XbstabError, ValueError) as exc:
-            payload = _error_payload(exc)
-            dest.mkdir(parents=True, exist_ok=True)
-            _write_json(dest / "error.json", payload)
-            print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-            return payload
+            return execute(build_scenario(cfg), dest, checks=checks)
+        except _RUN_ERRORS as exc:
+            return _report_error(dest, exc)
 
-    reports = [_one(job) for job in scenarios]
+    reports = [_one(cfg, dest) for cfg, dest in jobs]
     return 0 if all(r.get("all_checks_passed", False) for r in reports) else 1
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
                         main, parse_h_schedule, run_scenario)
-from xbstab.model import HScheduleKind
+from xbstab.model import HScheduleKind, HybridTrajectory, PlantParams
 
 from conftest import SCENARIO_PATH
 from test_analysis import make_traj
@@ -135,6 +136,114 @@ class TestPlotData:
             emit_plot_data(make_traj([], np.empty(0)), tmp_path)
 
 
+def _savetxt_reference(scn, traj, out):
+    """The CSV files as np.savetxt wrote them, one file at a time: the
+    byte-for-byte reference for the one-pass writer."""
+    out.mkdir(parents=True, exist_ok=True)
+    cols = np.column_stack([
+        traj.t, traj.j.astype(float), traj.cycle.astype(float), traj.tau,
+        traj.z1, traj.z2, traj.z1_hat, traj.z2_hat,
+        traj.z_tilde1, traj.z_tilde2, traj.z_star,
+        traj.control(scn.params, scn.k),
+    ])
+    fmt = ["%.17g"] * len(CSV_COLUMNS)
+    fmt[1] = fmt[2] = "%d"
+    np.savetxt(out / scn.outputs["trajectory_csv"], cols, fmt=fmt,
+               delimiter=",", header=",".join(CSV_COLUMNS), comments="",
+               encoding="utf-8")
+    np.savetxt(out / scn.outputs["phase_csv"],
+               np.column_stack([traj.z1, traj.z2]),
+               fmt="%.17g", delimiter=",", header="z1,z2", comments="",
+               encoding="utf-8")
+    np.savetxt(out / scn.outputs["timeseries_csv"],
+               np.column_stack([traj.t, traj.z1, traj.z2,
+                                traj.z1_hat, traj.z2_hat, traj.z_star]),
+               fmt="%.17g", delimiter=",",
+               header="t,z1,z2,z1_hat,z2_hat,z_star", comments="",
+               encoding="utf-8")
+
+
+def _assert_csvs_match_reference(scn, traj, out):
+    ref = out.parent / (out.name + "_reference")
+    _savetxt_reference(scn, traj, ref)
+    for key in ("trajectory_csv", "phase_csv", "timeseries_csv"):
+        name = scn.outputs[key]
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def _edge_trajectory(n: int) -> HybridTrajectory:
+    """n samples whose values exercise %.17g: signed zero, the smallest
+    subnormal, huge and inexact values, negatives, and counters up to
+    10**6."""
+    rng = np.random.default_rng(n)
+    special = np.array([-0.0, 5e-324, 1e300, 0.1, -1e300, -5e-324,
+                        -0.1, 1.0, -2.5, 123456789.123456789])
+    cols = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-20, 20,
+                                                              (9, n))
+    for row, col in enumerate(cols):
+        k = min(n, len(special))
+        col[:k] = np.roll(special, row)[:k]
+    j = np.sort(rng.integers(0, 10 ** 6, n))
+    j[-1] = 10 ** 6
+    cycle = np.sort(rng.integers(0, 10 ** 6, n))
+    cycle[-1] = 10 ** 6
+    return HybridTrajectory(
+        t=cols[0], j=j, cycle=cycle, tau=cols[1], z1=cols[2],
+        z2=cols[3], z_tilde1=cols[4], z_tilde2=cols[5], z_star=cols[6],
+        phi=np.zeros((n, 4)))
+
+
+# what write_trajectory_csv reads of a Scenario
+_EDGE_SCENARIO = SimpleNamespace(params=PlantParams(a=375.0, c=24.0, d=12.5),
+                                 k=500.0, outputs=dict(cli._DEFAULT_OUTPUTS))
+
+
+class TestOnePassWriter:
+    """The one-pass CSV writer reproduces np.savetxt's bytes. The edge
+    trajectories overflow u to inf and nan, which both write alike."""
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_block_edges_and_extreme_values(self, tmp_path, offset):
+        n = 1 if offset is None else cli._CSV_BLOCK_ROWS + offset
+        traj = _edge_trajectory(n)
+        scn = _EDGE_SCENARIO
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(scn, traj, out)
+            _assert_csvs_match_reference(scn, traj, out)
+        text = (out / "trajectory.csv").read_text()
+        assert len(text.splitlines()) == n + 1
+        if n > 1:
+            assert "-0," in text and "4.9406564584124654e-324" in text
+        assert ",1000000,1000000," in text.splitlines()[-1]
+
+    def test_emit_plot_data_matches_reference(self, tmp_path):
+        traj = _edge_trajectory(cli._CSV_BLOCK_ROWS + 1)
+        scn = _EDGE_SCENARIO
+        ref = tmp_path / "ref"
+        with np.errstate(over="ignore", invalid="ignore"):
+            _savetxt_reference(scn, traj, ref)
+        phase, ts = emit_plot_data(traj, tmp_path / "out")
+        assert phase.read_bytes() == (ref / "phase.csv").read_bytes()
+        assert ts.read_bytes() == (ref / "timeseries.csv").read_bytes()
+
+    def test_short_run_matches_reference(self, short_scenario, tmp_path,
+                                         monkeypatch):
+        runs = []
+        simulate = cli.simulate
+
+        def recording(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        out = tmp_path / "out"
+        assert main(["run", str(short_scenario), "--out", str(out)]) == 0
+        scn = build_scenario(load_config(short_scenario))
+        assert len(runs) == 1 and len(runs[0]) > cli._CSV_BLOCK_ROWS
+        _assert_csvs_match_reference(scn, runs[0], out)
+
+
 class TestEndToEnd:
     def test_short_run_passes_all_checks(self, short_scenario, tmp_path):
         out = tmp_path / "out"
@@ -209,6 +318,54 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="rel_tol"):
             build_scenario(cfg)
 
+    def test_duplicate_output_names_rejected(self, tmp_path, scenario_dict,
+                                             monkeypatch):
+        """Two outputs naming one file are refused, naming both keys,
+        before anything is integrated."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["outputs"] = {"phase_csv": "trajectory.csv"}
+        with pytest.raises(ValueError,
+                           match="trajectory_csv and outputs.phase_csv"):
+            build_scenario(cfg)
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "phase_csv" in err["error"]["message"]
+        assert "trajectory_csv" in err["error"]["message"]
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("plant", "a", None, "plant.a"),
+        ("controller", "k", None, "controller.k"),
+        ("controller", "max_cycles", "many", "controller.max_cycles"),
+        ("controller", "h_schedule", [0.5, None], "controller.h_schedule"),
+        ("initial", "z0", None, "initial.z0"),
+        (None, "solver", [1], "solver"),
+        (None, "outputs", None, "outputs"),
+        ("outputs", "phase_csv", 3, "outputs.phase_csv"),
+    ])
+    def test_malformed_value_writes_error_json(self, tmp_path,
+                                               scenario_dict, section,
+                                               field, value, named):
+        cfg = json.loads(json.dumps(scenario_dict))
+        (cfg if section is None else cfg[section])[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert named in err["error"]["message"]
+        assert not (out / "trajectory.csv").exists()
+
     def test_nonconvergent_schedule_warned_not_failed(self, tmp_path,
                                                       scenario_dict):
         cfg = json.loads(json.dumps(scenario_dict))
@@ -257,6 +414,24 @@ class TestEndToEnd:
                                 "message": "variant-specific failure"}
         assert not (out / "sweep_controller_k=400" / "report.json").exists()
         assert (out / "sweep_controller_k=500" / "report.json").exists()
+
+    def test_sweep_variant_config_error_writes_its_error_json(
+            self, short_scenario, tmp_path):
+        """A value that fails validation in one variant ends that variant
+        in its own error.json; the valid variant still runs."""
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=500,-1")
+        assert rc == 1
+        assert not (out / "error.json").exists()
+        good = out / "sweep_controller_k=500"
+        assert json.loads((good / "report.json").read_text())[
+            "all_checks_passed"]
+        bad = out / "sweep_controller_k=-1"
+        err = json.loads((bad / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "positive" in err["error"]["message"]
+        assert sorted(f.name for f in bad.iterdir()) == ["error.json"]
 
     def test_checks_none_always_passes(self, short_scenario, tmp_path):
         out = tmp_path / "out"
