@@ -1,27 +1,35 @@
 """Inner loop of the hybrid engine.
 
 One call integrates a single flow segment (between jumps) of the 9-state
-closed loop
+closed loop y = [tau, z1, z2, zt1, zt2, phi11, phi12, phi21, phi22]. An
+adaptive Dormand-Prince 5(4) stepper integrates two of them,
 
-    y = [tau, z1, z2, zt1, zt2, phi11, phi12, phi21, phi22]
+    dtau/dt = |z1|,    dz1/dt = a z1 zt2(tau) - k (z1 - z*),
 
-with an adaptive Dormand-Prince 5(4) stepper, guard evaluation at every
-accepted step, bisection-based event localization on a cubic-Hermite dense
-output, and on-the-fly sample recording.
+and the other seven are solved in closed form: with s = sign z1 fixed they
+are linear in tau, d(z2 + d/c)/dtau = s c (z2 + d/c) and dX/dtau = A(s) X
+for X = zt and Phi, with A(+1) = A1 and A(-1) = A2. From an anchor state
+that is a scalar exponential and the exponential of a 2x2 matrix (_expm2).
+Every stage reads zt2 from that closed form, and the same closed form gives
+z2, zt and Phi at accepted step endpoints (for the guards), at bisection
+points and at recorded samples. z1 roots are step boundaries: a step over
+which z1 changes sign is retaken up to the root (bisected on the step's
+cubic Hermite of z1, then polished by Newton iterations on the retaken
+endpoint), and the closed form is re-anchored there with the new s, so no
+step integrates tau across the kink of |z1|.
 
-Step sizes serve accuracy only: a step ends where rel_tol, abs_tol,
-max_step, the horizon or an event say. Recording is decided inside each
-accepted step. A step whose recorded span would let the trapezoidal
-quadrature of |z1| drift from the integrated tau gets equally spaced
-interior samples, as many as the trapezoid's 1/m^2 error law needs to meet
-the recording budget, with a forced sample at a z1 sign change. Interior
-tau comes from the step's own z1 interpolant: the integrated tau increment
-is distributed in proportion to the integral of |z1| along the step's cubic
-Hermite of z1 (see _tau_curve). That tau is monotone, ends exactly at the
-step's endpoint tau and matches the trapezoid of the recorded z1 to third
-order in the sample spacing. Across a z1 sign change the endpoint tau
-itself comes from that integral, split at the root, because the
-Dormand-Prince quadrature of tau does not resolve the kink of |z1|.
+Guards are tested at accepted step endpoints; an event is then located by
+bisection inside that step. Step sizes serve accuracy only: a step ends
+where rel_tol, abs_tol, max_step, the horizon, a z1 root or an event say.
+Recording is decided inside each accepted step. A step whose recorded span
+would let the trapezoidal quadrature of |z1| drift from the integrated tau
+gets equally spaced interior samples, as many as the trapezoid's 1/m^2
+error law needs to meet the recording budget, and a root endpoint is always
+recorded. Interior tau comes from the step's own z1 interpolant: the
+integrated tau increment is distributed in proportion to the integral of
+|z1| along the step's cubic Hermite of z1 (see _tau_curve). That tau is
+monotone, ends exactly at the step's endpoint tau and matches the trapezoid
+of the recorded z1 to third order in the sample spacing.
 
 The kernel is written once, in scalar-local style: every value it does
 arithmetic on is a float local or a tuple of floats, and numpy arrays are
@@ -68,11 +76,13 @@ CODE_BUFFER_FULL = 5
 CODE_STEP_FAILURE = 6
 
 _TAU_ABS_FLOOR = 1e-15
+_MIN_STEP = 1e-14
+_ROOT_ITERS = 4                 # Newton iterations polishing a z1 root
 
-# _emit_span records at most _SPAN_MAX_ROWS rows. One step can flush a
-# pending row and then emit two spans (up to a z1 root, then up to the
-# endpoint or the event), so MAX_STEP_ROWS free rows before a step
-# guarantee that it fits the buffer.
+# _emit_span records at most _SPAN_MAX_ROWS rows, and one step flushes at
+# most a pending row and then emits one span, so MAX_STEP_ROWS free rows
+# before a step guarantee that it fits the buffer. MAX_STEP_ROWS keeps a
+# second span of headroom; engine and the tests size buffers by it.
 _SPAN_MAX_ROWS = 1 << 12
 MAX_STEP_ROWS = 2 * _SPAN_MAX_ROWS + 1
 
@@ -96,11 +106,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
 
 @njit(cache=True)
 def _rhs_params(sc):
-    """(a, c, d, k, z*, k1+, k2+, k1-, k2-) from the scalar vector."""
-    return (float(sc[SC_A]), float(sc[SC_C]), float(sc[SC_D]),
-            float(sc[SC_K]), float(sc[SC_ZSTAR]),
-            float(sc[SC_K1P]), float(sc[SC_K2P]),
-            float(sc[SC_K1M]), float(sc[SC_K2M]))
+    """(a, k, z*) from the scalar vector."""
+    return float(sc[SC_A]), float(sc[SC_K]), float(sc[SC_ZSTAR])
 
 
 @njit(cache=True)
@@ -111,30 +118,89 @@ def _guard_params(sc):
 
 
 @njit(cache=True)
-def _rhs(p, y):
-    a, c, d, k, zstar, k1p, k2p, k1m, k2m = p
-    _, z1, z2, zt1, zt2, f11, f12, f21, f22 = y
-    zh2 = z2 + zt2
-    u = a * z1 * zh2 - k * (z1 - zstar)
-    if z1 > 0.0:
-        k1 = k1p
-        k2 = k2p
-    elif z1 < 0.0:
-        k1 = k1m
-        k2 = k2m
+def _split(m11, m12, m21, m22):
+    """M = [[m11, m12], [m21, m22]] as (mu, n11, n12, n21, disc, w), where
+    M = mu I + N, N = [[n11, n12], [n21, -n11]], N^2 = disc I and
+    w = sqrt(|disc|)."""
+    mu = 0.5 * (m11 + m22)
+    n11 = 0.5 * (m11 - m22)
+    disc = n11 * n11 + m12 * m21
+    return (mu, n11, m12, m21, disc, math.sqrt(abs(disc)))
+
+
+@njit(cache=True)
+def _expm_pq(md, dt):
+    """(p, q) with exp(M dt) = p I + q N, for M split by _split.
+
+    Complex eigenvalues mu +- i w: p = e^(mu dt) cos(w dt) and
+    q = e^(mu dt) sin(w dt) / w. Real ones mu +- w: the hyperbolic pair
+    while w dt < 1, beyond that the two eigen-exponentials, which do not
+    overflow where cosh does. A repeated eigenvalue: p = e^(mu dt),
+    q = dt p. sin(x)/w and sinh(x)/w keep full relative accuracy as
+    w -> 0, so nearly repeated eigenvalues need no series.
+    """
+    mu, disc, w = md[0], md[4], md[5]
+    x = w * dt
+    if disc < 0.0:
+        e = math.exp(mu * dt)
+        return e * math.cos(x), e * math.sin(x) / w
+    if w == 0.0:
+        e = math.exp(mu * dt)
+        return e, dt * e
+    if x < 1.0:
+        e = math.exp(mu * dt)
+        return e * math.cosh(x), e * math.sinh(x) / w
+    ep = math.exp((mu + w) * dt)
+    em = math.exp((mu - w) * dt)
+    return 0.5 * (ep + em), 0.5 * (ep - em) / w
+
+
+@njit(cache=True)
+def _expm2(md, dt):
+    """exp(M dt) for M split by _split, as (e11, e12, e21, e22)."""
+    p, q = _expm_pq(md, dt)
+    return (p + q * md[1], q * md[2], q * md[3], p - q * md[1])
+
+
+@njit(cache=True)
+def _mode(sc, s):
+    """The tau-time flow for s = sign z1: A(s) split by _split (A1 for
+    s > 0, A2 for s < 0), followed by s c and d/c for z2."""
+    a, c, d = float(sc[SC_A]), float(sc[SC_C]), float(sc[SC_D])
+    if s > 0.0:
+        m = _split(-float(sc[SC_K1P]), -a, -float(sc[SC_K2P]), c)
     else:
-        k1 = 0.0
-        k2 = 0.0
-    # dPhi = z1 * M * Phi with the same mode matrix M as the error flow
-    return (abs(z1),
-            -a * z1 * z2 + u,
-            (c * z2 + d) * z1,
-            z1 * (-k1 * zt1 - a * zt2),
-            z1 * (-k2 * zt1 + c * zt2),
-            z1 * (-k1 * f11 - a * f21),
-            z1 * (-k1 * f12 - a * f22),
-            z1 * (-k2 * f11 + c * f21),
-            z1 * (-k2 * f12 + c * f22))
+        m = _split(float(sc[SC_K1M]), a, float(sc[SC_K2M]), -c)
+    return (m[0], m[1], m[2], m[3], m[4], m[5], s * c, d / c)
+
+
+@njit(cache=True)
+def _closed(md, ya, tau, z1):
+    """The state at (tau, z1): z2, zt and Phi from the closed form of mode
+    md anchored at the state ya."""
+    dt = tau - ya[0]
+    e11, e12, e21, e22 = _expm2(md, dt)
+    return (tau, z1,
+            ya[2] + (ya[2] + md[7]) * math.expm1(md[6] * dt),
+            e11 * ya[3] + e12 * ya[4], e21 * ya[3] + e22 * ya[4],
+            e11 * ya[5] + e12 * ya[7], e11 * ya[6] + e12 * ya[8],
+            e21 * ya[5] + e22 * ya[7], e21 * ya[6] + e22 * ya[8])
+
+
+@njit(cache=True)
+def _zt2_anchor(md, ya):
+    """(tau, zt2, (N zt)_2) at the anchor ya: zt2 at tau' is then
+    p zt2 + q (N zt)_2 with (p, q) = _expm_pq(md, tau' - tau)."""
+    return ya[0], ya[4], md[3] * ya[3] - md[1] * ya[4]
+
+
+@njit(cache=True)
+def _f(p, md, za, tau, z1):
+    """(dtau/dt, dz1/dt) at (tau, z1), with zt2 from the closed form (za
+    from _zt2_anchor)."""
+    a, k, zstar = p
+    e, q = _expm_pq(md, tau - za[0])
+    return abs(z1), a * z1 * (e * za[1] + q * za[2]) - k * (z1 - zstar)
 
 
 @njit(cache=True)
@@ -159,143 +225,132 @@ def _guard_any(y, g):
 
 
 @njit(cache=True)
-def _dp_step(p, y, k1, h):
-    """One Dormand-Prince 5(4) step of size h from y with k1 = f(y).
+def _dp_step(p, md, za, y, k1, h):
+    """One Dormand-Prince 5(4) step of (tau, z1) of size h from y with
+    k1 = f(y).
 
     Returns (y1, k7, err): the 5th-order solution, f(y1) (FSAL) and the
     embedded error estimate.
     """
-    k2 = _rhs(p, (
-        y[0] + h * (_A21 * k1[0]), y[1] + h * (_A21 * k1[1]),
-        y[2] + h * (_A21 * k1[2]), y[3] + h * (_A21 * k1[3]),
-        y[4] + h * (_A21 * k1[4]), y[5] + h * (_A21 * k1[5]),
-        y[6] + h * (_A21 * k1[6]), y[7] + h * (_A21 * k1[7]),
-        y[8] + h * (_A21 * k1[8])))
-    k3 = _rhs(p, (
-        y[0] + h * (_A31 * k1[0] + _A32 * k2[0]),
-        y[1] + h * (_A31 * k1[1] + _A32 * k2[1]),
-        y[2] + h * (_A31 * k1[2] + _A32 * k2[2]),
-        y[3] + h * (_A31 * k1[3] + _A32 * k2[3]),
-        y[4] + h * (_A31 * k1[4] + _A32 * k2[4]),
-        y[5] + h * (_A31 * k1[5] + _A32 * k2[5]),
-        y[6] + h * (_A31 * k1[6] + _A32 * k2[6]),
-        y[7] + h * (_A31 * k1[7] + _A32 * k2[7]),
-        y[8] + h * (_A31 * k1[8] + _A32 * k2[8])))
-    k4 = _rhs(p, (
-        y[0] + h * (_A41 * k1[0] + _A42 * k2[0] + _A43 * k3[0]),
-        y[1] + h * (_A41 * k1[1] + _A42 * k2[1] + _A43 * k3[1]),
-        y[2] + h * (_A41 * k1[2] + _A42 * k2[2] + _A43 * k3[2]),
-        y[3] + h * (_A41 * k1[3] + _A42 * k2[3] + _A43 * k3[3]),
-        y[4] + h * (_A41 * k1[4] + _A42 * k2[4] + _A43 * k3[4]),
-        y[5] + h * (_A41 * k1[5] + _A42 * k2[5] + _A43 * k3[5]),
-        y[6] + h * (_A41 * k1[6] + _A42 * k2[6] + _A43 * k3[6]),
-        y[7] + h * (_A41 * k1[7] + _A42 * k2[7] + _A43 * k3[7]),
-        y[8] + h * (_A41 * k1[8] + _A42 * k2[8] + _A43 * k3[8])))
-    k5 = _rhs(p, (
-        y[0] + h * (_A51 * k1[0] + _A52 * k2[0] + _A53 * k3[0]
-                    + _A54 * k4[0]),
-        y[1] + h * (_A51 * k1[1] + _A52 * k2[1] + _A53 * k3[1]
-                    + _A54 * k4[1]),
-        y[2] + h * (_A51 * k1[2] + _A52 * k2[2] + _A53 * k3[2]
-                    + _A54 * k4[2]),
-        y[3] + h * (_A51 * k1[3] + _A52 * k2[3] + _A53 * k3[3]
-                    + _A54 * k4[3]),
-        y[4] + h * (_A51 * k1[4] + _A52 * k2[4] + _A53 * k3[4]
-                    + _A54 * k4[4]),
-        y[5] + h * (_A51 * k1[5] + _A52 * k2[5] + _A53 * k3[5]
-                    + _A54 * k4[5]),
-        y[6] + h * (_A51 * k1[6] + _A52 * k2[6] + _A53 * k3[6]
-                    + _A54 * k4[6]),
-        y[7] + h * (_A51 * k1[7] + _A52 * k2[7] + _A53 * k3[7]
-                    + _A54 * k4[7]),
-        y[8] + h * (_A51 * k1[8] + _A52 * k2[8] + _A53 * k3[8]
-                    + _A54 * k4[8])))
-    k6 = _rhs(p, (
-        y[0] + h * (_A61 * k1[0] + _A62 * k2[0] + _A63 * k3[0]
-                    + _A64 * k4[0] + _A65 * k5[0]),
-        y[1] + h * (_A61 * k1[1] + _A62 * k2[1] + _A63 * k3[1]
-                    + _A64 * k4[1] + _A65 * k5[1]),
-        y[2] + h * (_A61 * k1[2] + _A62 * k2[2] + _A63 * k3[2]
-                    + _A64 * k4[2] + _A65 * k5[2]),
-        y[3] + h * (_A61 * k1[3] + _A62 * k2[3] + _A63 * k3[3]
-                    + _A64 * k4[3] + _A65 * k5[3]),
-        y[4] + h * (_A61 * k1[4] + _A62 * k2[4] + _A63 * k3[4]
-                    + _A64 * k4[4] + _A65 * k5[4]),
-        y[5] + h * (_A61 * k1[5] + _A62 * k2[5] + _A63 * k3[5]
-                    + _A64 * k4[5] + _A65 * k5[5]),
-        y[6] + h * (_A61 * k1[6] + _A62 * k2[6] + _A63 * k3[6]
-                    + _A64 * k4[6] + _A65 * k5[6]),
-        y[7] + h * (_A61 * k1[7] + _A62 * k2[7] + _A63 * k3[7]
-                    + _A64 * k4[7] + _A65 * k5[7]),
-        y[8] + h * (_A61 * k1[8] + _A62 * k2[8] + _A63 * k3[8]
-                    + _A64 * k4[8] + _A65 * k5[8])))
-    y1 = (
-        y[0] + h * (_B1 * k1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0]
-                    + _B6 * k6[0]),
-        y[1] + h * (_B1 * k1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1]
-                    + _B6 * k6[1]),
-        y[2] + h * (_B1 * k1[2] + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2]
-                    + _B6 * k6[2]),
-        y[3] + h * (_B1 * k1[3] + _B3 * k3[3] + _B4 * k4[3] + _B5 * k5[3]
-                    + _B6 * k6[3]),
-        y[4] + h * (_B1 * k1[4] + _B3 * k3[4] + _B4 * k4[4] + _B5 * k5[4]
-                    + _B6 * k6[4]),
-        y[5] + h * (_B1 * k1[5] + _B3 * k3[5] + _B4 * k4[5] + _B5 * k5[5]
-                    + _B6 * k6[5]),
-        y[6] + h * (_B1 * k1[6] + _B3 * k3[6] + _B4 * k4[6] + _B5 * k5[6]
-                    + _B6 * k6[6]),
-        y[7] + h * (_B1 * k1[7] + _B3 * k3[7] + _B4 * k4[7] + _B5 * k5[7]
-                    + _B6 * k6[7]),
-        y[8] + h * (_B1 * k1[8] + _B3 * k3[8] + _B4 * k4[8] + _B5 * k5[8]
-                    + _B6 * k6[8]))
-    k7 = _rhs(p, y1)
-    err = (
-        h * (_E1 * k1[0] + _E3 * k3[0] + _E4 * k4[0] + _E5 * k5[0]
-             + _E6 * k6[0] + _E7 * k7[0]),
-        h * (_E1 * k1[1] + _E3 * k3[1] + _E4 * k4[1] + _E5 * k5[1]
-             + _E6 * k6[1] + _E7 * k7[1]),
-        h * (_E1 * k1[2] + _E3 * k3[2] + _E4 * k4[2] + _E5 * k5[2]
-             + _E6 * k6[2] + _E7 * k7[2]),
-        h * (_E1 * k1[3] + _E3 * k3[3] + _E4 * k4[3] + _E5 * k5[3]
-             + _E6 * k6[3] + _E7 * k7[3]),
-        h * (_E1 * k1[4] + _E3 * k3[4] + _E4 * k4[4] + _E5 * k5[4]
-             + _E6 * k6[4] + _E7 * k7[4]),
-        h * (_E1 * k1[5] + _E3 * k3[5] + _E4 * k4[5] + _E5 * k5[5]
-             + _E6 * k6[5] + _E7 * k7[5]),
-        h * (_E1 * k1[6] + _E3 * k3[6] + _E4 * k4[6] + _E5 * k5[6]
-             + _E6 * k6[6] + _E7 * k7[6]),
-        h * (_E1 * k1[7] + _E3 * k3[7] + _E4 * k4[7] + _E5 * k5[7]
-             + _E6 * k6[7] + _E7 * k7[7]),
-        h * (_E1 * k1[8] + _E3 * k3[8] + _E4 * k4[8] + _E5 * k5[8]
-             + _E6 * k6[8] + _E7 * k7[8]))
+    tau, z1 = y
+    a1, b1 = k1
+    a2, b2 = _f(p, md, za, tau + h * (_A21 * a1), z1 + h * (_A21 * b1))
+    a3, b3 = _f(p, md, za, tau + h * (_A31 * a1 + _A32 * a2),
+                z1 + h * (_A31 * b1 + _A32 * b2))
+    a4, b4 = _f(p, md, za, tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
+                z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
+    a5, b5 = _f(p, md, za,
+                tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
+                z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4))
+    a6, b6 = _f(p, md, za,
+                tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4
+                           + _A65 * a5),
+                z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
+                          + _A65 * b5))
+    y1 = (tau + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
+          z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6))
+    k7 = _f(p, md, za, y1[0], y1[1])
+    err = (h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6
+                + _E7 * k7[0]),
+           h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
+                + _E7 * k7[1]))
     return y1, k7, err
 
 
 @njit(cache=True)
-def _hermite(t0, h, y0, f0, y1, f1, tt, tau):
-    """Cubic Hermite of the step at tt; the tau component is the caller's
-    (from _tau_at, so that it stays consistent with the recorded z1)."""
-    th = (tt - t0) / h
-    om = 1.0 - th
-    h00 = (1.0 + 2.0 * th) * om * om
-    h10 = th * om * om * h
-    h01 = th * th * (3.0 - 2.0 * th)
-    h11 = th * th * (th - 1.0) * h
-    return (tau,
-            h00 * y0[1] + h10 * f0[1] + h01 * y1[1] + h11 * f1[1],
-            h00 * y0[2] + h10 * f0[2] + h01 * y1[2] + h11 * f1[2],
-            h00 * y0[3] + h10 * f0[3] + h01 * y1[3] + h11 * f1[3],
-            h00 * y0[4] + h10 * f0[4] + h01 * y1[4] + h11 * f1[4],
-            h00 * y0[5] + h10 * f0[5] + h01 * y1[5] + h11 * f1[5],
-            h00 * y0[6] + h10 * f0[6] + h01 * y1[6] + h11 * f1[6],
-            h00 * y0[7] + h10 * f0[7] + h01 * y1[7] + h11 * f1[7],
-            h00 * y0[8] + h10 * f0[8] + h01 * y1[8] + h11 * f1[8])
+def _err_norm(y0, y1, err, tau_a, atol, rtol):
+    """RMS of the (tau, z1) error estimate, scaled by the tolerances. The
+    closed-form states are functions of tau - tau_a, with tau_a the
+    anchor's tau, so that is what rtol scales for tau."""
+    q0 = err[0] / (atol + rtol * abs(y1[0] - tau_a))
+    q1 = err[1] / (atol + rtol * max(abs(y0[1]), abs(y1[1])))
+    return math.sqrt(0.5 * (q0 * q0 + q1 * q1))
 
 
 @njit(cache=True)
-def _with_tau(y, tau):
-    """y with its tau component replaced."""
-    return (tau, y[1], y[2], y[3], y[4], y[5], y[6], y[7], y[8])
+def _step_factor(enorm):
+    """Step-size factor 0.9 enorm^(-1/5), within [0.2, 5]."""
+    if enorm <= 1e-30:
+        return 5.0
+    return min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+
+
+@njit(cache=True)
+def _tau_curve(h, z1_0, dz1_0, z1_1, dz1_1):
+    """The step's z1 cubic and tau interpolant, as (c0, c1, c2, c3, a1).
+
+    z1_H(th) = c0 + c1 th + c2 th^2 + c3 th^3 is the cubic Hermite of z1 in
+    th = (t - t0)/h, and a1 the integral of |z1_H| over the step in units
+    of h. z1 keeps its sign within a step, up to the rounding of a root
+    endpoint.
+    """
+    c1 = h * dz1_0
+    m1 = h * dz1_1
+    c2 = 3.0 * (z1_1 - z1_0) - 2.0 * c1 - m1
+    c3 = 2.0 * (z1_0 - z1_1) + c1 + m1
+    tc = (z1_0, c1, c2, c3, 0.0)
+    return (z1_0, c1, c2, c3, abs(_z1_prim(tc, 1.0)))
+
+
+@njit(cache=True)
+def _z1_prim(tc, th):
+    """Integral over [0, th] of the step's z1 cubic, in units of h."""
+    c0, c1, c2, c3 = tc[0], tc[1], tc[2], tc[3]
+    return th * (c0 + th * (0.5 * c1 + th * (c2 / 3.0 + th * (0.25 * c3))))
+
+
+@njit(cache=True)
+def _tau_at(tc, tau0, tau1, th):
+    """tau at th inside the step: tau0 + (tau1 - tau0) A(th)/A(1), with A
+    the integral of |z1_H|. Monotone, and exactly tau1 at th = 1."""
+    a1 = tc[4]
+    if a1 <= 0.0:
+        return tau0 + (tau1 - tau0) * th
+    return tau0 + (tau1 - tau0) * (abs(_z1_prim(tc, th)) / a1)
+
+
+@njit(cache=True)
+def _dense(tc, md, ya, tau0, tau1, th):
+    """The state at th inside the step: z1 from its cubic, tau from
+    _tau_at and the rest from the closed form."""
+    z1 = tc[0] + th * (tc[1] + th * (tc[2] + th * tc[3]))
+    return _closed(md, ya, _tau_at(tc, tau0, tau1, th), z1)
+
+
+@njit(cache=True)
+def _z1_root(tc, s):
+    """Root of the z1 cubic in [0, 1], given s z1_H(0) > 0 > s z1_H(1),
+    bisected to 1e-9 (a first guess for _step_to_root)."""
+    lo = 0.0
+    hi = 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if s * (tc[0] + mid * (tc[1] + mid * (tc[2] + mid * tc[3]))) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@njit(cache=True)
+def _step_to_root(p, md, za, y0, f0, hr, h):
+    """Retake the step from y0 = (tau, z1) with size hr, a guess of the z1
+    root, and polish hr by Newton iterations on the retaken endpoint's z1.
+
+    Returns (hr, y1, f1, err, at_root); at_root says that |z1| at the
+    endpoint is within 1e-12 of |z1| at y0. hr stays in (0, h].
+    """
+    y1, f1, err = _dp_step(p, md, za, y0, f0, hr)
+    ztol = 1e-12 * abs(y0[1])
+    for _ in range(_ROOT_ITERS):
+        if abs(y1[1]) <= ztol or f1[1] == 0.0:
+            break
+        hn = hr - y1[1] / f1[1]
+        if hn <= 0.0 or hn > h:
+            break
+        hr = hn
+        y1, f1, err = _dp_step(p, md, za, y0, f0, hr)
+    return hr, y1, f1, err, abs(y1[1]) <= ztol
 
 
 @njit(cache=True)
@@ -312,71 +367,14 @@ def _tau_budget(dtau, tau_now, budget_rel):
 
 
 @njit(cache=True)
-def _z1_prim(tc, th):
-    """Integral over [0, th] of the step's z1 cubic, in units of h."""
-    c0, c1, c2, c3 = tc[0], tc[1], tc[2], tc[3]
-    return th * (c0 + th * (0.5 * c1 + th * (c2 / 3.0 + th * (0.25 * c3))))
-
-
-@njit(cache=True)
-def _tau_curve(h, y0, f0, y1, f1, root_tol):
-    """The step's tau interpolant, as (c0, c1, c2, c3, th_r, p_r, a1).
-
-    z1_H(th) = c0 + c1 th + c2 th^2 + c3 th^3 is the cubic Hermite of z1 in
-    th = (t - t0)/h. When z1 changes sign over the step, th_r is the root of
-    z1_H (bisected to root_tol), else 1; p_r is the integral of z1_H up to
-    th_r and a1 the integral of |z1_H| over the whole step, both in units
-    of h. Within a segment z* is fixed and z1 crosses zero with slope about
-    k z*, so z1_H has at most the one root that the endpoint signs show.
-    """
-    c0 = y0[1]
-    c1 = h * f0[1]
-    m1 = h * f1[1]
-    c2 = 3.0 * (y1[1] - c0) - 2.0 * c1 - m1
-    c3 = 2.0 * (c0 - y1[1]) + c1 + m1
-    th_r = 1.0
-    if c0 * y1[1] < 0.0:
-        lo = 0.0
-        hi = 1.0
-        s_lo = c0 > 0.0
-        for _ in range(80):
-            if hi - lo <= root_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if (c0 + mid * (c1 + mid * (c2 + mid * c3)) > 0.0) == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        th_r = 0.5 * (lo + hi)
-    tc = (c0, c1, c2, c3, th_r, 0.0, 0.0)
-    p_r = _z1_prim(tc, th_r)
-    a1 = abs(p_r) + abs(_z1_prim(tc, 1.0) - p_r)
-    return (c0, c1, c2, c3, th_r, p_r, a1)
-
-
-@njit(cache=True)
-def _tau_at(tc, tau0, tau1, th):
-    """tau at th inside the step: tau0 + (tau1 - tau0) A(th)/A(1), with A
-    the integral of |z1_H|. Monotone, and exactly tau1 at th = 1."""
-    a1 = tc[6]
-    if a1 <= 0.0:
-        return tau0 + (tau1 - tau0) * th
-    p = _z1_prim(tc, th)
-    if th <= tc[4]:
-        area = abs(p)
-    else:
-        area = abs(tc[5]) + abs(p - tc[5])
-    return tau0 + (tau1 - tau0) * (area / a1)
-
-
-@njit(cache=True)
-def _emit_span(buf, n, t0, h, y0, f0, y1, f1, tc, ta, tau_a, z1_a, tb, yb,
-               budget_rel):
-    """Record samples on (ta, tb] within the current step; yb is the state
-    at tb. The span gets m equally spaced samples, m chosen from the
-    endpoint tau/trapezoid mismatch e: the composite trapezoid error falls
-    as 1/m^2, so m > sqrt(e / budget) brings it within the budget. Returns
-    the new n; at most _SPAN_MAX_ROWS rows are written."""
+def _emit_span(buf, n, t0, h, tc, md, ya, tau0, tau1, ta, tau_a, z1_a, tb,
+               yb, budget_rel):
+    """Record samples on (ta, tb] within the step [t0, t0 + h], whose tau
+    runs from tau0 to tau1; yb is the state at tb. The span gets m equally
+    spaced samples, m chosen from the endpoint tau/trapezoid mismatch e:
+    the composite trapezoid error falls as 1/m^2, so m > sqrt(e / budget)
+    brings it within the budget. Returns the new n; at most _SPAN_MAX_ROWS
+    rows are written."""
     dtau = yb[0] - tau_a
     e = abs(dtau - 0.5 * (abs(z1_a) + abs(yb[1])) * (tb - ta))
     q = math.sqrt(e / _tau_budget(dtau, yb[0], budget_rel))
@@ -386,13 +384,13 @@ def _emit_span(buf, n, t0, h, y0, f0, y1, f1, tc, ta, tau_a, z1_a, tb, yb,
     dt = (tb - ta) / m
     for i in range(1, m):
         tt = ta + i * dt
-        tau = _tau_at(tc, y0[0], y1[0], (tt - t0) / h)
-        n = _record(buf, n, tt, _hermite(t0, h, y0, f0, y1, f1, tt, tau))
+        n = _record(buf, n, tt,
+                    _dense(tc, md, ya, tau0, tau1, (tt - t0) / h))
     return _record(buf, n, tb, yb)
 
 
 @njit(cache=True)
-def _bisect_guard(t0, h, y0, f0, y1, f1, g, event_tol):
+def _bisect_guard(t0, h, tc, md, ya, tau0, tau1, g, event_tol):
     """Earliest guard activation in (t0, t0+h]; guard is false at t0 and
     true at t0+h. Returns (t_event, width).
 
@@ -412,7 +410,8 @@ def _bisect_guard(t0, h, y0, f0, y1, f1, g, event_tol):
         if hi - lo <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        if _guard_any(_hermite(t0, h, y0, f0, y1, f1, mid, 0.0), g) != 0:
+        if _guard_any(_dense(tc, md, ya, tau0, tau1, (mid - t0) / h),
+                      g) != 0:
             hi = mid
         else:
             lo = mid
@@ -464,14 +463,21 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         _finish(y, ys, ret, code0, t, n0, 0.0)
         return
 
-    f0 = _rhs(p, ys)
+    # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
+    s = 1.0
+    if ys[1] < 0.0 or (ys[1] == 0.0 and p[2] < 0.0):
+        s = -1.0
+    md = _mode(sc, s)
+    ya = ys                     # anchor of the closed form
+    za = _zt2_anchor(md, ya)
+    f0 = _f(p, md, za, ys[0], ys[1])
     h = max_step * 0.1
+    flipped = False             # s switched at t without a step since
 
     last_rec_t = t
     last_rec_tau = ys[0]
     last_rec_z1 = ys[1]
     have_pend = False           # the step start (t, ys) is not recorded yet
-    tc = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)   # set by every recorded step
     n = n0
 
     while True:
@@ -485,77 +491,65 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             h = max_step
         if h > t_left:
             h = t_left
-        if h < 1e-14:
+        if h < _MIN_STEP:
             _finish(y, ys, ret, CODE_STEP_FAILURE, t, n, 0.0)
             return
 
-        y1, f1, err = _dp_step(p, ys, f0, h)
-        enorm = 0.0
-        for m in range(9):
-            q = err[m] / (atol + rtol * max(abs(ys[m]), abs(y1[m])))
-            enorm += q * q
-        enorm = math.sqrt(enorm / 9.0)
+        y0 = (ys[0], ys[1])
+        y1, f1, err = _dp_step(p, md, za, y0, f0, h)
+        hs = h
+        crossed = s * y1[1] < 0.0 and not flipped
+        at_root = False
+        if crossed:
+            # z1 changes sign: retake the step up to its root
+            hs = 0.0
+            if s * ys[1] > 0.0:
+                hs = h * _z1_root(_tau_curve(h, ys[1], f0[1], y1[1], f1[1]),
+                                  s)
+            if hs < _MIN_STEP:
+                # the root is at the step start: switch the mode here
+                s = -s
+                md = _mode(sc, s)
+                ya = ys
+                za = _zt2_anchor(md, ya)
+                flipped = True
+                continue
+            hs, y1, f1, err, at_root = _step_to_root(p, md, za, y0, f0, hs,
+                                                     h)
+        enorm = _err_norm(y0, y1, err, ya[0], atol, rtol)
         if enorm > 1.0:
-            fac = 0.9 * enorm ** -0.2
-            if fac < 0.2:
-                fac = 0.2
-            h *= fac
+            h = hs * _step_factor(enorm)
             continue
+        flipped = False
 
-        # accepted step [t, t+h]; f1 is f at the new point (FSAL)
-        t_new = t + h
-        ev = _guard_any(y1, g)
-        cross = ys[1] * y1[1] < 0.0
-        if ev != 0 or cross:
+        # accepted step [t, t+hs]; f1 is f at the new point (FSAL)
+        t_new = t + hs
+        ye = _closed(md, ya, y1[0], y1[1])
+        ev = _guard_any(ye, g)
+        if ev != 0:
+            # record up to the event point, then stop there
             if have_pend:
                 n = _record(buf, n, t, ys)
-                have_pend = False
-            last_rec_t = t
-            last_rec_tau = ys[0]
-            last_rec_z1 = ys[1]
-            tc = _tau_curve(h, ys, f0, y1, f1, 1e-13 * (1.0 + abs(t)) / h)
-            if cross:
-                # |z1| has a kink at the root, which the Dormand-Prince
-                # quadrature of tau does not resolve (on the bundled run it
-                # overshoots by up to 1 % of the step's increment); the
-                # split integral of |z1_H| is accurate to O(h^5)
-                y1 = _with_tau(y1, ys[0] + h * tc[6])
-            t_hi = t_new
-            width = 0.0
-            if ev != 0:
-                t_hi, width = _bisect_guard(t, h, ys, f0, y1, f1, g,
-                                            event_tol)
-            # forced sample at the z1 kink inside the (truncated) step
-            r = t + tc[4] * h
-            if cross and r < t_hi:
-                yr = _hermite(t, h, ys, f0, y1, f1, r,
-                              _tau_at(tc, ys[0], y1[0], tc[4]))
-                n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
-                               last_rec_tau, last_rec_z1, r, yr, budget_rel)
-                last_rec_t = r
-                last_rec_tau = yr[0]
-                last_rec_z1 = yr[1]
-            if ev != 0:
-                # record up to the event point, then stop there
-                yev = _hermite(t, h, ys, f0, y1, f1, t_hi,
-                               _tau_at(tc, ys[0], y1[0], (t_hi - t) / h))
-                n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
-                               last_rec_tau, last_rec_z1, t_hi, yev,
-                               budget_rel)
-                _finish(y, yev, ret, ev, t_hi, n, width)
-                return
+            tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
+            t_hi, width = _bisect_guard(t, hs, tc, md, ya, ys[0], y1[0], g,
+                                        event_tol)
+            yev = _dense(tc, md, ya, ys[0], y1[0], (t_hi - t) / hs)
+            n = _emit_span(buf, n, t, hs, tc, md, ya, ys[0], y1[0], t,
+                           ys[0], ys[1], t_hi, yev, budget_rel)
+            _finish(y, yev, ret, ev, t_hi, n, width)
+            return
 
         # recording decision at the accepted endpoint: thinned recording
         # leaves it pending while nothing forces a sample and one trapezoid
         # from the last recorded sample still matches tau
         at_stop = t_new >= t_stop - 1e-14
-        z2_bad = y1[2] <= z2_floor
-        converged = (abs(y1[1]) + abs(y1[2]) + abs(y1[3]) + abs(y1[4])
+        z2_bad = ye[2] <= z2_floor
+        converged = (abs(ye[1]) + abs(ye[2]) + abs(ye[3]) + abs(ye[4])
                      < conv_tol)
-        force = at_stop or z2_bad or converged
-        dtau = y1[0] - last_rec_tau
-        trap = 0.5 * (abs(last_rec_z1) + abs(y1[1])) * (t_new - last_rec_t)
-        coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, y1[0], budget_rel)
+        force = at_stop or z2_bad or converged or at_root
+        dtau = ye[0] - last_rec_tau
+        trap = 0.5 * (abs(last_rec_z1) + abs(ye[1])) * (t_new - last_rec_t)
+        coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, ye[0], budget_rel)
         if not force and coarse_ok and (t_new - last_rec_t) < rec_dt:
             have_pend = True
         else:
@@ -565,22 +559,26 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
                 last_rec_t = t
                 last_rec_tau = ys[0]
                 last_rec_z1 = ys[1]
-            if not cross:           # a crossing step has its curve already
-                tc = _tau_curve(h, ys, f0, y1, f1, 1.0)
-            n = _emit_span(buf, n, t, h, ys, f0, y1, f1, tc, last_rec_t,
-                           last_rec_tau, last_rec_z1, t_new, y1, budget_rel)
+            tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
+            n = _emit_span(buf, n, t, hs, tc, md, ya, ys[0], ye[0],
+                           last_rec_t, last_rec_tau, last_rec_z1, t_new, ye,
+                           budget_rel)
             last_rec_t = t_new
-            last_rec_tau = y1[0]
-            last_rec_z1 = y1[1]
+            last_rec_tau = ye[0]
+            last_rec_z1 = ye[1]
 
-        # advance
+        # advance; a root re-anchors the closed form with the new sign, and
+        # a retaken step leaves the proposed step size as it was
         t = t_new
-        ys = y1
+        ys = ye
         f0 = f1
-        fac = 0.9 * enorm ** -0.2 if enorm > 1e-30 else 5.0
-        if fac > 5.0:
-            fac = 5.0
-        h *= fac
+        if at_root:
+            s = -s
+            md = _mode(sc, s)
+            ya = ys
+            za = _zt2_anchor(md, ya)
+        if not crossed:
+            h *= _step_factor(enorm)
 
         if z2_bad:
             _finish(y, ys, ret, CODE_DOMAIN, t, n, 0.0)

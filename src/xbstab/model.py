@@ -372,16 +372,6 @@ class HybridTrajectory:
         return (params.a * self.z1 * self.z2_hat
                 - k * (self.z1 - self.z_star))
 
-    def state_at(self, idx: int) -> HybridState:
-        return HybridState(
-            tau=float(self.tau[idx]),
-            cycle=int(self.cycle[idx]),
-            z=np.array([self.z1[idx], self.z2[idx]]),
-            z_tilde=np.array([self.z_tilde1[idx], self.z_tilde2[idx]]),
-            z_star=float(self.z_star[idx]),
-            phi=self.phi[idx].reshape(2, 2),
-        )
-
     def validate_domain(self):
         """Check hybrid-time-domain well-formedness; raise on violation."""
         t, j = self.t, self.j
@@ -398,10 +388,15 @@ class HybridTrajectory:
 class SolverConfig:
     """Integrator and runtime-guard settings (artifact policy, not physics).
 
-    rel_tol, abs_tol and max_step alone set the step sizes. record_interval
-    = 0 records a sample at every accepted step; a positive value thins the
-    recording (samples are still forced at a z1 sign change and wherever
-    the recording budget below demands them).
+    rel_tol, abs_tol and max_step alone set the step sizes, and a z1 root
+    ends a step. record_interval = 0 records a sample at every accepted
+    step; a positive value thins the recording (samples are still forced
+    at a z1 root and wherever the recording budget below demands them).
+
+    The guards D_c and D_nc are tested at accepted step endpoints only,
+    and an event is then located by bisection inside the step. A D_c
+    excursion that enters and leaves within one step is missed, so
+    max_step bounds how short an excursion can be and still be detected.
 
     tau_budget_rel sets recording density only. Inside each accepted step
     the kernel adds equally spaced samples until the trapezoid of |z1| over

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
                     control_input, fastpath, flow_map, in_Dc, in_Dnc,
@@ -210,17 +211,28 @@ def _kernel_state(state):
        phi=st.tuples(*[_floats(-2.0, 2.0)] * 4),
        z_star=st.sampled_from([75.0, -37.5, 9.375, -0.5859375]),
        k=_floats(50.0, 2000.0))
-def test_kernel_rhs_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
-                                     z2_above_floor, zt, phi, z_star, k):
-    """fastpath._rhs and dynamics.flow_map are the same flow, to 1e-12
-    relative to the magnitude of the terms each component sums."""
+def test_kernel_flow_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
+                                      z2_above_floor, zt, phi, z_star, k):
+    """The kernel's flow is dynamics.flow_map, to 1e-12 relative to the
+    magnitude of the terms each component sums. fastpath._f gives d_tau
+    and d_z1. The tau-derivative of the closed form of z2, z_tilde and Phi,
+    the generator fastpath._mode returns for s = sign z1, gives d_z2,
+    d_z_tilde and d_phi divided by |z1| (compared here times |z1|, so that
+    both sides underflow alike)."""
     cfg = make_cfg()
     state = make_state(z1=z1, z2=sv_params.z2_floor + z2_above_floor,
                        zt1=zt[0], zt2=zt[1], z_star=z_star,
                        phi=np.array(phi).reshape(2, 2))
     sc = _kernel_scalars(sv_params, sv_gains, sv_cert, cfg, k, state)
-    got = np.array(fastpath._rhs(fastpath._rhs_params(sc),
-                                 _kernel_state(state)))
+    ya = _kernel_state(state)
+    md = fastpath._mode(sc, math.copysign(1.0, z1))
+    mu, n11, n12, n21, _, _, z2_rate, d_over_c = md
+    gen = np.array([[mu + n11, n12], [n21, mu - n11]])
+    rates = np.concatenate([[z2_rate * (state.z[1] + d_over_c)],
+                            gen @ state.z_tilde, (gen @ state.phi).ravel()])
+    got = np.array([*fastpath._f(fastpath._rhs_params(sc), md,
+                                 fastpath._zt2_anchor(md, ya), ya[0], z1),
+                    *(abs(z1) * rates)])
     d = flow_map(sv_params, sv_gains, k, state)
     want = np.array([d.d_tau, d.d_z1, d.d_z2, *d.d_z_tilde,
                      *d.d_phi.ravel()])
@@ -238,6 +250,54 @@ def test_kernel_rhs_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
         (abs(z1) * (absM @ np.abs(state.phi))).ravel()])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want),
                                                            scale))
+
+
+@pytest.mark.parametrize("dtau", [1e-3, 1.0])
+@pytest.mark.parametrize("s", [1.0, -1.0])
+def test_closed_form_is_exponential_of_generator(sv_params, sv_gains,
+                                                  sv_cert, s, dtau):
+    """fastpath._closed moves z2, z_tilde and Phi along the generator of
+    fastpath._mode: scipy's expm of it for z_tilde and Phi and the scalar
+    exponential for z2 + d/c, to 1e-13 of the terms summed."""
+    state = make_state(z1=s * 2.0, z2=0.3, zt1=-0.2, zt2=0.4,
+                       phi=np.array([[0.9, -0.3], [0.2, 1.1]]))
+    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, make_cfg(), 500.0,
+                         state)
+    md = fastpath._mode(sc, s)
+    mu, n11, n12, n21, _, _, z2_rate, d_over_c = md
+    E = expm(np.array([[mu + n11, n12], [n21, mu - n11]]) * dtau)
+    ya = _kernel_state(state)
+    got = np.array(fastpath._closed(md, ya, ya[0] + dtau, ya[1]))
+    w2 = state.z[1] + d_over_c
+    want = np.concatenate([[ya[0] + dtau, ya[1],
+                            w2 * math.exp(z2_rate * dtau) - d_over_c],
+                           E @ state.z_tilde, (E @ state.phi).ravel()])
+    scale = np.concatenate([[ya[0] + dtau, abs(ya[1]),
+                             w2 * math.exp(z2_rate * dtau) + d_over_c],
+                            np.abs(E) @ np.abs(state.z_tilde),
+                            (np.abs(E) @ np.abs(state.phi)).ravel()])
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dt", [0.0, 1e-12, 1e-3, 1.0])
+@pytest.mark.parametrize("which", ["A1", "A2", "real", "repeated",
+                                   "nearly repeated, real",
+                                   "nearly repeated, complex"])
+def test_expm2_matches_scipy(sv_gains, which, dt):
+    """fastpath._expm2 against scipy's expm, to 1e-13 of the largest entry:
+    the shipped A1 and A2 (eigenvalues -8 +- 10.05i), real distinct
+    eigenvalues (hyperbolic and eigen-exponential branches), a repeated
+    one and two nearly repeated ones."""
+    m = {"A1": sv_gains.A1, "A2": sv_gains.A2,
+         "real": np.array([[-3.0, 1.0], [2.0, -5.0]]),
+         "repeated": np.array([[-2.0, 1.0], [0.0, -2.0]]),
+         "nearly repeated, real": np.array([[-2.0, 1.0], [1e-14, -2.0]]),
+         "nearly repeated, complex": np.array([[-2.0, 1.0],
+                                               [-1e-14, -2.0]])}[which]
+    got = np.array(fastpath._expm2(fastpath._split(*m.ravel()), dt))
+    want = expm(m * dt)
+    assert np.max(np.abs(got.reshape(2, 2) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=400, deadline=None)

@@ -134,6 +134,28 @@ class TestIntegrateFlow:
         ref = _reference_end(sv_params, sv_gains, y0, t_end)
         assert seg.tau[-1] == pytest.approx(ref[0], rel=1e-9)
 
+    def test_segment_starting_on_z1_root(self, sv_params, sv_gains,
+                                         sv_cert):
+        """z1 = -1e-15 with z* > 0 sits on a root that the flow leaves
+        upwards at once: the kernel switches the closed form to z1 > 0 at
+        the start instead of stepping to a root 3e-20 s away, and the
+        segment still matches the reference (started at z1 = +1e-15, as
+        the reference cannot restart on a root at its first point)."""
+        cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
+        state = dataclasses.replace(state, z=np.array([-1e-15, 0.3]))
+        t_end = 5e-4
+        solver = SolverConfig(max_step=5.4e-5, t_end=t_end)
+        seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
+                                    solver, state, 0.0, 0, k=500.0)
+        assert event is None
+        assert np.all(seg.z1[1:] > 0.0)
+
+        y0 = [0.0, 1e-15, 0.3, 0.0, 0.05, 1.0, 0.0, 0.0, 1.0]
+        ref = _reference_end(sv_params, sv_gains, y0, t_end)
+        got = np.array([seg.tau[-1], seg.z1[-1], seg.z2[-1],
+                        seg.z_tilde1[-1], seg.z_tilde2[-1], *seg.phi[-1]])
+        assert np.allclose(got, ref, rtol=1e-7, atol=1e-10)
+
     def test_event_localization(self, sv_params, sv_gains, sv_cert):
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=0.05, event_tol=1e-9)
@@ -294,6 +316,24 @@ def test_dense_recording_contract(dense_20ms):
     assert np.all(np.diff(dense_20ms.tau)[same_cycle] >= 0.0)
     assert np.all(np.diff(dense_20ms.t) >= 0.0)
     assert len(dense_20ms) <= 20_000
+
+
+def test_z1_roots_are_recorded(dense_20ms):
+    """A z1 root is a step boundary: the step over it is retaken up to the
+    root, whose endpoint is recorded. So every sign change of the recorded
+    z1 within a flow has a sample on the root, with |z1| at most 1e-9 of
+    the run's largest |z1|."""
+    tol = 1e-9 * np.abs(dense_20ms.z1).max()
+    changes = 0
+    for jj in np.unique(dense_20ms.j):
+        z1 = dense_20ms.z1[dense_20ms.j == jj]
+        nonzero = np.flatnonzero(z1)
+        for a, b in zip(nonzero[:-1], nonzero[1:]):
+            if z1[a] * z1[b] < 0.0:
+                changes += 1
+                assert np.abs(z1[a:b + 1]).min() <= tol, f"root near " \
+                    f"z1 = {z1[a]:.3g} -> {z1[b]:.3g}"
+    assert changes >= 4
 
 
 class TestSimulate:
