@@ -1,5 +1,6 @@
 """Unit and end-to-end tests for the scenario runner."""
 
+import errno
 import json
 import os
 import subprocess
@@ -244,6 +245,121 @@ class TestOnePassWriter:
         _assert_csvs_match_reference(scn, runs[0], out)
 
 
+
+@pytest.fixture()
+def three_shares(monkeypatch):
+    """The split writer with three usable CPUs and 300-row shares; the
+    returned list collects the pid of every child it forks."""
+    monkeypatch.setattr(cli, "_CSV_MIN_SHARE_ROWS", 300)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    fork, children = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return children
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWriter:
+    """Rows formatted in forked shares give the bytes of np.savetxt."""
+
+    @pytest.mark.parametrize("n, forks", [(599, 0), (600, 1), (601, 1),
+                                          (902, 2)])
+    def test_shares_match_reference(self, tmp_path, three_shares, n,
+                                    forks):
+        # 599 rows make one share, 600 two equal ones, 601 and 902 uneven
+        # ones (300 + 301 and 300 + 301 + 301 rows); shares straddle the
+        # 256-row blocks
+        traj = _edge_trajectory(n)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
+            _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
+        assert len(three_shares) == forks
+        _assert_no_child_left()
+
+    def test_buffered_append_where_sendfile_takes_no_file(
+            self, tmp_path, three_shares, monkeypatch):
+        def sockets_only(*args):
+            raise OSError(errno.ENOTSOCK, "not a socket")
+
+        monkeypatch.setattr(os, "sendfile", sockets_only)
+        traj = _edge_trajectory(902)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
+            _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
+        assert len(three_shares) == 2
+
+    def test_one_cpu_writes_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_MIN_SHARE_ROWS", 300)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        traj = _edge_trajectory(902)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
+            _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
+
+    def test_run_leaves_no_child_and_four_artifacts(
+            self, short_scenario, tmp_path, three_shares):
+        out = tmp_path / "out"
+        assert main(["run", str(short_scenario), "--out", str(out)]) == 0
+        assert len(three_shares) == 2
+        _assert_no_child_left()
+        assert sorted(f.name for f in out.iterdir()) == [
+            "phase.csv", "report.json", "timeseries.csv", "trajectory.csv"]
+
+    def test_failed_share_ends_in_error_json(self, short_scenario, tmp_path,
+                                             three_shares, monkeypatch):
+        """A child whose share fails ends its variant in error.json with
+        no CSV file, partial or temporary, left; the other variant runs."""
+        parent = os.getpid()
+        failing_variant = []
+        write = cli.write_trajectory_csv
+        format_rows = cli._format_rows
+
+        def marking(scn, traj, path):
+            failing_variant[:] = [scn.k == 400]
+            return write(scn, traj, path)
+
+        def failing_in_child(*args):
+            if failing_variant[0] and os.getpid() != parent:
+                raise RuntimeError("share failure")
+            return format_rows(*args)
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", marking)
+        monkeypatch.setattr(cli, "_format_rows", failing_in_child)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,500")
+        assert rc == 1
+        assert len(three_shares) == 4
+        _assert_no_child_left()
+        bad = out / "sweep_controller_k=400"
+        err = json.loads((bad / "error.json").read_text())
+        assert err["error"]["type"] == "OSError"
+        assert "exit code 1" in err["error"]["message"]
+        assert sorted(f.name for f in bad.iterdir()) == ["error.json"]
+        good = out / "sweep_controller_k=500"
+        assert json.loads((good / "report.json").read_text())[
+            "all_checks_passed"]
+        assert len(list(good.iterdir())) == 4
+
+
 class TestEndToEnd:
     def test_short_run_passes_all_checks(self, short_scenario, tmp_path):
         out = tmp_path / "out"
@@ -440,15 +556,30 @@ class TestEndToEnd:
         assert report["checks"]["enabled"] == []
 
 
-def test_cli_import_does_not_load_scipy():
-    """scipy is needed only by check_overshoot_bound, which the CLI never
-    runs; importing the CLI must not pay for it."""
+def _modules_loaded_by_cli_import(names) -> list:
+    """Which of `names` a fresh interpreter has loaded after importing
+    xbstab.cli."""
     code = ("import sys, xbstab.cli; "
-            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+            f"print(','.join(m for m in {list(names)!r} "
+            "if m in sys.modules))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    assert proc.returncode == 0, proc.stderr
+    return [m for m in proc.stdout.strip().split(",") if m]
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is needed only by check_overshoot_bound, which the CLI never
+    runs; importing the CLI must not pay for it."""
+    assert _modules_loaded_by_cli_import(["scipy"]) == []
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    """The split CSV writer forks with os.fork; importing the CLI must not
+    pay for multiprocessing or concurrent.futures."""
+    assert _modules_loaded_by_cli_import(
+        ["multiprocessing", "concurrent.futures"]) == []
