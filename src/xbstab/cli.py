@@ -27,15 +27,9 @@ the run ends in an error.json.
 
 All output files are UTF-8 and deterministic: two runs of the same
 configuration produce byte-identical artifacts. The three CSV files are
-written in one pass over blocks of rows: each value is formatted once
-("%.17g", integers in decimal) and the same string goes into every file
-that has its column, so the bytes are those of np.savetxt with the same
-formats, written file by file. The rows are split into contiguous shares,
-one per usable CPU: this process formats the first share straight into
-the files, and a child forked after the columns exist formats each other
-share into unnamed temporary files, which are appended in order. With one
-usable CPU, no os.fork, or too few rows for a second share, the writer
-runs in this process alone. The bytes do not depend on the split.
+written by csvwriter.write_csvs in one pass, over row shares formatted on
+every usable CPU, with the bytes of np.savetxt with the same formats
+however the rows are split.
 """
 
 from __future__ import annotations
@@ -44,17 +38,14 @@ import argparse
 import copy
 import json
 import math
-import os
-import shutil
 import sys
-import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import cycle_slice, extract_dwell, verify_bounds
+from .csvwriter import write_csvs
 from .engine import initial_cycle, simulate
 from .errors import NoExcitation, XbstabError
 from .lyapunov import (LyapunovCertificate, complete_gains,
@@ -70,16 +61,6 @@ CSV_COLUMNS = ("t", "j", "i", "tau", "z1", "z2", "z1_hat", "z2_hat",
 
 _PHASE_COLUMNS = ("z1", "z2")
 _TIMESERIES_COLUMNS = ("t", "z1", "z2", "z1_hat", "z2_hat", "z_star")
-# rows per block of the CSV writer. A block's strings are all it holds
-# besides the trajectory; speed is flat from 64 to 1024 rows, while 512
-# rows already lifted the peak memory of a short thinned run above that
-# of np.savetxt
-_CSV_BLOCK_ROWS = 256
-# fewest rows a forked share of the CSV writer takes. fork plus wait costs
-# 1.3-2.5 ms (4.8 ms at worst) for a 46-48 MB process on a 2-CPU x86 VM,
-# against 6-10 us per formatted row of the three files, so a share of 2048
-# rows (12-20 ms) pays for its child several times over
-_CSV_MIN_SHARE_ROWS = 2048
 
 CHECK_NAMES = ("vobs", "envelope", "phi", "dwell", "zeno", "excitation")
 
@@ -289,158 +270,6 @@ def build_scenario(raw: dict) -> Scenario:
                     outputs=_build_outputs(_section(raw, "outputs")))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _share_bounds(n: int) -> list:
-    """Contiguous (lo, hi) row shares: one per usable CPU, none smaller
-    than _CSV_MIN_SHARE_ROWS, a single one without os.fork."""
-    shares = 1
-    if hasattr(os, "fork"):
-        shares = max(1, min(_usable_cpus(), n // _CSV_MIN_SHARE_ROWS))
-    return [(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
-
-
-def _format_rows(columns: dict, names: list, outs: list, lo: int, hi: int):
-    """Write rows lo:hi into each (binary file, column indices into
-    `names`) of `outs`, in blocks of _CSV_BLOCK_ROWS: each value of a
-    block is formatted once and its string joined into the rows of every
-    file that has its column."""
-    for b_lo in range(lo, hi, _CSV_BLOCK_ROWS):
-        b_hi = min(b_lo + _CSV_BLOCK_ROWS, hi)
-        float_fmt = "\n".join(["%.17g"] * (b_hi - b_lo))
-        text = []
-        for name in names:
-            block = columns[name][b_lo:b_hi]
-            if block.dtype.kind in "iu":
-                text.append(list(map(str, block.tolist())))
-            else:
-                text.append((float_fmt % tuple(block.tolist()))
-                            .split("\n"))
-        for fh, idx in outs:
-            fh.write(("\n".join(map(",".join,
-                                    zip(*[text[i] for i in idx])))
-                      + "\n").encode("utf-8"))
-
-
-def _fork_share(columns: dict, names: list, outs: list, lo: int,
-                hi: int) -> int:
-    """Format rows lo:hi into `outs` in a forked child; returns its pid.
-
-    The child leaves only through os._exit, with status 0 once its files
-    are flushed and 1 on any exception, so no buffer, atexit hook or
-    finally block it inherited runs a second time."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        _format_rows(columns, names, outs, lo, hi)
-        for fh, _ in outs:
-            fh.flush()
-        status = 0
-    except BaseException as exc:
-        try:
-            os.write(2, f"xbstab: CSV rows {lo}-{hi}: {exc!r}\n"
-                     .encode("utf-8", "replace"))
-        except BaseException:
-            pass
-    finally:
-        os._exit(status)
-
-
-def _append(dst, src):
-    """Append all of binary file `src` to `dst`: in the kernel with
-    os.sendfile where it copies between files (Linux), which keeps the
-    copy out of this process's memory, else through a buffer."""
-    dst.flush()
-    size, sent = os.fstat(src.fileno()).st_size, 0
-    try:
-        while sent < size:
-            step = os.sendfile(dst.fileno(), src.fileno(), sent, size - sent)
-            if step == 0:
-                raise OSError(f"a CSV share ended {size - sent} bytes early")
-            sent += step
-    except OSError:
-        if sent:
-            raise
-        src.seek(0)
-        shutil.copyfileobj(src, dst)
-
-
-def _write_csvs(columns: dict, files: list):
-    """Write CSV files drawn from one set of columns.
-
-    `columns` maps a column name to a 1-D array; integer arrays are
-    written with str(), float arrays with "%.17g". `files` lists
-    (path, column names) pairs; each file gets a header of its column
-    names and one row per sample. The bytes equal those of np.savetxt with
-    fmt "%.17g" ("%d" for the integer columns), delimiter "," and no
-    comment prefix, however the rows are split.
-
-    The rows are split by _share_bounds into contiguous shares. Before
-    forking, this process opens the files and, for every share after the
-    first, one unnamed temporary file per CSV file in that file's
-    directory. A child forked for each such share formats it into its
-    temporary files while this process formats the first share straight
-    into the files; then every child is waited for and the shares are
-    appended in order. The children share the columns copy-on-write, so
-    nothing is pickled. A child that fails raises OSError here; on any
-    failure the CSV files are removed, and no temporary file outlives the
-    call. With a single share nothing is forked.
-
-    The children's memory and CPU time are not this process's: VmHWM and
-    thread CPU time leave them out, RUSAGE_CHILDREN counts them. On Python
-    3.12 and later os.fork warns when the process has threads, as numpy's
-    BLAS pool may; the children only format and write text, and call no
-    BLAS routine.
-    """
-    names = list(dict.fromkeys(name for _, cols in files for name in cols))
-    n = len(columns[names[0]])
-    if n == 0:
-        raise ValueError("cannot write CSV files for an empty trajectory")
-    bounds = _share_bounds(n)
-    idx = [[names.index(c) for c in cols] for _, cols in files]
-    opened = []
-    try:
-        with ExitStack() as stack:
-            finals = []
-            for path, _ in files:
-                finals.append(stack.enter_context(open(path, "wb")))
-                opened.append(path)
-            shares = [[stack.enter_context(
-                          tempfile.TemporaryFile(dir=Path(path).parent))
-                       for path, _ in files] for _ in bounds[1:]]
-            pids = []
-            try:
-                for (lo, hi), tmps in zip(bounds[1:], shares):
-                    pids.append(_fork_share(columns, names,
-                                            list(zip(tmps, idx)), lo, hi))
-                for fh, (_, cols) in zip(finals, files):
-                    fh.write((",".join(cols) + "\n").encode("utf-8"))
-                _format_rows(columns, names, list(zip(finals, idx)),
-                             *bounds[0])
-            finally:
-                statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-            for (lo, hi), status in zip(bounds[1:], statuses):
-                if status != 0:
-                    raise OSError(f"the CSV writer's child for rows "
-                                  f"{lo}-{hi} ended with exit code "
-                                  f"{os.waitstatus_to_exitcode(status)}")
-            for fh, tmps in zip(finals, zip(*shares)):
-                for tmp in tmps:
-                    _append(fh, tmp)
-    except BaseException:
-        for path in opened:
-            Path(path).unlink(missing_ok=True)
-        raise
-
-
 def _plot_files(out: Path, phase_name: str, timeseries_name: str) -> list:
     return [(out / phase_name, _PHASE_COLUMNS),
             (out / timeseries_name, _TIMESERIES_COLUMNS)]
@@ -460,18 +289,18 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
     `path`: the full sample table (one row per trajectory sample) and the
     phase and time-series extracts of emit_plot_data.
 
-    One pass formats each value once and writes the same string into every
-    file that has its column, split over forked row shares by _write_csvs;
-    the bytes are those of formatting each file on its own.
+    One pass of csvwriter.write_csvs formats each value once and writes
+    the same string into every file that has its column; the bytes are
+    those of formatting each file on its own.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     columns = _columns(traj)
     columns["u"] = traj.control(scn.params, scn.k)
-    _write_csvs(columns,
-                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
-                + _plot_files(out, scn.outputs["phase_csv"],
-                              scn.outputs["timeseries_csv"]))
+    write_csvs(columns,
+               [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
+               + _plot_files(out, scn.outputs["phase_csv"],
+                             scn.outputs["timeseries_csv"]))
 
 
 def emit_plot_data(traj: HybridTrajectory, path,
@@ -487,7 +316,7 @@ def emit_plot_data(traj: HybridTrajectory, path,
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = _plot_files(out, phase_name, timeseries_name)
-    _write_csvs(_columns(traj), files)
+    write_csvs(_columns(traj), files)
     return files[0][0], files[1][0]
 
 

@@ -1,17 +1,17 @@
 """Unit and end-to-end tests for the scenario runner."""
 
-import errno
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from xbstab import cli
+from xbstab import cli, csvwriter
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -205,7 +205,7 @@ class TestOnePassWriter:
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_block_edges_and_extreme_values(self, tmp_path, offset):
-        n = 1 if offset is None else cli._CSV_BLOCK_ROWS + offset
+        n = 1 if offset is None else csvwriter._BLOCK_ROWS + offset
         traj = _edge_trajectory(n)
         scn = _EDGE_SCENARIO
         out = tmp_path / "out"
@@ -219,7 +219,7 @@ class TestOnePassWriter:
         assert ",1000000,1000000," in text.splitlines()[-1]
 
     def test_emit_plot_data_matches_reference(self, tmp_path):
-        traj = _edge_trajectory(cli._CSV_BLOCK_ROWS + 1)
+        traj = _edge_trajectory(csvwriter._BLOCK_ROWS + 1)
         scn = _EDGE_SCENARIO
         ref = tmp_path / "ref"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,7 +241,7 @@ class TestOnePassWriter:
         out = tmp_path / "out"
         assert main(["run", str(short_scenario), "--out", str(out)]) == 0
         scn = build_scenario(load_config(short_scenario))
-        assert len(runs) == 1 and len(runs[0]) > cli._CSV_BLOCK_ROWS
+        assert len(runs) == 1 and len(runs[0]) > csvwriter._BLOCK_ROWS
         _assert_csvs_match_reference(scn, runs[0], out)
 
 
@@ -250,8 +250,8 @@ class TestOnePassWriter:
 def three_shares(monkeypatch):
     """The split writer with three usable CPUs and 300-row shares; the
     returned list collects the pid of every child it forks."""
-    monkeypatch.setattr(cli, "_CSV_MIN_SHARE_ROWS", 300)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
+    monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 3)
     fork, children = os.fork, []
 
     def counting_fork():
@@ -287,22 +287,24 @@ class TestSplitWriter:
         assert len(three_shares) == forks
         _assert_no_child_left()
 
-    def test_buffered_append_where_sendfile_takes_no_file(
-            self, tmp_path, three_shares, monkeypatch):
-        def sockets_only(*args):
-            raise OSError(errno.ENOTSOCK, "not a socket")
-
-        monkeypatch.setattr(os, "sendfile", sockets_only)
-        traj = _edge_trajectory(902)
+    def test_forked_write_with_warnings_as_errors(self, tmp_path,
+                                                  three_shares):
+        """One forked write with every warning an error. Python 3.12 and
+        later warn from os.fork when the process has threads, as numpy's
+        BLAS pool may start; a run under -W error would then fail here."""
+        traj = _edge_trajectory(600)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(), \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
-        assert len(three_shares) == 2
+        assert len(three_shares) == 1
+        _assert_no_child_left()
 
     def test_one_cpu_writes_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_CSV_MIN_SHARE_ROWS", 300)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
+        monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 1)
 
         def no_fork():
             raise AssertionError("forked with one usable CPU")
@@ -330,7 +332,7 @@ class TestSplitWriter:
         parent = os.getpid()
         failing_variant = []
         write = cli.write_trajectory_csv
-        format_rows = cli._format_rows
+        format_rows = csvwriter._format_rows
 
         def marking(scn, traj, path):
             failing_variant[:] = [scn.k == 400]
@@ -342,7 +344,7 @@ class TestSplitWriter:
             return format_rows(*args)
 
         monkeypatch.setattr(cli, "write_trajectory_csv", marking)
-        monkeypatch.setattr(cli, "_format_rows", failing_in_child)
+        monkeypatch.setattr(csvwriter, "_format_rows", failing_in_child)
         out = tmp_path / "out"
         rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
                           sweep="controller.k=400,500")
