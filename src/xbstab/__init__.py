@@ -9,41 +9,31 @@ routines that numerically verify every constructive bound (dwell times,
 excitation, exponential error envelope).
 """
 
-from .errors import (BadInitialBall, CycleNotFound, IllegalJump,
-                     InvalidGains, NoCertificate, NoExcitation,
-                     PlacementFailed, StateOutOfDomain, StepFailure,
-                     XbstabError, ZenoSuspected)
-from .model import (ControllerConfig, HSchedule, HScheduleKind, HybridState,
-                    HybridTrajectory, JumpKind, JumpRecord, ObserverGains,
-                    PlantParams, SolverConfig, derive_control_gain, g_of,
+from .errors import (BadInitialBall, InvalidGains, NoCertificate,
+                     StateOutOfDomain, ZenoSuspected)
+from .model import (ControllerConfig, HSchedule, HybridState,
+                    HybridTrajectory, JumpKind, ObserverGains, PlantParams,
+                    SolverConfig, derive_control_gain, g_of,
                     reference_set_value, t_lmin_asymptote)
-from .lyapunov import (DecayCertificate, DwellTimeCertificate,
-                       LyapunovCertificate, complete_gains,
-                       decay_certificate, dwell_certificate,
+from .lyapunov import (complete_gains, dwell_certificate,
                        dwell_time_lower_bound, solve_common_lyapunov)
-from .dynamics import (FlowDerivative, control_input, flow_map, in_Dc,
-                       in_Dnc, jump_map, observer_rhs_zhat,
-                       phi_contraction_norm)
-from .engine import EventRecord, initialize, integrate_flow, simulate
-from .analysis import (BoundReport, DwellReport, check_envelope,
-                       check_overshoot_bound, check_vobs_monotone,
-                       extract_dwell)
+from .dynamics import (control_input, flow_map, in_Dc, in_Dnc, jump_map,
+                       observer_rhs_zhat, phi_contraction_norm)
+from .engine import initialize, simulate
+from .analysis import (check_envelope, check_vobs_monotone, extract_dwell,
+                       verify_bounds)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BadInitialBall", "BoundReport", "ControllerConfig", "CycleNotFound",
-    "DecayCertificate", "DwellReport", "DwellTimeCertificate",
-    "EventRecord", "FlowDerivative", "HSchedule", "HScheduleKind",
-    "HybridState", "HybridTrajectory", "IllegalJump", "InvalidGains",
-    "JumpKind", "JumpRecord", "LyapunovCertificate", "NoCertificate",
-    "NoExcitation", "ObserverGains", "PlacementFailed", "PlantParams",
-    "SolverConfig", "StateOutOfDomain", "StepFailure", "XbstabError",
-    "ZenoSuspected", "check_envelope", "check_overshoot_bound",
-    "check_vobs_monotone", "complete_gains", "control_input",
-    "decay_certificate", "derive_control_gain", "dwell_certificate",
-    "dwell_time_lower_bound", "extract_dwell", "flow_map", "g_of",
-    "in_Dc", "in_Dnc", "initialize", "integrate_flow", "jump_map",
+    "BadInitialBall", "ControllerConfig", "HSchedule", "HybridState",
+    "HybridTrajectory", "InvalidGains", "JumpKind", "NoCertificate",
+    "ObserverGains", "PlantParams", "SolverConfig", "StateOutOfDomain",
+    "ZenoSuspected", "check_envelope", "check_vobs_monotone",
+    "complete_gains", "control_input", "derive_control_gain",
+    "dwell_certificate", "dwell_time_lower_bound", "extract_dwell",
+    "flow_map", "g_of", "in_Dc", "in_Dnc", "initialize", "jump_map",
     "observer_rhs_zhat", "phi_contraction_norm", "reference_set_value",
     "simulate", "solve_common_lyapunov", "t_lmin_asymptote",
+    "verify_bounds",
 ]

@@ -124,8 +124,8 @@ def jump_map(state: HybridState, which: JumpKind) -> HybridState:
     """Reset map G: sign flip of z* within a cycle, halving at a new cycle.
 
     z and z_tilde are continuous variables and never change across jumps.
-    Guard preconditions are the caller's duty (checked by the engine); only
-    structural legality is enforced here.
+    Guard preconditions are the caller's duty (the engine jumps on the
+    kernel's guard verdict); only structural legality is enforced here.
     """
     if which is JumpKind.WITHIN_CYCLE:
         return state.replace(z_star=-state.z_star)
@@ -134,13 +134,3 @@ def jump_map(state: HybridState, which: JumpKind) -> HybridState:
                              z_star=state.z_star / 2.0, phi=np.eye(2))
     raise IllegalJump(f"unknown jump kind {which!r}")
 
-
-def checked_jump(params: PlantParams, cfg: ControllerConfig,
-                 cert: LyapunovCertificate, state: HybridState,
-                 which: JumpKind) -> HybridState:
-    """jump_map with its guard precondition enforced."""
-    if which is JumpKind.WITHIN_CYCLE and not in_Dc(params, cfg, state):
-        raise IllegalJump("within-cycle jump requested outside D_c")
-    if which is JumpKind.NEW_CYCLE and not in_Dnc(params, cfg, cert, state):
-        raise IllegalJump("cycle-transition jump requested outside D_nc")
-    return jump_map(state, which)

@@ -9,12 +9,12 @@ HybridTrajectory ordered lexicographically in hybrid time (t, j).
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fastpath
-from .dynamics import in_Dc, in_Dnc, jump_map
+# in_Dc and in_Dnc stay bound for benchmark/spans.py, which wraps them here
+from .dynamics import in_Dc, in_Dnc, jump_map  # noqa: F401
 from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
                      StepFailure, ZenoSuspected)
 from .lyapunov import LyapunovCertificate
@@ -24,16 +24,6 @@ from .model import (ControllerConfig, HybridState, HybridTrajectory,
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """A localized guard activation terminating a flow segment."""
-
-    t: float
-    j: int                      # jump counter before the jump
-    guard: str                  # "Dc" or "Dnc"
-    bracket_width: float
 
 
 def initial_cycle(cfg: ControllerConfig, gamma: float) -> int:
@@ -176,32 +166,6 @@ def _run_segment(params, gains, cert, cfg, solver, k, state, t_start,
         float(ret[3])
 
 
-def integrate_flow(params: PlantParams, gains: ObserverGains,
-                   cert: LyapunovCertificate, cfg: ControllerConfig,
-                   solver: SolverConfig, state: HybridState,
-                   t_start: float, j: int, k: float = None):
-    """Integrate one flow segment; stop at the first guard activation.
-
-    Returns (segment trajectory, EventRecord or None); None means the
-    horizon t_end was reached (or the convergence stop fired) first. The
-    segment includes the start sample and, on an event, the pre-jump sample
-    at the event instant.
-    """
-    if k is None:
-        k = derive_control_gain(params, cfg, cert.gamma)
-    rec = _Recorder()
-    rec.add_state(t_start, state, j)
-    buf = np.empty((_INIT_BUFFER_ROWS, 10))
-    code, t_fin, end_state, width = _run_segment(
-        params, gains, cert, cfg, solver, k, state, t_start, rec, j, buf)
-    event = None
-    if code == fastpath.CODE_DC:
-        event = EventRecord(t=t_fin, j=j, guard="Dc", bracket_width=width)
-    elif code == fastpath.CODE_DNC:
-        event = EventRecord(t=t_fin, j=j, guard="Dnc", bracket_width=width)
-    return rec.trajectory(), event
-
-
 def simulate(params: PlantParams, gains: ObserverGains,
              cert: LyapunovCertificate, cfg: ControllerConfig,
              solver: SolverConfig, z0, z_hat0,
@@ -213,12 +177,17 @@ def simulate(params: PlantParams, gains: ObserverGains,
     Zeno guard. The control gain defaults to derive_control_gain; passing k
     overrides it (the nominal scenario uses a hand-tuned fixed gain).
 
-    Boundary convention: a flow segment ends at the kernel's located event,
-    which lies on the guard-true side of the boundary
-    (fastpath._bisect_guard). The jump is taken there, and the closed sets
-    in_Dc/in_Dnc are then tested for chained jumps. A WithinCycle flip
-    therefore leaves |zhat2| just above the D_c threshold, outside D_nc,
-    and a NewCycle never chains onto it at |zhat2| = thr.
+    Boundary convention: every jump is taken on the kernel's verdict. A
+    flow segment ends at the kernel's located event, which lies on the
+    guard-true side of the boundary (fastpath._bisect_guard), and the jump
+    is taken there. The next segment starts with the kernel's guard test
+    of its start point (fastpath._guard_any), so a chained jump is a
+    segment that returns a guard code without advancing t; the jump at
+    t = 0 from an initial state in D_c is one. A WithinCycle flip leaves
+    |zhat2| just above the D_c threshold, outside D_nc, so a NewCycle
+    never chains onto it at |zhat2| = thr. More than 4 chained jumps in a
+    row raise ZenoSuspected, and a WithinCycle chained onto a WithinCycle
+    raises IllegalJump.
     """
     if k is None:
         k = derive_control_gain(params, cfg, cert.gamma)
@@ -227,62 +196,42 @@ def simulate(params: PlantParams, gains: ObserverGains,
     rec.add_state(0.0, state, 0)
 
     t, j = 0.0, 0
+    chained = 0                 # jumps in a row from segments without flow
     buf = np.empty((_INIT_BUFFER_ROWS, 10))
     window = collections.deque()
 
-    def note_jump(tj):
-        window.append(tj)
-        while window and window[0] < tj - solver.zeno_window:
-            window.popleft()
-        if len(window) > solver.zeno_max_jumps:
-            raise ZenoSuspected(
-                f"{len(window)} jumps within {solver.zeno_window} time units "
-                f"around t={tj}")
-
-    def do_jump(kind):
-        nonlocal state, j
-        pre = state
+    while True:
+        t_start = t
+        code, t, state, _ = _run_segment(
+            params, gains, cert, cfg, solver, k, state, t, rec, j, buf)
+        if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
+            break
+        kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \
+            else JumpKind.NEW_CYCLE
+        if t > t_start:
+            chained = 0
+        else:
+            chained += 1
+            if kind is JumpKind.WITHIN_CYCLE and rec.jumps \
+                    and rec.jumps[-1].kind is JumpKind.WITHIN_CYCLE:
+                raise IllegalJump(
+                    f"within-cycle guard re-fired without flow at t={t}")
         state = jump_map(state, kind)
         rec.jumps.append(JumpRecord(t=t, j=j, kind=kind))
         j += 1
         rec.add_state(t, state, j)
-        note_jump(t)
-        if kind is JumpKind.WITHIN_CYCLE and in_Dc(params, cfg, state):
-            raise IllegalJump(
-                f"within-cycle guard re-fired without flow at t={t} "
-                f"(z_star {pre.z_star} -> {state.z_star})")
-
-    while True:
-        # drain guard memberships at the current point (chained jumps)
-        chained = 0
-        hit_cap = False
-        while True:
-            if in_Dc(params, cfg, state):
-                do_jump(JumpKind.WITHIN_CYCLE)
-            elif in_Dnc(params, cfg, cert, state):
-                do_jump(JumpKind.NEW_CYCLE)
-                if state.cycle >= cfg.max_cycles:
-                    hit_cap = True
-                    break
-            else:
-                break
-            chained += 1
-            if chained > 4:
-                raise ZenoSuspected(
-                    f"more than 4 chained jumps without flow at t={t}")
-        if hit_cap or t >= solver.t_end:
-            break
-
-        code, t, state, width = _run_segment(
-            params, gains, cert, cfg, solver, k, state, t, rec, j, buf)
-        if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
-            break
-        # guard event: jump on the kernel's verdict at the localized point
-        kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \
-            else JumpKind.NEW_CYCLE
-        do_jump(kind)
+        window.append(t)
+        while window and window[0] < t - solver.zeno_window:
+            window.popleft()
+        if len(window) > solver.zeno_max_jumps:
+            raise ZenoSuspected(
+                f"{len(window)} jumps within {solver.zeno_window} time units "
+                f"around t={t}")
         if kind is JumpKind.NEW_CYCLE and state.cycle >= cfg.max_cycles:
             break
+        if chained > 4:
+            raise ZenoSuspected(
+                f"more than 4 chained jumps without flow at t={t}")
 
     traj = rec.trajectory()
     traj.validate_domain()

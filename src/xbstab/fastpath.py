@@ -230,26 +230,37 @@ def _dp_step(p, md, za, y, k1, h):
     k1 = f(y).
 
     Returns (y1, k7, err): the 5th-order solution, f(y1) (FSAL) and the
-    embedded error estimate.
+    embedded error estimate; NaN or inf where a step far too large drives
+    the closed form out of range (math.exp raises on CPython).
     """
     tau, z1 = y
     a1, b1 = k1
-    a2, b2 = _f(p, md, za, tau + h * (_A21 * a1), z1 + h * (_A21 * b1))
-    a3, b3 = _f(p, md, za, tau + h * (_A31 * a1 + _A32 * a2),
-                z1 + h * (_A31 * b1 + _A32 * b2))
-    a4, b4 = _f(p, md, za, tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
-                z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
-    a5, b5 = _f(p, md, za,
-                tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4))
-    a6, b6 = _f(p, md, za,
-                tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4
-                           + _A65 * a5),
-                z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
-                          + _A65 * b5))
-    y1 = (tau + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
-          z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6))
-    k7 = _f(p, md, za, y1[0], y1[1])
+    try:                        # numba catches Exception, no subclass
+        a2, b2 = _f(p, md, za, tau + h * (_A21 * a1),
+                    z1 + h * (_A21 * b1))
+        a3, b3 = _f(p, md, za, tau + h * (_A31 * a1 + _A32 * a2),
+                    z1 + h * (_A31 * b1 + _A32 * b2))
+        a4, b4 = _f(p, md, za,
+                    tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
+                    z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
+        a5, b5 = _f(p, md, za,
+                    tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3
+                               + _A54 * a4),
+                    z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3
+                              + _A54 * b4))
+        a6, b6 = _f(p, md, za,
+                    tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3
+                               + _A64 * a4 + _A65 * a5),
+                    z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3
+                              + _A64 * b4 + _A65 * b5))
+        y1 = (tau + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5
+                         + _B6 * a6),
+              z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5
+                        + _B6 * b6))
+        k7 = _f(p, md, za, y1[0], y1[1])
+    except Exception:
+        nan2 = (math.nan, math.nan)
+        return nan2, nan2, nan2
     err = (h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6
                 + _E7 * k7[0]),
            h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
@@ -272,6 +283,8 @@ def _step_factor(enorm):
     """Step-size factor 0.9 enorm^(-1/5), within [0.2, 5]."""
     if enorm <= 1e-30:
         return 5.0
+    if not enorm < 1e4:         # 0.2 from here on, and for a NaN enorm
+        return 0.2
     return min(5.0, max(0.2, 0.9 * enorm ** -0.2))
 
 
@@ -346,7 +359,7 @@ def _step_to_root(p, md, za, y0, f0, hr, h):
         if abs(y1[1]) <= ztol or f1[1] == 0.0:
             break
         hn = hr - y1[1] / f1[1]
-        if hn <= 0.0 or hn > h:
+        if not 0.0 < hn <= h:   # also a NaN hn, from an overflowed step
             break
         hr = hn
         y1, f1, err = _dp_step(p, md, za, y0, f0, hr)
@@ -498,7 +511,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         y0 = (ys[0], ys[1])
         y1, f1, err = _dp_step(p, md, za, y0, f0, h)
         hs = h
-        crossed = s * y1[1] < 0.0 and not flipped
+        crossed = -math.inf < s * y1[1] < 0.0 and not flipped
         at_root = False
         if crossed:
             # z1 changes sign: retake the step up to its root
@@ -517,7 +530,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             hs, y1, f1, err, at_root = _step_to_root(p, md, za, y0, f0, hs,
                                                      h)
         enorm = _err_norm(y0, y1, err, ya[0], atol, rtol)
-        if enorm > 1.0:
+        if not enorm <= 1.0:
             h = hs * _step_factor(enorm)
             continue
         flipped = False

@@ -40,11 +40,6 @@ class PlantParams:
         """Lower boundary -d/c of the admissible z2 half-line."""
         return -self.d / self.c
 
-    @property
-    def output_matrix(self) -> np.ndarray:
-        """The fixed output map C = [1 0]."""
-        return np.array([[1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class ObserverGains:
@@ -91,14 +86,6 @@ class ObserverGains:
     def A2(self) -> np.ndarray:
         a, c = self.params.a, self.params.c
         return np.array([[self.k1_minus, a], [self.k2_minus, -c]])
-
-    def mode_matrix(self, w1: float) -> np.ndarray:
-        """A(w1): A1 for w1 > 0, A2 for w1 < 0, zero at w1 = 0."""
-        if w1 > 0:
-            return self.A1
-        if w1 < 0:
-            return self.A2
-        return np.zeros((2, 2))
 
     def injection(self, z1: float) -> tuple[float, float]:
         """(k1(z1), k2(z1)) with the zero convention at z1 = 0."""

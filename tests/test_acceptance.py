@@ -320,8 +320,9 @@ def _oracle_jumps(params, gains, cert, cfg, z0, z_hat0, k, t_end):
         D_nc: min(s + thr, -s, lambda_min h(i)^2 - lambda_max(Phi'P Phi)) >= 0
 
     Boundary convention, as in the engine: a flow event is located on the
-    guard-true side (the guard function strictly positive), then the
-    closed sets are tested for chained jumps. A WithinCycle flip thus
+    guard-true side (the guard function strictly positive), and after each
+    jump the closed sets are tested at the same point for a chained jump,
+    as the kernel's start check does before any flow. A WithinCycle flip thus
     leaves |zhat2| just above thr, outside D_nc, and no NewCycle chains
     onto it. Locating events on the guard-false side instead lets D_nc
     fire at |zhat2| = thr right after a flip, which moves the first

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from xbstab import check_envelope, extract_dwell
 from xbstab.analysis import (check_dwell_lower_bound, check_overshoot_bound,
                              check_phi_oracle, check_zeno, cycle_slice,
-                             verify_bounds)
+                             overshoot_comparison, verify_bounds)
 from xbstab.errors import CycleNotFound, NoExcitation
-from xbstab.lyapunov import DecayCertificate, decay_certificate
+from xbstab.lyapunov import (DecayCertificate, decay_certificate,
+                             dwell_time_lower_bound)
 from xbstab.model import HybridTrajectory, JumpKind, JumpRecord
 
 from test_model import make_cfg
@@ -164,6 +166,24 @@ class TestRunLevelChecks:
         assert check_overshoot_bound(golden_run, sv_params, sv_cfg, 2)
         with pytest.raises(CycleNotFound):
             check_overshoot_bound(golden_run, sv_params, sv_cfg, 0)
+
+    @pytest.mark.parametrize("i_star", [1, 2])
+    def test_overshoot_closed_form_matches_dop853(self, golden_run,
+                                                  sv_params, sv_cfg, i_star):
+        """The comparison bound's closed form against a DOP853 integration
+        of dz2/dt = M (c z2 + d) at rtol 1e-12."""
+        ts, _, bound = overshoot_comparison(golden_run, sv_params, sv_cfg,
+                                            i_star)
+        assert ts.size > 100
+        c, d = sv_params.c, sv_params.d
+        M = float(np.abs(golden_run.z1[cycle_slice(golden_run,
+                                                   i_star)]).max())
+        _, _, t_lmin = dwell_time_lower_bound(sv_params, sv_cfg, i_star)
+        z2_0 = (d / c + sv_cfg.epsilon) / 2.0 ** (i_star - 1)
+        sol = solve_ivp(lambda _, z: [M * (c * z[0] + d)], (0.0, t_lmin),
+                        [z2_0], t_eval=np.clip(ts, 0.0, t_lmin),
+                        rtol=1e-12, atol=1e-14, method="DOP853")
+        np.testing.assert_allclose(bound, sol.y[0], rtol=1e-10, atol=0.0)
 
     def test_dwell_lower_bound_ratio(self, golden_run, sv_params, sv_cfg):
         ok, ratio = check_dwell_lower_bound(golden_run, sv_params, sv_cfg)

@@ -1,7 +1,9 @@
 """Unit and end-to-end tests for the scenario runner."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -382,6 +384,23 @@ class TestEndToEnd:
         assert (out / "phase.csv").exists()
         assert (out / "timeseries.csv").exists()
 
+    @pytest.mark.parametrize("max_step", [0.1, 0.5, 1.0])
+    def test_oversized_first_trial_is_rejected(self, tmp_path, scenario_dict,
+                                               max_step):
+        """From z1 = 0, where dz1/dt = -37,500, the first trial step
+        (max_step/10) drives the closed form's exponential out of range:
+        math.exp overflows at tau - tau_a of about -115 for max_step 0.1.
+        The kernel rejects that trial and shrinks the step, so the run
+        completes."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["solver"].update(max_step=max_step, t_end=0.05)
+        p = tmp_path / "big_step.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        run_scenario(p, out_dir=out, checks="none")
+        assert (out / "report.json").is_file()
+        assert not (out / "error.json").exists()
+
     def test_invalid_gains_produce_error_artifact(self, tmp_path,
                                                   scenario_dict, capsys):
         cfg = json.loads(json.dumps(scenario_dict))
@@ -575,9 +594,38 @@ def _modules_loaded_by_cli_import(names) -> list:
 
 
 def test_cli_import_does_not_load_scipy():
-    """scipy is needed only by check_overshoot_bound, which the CLI never
-    runs; importing the CLI must not pay for it."""
+    """scipy is a test-only dependency, and importing it would add about
+    0.6 s to every CLI start: importing the CLI must not load it."""
     assert _modules_loaded_by_cli_import(["scipy"]) == []
+
+
+def test_no_package_module_imports_scipy():
+    """scipy is in the ``test`` extra only, so no module of the package may
+    import it, lazily or at module level."""
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_readme_python_example_runs():
+    """The README's Python example runs as written, so it cannot drift
+    from the names the package exports."""
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    assert namespace["traj"].jumps
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -14,8 +14,7 @@ from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
                     control_input, fastpath, flow_map, in_Dc, in_Dnc,
                     jump_map, observer_rhs_zhat, phi_contraction_norm,
                     simulate)
-from xbstab.dynamics import checked_jump, tracking_error_rhs_analysis_form
-from xbstab.errors import IllegalJump
+from xbstab.dynamics import tracking_error_rhs_analysis_form
 
 from test_model import make_cfg
 
@@ -176,16 +175,6 @@ class TestJumpMap:
         assert s2.z_star == -37.5
         assert s2.tau == 0.0 and s2.cycle == 2
         assert np.array_equal(s2.phi, np.eye(2))
-
-    def test_checked_jump_enforces_guards(self, sv_params, sv_cert):
-        cfg = make_cfg()
-        inside_band = make_state(z2=0.1, zt2=0.0, z_star=75.0)
-        with pytest.raises(IllegalJump):
-            checked_jump(sv_params, cfg, sv_cert, inside_band,
-                         JumpKind.WITHIN_CYCLE)
-        with pytest.raises(IllegalJump):
-            checked_jump(sv_params, cfg, sv_cert, inside_band,
-                         JumpKind.NEW_CYCLE)
 
 
 # --- the kernel's flow and guards against the definitions above ----------

@@ -3,6 +3,7 @@ execution loop, with a scipy reference integration as oracle."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from scipy.integrate import solve_ivp
 
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
                     ZenoSuspected, engine, fastpath, flow_map,
-                    initialize, integrate_flow, simulate)
+                    initialize, simulate)
 from xbstab.analysis import cycle_slice
 from xbstab.engine import _Recorder, _run_segment, initial_cycle
+from xbstab.errors import IllegalJump
 from xbstab.model import g_of
 
 from test_model import make_cfg
@@ -118,6 +120,24 @@ def _reference_end(sv_params, sv_gains, y0, t_end):
         z1_root.direction = direction
     raise AssertionError(f"reference needed over {_REFERENCE_MAX_RESTARTS} "
                          f"restarts to reach t={t_end}")
+
+
+def integrate_flow(params, gains, cert, cfg, solver, state, t_start, j, k):
+    """One flow segment through engine._run_segment, as (segment, event).
+
+    The segment includes the start sample; event is None at the horizon,
+    else its guard ("Dc" or "Dnc"), time and bracket width."""
+    rec = _Recorder()
+    rec.add_state(t_start, state, j)
+    code, t_fin, _, width = _run_segment(
+        params, gains, cert, cfg, solver, k, state, t_start, rec, j,
+        np.empty((1 << 17, 10)))
+    event = None
+    if code in (fastpath.CODE_DC, fastpath.CODE_DNC):
+        event = SimpleNamespace(
+            t=t_fin, bracket_width=width,
+            guard="Dc" if code == fastpath.CODE_DC else "Dnc")
+    return rec.trajectory(), event
 
 
 class TestIntegrateFlow:
@@ -353,6 +373,58 @@ def test_z1_roots_are_recorded(dense_20ms):
                 assert np.abs(z1[a:b + 1]).min() <= tol, f"root near " \
                     f"z1 = {z1[a]:.3g} -> {z1[b]:.3g}"
     assert changes >= 4
+
+
+def test_initial_within_cycle_precedes_flow(dense_20ms):
+    """The bundled estimate starts in D_c: its WithinCycle is taken at
+    t = 0 before any flow row, so the run opens with two rows at t = 0,
+    before and after the flip."""
+    traj = dense_20ms
+    assert traj.jumps[0].kind is JumpKind.WITHIN_CYCLE
+    assert traj.jumps[0].t == 0.0
+    assert list(traj.t[:2]) == [0.0, 0.0] and list(traj.j[:2]) == [0, 1]
+    assert traj.z_star[1] == -traj.z_star[0]
+    assert traj.t[2] > 0.0
+
+
+def _frozen_flow(code, starts):
+    """A stand-in for fastpath.flow_segment that reports the guard code at
+    its start point without advancing t or writing a row."""
+    def flow(y, t_start, sc, buf, n0, ret):
+        starts.append(t_start)
+        ret[0], ret[1], ret[2], ret[3] = code, t_start, n0, 0.0
+    return flow
+
+
+class TestChainedJumps:
+    """Jumps from segments that do not advance t are chained jumps; the
+    engine caps them and rejects a WithinCycle chained onto another. The
+    start state lies in neither jump set, so every jump comes from the
+    kernel's code."""
+
+    def _simulate(self, sv_params, sv_gains, sv_cert):
+        return simulate(sv_params, sv_gains, sv_cert, make_cfg(max_cycles=64),
+                        SolverConfig(max_step=5.4e-5, t_end=0.12),
+                        [0.0, 0.3], [0.0, 0.3], k=500.0)
+
+    def test_zero_advance_new_cycles_hit_the_chain_cap(
+            self, monkeypatch, sv_params, sv_gains, sv_cert):
+        starts = []
+        monkeypatch.setattr(fastpath, "flow_segment",
+                            _frozen_flow(fastpath.CODE_DNC, starts))
+        with pytest.raises(ZenoSuspected, match="more than 4 chained"):
+            self._simulate(sv_params, sv_gains, sv_cert)
+        # one jump per segment, the fifth one raises
+        assert starts == [0.0] * 5
+
+    def test_within_cycle_chained_onto_within_cycle_is_illegal(
+            self, monkeypatch, sv_params, sv_gains, sv_cert):
+        starts = []
+        monkeypatch.setattr(fastpath, "flow_segment",
+                            _frozen_flow(fastpath.CODE_DC, starts))
+        with pytest.raises(IllegalJump, match="without flow at t=0.0"):
+            self._simulate(sv_params, sv_gains, sv_cert)
+        assert starts == [0.0] * 2
 
 
 class TestSimulate:
