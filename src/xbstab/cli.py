@@ -77,8 +77,9 @@ _G_PROBE_CYCLES = 400
 _G_ZERO_LOG = math.log(1e-12)
 
 # the failures that end a run, or one sweep variant, in an error.json
-# (json.JSONDecodeError is a ValueError)
-_RUN_ERRORS = (XbstabError, ValueError, KeyError, OSError)
+# (json.JSONDecodeError is a ValueError; math.exp raises OverflowError, an
+# ArithmeticError)
+_RUN_ERRORS = (XbstabError, ValueError, KeyError, OSError, ArithmeticError)
 
 # marks a config field that has no default
 _REQUIRED = object()

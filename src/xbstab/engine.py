@@ -12,7 +12,7 @@ import collections
 
 import numpy as np
 
-from . import fastpath
+from . import emission, fastpath
 # in_Dc and in_Dnc stay bound for benchmark/spans.py, which wraps them here
 from .dynamics import in_Dc, in_Dnc, jump_map  # noqa: F401
 from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
@@ -114,15 +114,17 @@ class _Recorder:
                  state.z_star)
 
     def trajectory(self) -> HybridTrajectory:
+        """The recorded arc. Takes the blocks out of the recorder, so that
+        they are freed before phi is copied out of the assembled rows."""
         if not self.blocks:
             raise ValueError("empty trajectory")
-        data = np.concatenate([b[0] for b in self.blocks])
-        j = np.concatenate([np.full(b[0].shape[0], b[1], dtype=np.int64)
-                            for b in self.blocks])
-        cyc = np.concatenate([np.full(b[0].shape[0], b[2], dtype=np.int64)
-                              for b in self.blocks])
-        zs = np.concatenate([np.full(b[0].shape[0], b[3])
-                             for b in self.blocks])
+        blocks, self.blocks = self.blocks, []
+        n = [b[0].shape[0] for b in blocks]
+        data = np.concatenate([b[0] for b in blocks])
+        j = np.repeat(np.array([b[1] for b in blocks], np.int64), n)
+        cyc = np.repeat(np.array([b[2] for b in blocks], np.int64), n)
+        zs = np.repeat(np.array([b[3] for b in blocks], float), n)
+        del blocks
         return HybridTrajectory(
             t=data[:, 0], j=j, cycle=cyc, tau=data[:, 1],
             z1=data[:, 2], z2=data[:, 3],
@@ -130,14 +132,23 @@ class _Recorder:
             z_star=zs, phi=data[:, 6:10].copy(), jumps=self.jumps)
 
 
+def _span_array(buf: np.ndarray) -> np.ndarray:
+    """Room for every span descriptor flow_segment can write into buf.
+    np.empty: pages no descriptor reaches are never touched."""
+    return np.empty((buf.shape[0] // 2, fastpath.N_SP))
+
+
 def _run_segment(params, gains, cert, cfg, solver, k, state, t_start,
-                 recorder, j, buf):
+                 recorder, j, buf, spans=None):
     """Flow from (t_start, state) until an event or the horizon.
 
     Appends all recorded samples (excluding the start sample) to the
     recorder and returns (code, t_final, state_final, bracket_width).
     buf must hold more than one step's worst-case output
     (fastpath.MAX_STEP_ROWS); the segment resumes as often as it fills.
+    spans takes the kernel's span descriptors (_span_array(buf) when
+    None); simulate makes one per run, since one per segment raised peak
+    RSS by 4-5 MB on the bundled scenario.
     """
     if buf.shape[0] <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {buf.shape[0]} rows cannot hold "
@@ -145,12 +156,15 @@ def _run_segment(params, gains, cert, cfg, solver, k, state, t_start,
     sc = fastpath.pack_scalars(
         params, gains, k, state.z_star, cfg.z_star_init,
         cfg.h_of(state.cycle, cert.gamma), cert, solver, solver.t_end)
+    if spans is None:
+        spans = _span_array(buf)
     y = _state_to_y(state)
-    ret = np.empty(4)
+    ret = np.zeros(5)
     t = t_start
     while True:
-        fastpath.flow_segment(y, t, sc, buf, 0, ret)
+        fastpath.flow_segment(y, t, sc, buf, 0, ret, spans)
         code, t_fin, n = int(ret[0]), float(ret[1]), int(ret[2])
+        emission.fill_spans(buf, spans, int(ret[4]))
         recorder.add(buf[:n].copy(), j, state.cycle, state.z_star)
         if code != fastpath.CODE_BUFFER_FULL:
             break
@@ -198,12 +212,14 @@ def simulate(params: PlantParams, gains: ObserverGains,
     t, j = 0.0, 0
     chained = 0                 # jumps in a row from segments without flow
     buf = np.empty((_INIT_BUFFER_ROWS, 10))
+    spans = _span_array(buf)
     window = collections.deque()
 
     while True:
         t_start = t
         code, t, state, _ = _run_segment(
-            params, gains, cert, cfg, solver, k, state, t, rec, j, buf)
+            params, gains, cert, cfg, solver, k, state, t, rec, j, buf,
+            spans)
         if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
             break
         kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \

@@ -31,11 +31,20 @@ integrated tau increment is distributed in proportion to the integral of
 monotone, ends exactly at the step's endpoint tau and matches the trapezoid
 of the recorded z1 to third order in the sample spacing.
 
+The kernel does not evaluate those interior samples. It writes each span's
+endpoint row, reserves the rows before it and leaves one descriptor per
+span (layout SP_*); after the call, emission.fill_spans fills every
+reserved row in one vectorized pass from the same closed forms, with
+CPython's math for the transcendentals, so each row equals what
+_record(_dense(...)) would have written, bit for bit.
+
 The kernel is written once, in scalar-local style: every value it does
 arithmetic on is a float local or a tuple of floats, and numpy arrays are
-touched only to read the inputs, write sample rows and write the results
-back. The same source is jit-compiled when numba is installed (the ``fast``
-extra) and runs as plain CPython otherwise.
+touched only to read the inputs, write sample rows and descriptors and
+write the results back. The same source is jit-compiled when numba is
+installed (the ``fast`` extra) and runs as plain CPython otherwise. The
+numba path has not been compiled with the descriptor stores; the fill is
+plain Python on both backends.
 """
 
 from __future__ import annotations
@@ -65,6 +74,14 @@ SC_RTOL, SC_ATOL = 14, 15
 SC_MAXSTEP, SC_EVENTTOL = 16, 17
 SC_TSTOP, SC_RECDT, SC_CONVTOL, SC_TAUBUDGET, SC_Z2FLOOR = 18, 19, 20, 21, 22
 N_SC = 23
+
+# span-descriptor layout, one row of flow_segment's spans array per span
+# with interior samples: its first interior row and sample count m, the
+# span start and sample spacing, the step's start, size and tau range, and
+# what _dense reads: the step's _tau_curve, the mode and the anchor state
+SP_N, SP_M, SP_TA, SP_DT, SP_T0, SP_H, SP_TAU0, SP_TAU1 = range(8)
+SP_TC, SP_MD, SP_YA = 8, 13, 21
+N_SP = 30
 
 # segment exit codes
 CODE_HORIZON = 0
@@ -380,26 +397,41 @@ def _tau_budget(dtau, tau_now, budget_rel):
 
 
 @njit(cache=True)
-def _emit_span(buf, n, t0, h, tc, md, ya, tau0, tau1, ta, tau_a, z1_a, tb,
-               yb, budget_rel):
+def _emit_span(buf, n, spans, ns, t0, h, tc, md, ya, tau0, tau1, ta, tau_a,
+               z1_a, tb, yb, budget_rel):
     """Record samples on (ta, tb] within the step [t0, t0 + h], whose tau
     runs from tau0 to tau1; yb is the state at tb. The span gets m equally
     spaced samples, m chosen from the endpoint tau/trapezoid mismatch e:
     the composite trapezoid error falls as 1/m^2, so m > sqrt(e / budget)
-    brings it within the budget. Returns the new n; at most _SPAN_MAX_ROWS
-    rows are written."""
+    brings it within the budget. The endpoint row is written here; the
+    m - 1 interior rows before it are only reserved, and their descriptor
+    goes to spans[ns] (layout SP_*) for emission.fill_spans. Returns the new
+    (n, ns); at most _SPAN_MAX_ROWS rows are taken."""
     dtau = yb[0] - tau_a
     e = abs(dtau - 0.5 * (abs(z1_a) + abs(yb[1])) * (tb - ta))
     q = math.sqrt(e / _tau_budget(dtau, yb[0], budget_rel))
     m = _SPAN_MAX_ROWS
     if q < _SPAN_MAX_ROWS - 1:
         m = int(q) + 1
-    dt = (tb - ta) / m
-    for i in range(1, m):
-        tt = ta + i * dt
-        n = _record(buf, n, tt,
-                    _dense(tc, md, ya, tau0, tau1, (tt - t0) / h))
-    return _record(buf, n, tb, yb)
+    if m > 1:
+        d = spans[ns]
+        d[SP_N] = n
+        d[SP_M] = m
+        d[SP_TA] = ta
+        d[SP_DT] = (tb - ta) / m
+        d[SP_T0] = t0
+        d[SP_H] = h
+        d[SP_TAU0] = tau0
+        d[SP_TAU1] = tau1
+        for i in range(5):
+            d[SP_TC + i] = tc[i]
+        for i in range(8):
+            d[SP_MD + i] = md[i]
+        for i in range(9):
+            d[SP_YA + i] = ya[i]
+        n += m - 1
+        ns += 1
+    return _record(buf, n, tb, yb), ns
 
 
 @njit(cache=True)
@@ -432,7 +464,7 @@ def _bisect_guard(t0, h, tc, md, ya, tau0, tau1, g, event_tol):
 
 
 @njit(cache=True)
-def _finish(y, ys, ret, code, t, n, width):
+def _finish(y, ys, ret, code, t, n, width, ns):
     """Write the state ys back into y and the exit record into ret."""
     for m in range(9):
         y[m] = ys[m]
@@ -440,19 +472,25 @@ def _finish(y, ys, ret, code, t, n, width):
     ret[1] = t
     ret[2] = n
     ret[3] = width
+    ret[4] = ns
 
 
 @njit(cache=True)
-def flow_segment(y, t_start, sc, buf, n0, ret):
+def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     """Integrate one flow segment from (t_start, y).
 
     Writes samples into buf starting at row n0 (10 columns: t then y) and
-    fills ret = [code, t_final, n_written, bracket_width]. y is updated in
-    place to the final state on every exit code. The caller is expected to
-    have recorded the segment-start sample already. A step starts only
-    with at least MAX_STEP_ROWS free rows in buf, so no sample is ever
-    dropped; otherwise the call returns CODE_BUFFER_FULL at the current
-    point, so a buffer of fewer than MAX_STEP_ROWS rows makes no progress.
+    fills ret = [code, t_final, n_written, bracket_width, n_spans]. The
+    interior rows of a recorded span are reserved, not written: the call
+    leaves one descriptor per such span in spans[:n_spans], and
+    emission.fill_spans(buf, spans, n_spans) writes them. spans needs
+    len(buf) // 2 rows, since each descriptor comes with at least two rows.
+    y is updated in place to the final state on every exit code. The
+    caller is expected to have recorded the segment-start sample already.
+    A step starts only with at least MAX_STEP_ROWS free rows in buf, so no
+    sample is ever dropped; otherwise the call returns CODE_BUFFER_FULL at
+    the current point, so a buffer of fewer than MAX_STEP_ROWS rows makes
+    no progress.
     """
     p = _rhs_params(sc)
     g = _guard_params(sc)
@@ -473,7 +511,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
     # guard already active at the segment start: zero-width event
     code0 = _guard_any(ys, g)
     if code0 != 0:
-        _finish(y, ys, ret, code0, t, n0, 0.0)
+        _finish(y, ys, ret, code0, t, n0, 0.0, 0)
         return
 
     # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
@@ -492,10 +530,11 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
     last_rec_z1 = ys[1]
     have_pend = False           # the step start (t, ys) is not recorded yet
     n = n0
+    ns = 0                      # span descriptors written
 
     while True:
         if n > cap - MAX_STEP_ROWS:
-            _finish(y, ys, ret, CODE_BUFFER_FULL, t, n, 0.0)
+            _finish(y, ys, ret, CODE_BUFFER_FULL, t, n, 0.0, ns)
             return
         t_left = t_stop - t
         if t_left <= 0.0:
@@ -505,7 +544,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
         if h > t_left:
             h = t_left
         if h < _MIN_STEP:
-            _finish(y, ys, ret, CODE_STEP_FAILURE, t, n, 0.0)
+            _finish(y, ys, ret, CODE_STEP_FAILURE, t, n, 0.0, ns)
             return
 
         y0 = (ys[0], ys[1])
@@ -547,9 +586,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             t_hi, width = _bisect_guard(t, hs, tc, md, ya, ys[0], y1[0], g,
                                         event_tol)
             yev = _dense(tc, md, ya, ys[0], y1[0], (t_hi - t) / hs)
-            n = _emit_span(buf, n, t, hs, tc, md, ya, ys[0], y1[0], t,
-                           ys[0], ys[1], t_hi, yev, budget_rel)
-            _finish(y, yev, ret, ev, t_hi, n, width)
+            n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
+                               y1[0], t, ys[0], ys[1], t_hi, yev,
+                               budget_rel)
+            _finish(y, yev, ret, ev, t_hi, n, width, ns)
             return
 
         # recording decision at the accepted endpoint: thinned recording
@@ -573,9 +613,9 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
                 last_rec_tau = ys[0]
                 last_rec_z1 = ys[1]
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
-            n = _emit_span(buf, n, t, hs, tc, md, ya, ys[0], ye[0],
-                           last_rec_t, last_rec_tau, last_rec_z1, t_new, ye,
-                           budget_rel)
+            n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
+                               ye[0], last_rec_t, last_rec_tau, last_rec_z1,
+                               t_new, ye, budget_rel)
             last_rec_t = t_new
             last_rec_tau = ye[0]
             last_rec_z1 = ye[1]
@@ -594,14 +634,14 @@ def flow_segment(y, t_start, sc, buf, n0, ret):
             h *= _step_factor(enorm)
 
         if z2_bad:
-            _finish(y, ys, ret, CODE_DOMAIN, t, n, 0.0)
+            _finish(y, ys, ret, CODE_DOMAIN, t, n, 0.0, ns)
             return
         if converged:
-            _finish(y, ys, ret, CODE_CONVERGED, t, n, 0.0)
+            _finish(y, ys, ret, CODE_CONVERGED, t, n, 0.0, ns)
             return
 
     # horizon reached; the final sample was force-recorded above
-    _finish(y, ys, ret, CODE_HORIZON, t, n, 0.0)
+    _finish(y, ys, ret, CODE_HORIZON, t, n, 0.0, ns)
 
 
 def pack_scalars(params, gains, k, z_star, z_star_init, h_i, cert, solver,

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xbstab import cli, csvwriter
+from xbstab import cli, csvwriter, emission
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -550,6 +550,37 @@ class TestEndToEnd:
         assert err["error"] == {"type": "ValueError",
                                 "message": "variant-specific failure"}
         assert not (out / "sweep_controller_k=400" / "report.json").exists()
+        assert (out / "sweep_controller_k=500" / "report.json").exists()
+
+    def test_sweep_variant_overflow_writes_its_error_json(
+            self, short_scenario, tmp_path, monkeypatch):
+        """An OverflowError, as math.exp raises it while the samples of
+        one variant are filled, ends that variant in its own error.json
+        instead of a traceback; the other variant still runs."""
+        simulate = cli.simulate
+        fill_spans = emission.fill_spans
+        running = []
+
+        def tracking(*args, k=None, **kw):
+            running[:] = [k]
+            return simulate(*args, k=k, **kw)
+
+        def overflowing_for_k400(buf, spans, count):
+            if running == [400] and count:
+                raise OverflowError("math range error")
+            return fill_spans(buf, spans, count)
+
+        monkeypatch.setattr(cli, "simulate", tracking)
+        monkeypatch.setattr(emission, "fill_spans", overflowing_for_k400)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,500")
+        assert rc == 1
+        bad = out / "sweep_controller_k=400"
+        err = json.loads((bad / "error.json").read_text())
+        assert err["error"] == {"type": "OverflowError",
+                                "message": "math range error"}
+        assert not list(bad.glob("*.csv"))
         assert (out / "sweep_controller_k=500" / "report.json").exists()
 
     def test_sweep_variant_config_error_writes_its_error_json(

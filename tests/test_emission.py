@@ -1,0 +1,104 @@
+"""The vectorized fill of reserved sample rows (emission.fill_spans) against
+the kernel's per-sample path, _record(_dense(...)), bit for bit."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xbstab import emission, fastpath
+
+# one flow matrix per branch of fastpath._expm_pq, before scaling: complex
+# eigenvalues, a repeated one (w = 0), and a real pair, which takes the
+# hyperbolic branch while w dt < 1 and the two exponentials beyond
+_MATRICES = {"complex": (-8.0, 3.0, -40.0, -8.0),
+             "repeated": (-2.0, 1.0, 0.0, -2.0),
+             "hyperbolic": (-3.0, 1.0, 2.0, -5.0),
+             "two-exponential": (-3.0, 1.0, 2.0, -5.0)}
+
+
+def _branch(md, dt):
+    """The branch _expm_pq takes for mode md at tau - tau_anchor = dt."""
+    if md[4] < 0.0:
+        return "complex"
+    if md[5] == 0.0:
+        return "repeated"
+    return "hyperbolic" if md[5] * dt < 1.0 else "two-exponential"
+
+
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _span(draw):
+    """(branch, linear tau, _emit_span arguments after buf, n, spans, ns)."""
+    branch = draw(st.sampled_from(sorted(_MATRICES)))
+    scale = draw(_unit(0.1, 10.0))
+    md = (*fastpath._split(*(scale * v for v in _MATRICES[branch])),
+          draw(_unit(-5.0, 5.0)), draw(_unit(-1.0, 1.0)))
+    ya = tuple(draw(_unit(-2.0, 2.0)) for _ in range(9))
+    # the tau range keeps w (tau - ya[0]) on the branch's side of 1
+    if branch == "hyperbolic":
+        f0 = draw(_unit(0.0, 0.5))
+        lo, hi = f0 / md[5], (f0 + draw(_unit(0.01, 0.45))) / md[5]
+    elif branch == "two-exponential":
+        f0 = draw(_unit(1.05, 3.0))
+        lo, hi = f0 / md[5], (f0 + draw(_unit(0.01, 3.0))) / md[5]
+    else:
+        lo = draw(_unit(0.0, 0.25))
+        hi = lo + draw(_unit(1e-6, 0.25))
+    tau0, tau1 = ya[0] + lo, ya[0] + hi
+    # z1 keeps its sign over a step, except where the linear tau of a1 = 0
+    # takes over (here z1 = s (1 - 2 th), whose integral is exactly 0)
+    linear = draw(st.booleans())
+    if linear:
+        s = draw(_unit(-1.0, 1.0))
+        c = (s, -2.0 * s, 0.0, 0.0)
+    else:
+        c = (draw(_unit(0.5, 1.0)),
+             *(draw(_unit(-0.1, 0.1)) for _ in range(3)))
+    tc = (*c, abs(fastpath._z1_prim(c + (0.0,), 1.0)))
+    t0 = draw(_unit(0.0, 1.0))
+    h = draw(_unit(1e-7, 1e-3))
+    tb = t0 + h * draw(_unit(0.01, 1.0))     # below t0 + h: an event span
+    # z1 = 0 at both ends makes the tau/trapezoid mismatch |dtau|, so the
+    # budget 1/(m - 1/2)^2 gives the span m samples
+    m = draw(st.integers(2, 40))
+    yb = (tau1, 0.0, *ya[2:])
+    return branch, linear, (t0, h, tc, md, ya, tau0, tau1, t0, tau0 - 1.0,
+                            0.0, tb, yb, 1.0 / (m - 0.5) ** 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=st.lists(_span(), min_size=1, max_size=6),
+       chunk=st.sampled_from([1, 7, 1 << 11]))
+def test_fill_matches_dense_bit_for_bit(spans, chunk):
+    """Spans on every branch of _expm_pq and both cases of _tau_at, side
+    by side in one buffer: each row fill_spans writes equals the row of
+    the per-sample loop it replaced, in every bit."""
+    rows = 1 + 40 * len(spans)
+    buf = np.full((rows, 10), np.nan)
+    ref = np.full((rows, 10), np.nan)
+    descr = np.full((rows // 2, fastpath.N_SP), np.nan)
+    n, ns = 1, 0
+    for branch, linear, args in spans:
+        t0, h, tc, md, ya, tau0, tau1, ta, _, _, tb, yb, _ = args
+        n_end, ns = fastpath._emit_span(buf, n, descr, ns, *args)
+        m = n_end - n
+        assert m >= 2 and descr[ns - 1, fastpath.SP_M] == m
+        assert (tc[4] == 0.0) == linear
+        # the loop of _emit_span before the fill took over
+        dt = (tb - ta) / m
+        for i in range(1, m):
+            tt = ta + i * dt
+            y = fastpath._dense(tc, md, ya, tau0, tau1, (tt - t0) / h)
+            assert _branch(md, y[0] - ya[0]) == branch
+            fastpath._record(ref, n + i - 1, tt, y)
+        fastpath._record(ref, n_end - 1, tb, yb)
+        n = n_end
+    with mock.patch.object(emission, "_FILL_ROWS", chunk):
+        emission.fill_spans(buf, descr, ns)
+    assert np.array_equal(buf[1:n].view(np.uint64), ref[1:n].view(np.uint64))
+    assert np.isnan(buf[0]).all() and np.isnan(buf[n:]).all()

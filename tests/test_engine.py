@@ -280,8 +280,8 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
     codes = []
     flow = fastpath.flow_segment
 
-    def counting_flow(y, t_start, sc, buf, n0, ret):
-        flow(y, t_start, sc, buf, n0, ret)
+    def counting_flow(y, t_start, sc, buf, n0, ret, spans):
+        flow(y, t_start, sc, buf, n0, ret, spans)
         codes.append(int(ret[0]))
 
     monkeypatch.setattr(fastpath, "flow_segment", counting_flow)
@@ -303,6 +303,45 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
     # Resumes add re-anchor rows and restart the step controller, so the
     # count may rise by about 1 %.
     assert len(traj) >= 0.98 * len(ref)
+
+
+@pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
+def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
+                                      sv_cert, sv_cfg, sv_initial, rows):
+    """flow_segment leaves the interior rows of each recorded span to
+    emission.fill_spans. With buf NaN-filled before every kernel call, no
+    NaN reaches the trajectory of the 20 ms bundled run, whose segments
+    end on events, at the default buffer and at one that resumes often."""
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02)
+    calls = []
+    flow = fastpath.flow_segment
+
+    def nan_flow(y, t_start, sc, buf, n0, ret, spans):
+        buf[:] = np.nan
+        flow(y, t_start, sc, buf, n0, ret, spans)
+        ns = int(ret[4])
+        # does the call's last span end on its last row?
+        last = ns > 0 and spans[ns - 1, fastpath.SP_N] \
+            + spans[ns - 1, fastpath.SP_M] == ret[2]
+        calls.append((int(ret[0]), ns, last))
+
+    monkeypatch.setattr(fastpath, "flow_segment", nan_flow)
+    if rows is not None:
+        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
+    traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                    k=500.0)
+
+    codes = [c[0] for c in calls]
+    if rows is not None:
+        assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+    # a segment ended on an event right after a span with reserved rows
+    assert any(code in (fastpath.CODE_DC, fastpath.CODE_DNC) and last
+               for code, _, last in calls)
+    assert sum(c[1] for c in calls) > 0
+    for name in ("t", "tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"):
+        assert not np.isnan(getattr(traj, name)).any(), name
 
 
 def _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
@@ -390,7 +429,7 @@ def test_initial_within_cycle_precedes_flow(dense_20ms):
 def _frozen_flow(code, starts):
     """A stand-in for fastpath.flow_segment that reports the guard code at
     its start point without advancing t or writing a row."""
-    def flow(y, t_start, sc, buf, n0, ret):
+    def flow(y, t_start, sc, buf, n0, ret, spans):
         starts.append(t_start)
         ret[0], ret[1], ret[2], ret[3] = code, t_start, n0, 0.0
     return flow
