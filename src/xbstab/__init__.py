@@ -17,8 +17,7 @@ from .model import (ControllerConfig, HSchedule, HybridState,
                     reference_set_value, t_lmin_asymptote)
 from .lyapunov import (complete_gains, dwell_certificate,
                        dwell_time_lower_bound, solve_common_lyapunov)
-from .dynamics import (control_input, flow_map, in_Dc, in_Dnc, jump_map,
-                       observer_rhs_zhat, phi_contraction_norm)
+from .dynamics import in_Dc, in_Dnc, jump_map, phi_contraction_norm
 from .engine import initialize, simulate
 from .analysis import (check_envelope, check_vobs_monotone, extract_dwell,
                        verify_bounds)
@@ -30,10 +29,9 @@ __all__ = [
     "HybridTrajectory", "InvalidGains", "JumpKind", "NoCertificate",
     "ObserverGains", "PlantParams", "SolverConfig", "StateOutOfDomain",
     "ZenoSuspected", "check_envelope", "check_vobs_monotone",
-    "complete_gains", "control_input", "derive_control_gain",
-    "dwell_certificate", "dwell_time_lower_bound", "extract_dwell",
-    "flow_map", "g_of", "in_Dc", "in_Dnc", "initialize", "jump_map",
-    "observer_rhs_zhat", "phi_contraction_norm", "reference_set_value",
-    "simulate", "solve_common_lyapunov", "t_lmin_asymptote",
-    "verify_bounds",
+    "complete_gains", "derive_control_gain", "dwell_certificate",
+    "dwell_time_lower_bound", "extract_dwell", "g_of", "in_Dc", "in_Dnc",
+    "initialize", "jump_map", "phi_contraction_norm",
+    "reference_set_value", "simulate", "solve_common_lyapunov",
+    "t_lmin_asymptote", "verify_bounds",
 ]

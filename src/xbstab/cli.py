@@ -27,9 +27,11 @@ the run ends in an error.json.
 
 All output files are UTF-8 and deterministic: two runs of the same
 configuration produce byte-identical artifacts. The three CSV files are
-written by csvwriter.write_csvs in one pass, over row shares formatted on
-every usable CPU, with the bytes of np.savetxt with the same formats
-however the rows are split.
+written by csvwriter.write_csvs in one pass, over row shares formatted in
+forked children, with the bytes of np.savetxt with the same formats
+however the rows are split. csvwriter is imported by the two functions
+that write, so only runs that write CSV files compile its formatter, and
+they do so after the simulation.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import cycle_slice, extract_dwell, verify_bounds
-from .csvwriter import write_csvs
 from .engine import initial_cycle, simulate
 from .errors import NoExcitation, XbstabError
 from .lyapunov import (LyapunovCertificate, complete_gains,
@@ -294,6 +295,8 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
     the same string into every file that has its column; the bytes are
     those of formatting each file on its own.
     """
+    from .csvwriter import write_csvs
+
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     columns = _columns(traj)
@@ -314,6 +317,8 @@ def emit_plot_data(traj: HybridTrajectory, path,
     `path` is the output directory; returns the two file paths. An empty
     trajectory raises ValueError.
     """
+    from .csvwriter import write_csvs
+
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = _plot_files(out, phase_name, timeseries_name)

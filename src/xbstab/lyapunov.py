@@ -234,28 +234,19 @@ def _place_output_injection(A: np.ndarray, pole: float) -> np.ndarray:
     return np.array([m11 - A[0, 0], m21 - A[1, 0]])
 
 
-def _log_expm_norm(A: np.ndarray, pole: float, tau: float) -> float:
-    """log ||exp(M tau)||_2 for M with both eigenvalues at `pole`.
-
-    M + |pole| I is nilpotent, so exp(M tau) = e^(pole tau) (I + N tau)
-    exactly; the polynomial factor is evaluated in ordinary floats.
-    """
-    N = A - pole * np.eye(2)        # A here is already M = A + K C
-    G = np.eye(2) + N * tau
-    return pole * tau + math.log(np.linalg.norm(G, 2))
-
-
 def _envelope_ok(M: np.ndarray, pole: float, lam: float, log_c_bar: float,
                  tau_start: float) -> bool:
-    """Sampled check of ||e^{M tau}|| <= (1/c_bar) e^{-2 lam (tau - s)}."""
-    horizon = tau_start + 60.0 / lam
-    taus = np.linspace(tau_start, horizon, 400)
-    for tau in taus:
-        lhs = _log_expm_norm(M, pole, tau)
-        rhs = -log_c_bar - 2.0 * lam * (tau - tau_start)
-        if lhs > rhs:
-            return False
-    return True
+    """Sampled check of ||e^{M tau}|| <= (1/c_bar) e^{-2 lam (tau - s)}
+    at 400 taus, with one stacked 2-norm.
+
+    M has both eigenvalues at `pole`, so M + |pole| I is nilpotent and
+    exp(M tau) = e^(pole tau) (I + N tau) exactly; the polynomial factor
+    is evaluated in ordinary floats.
+    """
+    taus = np.linspace(tau_start, tau_start + 60.0 / lam, 400)
+    G = np.eye(2) + (M - pole * np.eye(2)) * taus[:, None, None]
+    lhs = pole * taus + np.log(np.linalg.norm(G, 2, axis=(1, 2)))
+    return not np.any(lhs > -log_c_bar - 2.0 * lam * (taus - tau_start))
 
 
 def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,

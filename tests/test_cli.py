@@ -250,9 +250,11 @@ class TestOnePassWriter:
 
 @pytest.fixture()
 def three_shares(monkeypatch):
-    """The split writer with three usable CPUs and 300-row shares; the
-    returned list collects the pid of every child it forks."""
+    """The split writer with three usable CPUs, 300-row shares and
+    256-row blocks; the returned list collects the pid of every child it
+    forks."""
     monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
+    monkeypatch.setattr(csvwriter, "_BLOCK_ROWS", 256)
     monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 3)
     fork, children = os.fork, []
 
@@ -274,19 +276,20 @@ def _assert_no_child_left():
 class TestSplitWriter:
     """Rows formatted in forked shares give the bytes of np.savetxt."""
 
-    @pytest.mark.parametrize("n, forks", [(599, 0), (600, 1), (601, 1),
-                                          (902, 2)])
+    @pytest.mark.parametrize("n, splits", [(599, 0), (600, 1), (601, 1),
+                                           (902, 2)])
     def test_shares_match_reference(self, tmp_path, three_shares, n,
-                                    forks):
+                                    splits):
         # 599 rows make one share, 600 two equal ones, 601 and 902 uneven
-        # ones (300 + 301 and 300 + 301 + 301 rows); shares straddle the
-        # 256-row blocks
+        # ones (300 + 301 and 300 + 301 + 301 rows), split at `splits`
+        # rows; every share is a child, and shares straddle the 256-row
+        # blocks
         traj = _edge_trajectory(n)
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
-        assert len(three_shares) == forks
+        assert len(three_shares) == splits + 1
         _assert_no_child_left()
 
     def test_forked_write_with_warnings_as_errors(self, tmp_path,
@@ -301,17 +304,24 @@ class TestSplitWriter:
             warnings.simplefilter("error")
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
+        assert len(three_shares) == 2
+        _assert_no_child_left()
+
+    def test_one_cpu_forks_one_child(self, tmp_path, three_shares,
+                                     monkeypatch):
+        monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 1)
+        traj = _edge_trajectory(902)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
+            _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
         assert len(three_shares) == 1
         _assert_no_child_left()
 
-    def test_one_cpu_writes_in_process(self, tmp_path, monkeypatch):
+    def test_no_fork_writes_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
-        monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 1)
-
-        def no_fork():
-            raise AssertionError("forked with one usable CPU")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 3)
+        monkeypatch.delattr(os, "fork")
         traj = _edge_trajectory(902)
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,7 +332,7 @@ class TestSplitWriter:
             self, short_scenario, tmp_path, three_shares):
         out = tmp_path / "out"
         assert main(["run", str(short_scenario), "--out", str(out)]) == 0
-        assert len(three_shares) == 2
+        assert len(three_shares) == 3
         _assert_no_child_left()
         assert sorted(f.name for f in out.iterdir()) == [
             "phase.csv", "report.json", "timeseries.csv", "trajectory.csv"]
@@ -351,7 +361,7 @@ class TestSplitWriter:
         rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
                           sweep="controller.k=400,500")
         assert rc == 1
-        assert len(three_shares) == 4
+        assert len(three_shares) == 6
         _assert_no_child_left()
         bad = out / "sweep_controller_k=400"
         err = json.loads((bad / "error.json").read_text())
@@ -660,7 +670,9 @@ def test_readme_python_example_runs():
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    """The split CSV writer forks with os.fork; importing the CLI must not
-    pay for multiprocessing or concurrent.futures."""
+    """The split CSV writer forks with os.fork, and its formatter builds
+    exact powers of ten from ints; importing the CLI must not pay for
+    multiprocessing, concurrent.futures, fractions or decimal."""
     assert _modules_loaded_by_cli_import(
-        ["multiprocessing", "concurrent.futures"]) == []
+        ["multiprocessing", "concurrent.futures", "fractions",
+         "decimal"]) == []

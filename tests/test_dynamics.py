@@ -11,11 +11,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
-                    control_input, fastpath, flow_map, in_Dc, in_Dnc,
-                    jump_map, observer_rhs_zhat, phi_contraction_norm,
+                    fastpath, in_Dc, in_Dnc, jump_map, phi_contraction_norm,
                     simulate)
-from xbstab.dynamics import tracking_error_rhs_analysis_form
 
+from flow_oracles import (control_input, flow_map, observer_rhs_zhat,
+                          tracking_error_rhs_analysis_form)
 from test_model import make_cfg
 
 
@@ -202,7 +202,7 @@ def _kernel_state(state):
        k=_floats(50.0, 2000.0))
 def test_kernel_flow_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
                                       z2_above_floor, zt, phi, z_star, k):
-    """The kernel's flow is dynamics.flow_map, to 1e-12 relative to the
+    """The kernel's flow is flow_oracles.flow_map, to 1e-12 relative to the
     magnitude of the terms each component sums. fastpath._f gives d_tau
     and d_z1. The tau-derivative of the closed form of z2, z_tilde and Phi,
     the generator fastpath._mode returns for s = sign z1, gives d_z2,

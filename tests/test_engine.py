@@ -10,13 +10,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
-                    ZenoSuspected, engine, fastpath, flow_map,
-                    initialize, simulate)
+                    ZenoSuspected, engine, fastpath, initialize, simulate)
 from xbstab.analysis import cycle_slice
 from xbstab.engine import _Recorder, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
 from xbstab.model import g_of
 
+from flow_oracles import flow_map
 from test_model import make_cfg
 
 

@@ -1,6 +1,7 @@
 """Unit tests for gain completion, the common Lyapunov certificate and the
 constructive dwell/decay constants."""
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 from xbstab import (InvalidGains, NoCertificate, PlantParams,
                     complete_gains, dwell_certificate,
                     dwell_time_lower_bound, solve_common_lyapunov)
-from xbstab.lyapunov import (_place_output_injection, decay_certificate)
+from xbstab.analysis import extract_dwell
+from xbstab.cli import build_scenario
+from xbstab.engine import simulate
+from xbstab.lyapunov import (_envelope_ok, _place_output_injection,
+                             decay_certificate)
 
 from test_model import make_cfg
 
@@ -155,6 +160,45 @@ class TestDecayCertificate:
     def test_rejects_nonpositive_dwell_data(self, sv_gains, sv_cert):
         with pytest.raises(ValueError):
             decay_certificate(sv_gains, sv_cert, (0.0, 1.0, 1.0, 1.0))
+
+
+def _envelope_ok_loop(M, pole, lam, log_c_bar, tau_start):
+    """The envelope check one tau at a time: the oracle of the batched
+    lyapunov._envelope_ok."""
+    for tau in np.linspace(tau_start, tau_start + 60.0 / lam, 400):
+        G = np.eye(2) + (M - pole * np.eye(2)) * tau
+        lhs = pole * tau + math.log(np.linalg.norm(G, 2))
+        if lhs > -log_c_bar - 2.0 * lam * (tau - tau_start):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k", [500.0, 400.0])
+def test_batched_envelope_check_matches_loop(scenario_dict, k):
+    """On the dwell data of the shipped scenario and of its k = 400
+    variant, the batched check gives the loop's verdict for both modes at
+    every decay rate of decay_certificate's search grid."""
+    cfg = json.loads(json.dumps(scenario_dict))
+    cfg["controller"]["k"] = k
+    scn = build_scenario(cfg)
+    traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
+                    scn.z0, scn.z_hat0, k=scn.k)
+    dwell = extract_dwell(traj, scn.cfg)
+    A1, A2 = scn.gains.A1, scn.gains.A2
+    log_c_bar = max(np.linalg.norm(A1, 2), np.linalg.norm(A2, 2)) \
+        * dwell.z_bar * dwell.tau_s
+    s = dwell.tau_d * dwell.z_under / 2.0
+    verdicts = []
+    for mult in np.geomspace(1.0, 1e4, 60):
+        lam = max(log_c_bar, 1.0) / (3.0 * s) * mult
+        for A in (A1, A2):
+            M = A + np.outer(_place_output_injection(A, -3.0 * lam),
+                             [1.0, 0.0])
+            verdict = _envelope_ok(M, -3.0 * lam, lam, log_c_bar, s)
+            assert verdict == _envelope_ok_loop(M, -3.0 * lam, lam,
+                                                log_c_bar, s), (mult, A)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 class TestPolePlacement:
