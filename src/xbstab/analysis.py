@@ -15,7 +15,7 @@ from .errors import CycleNotFound, NoExcitation
 from .lyapunov import (DecayCertificate, LyapunovCertificate,
                        dwell_time_lower_bound)
 from .model import (ControllerConfig, HybridTrajectory, JumpKind,
-                    PlantParams, g_of)
+                    PlantParams, as_dict, g_of)
 
 _TINY = 1e-300
 
@@ -33,17 +33,7 @@ class DwellReport:
     window: float               # sliding-window length used for mu
     assumption_holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "intervals": self.intervals.tolist(),
-            "tau_d": self.tau_d,
-            "tau_s": self.tau_s,
-            "z_under": self.z_under,
-            "z_bar": self.z_bar,
-            "mu": self.mu,
-            "window": self.window,
-            "assumption_holds": self.assumption_holds,
-        }
+    to_dict = as_dict
 
 
 @dataclass
@@ -61,11 +51,7 @@ class BoundReport:
     zeno_ok: bool
     zeno_max_jumps: int
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "vobs_monotone", "vobs_worst_violation", "envelope_ok",
-            "envelope_T", "envelope_margin", "phi_oracle_max_err",
-            "dwell_ok", "dwell_min_ratio", "zeno_ok", "zeno_max_jumps")}
+    to_dict = as_dict
 
     @property
     def all_ok(self) -> bool:
@@ -74,12 +60,27 @@ class BoundReport:
                 and self.dwell_ok and self.zeno_ok)
 
 
+def cycle_slices(traj: HybridTrajectory) -> dict:
+    """{i: index range of cycle i's samples, first to last}, in ascending
+    cycle order, from one pass over the rows where the cycle changes."""
+    cyc = traj.cycle
+    if len(cyc) == 0:
+        return {}
+    lo = [0] + (np.flatnonzero(cyc[1:] != cyc[:-1]) + 1).tolist()
+    hi = lo[1:] + [len(cyc)]
+    first, stop = {}, {}
+    for i, a, b in zip(cyc[lo].tolist(), lo, hi):
+        first.setdefault(i, a)
+        stop[i] = b
+    return {i: slice(first[i], stop[i]) for i in sorted(first)}
+
+
 def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
     """Index range of the samples belonging to cycle i."""
-    idx = np.flatnonzero(traj.cycle == i)
-    if idx.size == 0:
-        raise CycleNotFound(f"cycle {i} has no samples")
-    return slice(int(idx[0]), int(idx[-1]) + 1)
+    try:
+        return cycle_slices(traj)[i]
+    except KeyError:
+        raise CycleNotFound(f"cycle {i} has no samples") from None
 
 
 def _abs_z1_cumulative(traj: HybridTrajectory) -> np.ndarray:
@@ -90,20 +91,18 @@ def _abs_z1_cumulative(traj: HybridTrajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
+def _within_cycle_pairs(jumps: list) -> list:
+    """Successive WithinCycle jump records (j, j + 1) of a jump log sorted
+    by j, so that no cycle jump lies between the two."""
+    return [(a, b) for a, b in zip(jumps, jumps[1:])
+            if b.j == a.j + 1 and a.kind is JumpKind.WITHIN_CYCLE
+            and b.kind is JumpKind.WITHIN_CYCLE]
+
+
 def _within_cycle_period(traj: HybridTrajectory) -> float:
     """Largest spacing between consecutive within-cycle jumps of one cycle;
     the natural excitation period for the sliding mu window."""
-    dc_times = [(jr.t, jr.j) for jr in traj.jumps
-                if jr.kind is JumpKind.WITHIN_CYCLE]
-    best = 0.0
-    # spacing between jumps j and j+1 only when no cycle jump lies between
-    kinds = {jr.j: jr.kind for jr in traj.jumps}
-    times = {jr.j: jr.t for jr in traj.jumps}
-    for t_j, j in dc_times:
-        nxt = j + 1
-        if kinds.get(nxt) is JumpKind.WITHIN_CYCLE:
-            best = max(best, times[nxt] - t_j)
-    return best
+    return max([0.0] + [b.t - a.t for a, b in _within_cycle_pairs(traj.jumps)])
 
 
 def extract_dwell(traj: HybridTrajectory, cfg: ControllerConfig,
@@ -187,8 +186,7 @@ def check_phi_oracle(traj: HybridTrajectory) -> float:
     """Max over completed cycles of ||z_tilde - Phi z_tilde0|| relative to
     ||z_tilde0|| at the cycle start (the transition-matrix contract)."""
     worst = 0.0
-    for i in np.unique(traj.cycle):
-        sl = cycle_slice(traj, int(i))
+    for sl in cycle_slices(traj).values():
         zt0 = np.array([traj.z_tilde1[sl.start], traj.z_tilde2[sl.start]])
         n0 = np.linalg.norm(zt0)
         if n0 == 0.0:
@@ -278,31 +276,20 @@ def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
     (ok, minimal interval/bound ratio).
     """
     min_ratio = math.inf
-    by_j = {jr.j: jr for jr in traj.jumps}
-    for i in np.unique(traj.cycle):
-        i = int(i)
+    pairs = _within_cycle_pairs(traj.jumps)
+    for i, sl in cycle_slices(traj).items():
         if i < 1:
-            continue
-        try:
-            sl = cycle_slice(traj, i)
-        except CycleNotFound:       # pragma: no cover
             continue
         z_bar_i = (cfg.z_star_init / 2.0 ** (i - 1)) * (1.0 + g_of(cfg, i - 1))
         inside = np.abs(traj.z1[sl]) <= z_bar_i
         if not inside.any():
             continue
         t_entered = traj.t[sl][inside.argmax()]
+        t_first, t_last = traj.t[sl.start], traj.t[sl.stop - 1]
         _, t_li, _ = dwell_time_lower_bound(params, cfg, i)
-        jumps_i = sorted(jr.j for jr in traj.jumps
-                         if jr.kind is JumpKind.WITHIN_CYCLE
-                         and traj.t[sl.start] <= jr.t <= traj.t[sl.stop - 1])
-        for ja, jb in zip(jumps_i, jumps_i[1:]):
-            if jb != ja + 1:
-                continue
-            ta, tb = by_j[ja].t, by_j[jb].t
-            if ta < t_entered:
-                continue
-            min_ratio = min(min_ratio, (tb - ta) / t_li)
+        for a, b in pairs:
+            if t_entered <= a.t <= t_last and t_first <= b.t <= t_last:
+                min_ratio = min(min_ratio, (b.t - a.t) / t_li)
     return (min_ratio >= 1.0 - 1e-9 if math.isfinite(min_ratio) else True,
             min_ratio)
 

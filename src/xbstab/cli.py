@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import cycle_slice, extract_dwell, verify_bounds
+from .analysis import cycle_slices, extract_dwell, verify_bounds
 from .engine import initial_cycle, simulate
 from .errors import NoExcitation, XbstabError
 from .lyapunov import (LyapunovCertificate, complete_gains,
@@ -337,12 +337,11 @@ def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
         z_star=traj.z_star[sl], phi=traj.phi[sl], jumps=jumps)
 
 
-def _dwell_reports_per_cycle(traj: HybridTrajectory,
+def _dwell_reports_per_cycle(traj: HybridTrajectory, slices: dict,
                              cfg: ControllerConfig) -> dict:
     reports = {}
-    for i in np.unique(traj.cycle):
-        i = int(i)
-        sub = _slice_trajectory(traj, cycle_slice(traj, i))
+    for i, sl in slices.items():
+        sub = _slice_trajectory(traj, sl)
         try:
             reports[str(i)] = extract_dwell(sub, cfg).to_dict()
         except NoExcitation as exc:
@@ -376,10 +375,10 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
 
-    cycles = [int(i) for i in np.unique(traj.cycle)]
-    first_cycle = cycles[0]
+    slices = cycle_slices(traj)
+    first_cycle = next(iter(slices))
     dwell_certs = {str(i): dwell_certificate(scn.params, scn.cfg, i).to_dict()
-                   for i in cycles if i >= 1}
+                   for i in slices if i >= 1}
 
     try:
         dwell_report = extract_dwell(traj, scn.cfg)
@@ -434,14 +433,15 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
             "dwell_per_cycle": dwell_certs,
         },
         "dwell_report": dwell_dict,
-        "dwell_report_per_cycle": _dwell_reports_per_cycle(traj, scn.cfg),
+        "dwell_report_per_cycle": _dwell_reports_per_cycle(traj, slices,
+                                                           scn.cfg),
         "bound_report": bounds.to_dict(),
         "checks": {"enabled": list(enabled), "results": check_results},
         "jumps": [{"t": jr.t, "j": jr.j, "kind": jr.kind.value}
                   for jr in traj.jumps],
         "samples": len(traj),
         "t_final": float(traj.t[-1]),
-        "cycles_reached": cycles,
+        "cycles_reached": list(slices),
         "final_state": {
             "z": [float(traj.z1[-1]), float(traj.z2[-1])],
             "z_tilde": [float(traj.z_tilde1[-1]), float(traj.z_tilde2[-1])],

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidGains, NoCertificate, PlacementFailed
-from .model import ControllerConfig, ObserverGains, PlantParams, g_of
+from .model import (ControllerConfig, ObserverGains, PlantParams, as_dict,
+                    g_of, t_lmin_asymptote)
 
 _RESIDUAL_TOL = 1e-9
 
@@ -60,15 +61,7 @@ class LyapunovCertificate:
     residual_1: float
     residual_2: float
 
-    def to_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "gamma": self.gamma,
-            "residual_1": self.residual_1,
-            "residual_2": self.residual_2,
-        }
+    to_dict = as_dict
 
 
 def solve_common_lyapunov(gains: ObserverGains) -> LyapunovCertificate:
@@ -121,14 +114,11 @@ def dwell_time_lower_bound(params: PlantParams, cfg: ControllerConfig,
     """
     if i < 1:
         raise ValueError(f"cycle index must be >= 1, got {i}")
+    t_lmin = t_lmin_asymptote(params, cfg)      # raises unless eps < d/c
     d_over_c = params.d / params.c
-    if cfg.epsilon >= d_over_c:
-        raise ValueError(f"epsilon={cfg.epsilon} must be below d/c="
-                         f"{d_over_c}: threshold band collapses")
     sigma_i = (d_over_c - cfg.epsilon) / 2.0 ** (i - 1)
     t_li = (2.0 ** (i - 1) / (2.0 * params.c * cfg.z_star_init)) \
         * math.log1p(2.0 * sigma_i / (d_over_c - sigma_i))
-    t_lmin = (d_over_c - cfg.epsilon) / (params.d * cfg.z_star_init)
     return sigma_i, t_li, t_lmin
 
 
@@ -145,10 +135,7 @@ class DwellTimeCertificate:
     z_bar_i: float              # (z*_in / 2**(i-1)) (1 + g(i-1))
     z_underbar_i: float         # |z*| / 2 = z*_in / 2**(i+1)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "cycle", "sigma_i", "T_li_lower", "T_lmin", "tau_di", "tau_si",
-            "z_bar_i", "z_underbar_i")}
+    to_dict = as_dict
 
 
 def dwell_certificate(params: PlantParams, cfg: ControllerConfig,
@@ -205,21 +192,7 @@ class DecayCertificate:
         """Certificate with an empirically measured excitation rate."""
         return replace(self, mu=mu, T=self.T if T is None else T)
 
-    def to_dict(self) -> dict:
-        return {
-            "decay_rate": self.decay_rate,
-            "c_bar": self.c_bar,
-            "log_c_bar": self.log_c_bar,
-            "K1": self.K1.tolist(),
-            "K2": self.K2.tolist(),
-            "rho": self.rho,
-            "log_one_minus_rho": self.log_one_minus_rho,
-            "L": self.L,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "mu": self.mu,
-            "T": self.T,
-        }
+    to_dict = as_dict
 
 
 def _place_output_injection(A: np.ndarray, pole: float) -> np.ndarray:

@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidGains
+
+
+def as_dict(obj) -> dict:
+    """Every dataclass field of obj by name, numpy arrays as nested lists
+    (the JSON form of the report and certificate types)."""
+    vals = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vals}
 
 
 @dataclass(frozen=True)
@@ -361,14 +369,16 @@ class HybridTrajectory:
 
     def validate_domain(self):
         """Check hybrid-time-domain well-formedness; raise on violation."""
-        t, j = self.t, self.j
-        if np.any(np.diff(j) < 0):
+        dj, di = np.diff(self.j), np.diff(self.cycle)
+        if np.any(dj < 0):
             raise ValueError("jump counter decreases")
-        same_j = np.diff(j) == 0
-        if np.any(np.diff(t)[same_j] < 0):
+        same_j = dj == 0
+        if np.any(np.diff(self.t)[same_j] < 0):
             raise ValueError("time decreases within a flow interval")
-        if np.any(np.diff(j) > 1):
+        if np.any(dj > 1):
             raise ValueError("jump counter skips a value")
+        if np.any(di < 0) or np.any(di[same_j] != 0):
+            raise ValueError("cycle index decreases or changes without a jump")
 
 
 @dataclass(frozen=True)

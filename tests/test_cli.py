@@ -669,6 +669,25 @@ def test_readme_python_example_runs():
     assert namespace["traj"].jumps
 
 
+def test_run_does_not_load_numpy_ma(short_scenario, tmp_path):
+    """A plain np.unique calls np.ma.is_masked, which imports numpy.ma
+    (15-17 ms and 1.3 MB of resident memory on a 2-CPU x86 host): a whole
+    `xbstab run` must never load it."""
+    code = ("import sys; from xbstab import cli; "
+            f"rc = cli.main(['run', {str(short_scenario)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "report.json").exists()
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_cli_import_does_not_load_multiprocessing():
     """The split CSV writer forks with os.fork, and its formatter builds
     exact powers of ten from ints; importing the CLI must not pay for

@@ -180,11 +180,12 @@ class TestHybridState:
             HybridState(**base)
 
 
-def _tiny_traj(t, j):
+def _tiny_traj(t, j, cycle=None):
     n = len(t)
     return HybridTrajectory(
         t=np.asarray(t, dtype=float), j=np.asarray(j, dtype=np.int64),
-        cycle=np.zeros(n, dtype=np.int64), tau=np.zeros(n),
+        cycle=np.zeros(n, dtype=np.int64) if cycle is None
+        else np.asarray(cycle, dtype=np.int64), tau=np.zeros(n),
         z1=np.zeros(n), z2=np.zeros(n), z_tilde1=np.zeros(n),
         z_tilde2=np.zeros(n), z_star=np.ones(n),
         phi=np.tile(np.eye(2).ravel(), (n, 1)), jumps=[])
@@ -199,6 +200,13 @@ class TestHybridTrajectory:
             _tiny_traj([0.0, 1.0], [1, 0]).validate_domain()
         with pytest.raises(ValueError):
             _tiny_traj([0.0, 1.0], [0, 2]).validate_domain()
+        # the cycle index moves forward only, and only across a jump
+        _tiny_traj([0.0, 1.0, 1.0, 2.0], [0, 0, 1, 1],
+                   [0, 0, 1, 1]).validate_domain()
+        with pytest.raises(ValueError):
+            _tiny_traj([0.0, 1.0, 1.0], [0, 0, 1], [1, 1, 0]).validate_domain()
+        with pytest.raises(ValueError):
+            _tiny_traj([0.0, 1.0, 2.0], [0, 0, 0], [0, 0, 1]).validate_domain()
 
     def test_column_length_consistency(self):
         with pytest.raises(ValueError):
