@@ -21,9 +21,9 @@ Config schema (``"schema": 1``)::
     }
 
 The four file names in "outputs" must be distinct. A malformed field
-(missing, not a number, a section that is not an object, two outputs
-naming one file) is rejected by name before anything is integrated, and
-the run ends in an error.json.
+(missing, not a finite number, a section that is not an object, two
+outputs naming one file) is rejected by name before anything is
+integrated, and the run ends in an error.json.
 
 All output files are UTF-8 and deterministic: two runs of the same
 configuration produce byte-identical artifacts. The three CSV files are
@@ -147,13 +147,18 @@ def _section(raw: dict, name: str) -> dict:
 def _number(section: dict, name: str, where: str, default=_REQUIRED,
             kind=float):
     """section[name] converted by `kind`; a missing required field or a
-    value that is not a number is rejected with a ValueError naming it."""
+    value that is not a finite number (json.load takes NaN and Infinity)
+    is rejected with a ValueError naming it."""
     val = (_require(section, name, where) if default is _REQUIRED
            else section.get(name, default))
     try:
-        return kind(val)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}.{name}={val!r} is not a number") from exc
+        num = kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}.{name}={val!r} is not a finite "
+                         f"number") from exc
+    if not math.isfinite(num):
+        raise ValueError(f"{where}.{name}={val!r} is not a finite number")
+    return num
 
 
 def _state(section: dict, name: str) -> np.ndarray:
@@ -163,15 +168,15 @@ def _state(section: dict, name: str) -> np.ndarray:
         vec = np.asarray(val, dtype=float)
     except (TypeError, ValueError):
         vec = np.empty(0)
-    if vec.shape != (2,):
+    if vec.shape != (2,) or not np.isfinite(vec).all():
         raise ValueError(f"initial.{name}={val!r} must be a list of two "
-                         f"numbers")
+                         f"finite numbers")
     return vec
 
 
 def _build_solver(section: dict) -> SolverConfig:
     """SolverConfig from the "solver" section; unknown keys and values that
-    are not numbers are rejected with a ValueError naming the key."""
+    are not finite numbers are rejected with a ValueError naming the key."""
     valid = [f.name for f in fields(SolverConfig)]
     kwargs = {}
     for key in section:

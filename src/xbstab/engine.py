@@ -4,6 +4,12 @@ Alternates event-detected continuous integration (the compiled segment
 kernel in fastpath) with guard-triggered jumps, starting from the
 initialization rule of the algorithm, and assembles the result into a
 HybridTrajectory ordered lexicographically in hybrid time (t, j).
+
+A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
+writes into directly, through a window of exactly _INIT_BUFFER_ROWS free
+rows per call; the array grows between calls by allocate-and-copy. j,
+cycle and z_star change only at jumps, so one mark per run of rows stands
+for them, and the trajectory's other columns, phi included, are views.
 """
 
 from __future__ import annotations
@@ -91,86 +97,78 @@ def _y_to_state(y: np.ndarray, cycle: int, z_star: float) -> HybridState:
                        z_star=z_star, phi=y[5:9].reshape(2, 2).copy())
 
 
-def _sample_row(t: float, y: np.ndarray) -> np.ndarray:
-    row = np.empty((1, 10))
-    row[0, 0] = t
-    row[0, 1:] = y
-    return row
-
-
-class _Recorder:
-    """Accumulates (samples, j, cycle, z_star) blocks and jump records."""
+class _Arc:
+    """The rows (t, y) of a run, a (first row, j, cycle, z_star) mark per
+    run of rows sharing those three, and the jump records."""
 
     def __init__(self):
-        self.blocks = []
+        self.rows = np.empty((_INIT_BUFFER_ROWS, 10))
+        self.n = 0
+        self.marks = []
         self.jumps = []
+        # a window holds _INIT_BUFFER_ROWS rows, each descriptor at least 2
+        self.spans = np.empty((_INIT_BUFFER_ROWS // 2, fastpath.N_SP))
 
-    def add(self, samples: np.ndarray, j: int, cycle: int, z_star: float):
-        if samples.shape[0]:
-            self.blocks.append((samples, j, cycle, z_star))
+    def window(self) -> np.ndarray:
+        """The rows up to _INIT_BUFFER_ROWS past the recorded ones, after
+        growing the array (np.empty: ndarray.resize would touch it all)."""
+        end = self.n + _INIT_BUFFER_ROWS
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)), 10))
+            grown[:self.n] = self.rows[:self.n]
+            self.rows = grown
+        return self.rows[:end]
+
+    def add_row(self, t: float, y: np.ndarray):
+        self.window()[self.n] = (t, *y)
+        self.n += 1
 
     def add_state(self, t: float, state: HybridState, j: int):
-        self.add(_sample_row(t, _state_to_y(state)), j, state.cycle,
-                 state.z_star)
+        self.marks.append((self.n, j, state.cycle, state.z_star))
+        self.add_row(t, _state_to_y(state))
 
     def trajectory(self) -> HybridTrajectory:
-        """The recorded arc. Takes the blocks out of the recorder, so that
-        they are freed before phi is copied out of the assembled rows."""
-        if not self.blocks:
-            raise ValueError("empty trajectory")
-        blocks, self.blocks = self.blocks, []
-        n = [b[0].shape[0] for b in blocks]
-        data = np.concatenate([b[0] for b in blocks])
-        j = np.repeat(np.array([b[1] for b in blocks], np.int64), n)
-        cyc = np.repeat(np.array([b[2] for b in blocks], np.int64), n)
-        zs = np.repeat(np.array([b[3] for b in blocks], float), n)
-        del blocks
+        """The recorded arc; every float column is a view of the rows."""
+        data = self.rows[:self.n]
+        first, j, cyc, zs = zip(*self.marks)
+        count = np.diff(first, append=self.n)
         return HybridTrajectory(
-            t=data[:, 0], j=j, cycle=cyc, tau=data[:, 1],
+            t=data[:, 0], j=np.repeat(np.array(j, np.int64), count),
+            cycle=np.repeat(np.array(cyc, np.int64), count), tau=data[:, 1],
             z1=data[:, 2], z2=data[:, 3],
             z_tilde1=data[:, 4], z_tilde2=data[:, 5],
-            z_star=zs, phi=data[:, 6:10].copy(), jumps=self.jumps)
+            z_star=np.repeat(np.array(zs, float), count),
+            phi=data[:, 6:10], jumps=self.jumps)
 
 
-def _span_array(buf: np.ndarray) -> np.ndarray:
-    """Room for every span descriptor flow_segment can write into buf.
-    np.empty: pages no descriptor reaches are never touched."""
-    return np.empty((buf.shape[0] // 2, fastpath.N_SP))
-
-
-def _run_segment(params, gains, cert, cfg, solver, k, state, t_start,
-                 recorder, j, buf, spans=None):
+def _run_segment(params, gains, cert, cfg, solver, k, state, t_start, arc):
     """Flow from (t_start, state) until an event or the horizon.
 
-    Appends all recorded samples (excluding the start sample) to the
-    recorder and returns (code, t_final, state_final, bracket_width).
-    buf must hold more than one step's worst-case output
-    (fastpath.MAX_STEP_ROWS); the segment resumes as often as it fills.
-    spans takes the kernel's span descriptors (_span_array(buf) when
-    None); simulate makes one per run, since one per segment raised peak
-    RSS by 4-5 MB on the bundled scenario.
+    Records the samples after the start sample into arc and returns
+    (code, t_final, state_final, bracket_width). The kernel writes them
+    straight into arc.window() from row arc.n on: exactly _INIT_BUFFER_ROWS
+    free rows, which must exceed one step's worst case
+    (fastpath.MAX_STEP_ROWS). When they fill, the interrupted point is
+    recorded again as a re-anchor row and the segment resumes from it.
     """
-    if buf.shape[0] <= fastpath.MAX_STEP_ROWS:
-        raise ValueError(f"sample buffer of {buf.shape[0]} rows cannot hold "
-                         f"one step ({fastpath.MAX_STEP_ROWS} rows)")
+    if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
+        raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
+                         f"hold one step ({fastpath.MAX_STEP_ROWS} rows)")
     sc = fastpath.pack_scalars(
         params, gains, k, state.z_star, cfg.z_star_init,
         cfg.h_of(state.cycle, cert.gamma), cert, solver, solver.t_end)
-    if spans is None:
-        spans = _span_array(buf)
     y = _state_to_y(state)
     ret = np.zeros(5)
-    t = t_start
+    t_fin = t_start
     while True:
-        fastpath.flow_segment(y, t, sc, buf, 0, ret, spans)
-        code, t_fin, n = int(ret[0]), float(ret[1]), int(ret[2])
-        emission.fill_spans(buf, spans, int(ret[4]))
-        recorder.add(buf[:n].copy(), j, state.cycle, state.z_star)
+        buf = arc.window()
+        fastpath.flow_segment(y, t_fin, sc, buf, arc.n, ret, arc.spans)
+        code, t_fin = int(ret[0]), float(ret[1])
+        arc.n = int(ret[2])
+        emission.fill_spans(buf, arc.spans, int(ret[4]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
-        # resume from the interrupted point; re-anchor recording there
-        t = t_fin
-        recorder.add(_sample_row(t, y), j, state.cycle, state.z_star)
+        arc.add_row(t_fin, y)
     if code == fastpath.CODE_DOMAIN:
         raise StateOutOfDomain(
             f"z2 reached -d/c={params.z2_floor} at t={t_fin}")
@@ -202,24 +200,24 @@ def simulate(params: PlantParams, gains: ObserverGains,
     never chains onto it at |zhat2| = thr. More than 4 chained jumps in a
     row raise ZenoSuspected, and a WithinCycle chained onto a WithinCycle
     raises IllegalJump.
+
+    The arc is held once, in the array of the module docstring: the
+    returned columns t, tau, z1 to z_tilde2 and phi are views of it.
     """
     if k is None:
         k = derive_control_gain(params, cfg, cert.gamma)
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
-    rec = _Recorder()
-    rec.add_state(0.0, state, 0)
+    arc = _Arc()
+    arc.add_state(0.0, state, 0)
 
     t, j = 0.0, 0
     chained = 0                 # jumps in a row from segments without flow
-    buf = np.empty((_INIT_BUFFER_ROWS, 10))
-    spans = _span_array(buf)
     window = collections.deque()
 
     while True:
         t_start = t
         code, t, state, _ = _run_segment(
-            params, gains, cert, cfg, solver, k, state, t, rec, j, buf,
-            spans)
+            params, gains, cert, cfg, solver, k, state, t, arc)
         if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
             break
         kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \
@@ -228,14 +226,14 @@ def simulate(params: PlantParams, gains: ObserverGains,
             chained = 0
         else:
             chained += 1
-            if kind is JumpKind.WITHIN_CYCLE and rec.jumps \
-                    and rec.jumps[-1].kind is JumpKind.WITHIN_CYCLE:
+            if kind is JumpKind.WITHIN_CYCLE and arc.jumps \
+                    and arc.jumps[-1].kind is JumpKind.WITHIN_CYCLE:
                 raise IllegalJump(
                     f"within-cycle guard re-fired without flow at t={t}")
         state = jump_map(state, kind)
-        rec.jumps.append(JumpRecord(t=t, j=j, kind=kind))
+        arc.jumps.append(JumpRecord(t=t, j=j, kind=kind))
         j += 1
-        rec.add_state(t, state, j)
+        arc.add_state(t, state, j)
         window.append(t)
         while window and window[0] < t - solver.zeno_window:
             window.popleft()
@@ -249,6 +247,6 @@ def simulate(params: PlantParams, gains: ObserverGains,
             raise ZenoSuspected(
                 f"more than 4 chained jumps without flow at t={t}")
 
-    traj = rec.trajectory()
+    traj = arc.trajectory()
     traj.validate_domain()
     return traj

@@ -484,7 +484,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     interior rows of a recorded span are reserved, not written: the call
     leaves one descriptor per such span in spans[:n_spans], and
     emission.fill_spans(buf, spans, n_spans) writes them. spans needs
-    len(buf) // 2 rows, since each descriptor comes with at least two rows.
+    (len(buf) - n0) // 2 rows, since each descriptor comes with at least
+    two rows.
     y is updated in place to the final state on every exit code. The
     caller is expected to have recorded the segment-start sample already.
     A step starts only with at least MAX_STEP_ROWS free rows in buf, so no

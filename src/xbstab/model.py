@@ -185,13 +185,13 @@ class ControllerConfig:
     max_cycles: int = 64
 
     def __post_init__(self):
-        if self.z_star_init <= 0:
+        if not self.z_star_init > 0:
             raise ValueError("z_star_init must be positive")
-        if self.k_prime <= 0:
+        if not self.k_prime > 0:
             raise ValueError("k_prime must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.R < 0 or self.R_tilde < 0:
+        if not (self.R >= 0 and self.R_tilde >= 0):
             raise ValueError("R and R_tilde must be non-negative")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
@@ -327,7 +327,8 @@ class HybridTrajectory:
 
     Samples are lexicographically ordered in (t, j); j increments by one at
     each entry of `jumps`, and the sample at a jump instant appears twice
-    (pre- and post-jump).
+    (pre- and post-jump). The columns may be views of one array (simulate
+    returns t, tau, z1 to z_tilde2 and phi as views of its rows).
     """
 
     t: np.ndarray
@@ -368,16 +369,17 @@ class HybridTrajectory:
                 - k * (self.z1 - self.z_star))
 
     def validate_domain(self):
-        """Check hybrid-time-domain well-formedness; raise on violation."""
-        dj, di = np.diff(self.j), np.diff(self.cycle)
-        if np.any(dj < 0):
+        """Check hybrid-time-domain well-formedness; raise on violation.
+        Compares adjacent elements: the full-length temporaries are bool."""
+        j, i, t = self.j, self.cycle, self.t
+        if np.any(j[1:] < j[:-1]):
             raise ValueError("jump counter decreases")
-        same_j = dj == 0
-        if np.any(np.diff(self.t)[same_j] < 0):
+        same_j = j[1:] == j[:-1]
+        if np.any(same_j & (t[1:] < t[:-1])):
             raise ValueError("time decreases within a flow interval")
-        if np.any(dj > 1):
+        if np.any(j[1:][~same_j] > j[:-1][~same_j] + 1):
             raise ValueError("jump counter skips a value")
-        if np.any(di < 0) or np.any(di[same_j] != 0):
+        if np.any(i[1:] < i[:-1]) or np.any(same_j & (i[1:] != i[:-1])):
             raise ValueError("cycle index decreases or changes without a jump")
 
 
@@ -420,9 +422,9 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_end",
                      "zeno_window", "tau_budget_rel"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.zeno_max_jumps < 2:
             raise ValueError("zeno_max_jumps must be at least 2")
-        if self.record_interval < 0:
+        if not self.record_interval >= 0:
             raise ValueError("record_interval must be non-negative")

@@ -1,6 +1,7 @@
 """Unit and end-to-end tests for the scenario runner."""
 
 import ast
+import errno
 import json
 import os
 import re
@@ -328,6 +329,41 @@ class TestSplitWriter:
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
 
+    @pytest.mark.parametrize("copy", ["kernel", "failing", "absent"])
+    def test_shares_appended_with_same_bytes(self, tmp_path, three_shares,
+                                             monkeypatch, copy):
+        """The parent appends each share with os.copy_file_range where os
+        has it; where it fails or is missing, shutil.copyfileobj appends
+        the same bytes."""
+        calls = []
+        copy_file_range = getattr(os, "copy_file_range", None)
+        if copy == "kernel":
+            if copy_file_range is None:
+                pytest.skip("os.copy_file_range is not available")
+
+            def counting(*args):
+                calls.append(args)
+                return copy_file_range(*args)
+
+            monkeypatch.setattr(os, "copy_file_range", counting)
+        elif copy == "failing":
+            def failing(*args):
+                calls.append(args)
+                raise OSError(errno.EXDEV, "cross-device copy")
+
+            monkeypatch.setattr(os, "copy_file_range", failing,
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "copy_file_range", raising=False)
+        traj = _edge_trajectory(902)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
+            _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
+        # three files of three shares: each share tried at least once
+        assert len(calls) >= (0 if copy == "absent" else 9)
+        _assert_no_child_left()
+
     def test_run_leaves_no_child_and_four_artifacts(
             self, short_scenario, tmp_path, three_shares):
         out = tmp_path / "out"
@@ -512,6 +548,42 @@ class TestEndToEnd:
         assert err["error"]["type"] == "ValueError"
         assert named in err["error"]["message"]
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("section, field", [
+        ("plant", "a"), ("plant", "c"), ("plant", "d"),
+        ("observer", "k1_plus"), ("observer", "k2_plus"),
+        ("controller", "k"), ("controller", "z_star_init"),
+        ("controller", "k_prime"), ("controller", "epsilon"),
+        ("controller", "R"), ("controller", "R_tilde"),
+        ("controller", "max_cycles"),
+        ("solver", "rel_tol"), ("solver", "abs_tol"), ("solver", "event_tol"),
+        ("solver", "max_step"), ("solver", "t_end"), ("solver", "zeno_window"),
+        ("solver", "zeno_max_jumps"), ("solver", "record_interval"),
+        ("solver", "tau_budget_rel"),
+        ("initial", "z0"), ("initial", "z_hat0"),
+    ])
+    def test_non_finite_value_writes_error_json(self, tmp_path, monkeypatch,
+                                                scenario_dict, section,
+                                                field, value):
+        """json.load takes NaN and Infinity; each numeric field refuses
+        them by name before anything is integrated (a NaN t_end or
+        max_step never finished, a NaN tau_budget_rel wrote gigabytes)."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg[section][field] = [0.0, value] if section == "initial" else value
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert f"{section}.{field}=" in err["error"]["message"]
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
 
     def test_nonconvergent_schedule_warned_not_failed(self, tmp_path,
                                                       scenario_dict):

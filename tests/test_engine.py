@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
                     ZenoSuspected, engine, fastpath, initialize, simulate)
 from xbstab.analysis import cycle_slice
-from xbstab.engine import _Recorder, _run_segment, initial_cycle
+from xbstab.engine import _Arc, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
 from xbstab.model import g_of
 
@@ -127,17 +127,16 @@ def integrate_flow(params, gains, cert, cfg, solver, state, t_start, j, k):
 
     The segment includes the start sample; event is None at the horizon,
     else its guard ("Dc" or "Dnc"), time and bracket width."""
-    rec = _Recorder()
-    rec.add_state(t_start, state, j)
+    arc = _Arc()
+    arc.add_state(t_start, state, j)
     code, t_fin, _, width = _run_segment(
-        params, gains, cert, cfg, solver, k, state, t_start, rec, j,
-        np.empty((1 << 17, 10)))
+        params, gains, cert, cfg, solver, k, state, t_start, arc)
     event = None
     if code in (fastpath.CODE_DC, fastpath.CODE_DNC):
         event = SimpleNamespace(
             t=t_fin, bracket_width=width,
             guard="Dc" if code == fastpath.CODE_DC else "Dnc")
-    return rec.trajectory(), event
+    return arc.trajectory(), event
 
 
 class TestIntegrateFlow:
@@ -209,46 +208,50 @@ class TestIntegrateFlow:
         zhat2 = seg.z2[-1] + seg.z_tilde2[-1]
         assert zhat2 == pytest.approx(thr, abs=1e-5)
 
-    def test_buffer_resume_is_seamless(self, sv_params, sv_gains, sv_cert):
-        """A tiny work buffer forces mid-segment resumes; the recorded
+    def test_buffer_resume_is_seamless(self, monkeypatch, sv_params,
+                                       sv_gains, sv_cert):
+        """A tiny kernel window forces mid-segment resumes; the recorded
         samples must be identical to a single-pass run."""
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=5e-4)
-        big = _Recorder()
+        big = _Arc()
         code_a, t_a, end_a, _ = _run_segment(
             sv_params, sv_gains, sv_cert, cfg, solver, 500.0, state, 0.0,
-            big, 0, np.empty((1 << 17, 10)))
-        small = _Recorder()
+            big)
+        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
+                            fastpath.MAX_STEP_ROWS + 104)
+        small = _Arc()
         code_b, t_b, end_b, _ = _run_segment(
             sv_params, sv_gains, sv_cert, cfg, solver, 500.0, state, 0.0,
-            small, 0, np.empty((fastpath.MAX_STEP_ROWS + 104, 10)))
+            small)
         assert code_a == code_b and t_a == pytest.approx(t_b)
         assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
         assert np.allclose(end_a.z_tilde, end_b.z_tilde,
                            rtol=1e-9, atol=1e-12)
-        ta = np.concatenate([b[0][:, 0] for b in big.blocks])
-        tb = np.concatenate([b[0][:, 0] for b in small.blocks])
+        ta = big.rows[:big.n, 0]
+        tb = small.rows[:small.n, 0]
         # the resumed run re-anchors and restarts its step controller, so
         # the sample grids differ; both must still be ordered recordings
         # of the same solution over the same span
         assert np.all(np.diff(ta) >= 0) and np.all(np.diff(tb) >= 0)
         assert ta[0] == tb[0] and ta[-1] == pytest.approx(tb[-1])
-        za = np.concatenate([b[0][:, 2] for b in big.blocks])
-        zb = np.concatenate([b[0][:, 2] for b in small.blocks])
+        za = big.rows[:big.n, 2]
+        zb = small.rows[:small.n, 2]
         common = np.linspace(0.0, min(ta[-1], tb[-1]), 200)
         assert np.allclose(np.interp(common, ta, za),
                            np.interp(common, tb, zb), rtol=1e-6, atol=1e-9)
 
-    def test_buffer_below_one_step_rejected(self, sv_params, sv_gains,
-                                            sv_cert):
-        """A buffer that cannot hold one step's worst case would return
+    def test_buffer_below_one_step_rejected(self, monkeypatch, sv_params,
+                                            sv_gains, sv_cert):
+        """A window that cannot hold one step's worst case would return
         CODE_BUFFER_FULL without progress forever."""
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=5e-4)
+        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
+                            fastpath.MAX_STEP_ROWS)
         with pytest.raises(ValueError, match="cannot hold one step"):
             _run_segment(sv_params, sv_gains, sv_cert, cfg, solver, 500.0,
-                         state, 0.0, _Recorder(), 0,
-                         np.empty((fastpath.MAX_STEP_ROWS, 10)))
+                         state, 0.0, _Arc())
 
 
 def _max_tau_drift(traj):
@@ -309,7 +312,7 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
 def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
                                       sv_cert, sv_cfg, sv_initial, rows):
     """flow_segment leaves the interior rows of each recorded span to
-    emission.fill_spans. With buf NaN-filled before every kernel call, no
+    emission.fill_spans. With the call's free rows NaN-filled first, no
     NaN reaches the trajectory of the 20 ms bundled run, whose segments
     end on events, at the default buffer and at one that resumes often."""
     z0, z_hat0 = sv_initial
@@ -319,7 +322,7 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
     flow = fastpath.flow_segment
 
     def nan_flow(y, t_start, sc, buf, n0, ret, spans):
-        buf[:] = np.nan
+        buf[n0:] = np.nan
         flow(y, t_start, sc, buf, n0, ret, spans)
         ns = int(ret[4])
         # does the call's last span end on its last row?
@@ -394,6 +397,15 @@ def test_dense_recording_contract(dense_20ms):
     assert np.all(np.diff(dense_20ms.tau)[same_cycle] >= 0.0)
     assert np.all(np.diff(dense_20ms.t) >= 0.0)
     assert len(dense_20ms) <= 20_000
+
+
+def test_columns_are_views_of_one_array(dense_20ms):
+    """simulate holds the arc once: every float column, phi included, is a
+    view of the rows that t is a view of, not a copy. (t and phi hold
+    disjoint elements, so np.shares_memory(t, phi) itself is False.)"""
+    rows = dense_20ms.t.base
+    for name in ("tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"):
+        assert np.shares_memory(getattr(dense_20ms, name), rows), name
 
 
 def test_z1_roots_are_recorded(dense_20ms):

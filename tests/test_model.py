@@ -116,7 +116,10 @@ class TestControllerConfig:
                                     dict(k_prime=0.0),
                                     dict(epsilon=0.0),
                                     dict(R=-0.1),
-                                    dict(max_cycles=0)])
+                                    dict(max_cycles=0)]
+                             + [{name: math.nan} for name in (
+                                 "z_star_init", "k_prime", "epsilon", "R",
+                                 "R_tilde")])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             make_cfg(**kw)
@@ -232,8 +235,11 @@ class TestSolverConfig:
     def test_defaults_and_validation(self):
         s = SolverConfig()
         assert s.record_interval == 0.0 and s.tau_budget_rel == 2e-7
-        for kw in (dict(rel_tol=0.0), dict(t_end=-1.0),
+        nan = [{name: math.nan} for name in (
+            "rel_tol", "abs_tol", "event_tol", "max_step", "t_end",
+            "zeno_window", "record_interval", "tau_budget_rel")]
+        for kw in [dict(rel_tol=0.0), dict(t_end=-1.0),
                    dict(zeno_max_jumps=1), dict(record_interval=-1e-3),
-                   dict(tau_budget_rel=0.0)):
+                   dict(tau_budget_rel=0.0)] + nan:
             with pytest.raises(ValueError):
                 SolverConfig(**kw)
