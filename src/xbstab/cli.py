@@ -31,7 +31,8 @@ written by csvwriter.write_csvs in one pass, over row shares formatted in
 forked children, with the bytes of np.savetxt with the same formats
 however the rows are split. csvwriter is imported by the two functions
 that write, so only runs that write CSV files compile its formatter, and
-they do so after the simulation.
+they do so after the simulation; lanes, which runs sweep variants in
+forked processes, is imported only by sweeps of more than one variant.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .analysis import cycle_slices, extract_dwell, verify_bounds
 from .engine import initial_cycle, simulate
-from .errors import NoExcitation, XbstabError
+from .errors import LaneCrashed, NoExcitation, XbstabError
 from .lyapunov import (LyapunovCertificate, complete_gains,
                        decay_certificate, dwell_certificate,
                        solve_common_lyapunov)
@@ -520,6 +521,17 @@ def _parse_sweep(sweep: str) -> tuple:
     return param.strip(), values
 
 
+def _finished(cfg: dict, dest: Path) -> bool:
+    """Whether a variant left its report or its error.json in dest."""
+    if (dest / "error.json").exists():
+        return True
+    try:
+        report = _build_outputs(_section(cfg, "outputs"))["report_json"]
+    except ValueError:      # the variant would end in error.json
+        return False
+    return (dest / report).exists()
+
+
 def run_scenario(config_path, out_dir=None, checks: str = "all",
                  sweep: str = None) -> int:
     """Execute a scenario configuration file.
@@ -527,10 +539,16 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
     Writes trajectory CSV, plot extracts and the JSON report into out_dir
     (default: the config file's directory). Returns 0 iff every enabled
     check passed in every executed run; on a validation or runtime error an
-    error JSON is written (and echoed to stderr) and 1 is returned. Sweep
-    variants are built and run one after another, each with its own
-    report or error JSON in its own directory, so a bad value in one
-    variant does not stop the others.
+    error JSON is written (and echoed to stderr) and 1 is returned.
+
+    Each sweep variant is built and run on its own, with its own report or
+    error JSON in its own directory, so a bad value in one variant does
+    not stop the others; two values naming one directory are refused
+    before anything runs. With more than one variant and more than one
+    usable CPU, the variants run in forked lanes, one per share of the
+    CPUs, and this process runs lane 0 itself (lanes.run_lanes); a variant
+    whose lane crashed before it wrote a report gets an error.json naming
+    LaneCrashed. Otherwise they run one after another in this process.
     """
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else config_path.parent
@@ -546,7 +564,11 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
             for value in values:
                 variant = copy.deepcopy(raw)
                 _set_by_path(variant, param, value)
-                jobs.append((variant, out / f"sweep_{leaf}={value}"))
+                dest = out / f"sweep_{leaf}={value}"
+                if any(dest == other for _, other in jobs):
+                    raise ValueError(f"--sweep values write one output "
+                                     f"directory twice: {dest.name}")
+                jobs.append((variant, dest))
     except _RUN_ERRORS as exc:
         _report_error(out, exc)
         return 1
@@ -559,8 +581,26 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
         except _RUN_ERRORS as exc:
             return _report_error(dest, exc)
 
-    reports = [_one(cfg, dest) for cfg, dest in jobs]
-    return 0 if all(r.get("all_checks_passed", False) for r in reports) else 1
+    def _all_passed(lane_jobs) -> bool:
+        # every variant runs, also after one has failed
+        reports = [_one(cfg, dest) for cfg, dest in lane_jobs]
+        return all(r.get("all_checks_passed", False) for r in reports)
+
+    def _crashed(lane_jobs, code):
+        for cfg, dest in lane_jobs:
+            if not _finished(cfg, dest):
+                _report_error(dest, LaneCrashed(
+                    f"the sweep lane that ran this variant ended with exit "
+                    f"code {code} before it wrote a report"))
+
+    if len(jobs) > 1:
+        from . import lanes
+
+        cpus = lanes.lane_cpus(len(jobs))
+        if cpus:
+            return 0 if lanes.run_lanes(jobs, cpus, _all_passed,
+                                        _crashed) else 1
+    return 0 if _all_passed(jobs) else 1
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,10 @@ if any of them differ, every value goes through '%.17g'.
 
 The rows are split into contiguous shares, one per usable CPU, and a child
 forked after the columns exist formats each share into unnamed temporary
-files, which this process appends in order. It formats in-process only
-where os.fork does not exist. The bytes do not depend on the split.
+files, which this process appends in order. The usable CPUs are those of
+the process's affinity mask: in a sweep lane (xbstab.lanes), the lane's
+own share of the CPUs. It formats in-process only where os.fork does not
+exist. The bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def _join(fields: list, n: int) -> bytes:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The number of CPUs in this process's affinity mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:

@@ -43,3 +43,7 @@ class NoExcitation(XbstabError):
 
 class CycleNotFound(XbstabError):
     """The requested cycle index is not present in the trajectory."""
+
+
+class LaneCrashed(XbstabError):
+    """A forked sweep lane ended before this variant wrote its report."""

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -250,23 +251,25 @@ class TestOnePassWriter:
 
 
 @pytest.fixture()
-def three_shares(monkeypatch):
+def three_shares(monkeypatch, tmp_path):
     """The split writer with three usable CPUs, 300-row shares and
-    256-row blocks; the returned list collects the pid of every child it
-    forks."""
+    256-row blocks. The returned function lists the pid of every share
+    child forked so far, by this process or by a forked sweep lane: each
+    appends its children's pids to one file."""
     monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
     monkeypatch.setattr(csvwriter, "_BLOCK_ROWS", 256)
     monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 3)
-    fork, children = os.fork, []
+    fork_share, log = csvwriter._fork_share, tmp_path / "share_pids"
+    log.touch()
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            children.append(pid)
+    def logging_fork_share(*args):
+        pid = fork_share(*args)
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{pid}\n")
         return pid
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return children
+    monkeypatch.setattr(csvwriter, "_fork_share", logging_fork_share)
+    return lambda: log.read_text(encoding="ascii").split()
 
 
 def _assert_no_child_left():
@@ -290,7 +293,7 @@ class TestSplitWriter:
         with np.errstate(over="ignore", invalid="ignore"):
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
-        assert len(three_shares) == splits + 1
+        assert len(three_shares()) == splits + 1
         _assert_no_child_left()
 
     def test_forked_write_with_warnings_as_errors(self, tmp_path,
@@ -305,7 +308,7 @@ class TestSplitWriter:
             warnings.simplefilter("error")
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
-        assert len(three_shares) == 2
+        assert len(three_shares()) == 2
         _assert_no_child_left()
 
     def test_one_cpu_forks_one_child(self, tmp_path, three_shares,
@@ -316,7 +319,7 @@ class TestSplitWriter:
         with np.errstate(over="ignore", invalid="ignore"):
             cli.write_trajectory_csv(_EDGE_SCENARIO, traj, out)
             _assert_csvs_match_reference(_EDGE_SCENARIO, traj, out)
-        assert len(three_shares) == 1
+        assert len(three_shares()) == 1
         _assert_no_child_left()
 
     def test_no_fork_writes_in_process(self, tmp_path, monkeypatch):
@@ -368,7 +371,7 @@ class TestSplitWriter:
             self, short_scenario, tmp_path, three_shares):
         out = tmp_path / "out"
         assert main(["run", str(short_scenario), "--out", str(out)]) == 0
-        assert len(three_shares) == 3
+        assert len(three_shares()) == 3
         _assert_no_child_left()
         assert sorted(f.name for f in out.iterdir()) == [
             "phase.csv", "report.json", "timeseries.csv", "trajectory.csv"]
@@ -397,7 +400,8 @@ class TestSplitWriter:
         rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
                           sweep="controller.k=400,500")
         assert rc == 1
-        assert len(three_shares) == 6
+        # three shares per variant, whichever lane ran it
+        assert len(three_shares()) == 6
         _assert_no_child_left()
         bad = out / "sweep_controller_k=400"
         err = json.loads((bad / "error.json").read_text())
@@ -683,11 +687,174 @@ class TestEndToEnd:
         assert "positive" in err["error"]["message"]
         assert sorted(f.name for f in bad.iterdir()) == ["error.json"]
 
+    def test_sweep_values_sharing_a_directory_rejected(
+            self, short_scenario, tmp_path, monkeypatch):
+        """Two values that name one variant directory are refused before
+        anything runs, so no two runs write the same files."""
+        def never(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        out = tmp_path / "out"
+        assert run_scenario(short_scenario, out_dir=out,
+                            sweep="controller.k=400,500,500") == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert "sweep_controller_k=500" in err["error"]["message"]
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
     def test_checks_none_always_passes(self, short_scenario, tmp_path):
         out = tmp_path / "out"
         assert run_scenario(short_scenario, out_dir=out, checks="none") == 0
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["enabled"] == []
+
+
+# a sweep forks lanes only where os.sched_setaffinity exists and with two
+# usable CPUs
+_LANES = (hasattr(os, "sched_setaffinity")
+          and len(os.sched_getaffinity(0)) >= 2)
+_TWO_CPUS = pytest.mark.skipif(not _LANES, reason="no sweep lanes here")
+
+
+class _Stop(BaseException):
+    """Raised from cli.simulate as benchmark/child.py raises its
+    BaseException in setup mode."""
+
+
+def _proc_ended(pid: int, timeout: float = 20.0) -> bool:
+    """Whether process `pid` is gone or a zombie within `timeout` s: a
+    grandchild whose parent was killed is reaped by another process, if
+    at all."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] in "ZX":
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestSweepLanes:
+    """Sweep variants run in forked lanes, one per share of the usable
+    CPUs, with the calling process as lane 0."""
+
+    def test_lanes_write_the_bytes_of_variants_run_alone(
+            self, short_scenario, tmp_path, monkeypatch):
+        """Variant i runs in lane i % P, P = min(3, usable CPUs): on two
+        CPUs, this process runs variants 0 and 2 and a forked lane variant
+        1. Every artifact equals that of the variant run on its own."""
+        caller, log = os.getpid(), tmp_path / "pids"
+        execute = cli.execute
+
+        def logging_execute(scn, out_dir, checks="all"):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{scn.k:g} {os.getpid()}\n")
+            return execute(scn, out_dir, checks=checks)
+
+        monkeypatch.setattr(cli, "execute", logging_execute)
+        swept = tmp_path / "swept"
+        assert run_scenario(short_scenario, out_dir=swept,
+                            sweep="controller.k=400,450,500") == 0
+        _assert_no_child_left()
+        ran_in = dict(line.split() for line in log.read_text().splitlines())
+        pids = [ran_in[k] for k in ("400", "450", "500")]
+        lanes = min(3, len(os.sched_getaffinity(0))) if _LANES else 1
+        assert len(set(pids)) == lanes
+        assert [pid == str(caller) for pid in pids] == [
+            i % lanes == 0 for i in range(3)]
+        alone = tmp_path / "alone"
+        for k in (400, 450, 500):
+            assert run_scenario(short_scenario, out_dir=alone,
+                                sweep=f"controller.k={k}") == 0
+        files = sorted(f.relative_to(swept) for f in swept.rglob("*")
+                       if f.is_file())
+        assert len(files) == 12
+        assert files == sorted(f.relative_to(alone) for f in alone.rglob("*")
+                               if f.is_file())
+        for rel in files:
+            assert (swept / rel).read_bytes() == (alone / rel).read_bytes(), \
+                rel
+
+    def test_forked_sweep_with_warnings_as_errors(self, short_scenario,
+                                                  tmp_path):
+        """One forked sweep with every warning an error, as
+        test_forked_write_with_warnings_as_errors for the CSV writer:
+        Python 3.12 and later warn from os.fork in a threaded process."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                              sweep="controller.k=400,500")
+        assert rc == 0
+        assert len(list(out.glob("*/report.json"))) == 2
+        _assert_no_child_left()
+
+    @_TWO_CPUS
+    def test_crashed_lane_ends_its_variant_in_error_json(
+            self, short_scenario, tmp_path, monkeypatch):
+        """An exception no variant handles ends a forked lane; its variant
+        gets an error.json naming LaneCrashed, the other one its report."""
+        caller = os.getpid()
+        execute = cli.execute
+
+        def failing_in_lane(*args, **kwargs):
+            if os.getpid() != caller:
+                raise RuntimeError("lane failure")
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "execute", failing_in_lane)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,500")
+        assert rc == 1
+        _assert_no_child_left()
+        bad = out / "sweep_controller_k=500"
+        err = json.loads((bad / "error.json").read_text())
+        assert err["error"]["type"] == "LaneCrashed"
+        assert "exit code 2" in err["error"]["message"]
+        assert sorted(f.name for f in bad.iterdir()) == ["error.json"]
+        good = out / "sweep_controller_k=400"
+        assert json.loads((good / "report.json").read_text())[
+            "all_checks_passed"]
+
+    @_TWO_CPUS
+    def test_base_exception_in_lane_zero_ends_every_lane(
+            self, short_scenario, tmp_path, monkeypatch):
+        """A BaseException from cli.simulate in the calling process leaves
+        run_scenario once the forked lane and the CSV writer's child it
+        forked are killed, with the caller's affinity restored."""
+        caller, started = os.getpid(), tmp_path / "share_started"
+        simulate = cli.simulate
+
+        def stalled_share(*args):      # only lane 1 gets to write
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid", started)
+            time.sleep(60)
+
+        def stopping(*args, **kwargs):
+            if os.getpid() != caller:
+                return simulate(*args, **kwargs)
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "simulate", stopping)
+        monkeypatch.setattr(csvwriter, "_format_rows", stalled_share)
+        affinity = os.sched_getaffinity(0)
+        t0 = time.monotonic()
+        with pytest.raises(_Stop):
+            run_scenario(short_scenario, out_dir=tmp_path / "out",
+                         checks="vobs", sweep="controller.k=400,500")
+        assert time.monotonic() - t0 < 40
+        assert os.sched_getaffinity(0) == affinity
+        _assert_no_child_left()
+        assert started.exists()
+        assert _proc_ended(int(started.read_text()))
 
 
 def _modules_loaded_by_cli_import(names) -> list:
@@ -744,11 +911,14 @@ def test_readme_python_example_runs():
 def test_run_does_not_load_numpy_ma(short_scenario, tmp_path):
     """A plain np.unique calls np.ma.is_masked, which imports numpy.ma
     (15-17 ms and 1.3 MB of resident memory on a 2-CPU x86 host): a whole
-    `xbstab run` must never load it."""
+    `xbstab run` must never load it. Nor may a run of one variant load
+    xbstab.lanes: compiling it raised the peak RSS of a run by 0.3-0.5 MB
+    where no bytecode cache is written."""
     code = ("import sys; from xbstab import cli; "
             f"rc = cli.main(['run', {str(short_scenario)!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+            "print(rc, 'numpy.ma' in sys.modules, "
+            "'xbstab.lanes' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -757,7 +927,7 @@ def test_run_does_not_load_numpy_ma(short_scenario, tmp_path):
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").exists()
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["0", "False", "False"]
 
 
 def test_cli_import_does_not_load_multiprocessing():
