@@ -54,10 +54,15 @@ class BoundReport:
     to_dict = as_dict
 
     @property
+    def verdicts(self) -> dict:
+        """The verdict of each bound check, by its name in cli.CHECK_NAMES."""
+        return {"vobs": self.vobs_monotone, "envelope": self.envelope_ok,
+                "phi": self.phi_oracle_max_err <= 1e-5,
+                "dwell": self.dwell_ok, "zeno": self.zeno_ok}
+
+    @property
     def all_ok(self) -> bool:
-        return (self.vobs_monotone and self.envelope_ok
-                and self.phi_oracle_max_err <= 1e-5
-                and self.dwell_ok and self.zeno_ok)
+        return all(self.verdicts.values())
 
 
 def cycle_slices(traj: HybridTrajectory) -> dict:

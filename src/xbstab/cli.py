@@ -409,14 +409,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
     bounds = verify_bounds(traj, scn.params, scn.cfg, scn.cert, decay,
                            from_cycle=first_cycle)
 
-    check_results = {
-        "vobs": bounds.vobs_monotone,
-        "envelope": bounds.envelope_ok,
-        "phi": bounds.phi_oracle_max_err <= 1e-5,
-        "dwell": bounds.dwell_ok,
-        "zeno": bounds.zeno_ok,
-        "excitation": excitation_ok,
-    }
+    check_results = {**bounds.verdicts, "excitation": excitation_ok}
     all_passed = all(check_results[name] for name in enabled)
 
     warnings = []
@@ -548,7 +541,10 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
     usable CPU, the variants run in forked lanes, one per share of the
     CPUs, and this process runs lane 0 itself (lanes.run_lanes); a variant
     whose lane crashed before it wrote a report gets an error.json naming
-    LaneCrashed. Otherwise they run one after another in this process.
+    LaneCrashed, and if a lane cannot be forked, the lanes already forked
+    are ended and every variant without a report gets an error.json
+    naming the OSError. Otherwise they run one after another in this
+    process.
     """
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else config_path.parent
@@ -586,20 +582,27 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
         reports = [_one(cfg, dest) for cfg, dest in lane_jobs]
         return all(r.get("all_checks_passed", False) for r in reports)
 
-    def _crashed(lane_jobs, code):
+    def _unfinished(lane_jobs, exc):
         for cfg, dest in lane_jobs:
             if not _finished(cfg, dest):
-                _report_error(dest, LaneCrashed(
-                    f"the sweep lane that ran this variant ended with exit "
-                    f"code {code} before it wrote a report"))
+                _report_error(dest, exc)
+
+    def _crashed(lane_jobs, code):
+        _unfinished(lane_jobs, LaneCrashed(
+            f"the sweep lane that ran this variant ended with exit code "
+            f"{code} before it wrote a report"))
 
     if len(jobs) > 1:
         from . import lanes
 
         cpus = lanes.lane_cpus(len(jobs))
         if cpus:
-            return 0 if lanes.run_lanes(jobs, cpus, _all_passed,
-                                        _crashed) else 1
+            try:
+                return 0 if lanes.run_lanes(jobs, cpus, _all_passed,
+                                            _crashed) else 1
+            except OSError as exc:      # a lane could not be forked
+                _unfinished(jobs, exc)
+                return 1
     return 0 if _all_passed(jobs) else 1
 
 

@@ -141,8 +141,19 @@ class _Arc:
             phi=data[:, 6:10], jumps=self.jumps)
 
 
-def _run_segment(params, gains, cert, cfg, solver, k, state, t_start, arc):
-    """Flow from (t_start, state) until an event or the horizon.
+def _segment_constants(params, cfg, cert, state) -> tuple:
+    """The segment part of the kernel's record (fastpath docstring): z*,
+    the D_c threshold d|z*|/(c z*_in) and lambda_min h(i)^2 for the
+    state's cycle i."""
+    z_star = float(state.z_star)
+    h_i = cfg.h_of(state.cycle, cert.gamma)
+    return (z_star, params.d * abs(z_star) / (params.c * cfg.z_star_init),
+            float(cert.lambda_min * h_i * h_i))
+
+
+def _run_segment(params, cert, cfg, run, state, t_start, arc):
+    """Flow from (t_start, state) until an event or the horizon, with the
+    run's constants `run` (fastpath.run_constants).
 
     Records the samples after the start sample into arc and returns
     (code, t_final, state_final, bracket_width). The kernel writes them
@@ -154,9 +165,7 @@ def _run_segment(params, gains, cert, cfg, solver, k, state, t_start, arc):
     if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
                          f"hold one step ({fastpath.MAX_STEP_ROWS} rows)")
-    sc = fastpath.pack_scalars(
-        params, gains, k, state.z_star, cfg.z_star_init,
-        cfg.h_of(state.cycle, cert.gamma), cert, solver, solver.t_end)
+    sc = (run, _segment_constants(params, cfg, cert, state))
     y = _state_to_y(state)
     ret = np.zeros(5)
     t_fin = t_start
@@ -207,6 +216,7 @@ def simulate(params: PlantParams, gains: ObserverGains,
     if k is None:
         k = derive_control_gain(params, cfg, cert.gamma)
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
+    run = fastpath.run_constants(params, gains, k, cert, solver)
     arc = _Arc()
     arc.add_state(0.0, state, 0)
 
@@ -216,8 +226,8 @@ def simulate(params: PlantParams, gains: ObserverGains,
 
     while True:
         t_start = t
-        code, t, state, _ = _run_segment(
-            params, gains, cert, cfg, solver, k, state, t, arc)
+        code, t, state, _ = _run_segment(params, cert, cfg, run, state, t,
+                                         arc)
         if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
             break
         kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \

@@ -38,6 +38,13 @@ reserved row in one vectorized pass from the same closed forms, with
 CPython's math for the transcendentals, so each row equals what
 _record(_dense(...)) would have written, bit for bit.
 
+A run's constants reach the kernel as one record of floats and tuples,
+sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
+from run_constants once per simulate call, and seg = (z*, D_c threshold,
+lambda_min h(i)^2) from the engine once per segment. modes[0] and modes[1]
+are the tau-time flows for z1 > 0 and z1 < 0: A1 or A2 split by _split,
+then s c and d/c, so a z1 root only picks the other one.
+
 The kernel is written once, in scalar-local style: every value it does
 arithmetic on is a float local or a tuple of floats, and numpy arrays are
 touched only to read the inputs, write sample rows and descriptors and
@@ -51,8 +58,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 try:
     from numba import njit
     HAVE_NUMBA = True
@@ -64,16 +69,6 @@ except ImportError:               # numba is the optional ``fast`` extra
             return args[0]
         return lambda f: f
 
-
-# scalar-parameter vector layout
-SC_A, SC_C, SC_D, SC_K = 0, 1, 2, 3
-SC_K1P, SC_K2P, SC_K1M, SC_K2M = 4, 5, 6, 7
-SC_ZSTAR, SC_THR, SC_LMH2 = 8, 9, 10
-SC_P11, SC_P12, SC_P22 = 11, 12, 13
-SC_RTOL, SC_ATOL = 14, 15
-SC_MAXSTEP, SC_EVENTTOL = 16, 17
-SC_TSTOP, SC_RECDT, SC_CONVTOL, SC_TAUBUDGET, SC_Z2FLOOR = 18, 19, 20, 21, 22
-N_SC = 23
 
 # span-descriptor layout, one row of flow_segment's spans array per span
 # with interior samples: its first interior row and sample count m, the
@@ -122,19 +117,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
 
 
 @njit(cache=True)
-def _rhs_params(sc):
-    """(a, k, z*) from the scalar vector."""
-    return float(sc[SC_A]), float(sc[SC_K]), float(sc[SC_ZSTAR])
-
-
-@njit(cache=True)
-def _guard_params(sc):
-    """(thr, z*, P11, P12, P22, lambda_min h(i)^2) from the scalar vector."""
-    return (float(sc[SC_THR]), float(sc[SC_ZSTAR]), float(sc[SC_P11]),
-            float(sc[SC_P12]), float(sc[SC_P22]), float(sc[SC_LMH2]))
-
-
-@njit(cache=True)
 def _split(m11, m12, m21, m22):
     """M = [[m11, m12], [m21, m22]] as (mu, n11, n12, n21, disc, w), where
     M = mu I + N, N = [[n11, n12], [n21, -n11]], N^2 = disc I and
@@ -180,18 +162,6 @@ def _expm2(md, dt):
 
 
 @njit(cache=True)
-def _mode(sc, s):
-    """The tau-time flow for s = sign z1: A(s) split by _split (A1 for
-    s > 0, A2 for s < 0), followed by s c and d/c for z2."""
-    a, c, d = float(sc[SC_A]), float(sc[SC_C]), float(sc[SC_D])
-    if s > 0.0:
-        m = _split(-float(sc[SC_K1P]), -a, -float(sc[SC_K2P]), c)
-    else:
-        m = _split(float(sc[SC_K1M]), a, float(sc[SC_K2M]), -c)
-    return (m[0], m[1], m[2], m[3], m[4], m[5], s * c, d / c)
-
-
-@njit(cache=True)
 def _closed(md, ya, tau, z1):
     """The state at (tau, z1): z2, zt and Phi from the closed form of mode
     md anchored at the state ya."""
@@ -222,8 +192,9 @@ def _f(p, md, za, tau, z1):
 
 @njit(cache=True)
 def _guard_any(y, g):
-    """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc, else 0."""
-    thr, zstar, p11, p12, p22, lmh2 = g
+    """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc, else 0;
+    g = (z*, thr, lambda_min h(i)^2, P11, P12, P22)."""
+    zstar, thr, lmh2, p11, p12, p22 = g
     zh2 = y[2] + y[4]
     if abs(zh2) >= thr and zh2 * zstar >= 0.0:
         return CODE_DC
@@ -477,7 +448,8 @@ def _finish(y, ys, ret, code, t, n, width, ns):
 
 @njit(cache=True)
 def flow_segment(y, t_start, sc, buf, n0, ret, spans):
-    """Integrate one flow segment from (t_start, y).
+    """Integrate one flow segment from (t_start, y) with the record sc
+    = (run, seg) of the module docstring.
 
     Writes samples into buf starting at row n0 (10 columns: t then y) and
     fills ret = [code, t_final, n_written, bracket_width, n_spans]. The
@@ -493,17 +465,11 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     the current point, so a buffer of fewer than MAX_STEP_ROWS rows makes
     no progress.
     """
-    p = _rhs_params(sc)
-    g = _guard_params(sc)
-    rtol = float(sc[SC_RTOL])
-    atol = float(sc[SC_ATOL])
-    max_step = float(sc[SC_MAXSTEP])
-    event_tol = float(sc[SC_EVENTTOL])
-    t_stop = float(sc[SC_TSTOP])
-    rec_dt = float(sc[SC_RECDT])
-    conv_tol = float(sc[SC_CONVTOL])
-    budget_rel = float(sc[SC_TAUBUDGET])
-    z2_floor = float(sc[SC_Z2FLOOR])
+    run, seg = sc
+    a, k, modes, pm, settings, z2_floor = run
+    rtol, atol, max_step, event_tol, t_stop, rec_dt, budget_rel = settings
+    p = (a, k, seg[0])
+    g = seg + pm
     t = float(t_start)
     cap = buf.shape[0]
     ys = (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
@@ -519,7 +485,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     s = 1.0
     if ys[1] < 0.0 or (ys[1] == 0.0 and p[2] < 0.0):
         s = -1.0
-    md = _mode(sc, s)
+    md = modes[0] if s > 0.0 else modes[1]
     ya = ys                     # anchor of the closed form
     za = _zt2_anchor(md, ya)
     f0 = _f(p, md, za, ys[0], ys[1])
@@ -562,7 +528,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             if hs < _MIN_STEP:
                 # the root is at the step start: switch the mode here
                 s = -s
-                md = _mode(sc, s)
+                md = modes[0] if s > 0.0 else modes[1]
                 ya = ys
                 za = _zt2_anchor(md, ya)
                 flipped = True
@@ -598,8 +564,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         # from the last recorded sample still matches tau
         at_stop = t_new >= t_stop - 1e-14
         z2_bad = ye[2] <= z2_floor
-        converged = (abs(ye[1]) + abs(ye[2]) + abs(ye[3]) + abs(ye[4])
-                     < conv_tol)
+        converged = abs(ye[1]) + abs(ye[2]) + abs(ye[3]) + abs(ye[4]) < atol
         force = at_stop or z2_bad or converged or at_root
         dtau = ye[0] - last_rec_tau
         trap = 0.5 * (abs(last_rec_z1) + abs(ye[1])) * (t_new - last_rec_t)
@@ -628,7 +593,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         f0 = f1
         if at_root:
             s = -s
-            md = _mode(sc, s)
+            md = modes[0] if s > 0.0 else modes[1]
             ya = ys
             za = _zt2_anchor(md, ya)
         if not crossed:
@@ -645,31 +610,17 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     _finish(y, ys, ret, CODE_HORIZON, t, n, 0.0, ns)
 
 
-def pack_scalars(params, gains, k, z_star, z_star_init, h_i, cert, solver,
-                 t_stop) -> np.ndarray:
-    """Scalar-parameter vector for flow_segment."""
-    sc = np.zeros(N_SC)
-    sc[SC_A] = params.a
-    sc[SC_C] = params.c
-    sc[SC_D] = params.d
-    sc[SC_K] = k
-    sc[SC_K1P] = gains.k1_plus
-    sc[SC_K2P] = gains.k2_plus
-    sc[SC_K1M] = gains.k1_minus
-    sc[SC_K2M] = gains.k2_minus
-    sc[SC_ZSTAR] = z_star
-    sc[SC_THR] = params.d * abs(z_star) / (params.c * z_star_init)
-    sc[SC_LMH2] = cert.lambda_min * h_i * h_i
-    sc[SC_P11] = cert.P[0, 0]
-    sc[SC_P12] = cert.P[0, 1]
-    sc[SC_P22] = cert.P[1, 1]
-    sc[SC_RTOL] = solver.rel_tol
-    sc[SC_ATOL] = solver.abs_tol
-    sc[SC_MAXSTEP] = solver.max_step
-    sc[SC_EVENTTOL] = solver.event_tol
-    sc[SC_TSTOP] = t_stop
-    sc[SC_RECDT] = solver.record_interval
-    sc[SC_CONVTOL] = solver.abs_tol
-    sc[SC_TAUBUDGET] = solver.tau_budget_rel
-    sc[SC_Z2FLOOR] = -params.d / params.c
-    return sc
+def run_constants(params, gains, k, cert, solver) -> tuple:
+    """The run part of the kernel's record (module docstring); settings
+    are rel_tol, abs_tol, max_step, event_tol, t_end, record_interval and
+    tau_budget_rel."""
+    c, d_over_c = float(params.c), float(params.d / params.c)
+    modes = tuple((*_split(*map(float, m.ravel())), s * c, d_over_c)
+                  for m, s in ((gains.A1, 1.0), (gains.A2, -1.0)))
+    P = cert.P
+    settings = (solver.rel_tol, solver.abs_tol, solver.max_step,
+                solver.event_tol, solver.t_end, solver.record_interval,
+                solver.tau_budget_rel)
+    return (float(params.a), float(k), modes,
+            (float(P[0, 0]), float(P[0, 1]), float(P[1, 1])),
+            tuple(map(float, settings)), -d_over_c)

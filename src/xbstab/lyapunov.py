@@ -209,17 +209,25 @@ def _place_output_injection(A: np.ndarray, pole: float) -> np.ndarray:
 
 def _envelope_ok(M: np.ndarray, pole: float, lam: float, log_c_bar: float,
                  tau_start: float) -> bool:
-    """Sampled check of ||e^{M tau}|| <= (1/c_bar) e^{-2 lam (tau - s)}
-    at 400 taus, with one stacked 2-norm.
+    """Whether ||e^{M tau}||_2 <= (1/c_bar) e^{-2 lam (tau - s)} for every
+    tau >= s = tau_start.
 
-    M has both eigenvalues at `pole`, so M + |pole| I is nilpotent and
-    exp(M tau) = e^(pole tau) (I + N tau) exactly; the polynomial factor
-    is evaluated in ordinary floats.
+    M has both eigenvalues at `pole`, so N = M - pole I is nilpotent,
+    e^{M tau} = e^(pole tau) (I + N tau) and, with n = ||N||_F,
+    ||I + N tau||_2 = exp(asinh(n tau / 2)). The log of the left side over
+    the right, asinh(n tau / 2) - r tau plus a constant with
+    r = -(pole + 2 lam), is concave in tau. For r > 0 (decay_certificate
+    places pole = -3 lam, so r = lam) its maximum over tau >= s lies at s
+    or at its stationary point sqrt(1/r^2 - 4/n^2), which exists for
+    n > 2 r.
     """
-    taus = np.linspace(tau_start, tau_start + 60.0 / lam, 400)
-    G = np.eye(2) + (M - pole * np.eye(2)) * taus[:, None, None]
-    lhs = pole * taus + np.log(np.linalg.norm(G, 2, axis=(1, 2)))
-    return not np.any(lhs > -log_c_bar - 2.0 * lam * (taus - tau_start))
+    r = -(pole + 2.0 * lam)
+    n = float(np.linalg.norm(M - pole * np.eye(2)))
+    tau = tau_start
+    if n > 2.0 * r:
+        tau = max(tau, math.sqrt(1.0 / (r * r) - 4.0 / (n * n)))
+    return pole * tau + math.asinh(0.5 * n * tau) \
+        <= -log_c_bar - 2.0 * lam * (tau - tau_start)
 
 
 def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,

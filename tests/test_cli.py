@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xbstab import cli, csvwriter, emission
+from xbstab import cli, csvwriter, emission, lanes
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -820,6 +820,42 @@ class TestSweepLanes:
         good = out / "sweep_controller_k=400"
         assert json.loads((good / "report.json").read_text())[
             "all_checks_passed"]
+
+    @_TWO_CPUS
+    def test_failed_fork_ends_unfinished_variants_in_error_json(
+            self, short_scenario, tmp_path, monkeypatch):
+        """Three lanes, the second fork refused with the OSError a process
+        limit raises (stood in for, so that no limit is approached): the
+        lane already forked is killed and reaped, the caller's affinity
+        is restored, the run returns 1 and every variant without a report
+        gets an error.json naming the error."""
+        usable = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(lanes, "lane_cpus", lambda variants: [usable] * 3)
+        fork, forked = lanes._fork_lane, []
+
+        def refusing_fork(cpus, run):
+            if forked:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            forked.append(fork(cpus, run))
+            return forked[-1]
+
+        monkeypatch.setattr(lanes, "_fork_lane", refusing_fork)
+        affinity = os.sched_getaffinity(0)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,450,500")
+        assert rc == 1
+        assert os.sched_getaffinity(0) == affinity
+        _assert_no_child_left()
+        assert len(forked) == 1
+        # lane 0's variants never ran; the forked lane's may have finished
+        for k in (400, 450, 500):
+            dest = out / f"sweep_controller_k={k}"
+            if k == 450 and (dest / "report.json").exists():
+                continue
+            err = json.loads((dest / "error.json").read_text())
+            assert err["error"]["type"] == "BlockingIOError"
+            assert "fork refused" in err["error"]["message"]
 
     @_TWO_CPUS
     def test_base_exception_in_lane_zero_ends_every_lane(

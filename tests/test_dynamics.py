@@ -11,8 +11,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
-                    fastpath, in_Dc, in_Dnc, jump_map, phi_contraction_norm,
-                    simulate)
+                    engine, fastpath, in_Dc, in_Dnc, jump_map,
+                    phi_contraction_norm, simulate)
 
 from flow_oracles import (control_input, flow_map, observer_rhs_zhat,
                           tracking_error_rhs_analysis_form)
@@ -183,11 +183,16 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-def _kernel_scalars(params, gains, cert, cfg, k, state):
-    return fastpath.pack_scalars(params, gains, k, state.z_star,
-                                 cfg.z_star_init,
-                                 cfg.h_of(state.cycle, cert.gamma), cert,
-                                 SolverConfig(), 1.0)
+def _kernel_record(params, gains, cert, cfg, k, state):
+    """The kernel's record (run, seg) for a segment that starts at state."""
+    return (fastpath.run_constants(params, gains, k, cert, SolverConfig()),
+            engine._segment_constants(params, cfg, cert, state))
+
+
+def _kernel_mode(run, s):
+    """The run record's tau-time mode for s = sign z1."""
+    modes = run[2]
+    return modes[0] if s > 0.0 else modes[1]
 
 
 def _kernel_state(state):
@@ -205,21 +210,21 @@ def test_kernel_flow_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
     """The kernel's flow is flow_oracles.flow_map, to 1e-12 relative to the
     magnitude of the terms each component sums. fastpath._f gives d_tau
     and d_z1. The tau-derivative of the closed form of z2, z_tilde and Phi,
-    the generator fastpath._mode returns for s = sign z1, gives d_z2,
+    the generator of the run record's mode for s = sign z1, gives d_z2,
     d_z_tilde and d_phi divided by |z1| (compared here times |z1|, so that
     both sides underflow alike)."""
     cfg = make_cfg()
     state = make_state(z1=z1, z2=sv_params.z2_floor + z2_above_floor,
                        zt1=zt[0], zt2=zt[1], z_star=z_star,
                        phi=np.array(phi).reshape(2, 2))
-    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, cfg, k, state)
+    run, seg = _kernel_record(sv_params, sv_gains, sv_cert, cfg, k, state)
     ya = _kernel_state(state)
-    md = fastpath._mode(sc, math.copysign(1.0, z1))
+    md = _kernel_mode(run, math.copysign(1.0, z1))
     mu, n11, n12, n21, _, _, z2_rate, d_over_c = md
     gen = np.array([[mu + n11, n12], [n21, mu - n11]])
     rates = np.concatenate([[z2_rate * (state.z[1] + d_over_c)],
                             gen @ state.z_tilde, (gen @ state.phi).ravel()])
-    got = np.array([*fastpath._f(fastpath._rhs_params(sc), md,
+    got = np.array([*fastpath._f((run[0], run[1], seg[0]), md,
                                  fastpath._zt2_anchor(md, ya), ya[0], z1),
                     *(abs(z1) * rates)])
     d = flow_map(sv_params, sv_gains, k, state)
@@ -246,13 +251,13 @@ def test_kernel_flow_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
 def test_closed_form_is_exponential_of_generator(sv_params, sv_gains,
                                                   sv_cert, s, dtau):
     """fastpath._closed moves z2, z_tilde and Phi along the generator of
-    fastpath._mode: scipy's expm of it for z_tilde and Phi and the scalar
-    exponential for z2 + d/c, to 1e-13 of the terms summed."""
+    the run record's mode: scipy's expm of it for z_tilde and Phi and the
+    scalar exponential for z2 + d/c, to 1e-13 of the terms summed."""
     state = make_state(z1=s * 2.0, z2=0.3, zt1=-0.2, zt2=0.4,
                        phi=np.array([[0.9, -0.3], [0.2, 1.1]]))
-    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, make_cfg(), 500.0,
-                         state)
-    md = fastpath._mode(sc, s)
+    run, _ = _kernel_record(sv_params, sv_gains, sv_cert, make_cfg(), 500.0,
+                            state)
+    md = _kernel_mode(run, s)
     mu, n11, n12, n21, _, _, z2_rate, d_over_c = md
     E = expm(np.array([[mu + n11, n12], [n21, mu - n11]]) * dtau)
     ya = _kernel_state(state)
@@ -266,6 +271,33 @@ def test_closed_form_is_exponential_of_generator(sv_params, sv_gains,
                             np.abs(E) @ np.abs(state.z_tilde),
                             (np.abs(E) @ np.abs(state.phi)).ravel()])
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_modes_are_split_once_per_run(monkeypatch, sv_params, sv_gains,
+                                      sv_cert, sv_cfg, sv_initial):
+    """The run record holds both modes, so simulate splits A1 and A2 once
+    each, however many segments and z1 roots the run has: the 20 ms
+    bundled run, on the python backend, has 5 jumps and 6 sign changes
+    of z1."""
+    if fastpath.HAVE_NUMBA:
+        monkeypatch.setattr(fastpath, "flow_segment",
+                            fastpath.flow_segment.py_func)
+    calls = []
+    split = fastpath._split
+
+    def counting_split(*m):
+        calls.append(m)
+        return split(*m)
+
+    monkeypatch.setattr(fastpath, "_split", counting_split)
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02)
+    traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                    k=500.0)
+    assert len(traj.jumps) >= 2
+    assert np.count_nonzero(np.diff(np.sign(traj.z1))) >= 2
+    assert calls == [tuple(sv_gains.A1.ravel()), tuple(sv_gains.A2.ravel())]
 
 
 @pytest.mark.parametrize("dt", [0.0, 1e-12, 1e-3, 1.0])
@@ -316,9 +348,9 @@ def test_kernel_guard_matches_jump_sets(sv_params, sv_gains, sv_cert, cycle,
         want = fastpath.CODE_DNC
     else:
         want = 0
-    sc = _kernel_scalars(sv_params, sv_gains, sv_cert, cfg, 500.0, state)
-    assert fastpath._guard_any(_kernel_state(state),
-                               fastpath._guard_params(sc)) == want
+    run, seg = _kernel_record(sv_params, sv_gains, sv_cert, cfg, 500.0,
+                              state)
+    assert fastpath._guard_any(_kernel_state(state), seg + run[3]) == want
 
 
 def test_backends_agree_on_short_run(monkeypatch, sv_params, sv_gains,

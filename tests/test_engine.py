@@ -130,7 +130,9 @@ def integrate_flow(params, gains, cert, cfg, solver, state, t_start, j, k):
     arc = _Arc()
     arc.add_state(t_start, state, j)
     code, t_fin, _, width = _run_segment(
-        params, gains, cert, cfg, solver, k, state, t_start, arc)
+        params, cert, cfg, fastpath.run_constants(params, gains, k, cert,
+                                                  solver),
+        state, t_start, arc)
     event = None
     if code in (fastpath.CODE_DC, fastpath.CODE_DNC):
         event = SimpleNamespace(
@@ -214,16 +216,16 @@ class TestIntegrateFlow:
         samples must be identical to a single-pass run."""
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=5e-4)
+        run = fastpath.run_constants(sv_params, sv_gains, 500.0, sv_cert,
+                                     solver)
         big = _Arc()
-        code_a, t_a, end_a, _ = _run_segment(
-            sv_params, sv_gains, sv_cert, cfg, solver, 500.0, state, 0.0,
-            big)
+        code_a, t_a, end_a, _ = _run_segment(sv_params, sv_cert, cfg, run,
+                                             state, 0.0, big)
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
                             fastpath.MAX_STEP_ROWS + 104)
         small = _Arc()
-        code_b, t_b, end_b, _ = _run_segment(
-            sv_params, sv_gains, sv_cert, cfg, solver, 500.0, state, 0.0,
-            small)
+        code_b, t_b, end_b, _ = _run_segment(sv_params, sv_cert, cfg, run,
+                                             state, 0.0, small)
         assert code_a == code_b and t_a == pytest.approx(t_b)
         assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
         assert np.allclose(end_a.z_tilde, end_b.z_tilde,
@@ -250,7 +252,9 @@ class TestIntegrateFlow:
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
                             fastpath.MAX_STEP_ROWS)
         with pytest.raises(ValueError, match="cannot hold one step"):
-            _run_segment(sv_params, sv_gains, sv_cert, cfg, solver, 500.0,
+            _run_segment(sv_params, sv_cert, cfg,
+                         fastpath.run_constants(sv_params, sv_gains, 500.0,
+                                                sv_cert, solver),
                          state, 0.0, _Arc())
 
 

@@ -163,8 +163,8 @@ class TestDecayCertificate:
 
 
 def _envelope_ok_loop(M, pole, lam, log_c_bar, tau_start):
-    """The envelope check one tau at a time: the oracle of the batched
-    lyapunov._envelope_ok."""
+    """The envelope check one tau at a time at 400 taus: the sampled
+    oracle of the closed-form lyapunov._envelope_ok."""
     for tau in np.linspace(tau_start, tau_start + 60.0 / lam, 400):
         G = np.eye(2) + (M - pole * np.eye(2)) * tau
         lhs = pole * tau + math.log(np.linalg.norm(G, 2))
@@ -176,8 +176,8 @@ def _envelope_ok_loop(M, pole, lam, log_c_bar, tau_start):
 @pytest.mark.parametrize("k", [500.0, 400.0])
 def test_batched_envelope_check_matches_loop(scenario_dict, k):
     """On the dwell data of the shipped scenario and of its k = 400
-    variant, the batched check gives the loop's verdict for both modes at
-    every decay rate of decay_certificate's search grid."""
+    variant, the closed-form check gives the sampled loop's verdict for
+    both modes at every decay rate of decay_certificate's search grid."""
     cfg = json.loads(json.dumps(scenario_dict))
     cfg["controller"]["k"] = k
     scn = build_scenario(cfg)
@@ -199,6 +199,29 @@ def test_batched_envelope_check_matches_loop(scenario_dict, k):
                                                 log_c_bar, s), (mult, A)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_envelope_maximum_between_samples_is_caught():
+    """A case whose worst tau lies midway between two of the 400 taus the
+    sampled check takes: over all tau >= s the envelope fails by 5e-4 in
+    the log, which both neighbouring samples miss by about 2e-3, and 1e-3
+    less log c_bar makes it hold."""
+    lam, pole = 1.0, -3.0
+    M = pole * np.eye(2) + np.array([[0.0, 10.0], [0.0, 0.0]])
+    peak = math.sqrt(1.0 - 4.0 / 10.0 ** 2)      # stationary, ||N||_F = 10
+    s = peak - 30.0 / 399.0     # the samples s and s + 60/399 straddle it
+
+    def excess(taus, log_c_bar):
+        G = np.eye(2) + (M - pole * np.eye(2)) * taus[:, None, None]
+        return pole * taus + np.log(np.linalg.norm(G, 2, axis=(1, 2))) \
+            + log_c_bar + 2.0 * lam * (taus - s)
+
+    log_c_bar = 5e-4 - excess(np.array([peak]), 0.0)[0]
+    dense = excess(np.linspace(s, s + 60.0 / lam, 100001), log_c_bar)
+    assert dense.max() == pytest.approx(5e-4, abs=1e-7)
+    assert _envelope_ok_loop(M, pole, lam, log_c_bar, s)
+    assert not _envelope_ok(M, pole, lam, log_c_bar, s)
+    assert _envelope_ok(M, pole, lam, log_c_bar - 1e-3, s)
 
 
 class TestPolePlacement:
