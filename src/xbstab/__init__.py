@@ -17,8 +17,8 @@ from .model import (ControllerConfig, HSchedule, HybridState,
                     reference_set_value, t_lmin_asymptote)
 from .lyapunov import (complete_gains, dwell_certificate,
                        dwell_time_lower_bound, solve_common_lyapunov)
-from .dynamics import in_Dc, in_Dnc, jump_map, phi_contraction_norm
-from .engine import initialize, simulate
+from .engine import (in_Dc, in_Dnc, initialize, jump_map,
+                     phi_contraction_norm, simulate)
 from .analysis import (check_envelope, check_vobs_monotone, extract_dwell,
                        verify_bounds)
 

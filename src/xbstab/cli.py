@@ -41,6 +41,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -473,11 +474,17 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+def _write_json(path: Path, payload: dict):
+    # via a temporary file: _finished takes any report on disk as complete
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(_sanitize(payload), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _report_error(dest: Path, exc: Exception) -> dict:

@@ -1,9 +1,12 @@
-"""Hybrid execution engine.
+"""Hybrid execution engine and the jump sets it executes.
 
 Alternates event-detected continuous integration (the compiled segment
 kernel in fastpath) with guard-triggered jumps, starting from the
 initialization rule of the algorithm, and assembles the result into a
 HybridTrajectory ordered lexicographically in hybrid time (t, j).
+
+The jump sets D_c, D_nc and the jump map live here too, with one function
+per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
 A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
 writes into directly, through a window of exactly _INIT_BUFFER_ROWS free
@@ -19,8 +22,6 @@ import collections
 import numpy as np
 
 from . import emission, fastpath
-# in_Dc and in_Dnc stay bound for benchmark/spans.py, which wraps them here
-from .dynamics import in_Dc, in_Dnc, jump_map  # noqa: F401
 from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
                      StepFailure, ZenoSuspected)
 from .lyapunov import LyapunovCertificate
@@ -141,14 +142,66 @@ class _Arc:
             phi=data[:, 6:10], jumps=self.jumps)
 
 
+def _dc_threshold(params: PlantParams, cfg: ControllerConfig,
+                  z_star: float) -> float:
+    """The D_c threshold d|z*|/(c z*_in) on |zhat2|."""
+    return params.d * abs(z_star) / (params.c * cfg.z_star_init)
+
+
+def _contraction_bound(cfg: ControllerConfig, cert: LyapunovCertificate,
+                       cycle: int) -> float:
+    """lambda_min h(i)^2, D_nc's bound on ||Phi' P Phi||_2 in cycle i."""
+    h_i = cfg.h_of(cycle, cert.gamma)
+    return float(cert.lambda_min * h_i * h_i)
+
+
+def in_Dc(params: PlantParams, cfg: ControllerConfig,
+          state: HybridState) -> bool:
+    """Within-cycle jump set: |zhat2| >= d|z*|/(c z*_in) and zhat2 z* >= 0."""
+    zhat2 = state.z[1] + state.z_tilde[1]
+    thr = _dc_threshold(params, cfg, state.z_star)
+    return abs(zhat2) >= thr and zhat2 * state.z_star >= 0.0
+
+
+def phi_contraction_norm(cert: LyapunovCertificate,
+                         phi: np.ndarray) -> float:
+    """||Phi' P Phi||_2^(1/2), the verifiable error-contraction measure."""
+    return float(np.sqrt(np.linalg.norm(phi.T @ cert.P @ phi, 2)))
+
+
+def in_Dnc(params: PlantParams, cfg: ControllerConfig,
+           cert: LyapunovCertificate, state: HybridState) -> bool:
+    """Cycle-transition jump set: |zhat2| <= the D_c threshold, zhat2 z* <= 0
+    and certified contraction ||Phi' P Phi||_2 <= lambda_min h(i)^2."""
+    zhat2 = state.z[1] + state.z_tilde[1]
+    thr = _dc_threshold(params, cfg, state.z_star)
+    if abs(zhat2) > thr or zhat2 * state.z_star > 0.0:
+        return False
+    return phi_contraction_norm(cert, state.phi) ** 2 \
+        <= _contraction_bound(cfg, cert, state.cycle)
+
+
+def jump_map(state: HybridState, which: JumpKind) -> HybridState:
+    """Reset map G: sign flip of z* within a cycle, halving at a new cycle.
+
+    z and z_tilde are continuous variables and never change across jumps.
+    Guard preconditions are the caller's duty (simulate jumps on the
+    kernel's guard verdict); only structural legality is enforced here.
+    """
+    if which is JumpKind.WITHIN_CYCLE:
+        return state.replace(z_star=-state.z_star)
+    if which is JumpKind.NEW_CYCLE:
+        return state.replace(tau=0.0, cycle=state.cycle + 1,
+                             z_star=state.z_star / 2.0, phi=np.eye(2))
+    raise IllegalJump(f"unknown jump kind {which!r}")
+
+
 def _segment_constants(params, cfg, cert, state) -> tuple:
     """The segment part of the kernel's record (fastpath docstring): z*,
-    the D_c threshold d|z*|/(c z*_in) and lambda_min h(i)^2 for the
-    state's cycle i."""
+    the D_c threshold and the contraction bound for the state's cycle."""
     z_star = float(state.z_star)
-    h_i = cfg.h_of(state.cycle, cert.gamma)
-    return (z_star, params.d * abs(z_star) / (params.c * cfg.z_star_init),
-            float(cert.lambda_min * h_i * h_i))
+    return (z_star, _dc_threshold(params, cfg, z_star),
+            _contraction_bound(cfg, cert, state.cycle))
 
 
 def _run_segment(params, cert, cfg, run, state, t_start, arc):

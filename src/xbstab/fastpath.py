@@ -41,9 +41,9 @@ _record(_dense(...)) would have written, bit for bit.
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
 from run_constants once per simulate call, and seg = (z*, D_c threshold,
-lambda_min h(i)^2) from the engine once per segment. modes[0] and modes[1]
-are the tau-time flows for z1 > 0 and z1 < 0: A1 or A2 split by _split,
-then s c and d/c, so a z1 root only picks the other one.
+lambda_min h(i)^2) from engine._segment_constants once per segment.
+modes[0] and modes[1] are the tau-time flows for z1 > 0 and z1 < 0: A1 or
+A2 split by _split, then s c and d/c, so a z1 root only picks the other one.
 
 The kernel is written once, in scalar-local style: every value it does
 arithmetic on is a float local or a tuple of floats, and numpy arrays are
@@ -192,8 +192,9 @@ def _f(p, md, za, tau, z1):
 
 @njit(cache=True)
 def _guard_any(y, g):
-    """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc, else 0;
-    g = (z*, thr, lambda_min h(i)^2, P11, P12, P22)."""
+    """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc (the sets of
+    engine.in_Dc and in_Dnc), else 0; g = (z*, thr, lambda_min h(i)^2, P11,
+    P12, P22)."""
     zstar, thr, lmh2, p11, p12, p22 = g
     zh2 = y[2] + y[4]
     if abs(zh2) >= thr and zh2 * zstar >= 0.0:

@@ -12,6 +12,7 @@ piecewise-constant reference takes the values +-z_star_init / 2**i.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field, fields
@@ -303,10 +304,7 @@ class HybridState:
         return self.z + self.z_tilde
 
     def replace(self, **kw) -> "HybridState":
-        data = dict(tau=self.tau, cycle=self.cycle, z=self.z,
-                    z_tilde=self.z_tilde, z_star=self.z_star, phi=self.phi)
-        data.update(kw)
-        return HybridState(**data)
+        return dataclasses.replace(self, **kw)
 
 
 class JumpKind(enum.Enum):

@@ -313,7 +313,7 @@ def _oracle_jumps(params, gains, cert, cfg, z0, z_hat0, k, t_end):
 
     Shares no code with the engine: the flow is written out from the plant,
     the certainty-equivalence law and the error/transition-matrix dynamics,
-    and D_c, D_nc are written from the docstrings of dynamics.in_Dc and
+    and D_c, D_nc are written from the docstrings of engine.in_Dc and
     in_Dnc as functions that are >= 0 exactly on the set, with
     s = zhat2 sign(z*):
 

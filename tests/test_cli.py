@@ -2,9 +2,11 @@
 
 import ast
 import errno
+import importlib.util
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xbstab import cli, csvwriter, emission, lanes
+from xbstab import cli, csvwriter, emission, engine, fastpath, lanes
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -434,6 +436,27 @@ class TestEndToEnd:
         assert (out / "phase.csv").exists()
         assert (out / "timeseries.csv").exists()
 
+    def test_failed_report_write_leaves_error_json_only(
+            self, short_scenario, tmp_path, monkeypatch):
+        """An OSError part-way through writing report.json ends the run in
+        error.json and leaves no report.json, whole or partial, and no
+        temporary file."""
+        dump = json.dump
+
+        def failing_report(obj, fh, **kwargs):
+            if "error" in obj:
+                return dump(obj, fh, **kwargs)
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_report)
+        out = tmp_path / "out"
+        assert run_scenario(short_scenario, out_dir=out) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "OSError"
+        assert sorted(f.name for f in out.iterdir()) == [
+            "error.json", "phase.csv", "timeseries.csv", "trajectory.csv"]
+
     @pytest.mark.parametrize("max_step", [0.1, 0.5, 1.0])
     def test_oversized_first_trial_is_rejected(self, tmp_path, scenario_dict,
                                                max_step):
@@ -822,6 +845,35 @@ class TestSweepLanes:
             "all_checks_passed"]
 
     @_TWO_CPUS
+    def test_lane_killed_mid_report_ends_its_variant_in_error_json(
+            self, short_scenario, tmp_path, monkeypatch):
+        """A forked lane SIGKILLed inside json.dump, after it wrote part of
+        its report, leaves no report.json that would mark its variant
+        finished: the variant gets an error.json naming LaneCrashed."""
+        caller, dump = os.getpid(), json.dump
+
+        def killed_in_lane(obj, fh, **kwargs):
+            if os.getpid() == caller:
+                return dump(obj, fh, **kwargs)
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(json, "dump", killed_in_lane)
+        out = tmp_path / "out"
+        rc = run_scenario(short_scenario, out_dir=out, checks="vobs",
+                          sweep="controller.k=400,500")
+        assert rc == 1
+        _assert_no_child_left()
+        bad = out / "sweep_controller_k=500"
+        assert not (bad / "report.json").exists()
+        err = json.loads((bad / "error.json").read_text())
+        assert err["error"]["type"] == "LaneCrashed"
+        good = out / "sweep_controller_k=400"
+        assert json.loads((good / "report.json").read_text())[
+            "all_checks_passed"]
+
+    @_TWO_CPUS
     def test_failed_fork_ends_unfinished_variants_in_error_json(
             self, short_scenario, tmp_path, monkeypatch):
         """Three lanes, the second fork refused with the OSError a process
@@ -973,3 +1025,33 @@ def test_cli_import_does_not_load_multiprocessing():
     assert _modules_loaded_by_cli_import(
         ["multiprocessing", "concurrent.futures", "fractions",
          "decimal"]) == []
+
+
+def test_benchmark_tracer_installs_and_restores(short_scenario, tmp_path):
+    """benchmark/spans.py's Tracer replaces functions of cli, engine and
+    fastpath by name, so a rename there breaks every traced benchmark run:
+    it installs on this package, times a run through each layer and, once
+    restored, leaves every function of the three modules as it was."""
+    path = Path(cli.__file__).resolve().parents[2] / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = (cli, engine, fastpath)
+
+    def functions():
+        return {(m.__name__, name): value for m in modules
+                for name, value in vars(m).items() if callable(value)}
+
+    before = functions()
+    tracer = spans.Tracer()
+    saved = tracer.install(*modules)
+    try:
+        assert run_scenario(short_scenario, out_dir=tmp_path / "out") == 0
+    finally:
+        spans.Tracer.restore(saved)
+    after = functions()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+    called = set(tracer.summary()["spans"])
+    assert {"cli.execute", "engine.simulate", "fastpath.flow_segment",
+            "dynamics.jump_map", "cli._write_json"} <= called
