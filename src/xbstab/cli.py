@@ -108,6 +108,8 @@ def parse_h_schedule(spec) -> HSchedule:
     """Parse an h-schedule spec: "paper_v", "constant:v", "power:b" or a
     list of explicit values."""
     if isinstance(spec, (list, tuple)):
+        if any(type(v) not in (int, float) for v in spec):
+            raise ValueError(f"h_schedule values must be numbers: {spec!r}")
         return HSchedule.explicit([float(v) for v in spec])
     if not isinstance(spec, str):
         raise ValueError(f"h_schedule must be a string or list, got {spec!r}")
@@ -148,18 +150,19 @@ def _section(raw: dict, name: str) -> dict:
 
 def _number(section: dict, name: str, where: str, default=_REQUIRED,
             kind=float):
-    """section[name] converted by `kind`; a missing required field or a
-    value that is not a finite number (json.load takes NaN and Infinity)
-    is rejected with a ValueError naming it."""
+    """section[name] converted by `kind`; a missing required field, a value
+    that is not a finite JSON number (json.load takes NaN and Infinity) or
+    a fraction for kind=int is rejected with a ValueError naming it."""
     val = (_require(section, name, where) if default is _REQUIRED
            else section.get(name, default))
     try:
         num = kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
+        ok = type(val) in (int, float) and math.isfinite(num)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or (kind is int and num != val):
         raise ValueError(f"{where}.{name}={val!r} is not a finite "
-                         f"number") from exc
-    if not math.isfinite(num):
-        raise ValueError(f"{where}.{name}={val!r} is not a finite number")
+                         + ("integer" if kind is int else "number"))
     return num
 
 
@@ -168,9 +171,10 @@ def _state(section: dict, name: str) -> np.ndarray:
     val = _require(section, name, "initial")
     try:
         vec = np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         vec = np.empty(0)
-    if vec.shape != (2,) or not np.isfinite(vec).all():
+    if (vec.shape != (2,) or not np.isfinite(vec).all()
+            or any(type(v) not in (int, float) for v in val)):
         raise ValueError(f"initial.{name}={val!r} must be a list of two "
                          f"finite numbers")
     return vec
@@ -251,7 +255,7 @@ def build_scenario(raw: dict) -> Scenario:
     h_spec = ctl.get("h_schedule", "paper_v")
     try:
         h_schedule = parse_h_schedule(h_spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"controller.h_schedule={h_spec!r}: {exc}") from exc
     cfg = ControllerConfig(
         z_star_init=z_star_init,
@@ -593,6 +597,8 @@ def run_scenario(config_path, out_dir=None, checks: str = "all",
         for cfg, dest in lane_jobs:
             if not _finished(cfg, dest):
                 _report_error(dest, exc)
+                for tmp in dest.glob(".*.tmp"):     # killed in _write_json
+                    tmp.unlink()
 
     def _crashed(lane_jobs, code):
         _unfinished(lane_jobs, LaneCrashed(

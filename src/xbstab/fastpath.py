@@ -9,9 +9,9 @@ adaptive Dormand-Prince 5(4) stepper integrates two of them,
 and the other seven are solved in closed form: with s = sign z1 fixed they
 are linear in tau, d(z2 + d/c)/dtau = s c (z2 + d/c) and dX/dtau = A(s) X
 for X = zt and Phi, with A(+1) = A1 and A(-1) = A2. From an anchor state
-that is a scalar exponential and the exponential of a 2x2 matrix (_expm2).
-Every stage reads zt2 from that closed form, and the same closed form gives
-z2, zt and Phi at accepted step endpoints (for the guards), at bisection
+that is a scalar exponential and the exponential of a 2x2 matrix. Every
+stage reads zt2 from that closed form, and the same closed form gives z2,
+zt and Phi at accepted step endpoints (for the guards), at bisection
 points and at recorded samples. z1 roots are step boundaries: a step over
 which z1 changes sign is retaken up to the root (bisected on the step's
 cubic Hermite of z1, then polished by Newton iterations on the retaken
@@ -34,9 +34,12 @@ of the recorded z1 to third order in the sample spacing.
 The kernel does not evaluate those interior samples. It writes each span's
 endpoint row, reserves the rows before it and leaves one descriptor per
 span (layout SP_*); after the call, emission.fill_spans fills every
-reserved row in one vectorized pass from the same closed forms, with
-CPython's math for the transcendentals, so each row equals what
-_record(_dense(...)) would have written, bit for bit.
+reserved row in one vectorized pass. The closed form's arithmetic after
+the transcendental calls is written once, in functions that take floats
+or numpy arrays alike (_expm2, _flow_state, _z1_cubic, _z1_prim,
+_record): the kernel calls them on floats, the fill on arrays, so each
+filled row equals what _record(_dense(...)) would have written, bit for
+bit.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
@@ -50,8 +53,8 @@ arithmetic on is a float local or a tuple of floats, and numpy arrays are
 touched only to read the inputs, write sample rows and descriptors and
 write the results back. The same source is jit-compiled when numba is
 installed (the ``fast`` extra) and runs as plain CPython otherwise. The
-numba path has not been compiled with the descriptor stores; the fill is
-plain Python on both backends.
+numba path has not been compiled with the descriptor stores; the fill
+calls the shared functions' Python source, on both backends.
 """
 
 from __future__ import annotations
@@ -155,10 +158,22 @@ def _expm_pq(md, dt):
 
 
 @njit(cache=True)
-def _expm2(md, dt):
-    """exp(M dt) for M split by _split, as (e11, e12, e21, e22)."""
-    p, q = _expm_pq(md, dt)
+def _expm2(md, p, q):
+    """exp(M dt) = p I + q N as (e11, e12, e21, e22), for M split by _split
+    and (p, q) = _expm_pq(md, dt)."""
     return (p + q * md[1], q * md[2], q * md[3], p - q * md[1])
+
+
+@njit(cache=True)
+def _flow_state(md, ya, tau, z1, e, x):
+    """The state at (tau, z1) in the closed form of mode md anchored at
+    ya, given e = exp(M dt) (_expm2) and x = expm1(s c dt) for
+    dt = tau - ya[0]."""
+    e11, e12, e21, e22 = e
+    return (tau, z1, ya[2] + (ya[2] + md[7]) * x,
+            e11 * ya[3] + e12 * ya[4], e21 * ya[3] + e22 * ya[4],
+            e11 * ya[5] + e12 * ya[7], e11 * ya[6] + e12 * ya[8],
+            e21 * ya[5] + e22 * ya[7], e21 * ya[6] + e22 * ya[8])
 
 
 @njit(cache=True)
@@ -166,12 +181,8 @@ def _closed(md, ya, tau, z1):
     """The state at (tau, z1): z2, zt and Phi from the closed form of mode
     md anchored at the state ya."""
     dt = tau - ya[0]
-    e11, e12, e21, e22 = _expm2(md, dt)
-    return (tau, z1,
-            ya[2] + (ya[2] + md[7]) * math.expm1(md[6] * dt),
-            e11 * ya[3] + e12 * ya[4], e21 * ya[3] + e22 * ya[4],
-            e11 * ya[5] + e12 * ya[7], e11 * ya[6] + e12 * ya[8],
-            e21 * ya[5] + e22 * ya[7], e21 * ya[6] + e22 * ya[8])
+    return _flow_state(md, ya, tau, z1, _expm2(md, *_expm_pq(md, dt)),
+                       math.expm1(md[6] * dt))
 
 
 @njit(cache=True)
@@ -179,6 +190,14 @@ def _zt2_anchor(md, ya):
     """(tau, zt2, (N zt)_2) at the anchor ya: zt2 at tau' is then
     p zt2 + q (N zt)_2 with (p, q) = _expm_pq(md, tau' - tau)."""
     return ya[0], ya[4], md[3] * ya[3] - md[1] * ya[4]
+
+
+@njit(cache=True)
+def _mode(modes, s, ys):
+    """The closed form for sign s anchored at the state ys, as (md, ya,
+    za): the mode, the anchor and _zt2_anchor."""
+    md = modes[0] if s > 0.0 else modes[1]
+    return md, ys, _zt2_anchor(md, ys)
 
 
 @njit(cache=True)
@@ -295,6 +314,12 @@ def _tau_curve(h, z1_0, dz1_0, z1_1, dz1_1):
 
 
 @njit(cache=True)
+def _z1_cubic(tc, th):
+    """The step's z1 cubic at th."""
+    return tc[0] + th * (tc[1] + th * (tc[2] + th * tc[3]))
+
+
+@njit(cache=True)
 def _z1_prim(tc, th):
     """Integral over [0, th] of the step's z1 cubic, in units of h."""
     c0, c1, c2, c3 = tc[0], tc[1], tc[2], tc[3]
@@ -306,17 +331,15 @@ def _tau_at(tc, tau0, tau1, th):
     """tau at th inside the step: tau0 + (tau1 - tau0) A(th)/A(1), with A
     the integral of |z1_H|. Monotone, and exactly tau1 at th = 1."""
     a1 = tc[4]
-    if a1 <= 0.0:
-        return tau0 + (tau1 - tau0) * th
-    return tau0 + (tau1 - tau0) * (abs(_z1_prim(tc, th)) / a1)
+    frac = th if a1 <= 0.0 else abs(_z1_prim(tc, th)) / a1
+    return tau0 + (tau1 - tau0) * frac
 
 
 @njit(cache=True)
 def _dense(tc, md, ya, tau0, tau1, th):
     """The state at th inside the step: z1 from its cubic, tau from
     _tau_at and the rest from the closed form."""
-    z1 = tc[0] + th * (tc[1] + th * (tc[2] + th * tc[3]))
-    return _closed(md, ya, _tau_at(tc, tau0, tau1, th), z1)
+    return _closed(md, ya, _tau_at(tc, tau0, tau1, th), _z1_cubic(tc, th))
 
 
 @njit(cache=True)
@@ -327,7 +350,7 @@ def _z1_root(tc, s):
     hi = 1.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if s * (tc[0] + mid * (tc[1] + mid * (tc[2] + mid * tc[3]))) > 0.0:
+        if s * _z1_cubic(tc, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -386,21 +409,11 @@ def _emit_span(buf, n, spans, ns, t0, h, tc, md, ya, tau0, tau1, ta, tau_a,
     if q < _SPAN_MAX_ROWS - 1:
         m = int(q) + 1
     if m > 1:
-        d = spans[ns]
-        d[SP_N] = n
-        d[SP_M] = m
-        d[SP_TA] = ta
-        d[SP_DT] = (tb - ta) / m
-        d[SP_T0] = t0
-        d[SP_H] = h
-        d[SP_TAU0] = tau0
-        d[SP_TAU1] = tau1
-        for i in range(5):
-            d[SP_TC + i] = tc[i]
-        for i in range(8):
-            d[SP_MD + i] = md[i]
-        for i in range(9):
-            d[SP_YA + i] = ya[i]
+        # the descriptor's fields in the order of the SP_* layout
+        d = ((float(n), float(m), ta, (tb - ta) / m, t0, h, tau0, tau1)
+             + tc + md + ya)
+        for i in range(N_SP):
+            spans[ns, i] = d[i]
         n += m - 1
         ns += 1
     return _record(buf, n, tb, yb), ns
@@ -476,44 +489,39 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     ys = (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
           float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
-    # guard already active at the segment start: zero-width event
-    code0 = _guard_any(ys, g)
-    if code0 != 0:
-        _finish(y, ys, ret, code0, t, n0, 0.0, 0)
-        return
+    # a guard already active at the segment start is a zero-width event;
+    # the loop runs while code is 0, which is also CODE_HORIZON
+    code = _guard_any(ys, g)
+    width = 0.0
 
     # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
     s = 1.0
     if ys[1] < 0.0 or (ys[1] == 0.0 and p[2] < 0.0):
         s = -1.0
-    md = modes[0] if s > 0.0 else modes[1]
-    ya = ys                     # anchor of the closed form
-    za = _zt2_anchor(md, ya)
+    md, ya, za = _mode(modes, s, ys)     # ya: anchor of the closed form
     f0 = _f(p, md, za, ys[0], ys[1])
     h = max_step * 0.1
     flipped = False             # s switched at t without a step since
 
-    last_rec_t = t
-    last_rec_tau = ys[0]
-    last_rec_z1 = ys[1]
+    last_rec_t, last_rec_tau, last_rec_z1 = t, ys[0], ys[1]
     have_pend = False           # the step start (t, ys) is not recorded yet
     n = n0
     ns = 0                      # span descriptors written
 
-    while True:
+    while code == 0:
         if n > cap - MAX_STEP_ROWS:
-            _finish(y, ys, ret, CODE_BUFFER_FULL, t, n, 0.0, ns)
-            return
+            code = CODE_BUFFER_FULL
+            break
         t_left = t_stop - t
         if t_left <= 0.0:
-            break
+            break               # horizon; its sample was force-recorded
         if h > max_step:
             h = max_step
         if h > t_left:
             h = t_left
         if h < _MIN_STEP:
-            _finish(y, ys, ret, CODE_STEP_FAILURE, t, n, 0.0, ns)
-            return
+            code = CODE_STEP_FAILURE
+            break
 
         y0 = (ys[0], ys[1])
         y1, f1, err = _dp_step(p, md, za, y0, f0, h)
@@ -529,9 +537,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             if hs < _MIN_STEP:
                 # the root is at the step start: switch the mode here
                 s = -s
-                md = modes[0] if s > 0.0 else modes[1]
-                ya = ys
-                za = _zt2_anchor(md, ya)
+                md, ya, za = _mode(modes, s, ys)
                 flipped = True
                 continue
             hs, y1, f1, err, at_root = _step_to_root(p, md, za, y0, f0, hs,
@@ -545,20 +551,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         # accepted step [t, t+hs]; f1 is f at the new point (FSAL)
         t_new = t + hs
         ye = _closed(md, ya, y1[0], y1[1])
-        ev = _guard_any(ye, g)
-        if ev != 0:
-            # record up to the event point, then stop there
-            if have_pend:
-                n = _record(buf, n, t, ys)
-            tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
-            t_hi, width = _bisect_guard(t, hs, tc, md, ya, ys[0], y1[0], g,
-                                        event_tol)
-            yev = _dense(tc, md, ya, ys[0], y1[0], (t_hi - t) / hs)
-            n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
-                               y1[0], t, ys[0], ys[1], t_hi, yev,
-                               budget_rel)
-            _finish(y, yev, ret, ev, t_hi, n, width, ns)
-            return
+        code = _guard_any(ye, g)
 
         # recording decision at the accepted endpoint: thinned recording
         # leaves it pending while nothing forces a sample and one trapezoid
@@ -566,7 +559,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         at_stop = t_new >= t_stop - 1e-14
         z2_bad = ye[2] <= z2_floor
         converged = abs(ye[1]) + abs(ye[2]) + abs(ye[3]) + abs(ye[4]) < atol
-        force = at_stop or z2_bad or converged or at_root
+        force = code != 0 or at_stop or z2_bad or converged or at_root
         dtau = ye[0] - last_rec_tau
         trap = 0.5 * (abs(last_rec_z1) + abs(ye[1])) * (t_new - last_rec_t)
         coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, ye[0], budget_rel)
@@ -576,16 +569,17 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             if have_pend:
                 n = _record(buf, n, t, ys)
                 have_pend = False
-                last_rec_t = t
-                last_rec_tau = ys[0]
-                last_rec_z1 = ys[1]
+                last_rec_t, last_rec_tau, last_rec_z1 = t, ys[0], ys[1]
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
+            if code != 0:
+                # an event ends the step, and the segment, at its point
+                t_new, width = _bisect_guard(t, hs, tc, md, ya, ys[0], y1[0],
+                                             g, event_tol)
+                ye = _dense(tc, md, ya, ys[0], y1[0], (t_new - t) / hs)
             n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
-                               ye[0], last_rec_t, last_rec_tau, last_rec_z1,
+                               y1[0], last_rec_t, last_rec_tau, last_rec_z1,
                                t_new, ye, budget_rel)
-            last_rec_t = t_new
-            last_rec_tau = ye[0]
-            last_rec_z1 = ye[1]
+            last_rec_t, last_rec_tau, last_rec_z1 = t_new, ye[0], ye[1]
 
         # advance; a root re-anchors the closed form with the new sign, and
         # a retaken step leaves the proposed step size as it was
@@ -594,21 +588,15 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         f0 = f1
         if at_root:
             s = -s
-            md = modes[0] if s > 0.0 else modes[1]
-            ya = ys
-            za = _zt2_anchor(md, ya)
+            md, ya, za = _mode(modes, s, ys)
         if not crossed:
             h *= _step_factor(enorm)
+        if code == 0 and z2_bad:
+            code = CODE_DOMAIN
+        elif code == 0 and converged:
+            code = CODE_CONVERGED
 
-        if z2_bad:
-            _finish(y, ys, ret, CODE_DOMAIN, t, n, 0.0, ns)
-            return
-        if converged:
-            _finish(y, ys, ret, CODE_CONVERGED, t, n, 0.0, ns)
-            return
-
-    # horizon reached; the final sample was force-recorded above
-    _finish(y, ys, ret, CODE_HORIZON, t, n, 0.0, ns)
+    _finish(y, ys, ret, code, t, n, width, ns)
 
 
 def run_constants(params, gains, k, cert, solver) -> tuple:

@@ -12,9 +12,11 @@ constructive estimation-error envelope
     |z_tilde(t)| <= kappa1 |z_tilde(t0)| exp(-kappa2 mu (t - t0)),
 
 with the injected-gain construction replaced by explicit pole placement
-(both closed-loop eigenvalues at -3*lambda), verified by sampling the
-matrix exponential. The constants involved are astronomically conservative
-for realistic dwell data, so everything is evaluated in log space.
+(both closed-loop eigenvalues at -3*lambda), verified in closed form: with
+a double eigenvalue the matrix exponential's norm is exact, and the
+envelope is checked at its worst point (_envelope_ok). The constants
+involved are astronomically conservative for realistic dwell data, so
+everything is evaluated in log space.
 """
 
 from __future__ import annotations

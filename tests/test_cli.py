@@ -561,6 +561,19 @@ class TestEndToEnd:
         (None, "solver", [1], "solver"),
         (None, "outputs", None, "outputs"),
         ("outputs", "phase_csv", 3, "outputs.phase_csv"),
+        # strings and booleans are not numbers, the two integer fields take
+        # no fraction, and an integer too large for a float is not finite
+        ("plant", "a", "375", "plant.a"),
+        ("controller", "k", True, "controller.k"),
+        ("controller", "max_cycles", True, "controller.max_cycles"),
+        ("controller", "max_cycles", 3.7, "controller.max_cycles"),
+        ("solver", "zeno_max_jumps", 4000.9, "solver.zeno_max_jumps"),
+        ("solver", "t_end", "0.02", "solver.t_end"),
+        ("initial", "z0", ["0", 0.3], "initial.z0"),
+        ("initial", "z_hat0", [False, 0.7], "initial.z_hat0"),
+        ("controller", "h_schedule", [0.5, "0.5"], "controller.h_schedule"),
+        ("initial", "z0", [10 ** 400, 0.3], "initial.z0"),
+        ("controller", "h_schedule", [10 ** 400], "controller.h_schedule"),
     ])
     def test_malformed_value_writes_error_json(self, tmp_path,
                                                scenario_dict, section,
@@ -611,6 +624,12 @@ class TestEndToEnd:
         assert err["error"]["type"] == "ValueError"
         assert f"{section}.{field}=" in err["error"]["message"]
         assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    def test_integral_float_is_an_integer(self, scenario_dict):
+        """An integer field takes an integral float as that integer."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["controller"]["max_cycles"] = 4.0
+        assert build_scenario(cfg).cfg.max_cycles == 4
 
     def test_nonconvergent_schedule_warned_not_failed(self, tmp_path,
                                                       scenario_dict):
@@ -849,7 +868,8 @@ class TestSweepLanes:
             self, short_scenario, tmp_path, monkeypatch):
         """A forked lane SIGKILLed inside json.dump, after it wrote part of
         its report, leaves no report.json that would mark its variant
-        finished: the variant gets an error.json naming LaneCrashed."""
+        finished: the variant gets an error.json naming LaneCrashed, and
+        its partial temporary report is removed."""
         caller, dump = os.getpid(), json.dump
 
         def killed_in_lane(obj, fh, **kwargs):
@@ -867,6 +887,8 @@ class TestSweepLanes:
         _assert_no_child_left()
         bad = out / "sweep_controller_k=500"
         assert not (bad / "report.json").exists()
+        assert sorted(f.name for f in bad.iterdir()) == [
+            "error.json", "phase.csv", "timeseries.csv", "trajectory.csv"]
         err = json.loads((bad / "error.json").read_text())
         assert err["error"]["type"] == "LaneCrashed"
         good = out / "sweep_controller_k=400"
@@ -1055,3 +1077,24 @@ def test_benchmark_tracer_installs_and_restores(short_scenario, tmp_path):
     called = set(tracer.summary()["spans"])
     assert {"cli.execute", "engine.simulate", "fastpath.flow_segment",
             "dynamics.jump_map", "cli._write_json"} <= called
+
+
+def test_benchmark_timed_child_runs_a_scenario(short_scenario, tmp_path):
+    """benchmark/child.py --mode timed reads fastpath.HAVE_NUMBA, replaces
+    cli.simulate and calls cli.run_scenario with checks= and sweep=, so a
+    rename of any of them breaks every timed benchmark run: on the 20 ms
+    scenario it writes the report and its result with the timed keys."""
+    root = Path(cli.__file__).resolve().parents[2]
+    out, result = tmp_path / "out", tmp_path / "result.json"
+    subprocess.run([sys.executable, str(root / "benchmark" / "child.py"),
+                    "--root", str(root), "--config", str(short_scenario),
+                    "--out", str(out), "--mode", "timed", "--result",
+                    str(result), "--spawned",
+                    repr(time.clock_gettime(time.CLOCK_MONOTONIC))],
+                   check=True, timeout=120)
+    got = json.loads(result.read_text())
+    assert sorted(got) == ["backend", "cpu_s", "peak_rss_kb", "setup_s",
+                           "wall_s"]
+    assert got["backend"] == ("numba" if fastpath.HAVE_NUMBA else "python")
+    assert got["wall_s"] > 0.0 and got["peak_rss_kb"] > 0
+    assert json.loads((out / "report.json").read_text())["all_checks_passed"]
