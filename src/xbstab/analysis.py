@@ -18,6 +18,9 @@ from .model import (ControllerConfig, HybridTrajectory, JumpKind,
                     PlantParams, as_dict, g_of)
 
 _TINY = 1e-300
+# the excitation floor |z1| >= |z*|/2: the z_underbar_i = z*_in/2^(i+1) of
+# lyapunov.dwell_certificate, whose |z*| in cycle i is z*_in/2^i
+_EXCITATION_FLOOR = 0.5
 
 
 @dataclass
@@ -110,22 +113,20 @@ def _within_cycle_period(traj: HybridTrajectory) -> float:
     return max([0.0] + [b.t - a.t for a, b in _within_cycle_pairs(traj.jumps)])
 
 
-def extract_dwell(traj: HybridTrajectory, cfg: ControllerConfig,
-                  threshold_fraction: float = 0.5) -> DwellReport:
-    """Excitation intervals I_d = {t : |z1(t)| >= threshold_fraction |z*|}.
+def extract_dwell(traj: HybridTrajectory,
+                  cfg: ControllerConfig) -> DwellReport:
+    """Excitation intervals I_d = {t : |z1(t)| >= |z*|/2}.
 
     The threshold follows the per-sample reference magnitude, so the report
     is meaningful across cycle transitions. mu is the minimum over sliding
     windows of the average of |z1|; the window is one within-cycle period
     (or the full horizon if the trajectory contains no switching).
     """
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError("threshold_fraction must lie in (0, 1)")
     if len(traj) < 2:
         raise NoExcitation("trajectory too short to classify")
     t = traj.t
     a = np.abs(traj.z1)
-    thr = threshold_fraction * np.abs(traj.z_star)
+    thr = _EXCITATION_FLOOR * np.abs(traj.z_star)
     mask = a >= thr
 
     # maximal runs of True
@@ -140,7 +141,7 @@ def extract_dwell(traj: HybridTrajectory, cfg: ControllerConfig,
                           if t[e] > t[s]])
     if intervals.size == 0:
         raise NoExcitation(f"no interval with |z1| >= "
-                           f"{threshold_fraction} |z*|")
+                           f"{_EXCITATION_FLOOR} |z*|")
 
     lengths = intervals[:, 1] - intervals[:, 0]
     gaps = intervals[1:, 0] - intervals[:-1, 1]
@@ -171,9 +172,9 @@ def extract_dwell(traj: HybridTrajectory, cfg: ControllerConfig,
 
 
 def check_vobs_monotone(traj: HybridTrajectory,
-                        cert: LyapunovCertificate,
-                        rel_slack: float = 1e-6) -> tuple[bool, float]:
-    """V_obs = z_tilde' P z_tilde non-increasing at every sample pair.
+                        cert: LyapunovCertificate) -> tuple[bool, float]:
+    """V_obs = z_tilde' P z_tilde non-increasing at every sample pair, to
+    1e-6 relative.
 
     Returns (ok, worst relative violation); jumps leave z_tilde unchanged,
     so the check applies uniformly across the whole sample sequence.
@@ -184,7 +185,7 @@ def check_vobs_monotone(traj: HybridTrajectory,
     dv = np.diff(v)
     rel = dv / np.maximum(v[:-1], _TINY)
     worst = float(rel.max()) if rel.size else 0.0
-    return worst <= rel_slack, worst
+    return worst <= 1e-6, worst
 
 
 def check_phi_oracle(traj: HybridTrajectory) -> float:
@@ -263,12 +264,11 @@ def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
 
 
 def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,
-                          cfg: ControllerConfig, i_star: int,
-                          rel_tol: float = 1e-9) -> bool:
+                          cfg: ControllerConfig, i_star: int) -> bool:
     """Comparison-system bound on the z2 overshoot at the start of a cycle:
     the simulated z2 stays below the bound of overshoot_comparison."""
     _, z2, bound = overshoot_comparison(traj, params, cfg, i_star)
-    return bool(np.all(z2 <= bound * (1.0 + rel_tol) + 1e-12))
+    return bool(np.all(z2 <= bound * (1.0 + 1e-9) + 1e-12))
 
 
 def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
@@ -299,15 +299,18 @@ def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
             min_ratio)
 
 
-def check_zeno(traj: HybridTrajectory, t_lmin: float,
-               window: float = 1.0) -> tuple[bool, int]:
-    """No window of the given length contains more than 2 ceil(1/T_lmin)+1
-    jumps. Returns (ok, max jumps observed in any window)."""
+def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
+    """No window of one time unit contains more than 2 ceil(1/T_lmin)+1
+    jumps. Returns (ok, max jumps observed in any window).
+
+    The ceiling counts jumps per unit time (T_lmin is the floor of the
+    within-cycle dwell), so the window is one time unit: a window of
+    another length would be held to the wrong ceiling."""
     times = np.array(sorted(jr.t for jr in traj.jumps))
     if times.size == 0:
         return True, 0
     limit = 2 * math.ceil(1.0 / t_lmin) + 1
-    hi = np.searchsorted(times, times + window, side="right")
+    hi = np.searchsorted(times, times + 1.0, side="right")
     worst = int((hi - np.arange(times.size)).max())
     return worst <= limit, worst
 

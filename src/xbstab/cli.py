@@ -20,10 +20,11 @@ Config schema (``"schema": 1``)::
                      "phase_csv": ..., "timeseries_csv": ...}
     }
 
-The four file names in "outputs" must be distinct. A malformed field
-(missing, not a finite number, a section that is not an object, two
-outputs naming one file) is rejected by name before anything is
-integrated, and the run ends in an error.json.
+controller.epsilon is required. The four file names in "outputs" must be
+distinct, and none may be error.json. A malformed field (missing, not a
+finite number, a section that is not an object, two outputs naming one
+file) is rejected by name before anything is integrated, and the run ends
+in an error.json.
 
 All output files are UTF-8 and deterministic: two runs of the same
 configuration produce byte-identical artifacts. The three CSV files are
@@ -196,8 +197,9 @@ def _build_solver(section: dict) -> SolverConfig:
 
 def _build_outputs(section: dict) -> dict:
     """Artifact file names: the defaults overridden by the "outputs"
-    section. Unknown keys, names that are not non-empty strings and two
-    keys naming one file are rejected with a ValueError naming the keys."""
+    section. Unknown keys, names that are not non-empty strings, error.json
+    (a failed run's report) and two keys naming one file are rejected with
+    a ValueError naming the keys."""
     outputs = dict(_DEFAULT_OUTPUTS)
     outputs.update(section)
     owner = {}
@@ -205,8 +207,10 @@ def _build_outputs(section: dict) -> dict:
         if key not in _DEFAULT_OUTPUTS:
             raise ValueError(f"unknown outputs field '{key}'; valid fields: "
                              f"{', '.join(_DEFAULT_OUTPUTS)}")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"outputs.{key}={name!r} must be a file name")
+        if not isinstance(name, str) or not name \
+                or Path(name) == Path("error.json"):
+            raise ValueError(f"outputs.{key}={name!r} must be a file name "
+                             f"other than 'error.json'")
         if Path(name) in owner:
             raise ValueError(f"outputs.{owner[Path(name)]} and "
                              f"outputs.{key} both name {name!r}")
@@ -245,8 +249,7 @@ def build_scenario(raw: dict) -> Scenario:
 
     ctl = _section(raw, "controller")
     z_star_init = _number(ctl, "z_star_init", "controller")
-    epsilon = _number(ctl, "epsilon", "controller",
-                      default=ControllerConfig.default_epsilon(z_star_init))
+    epsilon = _number(ctl, "epsilon", "controller")
     # the dwell-time certificates need the band d/c - epsilon to be positive;
     # rejecting here avoids integrating a run whose report cannot be built
     if not epsilon < params.d / params.c:
@@ -264,8 +267,8 @@ def build_scenario(raw: dict) -> Scenario:
         R=_number(ctl, "R", "controller"),
         R_tilde=_number(ctl, "R_tilde", "controller"),
         h_schedule=h_schedule,
-        max_cycles=_number(ctl, "max_cycles", "controller", default=64,
-                           kind=int),
+        max_cycles=_number(ctl, "max_cycles", "controller",
+                           default=ControllerConfig.max_cycles, kind=int),
     )
     if "k" in ctl:
         k = _number(ctl, "k", "controller")
@@ -283,9 +286,9 @@ def build_scenario(raw: dict) -> Scenario:
                     outputs=_build_outputs(_section(raw, "outputs")))
 
 
-def _plot_files(out: Path, phase_name: str, timeseries_name: str) -> list:
-    return [(out / phase_name, _PHASE_COLUMNS),
-            (out / timeseries_name, _TIMESERIES_COLUMNS)]
+def _plot_files(out: Path, outputs: dict) -> list:
+    return [(out / outputs["phase_csv"], _PHASE_COLUMNS),
+            (out / outputs["timeseries_csv"], _TIMESERIES_COLUMNS)]
 
 
 def _columns(traj: HybridTrajectory) -> dict:
@@ -314,25 +317,20 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
     columns["u"] = traj.control(scn.params, scn.k)
     write_csvs(columns,
                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
-               + _plot_files(out, scn.outputs["phase_csv"],
-                             scn.outputs["timeseries_csv"]))
+               + _plot_files(out, scn.outputs))
 
 
-def emit_plot_data(traj: HybridTrajectory, path,
-                   phase_name: str = "phase.csv",
-                   timeseries_name: str = "timeseries.csv") -> tuple:
-    """Write plotting extracts: a phase-plane CSV (z1, z2) and a
-    time-series CSV (t, z1, z2, z1_hat, z2_hat, z_star), through the same
-    one-pass writer as write_trajectory_csv.
-
-    `path` is the output directory; returns the two file paths. An empty
-    trajectory raises ValueError.
+def emit_plot_data(traj: HybridTrajectory, path) -> tuple:
+    """Write the plotting extracts phase.csv (z1, z2) and timeseries.csv
+    (t, z1, z2, z1_hat, z2_hat, z_star) into the directory `path`, through
+    the one-pass writer of write_trajectory_csv; returns the two paths. An
+    empty trajectory raises ValueError.
     """
     from .csvwriter import write_csvs
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    files = _plot_files(out, phase_name, timeseries_name)
+    files = _plot_files(out, _DEFAULT_OUTPUTS)
     write_csvs(_columns(traj), files)
     return files[0][0], files[1][0]
 

@@ -27,7 +27,7 @@ from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
 from .lyapunov import LyapunovCertificate
 from .model import (ControllerConfig, HybridState, HybridTrajectory,
                     JumpKind, JumpRecord, ObserverGains, PlantParams,
-                    SolverConfig, derive_control_gain, g_of)
+                    SolverConfig, g_of)
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
@@ -242,14 +242,13 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
 
 def simulate(params: PlantParams, gains: ObserverGains,
              cert: LyapunovCertificate, cfg: ControllerConfig,
-             solver: SolverConfig, z0, z_hat0,
-             k: float = None) -> HybridTrajectory:
+             solver: SolverConfig, z0, z_hat0, k: float) -> HybridTrajectory:
     """Execute the closed loop as a hybrid arc.
 
     Runs until t_end, convergence (|z| + |z_tilde| < abs_tol), or the cycle
     index reaches max_cycles, whichever comes first, with a sliding-window
-    Zeno guard. The control gain defaults to derive_control_gain; passing k
-    overrides it (the nominal scenario uses a hand-tuned fixed gain).
+    Zeno guard, under the control gain k (cli.build_scenario takes it from
+    the config or from model.derive_control_gain).
 
     Boundary convention: every jump is taken on the kernel's verdict. A
     flow segment ends at the kernel's located event, which lies on the
@@ -266,8 +265,6 @@ def simulate(params: PlantParams, gains: ObserverGains,
     The arc is held once, in the array of the module docstring: the
     returned columns t, tau, z1 to z_tilde2 and phi are views of it.
     """
-    if k is None:
-        k = derive_control_gain(params, cfg, cert.gamma)
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)
     arc = _Arc()

@@ -18,6 +18,11 @@ cubic Hermite of z1, then polished by Newton iterations on the retaken
 endpoint), and the closed form is re-anchored there with the new s, so no
 step integrates tau across the kink of |z1|.
 
+zt2 is written two ways: the stages' _f takes p zt2 + q (N zt)_2 from
+_zt2_anchor, while the endpoints, guards and recorded rows take
+e21 zt1 + e22 zt2 from _flow_state. The two differ in the last bits for
+about 42 % of 1e5 random anchors, by at most 2.5e-14 relative.
+
 Guards are tested at accepted step endpoints; an event is then located by
 bisection inside that step. Step sizes serve accuracy only: a step ends
 where rel_tol, abs_tol, max_step, the horizon, a z1 root or an event say.
@@ -34,12 +39,12 @@ of the recorded z1 to third order in the sample spacing.
 The kernel does not evaluate those interior samples. It writes each span's
 endpoint row, reserves the rows before it and leaves one descriptor per
 span (layout SP_*); after the call, emission.fill_spans fills every
-reserved row in one vectorized pass. The closed form's arithmetic after
-the transcendental calls is written once, in functions that take floats
-or numpy arrays alike (_expm2, _flow_state, _z1_cubic, _z1_prim,
-_record): the kernel calls them on floats, the fill on arrays, so each
-filled row equals what _record(_dense(...)) would have written, bit for
-bit.
+reserved row in one vectorized pass. Apart from the stages' zt2, the
+closed form's arithmetic after the transcendental calls is written once,
+in functions that take floats or numpy arrays alike (_expm2, _flow_state,
+_z1_cubic, _z1_prim, _record): the kernel calls them on floats, the fill
+on arrays, so each filled row equals what _record(_dense(...)) would have
+written, bit for bit.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)

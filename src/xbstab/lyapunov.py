@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidGains, NoCertificate, PlacementFailed
+from .errors import NoCertificate, PlacementFailed
 from .model import (ControllerConfig, ObserverGains, PlantParams, as_dict,
                     g_of, t_lmin_asymptote)
 
@@ -38,14 +38,10 @@ def complete_gains(params: PlantParams, k1_plus: float,
     """Derive (k1_minus, k2_minus) from the common-Lyapunov equalities.
 
     k1_minus = 2c - k1_plus and c k1+ + a k2+ = c k1- + a k2-; the returned
-    gains satisfy all four Hurwitz inequalities or InvalidGains is raised.
+    gains satisfy all four Hurwitz inequalities, or ObserverGains raises
+    InvalidGains naming the first that fails.
     """
     a, c = params.a, params.c
-    if not k1_plus > c:
-        raise InvalidGains(f"k1_plus={k1_plus} must exceed c={c}")
-    if not k2_plus < -(c / a) * k1_plus:
-        raise InvalidGains(f"k2_plus={k2_plus} must be below "
-                           f"{-(c / a) * k1_plus}")
     k1_minus = 2.0 * c - k1_plus
     k2_minus = (c * k1_plus + a * k2_plus - c * k1_minus) / a
     return ObserverGains(params=params, k1_plus=k1_plus, k2_plus=k2_plus,
@@ -190,9 +186,9 @@ class DecayCertificate:
     mu: float
     T: float
 
-    def with_mu(self, mu: float, T: float = None) -> "DecayCertificate":
+    def with_mu(self, mu: float) -> "DecayCertificate":
         """Certificate with an empirically measured excitation rate."""
-        return replace(self, mu=mu, T=self.T if T is None else T)
+        return replace(self, mu=mu)
 
     to_dict = as_dict
 
@@ -233,14 +229,14 @@ def _envelope_ok(M: np.ndarray, pole: float, lam: float, log_c_bar: float,
 
 
 def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
-                      assumption: tuple[float, float, float, float],
-                      rho_target: float = 0.9) -> DecayCertificate:
+                      assumption: tuple[float, float, float, float]
+                      ) -> DecayCertificate:
     """Constructive envelope constants from dwell data.
 
     assumption = (tau_d, tau_s, z_underbar, z_bar): minimal on-interval
     length, maximal gap, and the excitation floor/ceiling of |z1|. The decay
     rate lambda is searched on a logarithmic grid; L is the smallest grid
-    value reaching rho <= rho_target, falling back to the best rho < 1 when
+    value reaching rho <= 0.9, falling back to the best rho < 1 when
     the target is out of reach (the constants are conservative by design).
     """
     tau_d, tau_s, z_under, z_bar = assumption
@@ -296,7 +292,7 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
         rho = 1.0 - one_minus_rho
         if rho >= 1.0:
             rho = math.nextafter(1.0, 0.0)
-        if rho <= rho_target:
+        if rho <= 0.9:
             chosen = (L, rho, lg)
             break
         if chosen is None or rho < chosen[1]:

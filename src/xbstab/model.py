@@ -197,11 +197,6 @@ class ControllerConfig:
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
 
-    @staticmethod
-    def default_epsilon(z_star_init: float) -> float:
-        """Default threshold: one percent of the initial reference."""
-        return 0.01 * z_star_init
-
     def h0(self, gamma: float) -> float:
         """Contraction target gating the initialization cycle.
 

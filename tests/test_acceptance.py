@@ -63,7 +63,7 @@ def test_criterion_2_lyapunov_certificate(sv_cert):
 # --- criterion 3: V_obs monotonicity -------------------------------------
 
 def test_criterion_3_vobs_monotone(golden_run, sv_cert):
-    ok, worst = check_vobs_monotone(golden_run, sv_cert, rel_slack=1e-6)
+    ok, worst = check_vobs_monotone(golden_run, sv_cert)
     assert ok, f"worst relative V_obs increase {worst}"
 
 
@@ -138,7 +138,7 @@ def test_criterion_6_bound_value_oracle(sv_params, sv_cfg):
 
 def test_criterion_7_non_zeno(golden_run, sv_params, sv_cfg):
     _, _, t_lmin = dwell_time_lower_bound(sv_params, sv_cfg, 1)
-    ok, worst = check_zeno(golden_run, t_lmin, window=1.0)
+    ok, worst = check_zeno(golden_run, t_lmin)
     limit = 2 * math.ceil(1.0 / t_lmin) + 1
     assert ok, f"{worst} jumps in a 1-unit window (limit {limit})"
 

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from xbstab import check_envelope, extract_dwell
-from xbstab.analysis import (check_dwell_lower_bound, check_overshoot_bound,
-                             check_phi_oracle, check_zeno, cycle_slice,
-                             overshoot_comparison, verify_bounds)
+from xbstab import check_envelope, dwell_certificate, extract_dwell
+from xbstab.analysis import (_EXCITATION_FLOOR, check_dwell_lower_bound,
+                             check_overshoot_bound, check_phi_oracle,
+                             check_zeno, cycle_slice, overshoot_comparison,
+                             verify_bounds)
+from xbstab.cli import build_scenario
 from xbstab.errors import CycleNotFound, NoExcitation
 from xbstab.lyapunov import (DecayCertificate, decay_certificate,
                              dwell_time_lower_bound)
@@ -40,7 +42,7 @@ class TestExtractDwell:
         cfg = make_cfg(z_star_init=1.0, epsilon=0.01)
         t = np.linspace(0.0, 2.0, 40001)
         traj = make_traj(t, np.sin(2 * np.pi * t))
-        rep = extract_dwell(traj, cfg, threshold_fraction=0.5)
+        rep = extract_dwell(traj, cfg)
         # |sin| >= 1/2 on intervals of length 1/3 separated by gaps of 1/6
         assert rep.tau_d == pytest.approx(1.0 / 3.0, rel=1e-3)
         assert rep.tau_s == pytest.approx(1.0 / 6.0, rel=1e-3)
@@ -56,12 +58,14 @@ class TestExtractDwell:
         with pytest.raises(NoExcitation):
             extract_dwell(make_traj(t, np.full(101, 0.1)), cfg)
 
-    def test_threshold_fraction_validated(self):
-        cfg = make_cfg(z_star_init=1.0, epsilon=0.01)
-        t = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            extract_dwell(make_traj(t, np.ones(11)), cfg,
-                          threshold_fraction=1.5)
+    def test_floor_is_the_dwell_certificates(self, scenario_dict):
+        """The excitation floor times |z*| = z*_in/2^i of cycle i is the
+        dwell certificate's z_underbar_i, so neither changes alone."""
+        scn = build_scenario(scenario_dict)
+        for i in range(1, 5):
+            cert = dwell_certificate(scn.params, scn.cfg, i)
+            assert _EXCITATION_FLOOR * scn.cfg.z_star_init / 2.0 ** i \
+                == cert.z_underbar_i
 
     def test_report_serializes(self, golden_run, sv_cfg):
         rep = extract_dwell(golden_run, sv_cfg)
@@ -108,7 +112,7 @@ class TestZeno:
         jumps = [JumpRecord(t=0.1 * k, j=k, kind=JumpKind.WITHIN_CYCLE)
                  for k in range(15)]
         traj = make_traj(t, np.ones(50), jumps=jumps)
-        ok, worst = check_zeno(traj, t_lmin=0.1, window=1.0)
+        ok, worst = check_zeno(traj, t_lmin=0.1)
         assert ok and worst <= 2 * math.ceil(10.0) + 1
 
     def test_burst_fails(self):
@@ -116,7 +120,7 @@ class TestZeno:
         jumps = [JumpRecord(t=1e-3 * k, j=k, kind=JumpKind.WITHIN_CYCLE)
                  for k in range(30)]
         traj = make_traj(t, np.ones(50), jumps=jumps)
-        ok, worst = check_zeno(traj, t_lmin=0.5, window=1.0)
+        ok, worst = check_zeno(traj, t_lmin=0.5)
         assert not ok and worst == 30
 
 

@@ -506,6 +506,22 @@ class TestEndToEnd:
         assert not err["all_checks_passed"]
         assert not (out / "trajectory.csv").exists()
 
+    def test_missing_epsilon_writes_error_json(self, tmp_path,
+                                               scenario_dict):
+        """controller.epsilon has no default: a config without it is
+        refused by name, before anything is integrated."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        del cfg["controller"]["epsilon"]
+        p = tmp_path / "no_eps.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"] == \
+            "missing required field 'epsilon' in 'controller'"
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
     def test_unknown_solver_key_writes_error_json(self, tmp_path,
                                                   scenario_dict):
         """A misspelt solver field is refused by name, with an error
@@ -574,6 +590,8 @@ class TestEndToEnd:
         ("controller", "h_schedule", [0.5, "0.5"], "controller.h_schedule"),
         ("initial", "z0", [10 ** 400, 0.3], "initial.z0"),
         ("controller", "h_schedule", [10 ** 400], "controller.h_schedule"),
+        # a passing run must not leave its report where a failure goes
+        ("outputs", "report_json", "error.json", "outputs.report_json"),
     ])
     def test_malformed_value_writes_error_json(self, tmp_path,
                                                scenario_dict, section,

@@ -153,8 +153,8 @@ class TestDecayCertificate:
 
     def test_with_mu_override(self, sv_gains, sv_cert):
         d = decay_certificate(sv_gains, sv_cert, (1e-3, 2e-3, 9.0, 75.0))
-        d2 = d.with_mu(5.0, T=1.25)
-        assert d2.mu == 5.0 and d2.T == 1.25
+        d2 = d.with_mu(5.0)
+        assert d2.mu == 5.0
         assert d2.kappa1 == d.kappa1
 
     def test_rejects_nonpositive_dwell_data(self, sv_gains, sv_cert):

@@ -109,9 +109,6 @@ class TestControllerConfig:
     def test_exact_estimate_needs_no_initialization(self):
         assert make_cfg(R_tilde=0.0).h0(gamma=29.31) == 1.0
 
-    def test_default_epsilon(self):
-        assert ControllerConfig.default_epsilon(75.0) == 0.75
-
     @pytest.mark.parametrize("kw", [dict(z_star_init=-1.0),
                                     dict(k_prime=0.0),
                                     dict(epsilon=0.0),
