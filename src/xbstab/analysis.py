@@ -21,6 +21,10 @@ _TINY = 1e-300
 # the excitation floor |z1| >= |z*|/2: the z_underbar_i = z*_in/2^(i+1) of
 # lyapunov.dwell_certificate, whose |z*| in cycle i is z*_in/2^i
 _EXCITATION_FLOOR = 0.5
+# the progress floor on min(z2 + d/c)/(d/c): stalled runs read 2.1e-16,
+# one ulp of d/c, healthy ones 2.3e-8 to 3.0e-8 (benchmark workloads,
+# seeds 0-10), 4.7e3x above and 2.3e4x below the floor
+_PROGRESS_FLOOR = 1e-12
 
 
 @dataclass
@@ -53,6 +57,7 @@ class BoundReport:
     dwell_min_ratio: float
     zeno_ok: bool
     zeno_max_jumps: int
+    z2_floor_margin: float      # min(z2 + d/c)/(d/c) over the run
 
     to_dict = as_dict
 
@@ -61,7 +66,8 @@ class BoundReport:
         """The verdict of each bound check, by its name in cli.CHECK_NAMES."""
         return {"vobs": self.vobs_monotone, "envelope": self.envelope_ok,
                 "phi": self.phi_oracle_max_err <= 1e-5,
-                "dwell": self.dwell_ok, "zeno": self.zeno_ok}
+                "dwell": self.dwell_ok, "zeno": self.zeno_ok,
+                "progress": self.z2_floor_margin > _PROGRESS_FLOOR}
 
     @property
     def all_ok(self) -> bool:
@@ -113,8 +119,7 @@ def _within_cycle_period(traj: HybridTrajectory) -> float:
     return max([0.0] + [b.t - a.t for a, b in _within_cycle_pairs(traj.jumps)])
 
 
-def extract_dwell(traj: HybridTrajectory,
-                  cfg: ControllerConfig) -> DwellReport:
+def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     """Excitation intervals I_d = {t : |z1(t)| >= |z*|/2}.
 
     The threshold follows the per-sample reference magnitude, so the report
@@ -330,4 +335,6 @@ def verify_bounds(traj: HybridTrajectory, params: PlantParams,
         envelope_ok=env["envelope_ok"], envelope_T=env["T"],
         envelope_margin=env["margin"], phi_oracle_max_err=phi_err,
         dwell_ok=dwell_ok, dwell_min_ratio=ratio,
-        zeno_ok=zeno_ok, zeno_max_jumps=zeno_worst)
+        zeno_ok=zeno_ok, zeno_max_jumps=zeno_worst,
+        z2_floor_margin=float((traj.z2 - params.z2_floor).min()
+                              / -params.z2_floor))

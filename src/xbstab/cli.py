@@ -66,7 +66,7 @@ CSV_COLUMNS = ("t", "j", "i", "tau", "z1", "z2", "z1_hat", "z2_hat",
 _PHASE_COLUMNS = ("z1", "z2")
 _TIMESERIES_COLUMNS = ("t", "z1", "z2", "z1_hat", "z2_hat", "z_star")
 
-CHECK_NAMES = ("vobs", "envelope", "phi", "dwell", "zeno", "excitation")
+CHECK_NAMES = ("vobs", "envelope", "phi", "dwell", "zeno", "progress", "excitation")
 
 _DEFAULT_OUTPUTS = {
     "trajectory_csv": "trajectory.csv",
@@ -346,13 +346,12 @@ def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
         z_star=traj.z_star[sl], phi=traj.phi[sl], jumps=jumps)
 
 
-def _dwell_reports_per_cycle(traj: HybridTrajectory, slices: dict,
-                             cfg: ControllerConfig) -> dict:
+def _dwell_reports_per_cycle(traj: HybridTrajectory, slices: dict) -> dict:
     reports = {}
     for i, sl in slices.items():
         sub = _slice_trajectory(traj, sl)
         try:
-            reports[str(i)] = extract_dwell(sub, cfg).to_dict()
+            reports[str(i)] = extract_dwell(sub).to_dict()
         except NoExcitation as exc:
             reports[str(i)] = {"error": str(exc)}
     return reports
@@ -390,7 +389,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
                    for i in slices if i >= 1}
 
     try:
-        dwell_report = extract_dwell(traj, scn.cfg)
+        dwell_report = extract_dwell(traj)
         dwell_dict = dwell_report.to_dict()
         excitation_ok = dwell_report.assumption_holds
         assumption = (dwell_report.tau_d, dwell_report.tau_s,
@@ -435,8 +434,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
             "dwell_per_cycle": dwell_certs,
         },
         "dwell_report": dwell_dict,
-        "dwell_report_per_cycle": _dwell_reports_per_cycle(traj, slices,
-                                                           scn.cfg),
+        "dwell_report_per_cycle": _dwell_reports_per_cycle(traj, slices),
         "bound_report": bounds.to_dict(),
         "checks": {"enabled": list(enabled), "results": check_results},
         "jumps": [{"t": jr.t, "j": jr.j, "kind": jr.kind.value}

@@ -6,16 +6,16 @@ span with reserved rows leaves one descriptor (layout fastpath.SP_*). After
 every kernel call the engine passes those descriptors to fill_spans, which
 writes all reserved rows of the call in one vectorized pass of
 fastpath._dense: it runs the kernel's own arithmetic functions (the z1
-cubic, tau's primitive, exp(M dt) = p I + q N, the closed-form state and
-the row store) on arrays, since numpy's + - * / round like Python's
-floats and fuse nothing. What stays here is what arrays need: the branch
-masks of fastpath._expm_pq, the a1 <= 0 case of fastpath._tau_at and the
-transcendentals, which go through CPython's math one element at a time,
-because numpy's ufuncs are not bit-identical to libm. On 1e6 uniform
-arguments (numpy 2.4, x86-64), np.exp differs from math.exp in 4.7 % of
-values on [-20, 20], np.cosh in 14 % and np.sinh in 28 % on [0, 1], and
-np.expm1 in 9 % on [-1, 1]; every filled row must equal the kernel's
-_record(buf, n, t, _dense(...)) bit for bit.
+cubic, tau's primitive, N zt and N Phi once per descriptor, the state
+p X + q (N X) and the row store) on arrays, since numpy's + - * / round
+like Python's floats and fuse nothing. What stays here is what arrays
+need: the branch masks of fastpath._expm_pq, the a1 <= 0 case of
+fastpath._tau_at and the transcendentals, which go through CPython's math
+one element at a time, because numpy's ufuncs are not bit-identical to
+libm. On 1e6 uniform arguments (numpy 2.4, x86-64), np.exp differs from
+math.exp in 4.7 % of values on [-20, 20], np.cosh in 14 % and np.sinh in
+28 % on [0, 1], and np.expm1 in 9 % on [-1, 1]; every filled row must
+equal the kernel's _record(buf, n, t, _dense(...)) bit for bit.
 
 This is plain Python on both backends: the fill calls the shared
 functions' Python source (py_func where numba compiled them).
@@ -33,10 +33,10 @@ from .fastpath import (SP_DT, SP_H, SP_M, SP_MD, SP_N, SP_T0, SP_TA,
 
 # the kernel's own arithmetic, as Python source on both backends; none of
 # them calls another kernel function, which numba would compile for arrays
-_expm2, _flow_state, _record, _z1_cubic, _z1_prim = (
-    getattr(f, "py_func", f) for f in (fastpath._expm2, fastpath._flow_state,
-                                       fastpath._record, fastpath._z1_cubic,
-                                       fastpath._z1_prim))
+_n_products, _flow_state, _record, _z1_cubic, _z1_prim = (
+    getattr(f, "py_func", f) for f in (
+        fastpath._n_products, fastpath._flow_state, fastpath._record,
+        fastpath._z1_cubic, fastpath._z1_prim))
 
 # rows per _fill pass, plus at most one span: bounds the temporaries
 _FILL_ROWS = 1 << 11
@@ -80,6 +80,8 @@ def _fill(buf, sp):
     i = np.arange(k.size) - (np.cumsum(cnt) - cnt)[k] + 1
     f = sp[k].T                                 # one array per field
     tc, md, ya = f[SP_TC:SP_MD], f[SP_MD:SP_YA], f[SP_YA:]
+    # N zt and N Phi once per descriptor, then copied to its rows
+    nx = [v[k] for v in _n_products(sp.T[SP_MD:SP_YA], sp.T[SP_YA:])]
     tt = f[SP_TA] + i * f[SP_DT]
     th = (tt - f[SP_T0]) / f[SP_H]
     # _tau_at; np.where drops the quotient where a1 <= 0
@@ -88,9 +90,8 @@ def _fill(buf, sp):
     tau = f[SP_TAU0] + (f[SP_TAU1] - f[SP_TAU0]) * frac
     # _closed
     dt = tau - ya[0]
-    y = _flow_state(md, ya, tau, _z1_cubic(tc, th),
-                    _expm2(md, *_expm_pq_rows(md, dt)),
-                    _libm(math.expm1, md[6] * dt))
+    y = _flow_state(md, ya, nx, tau, _z1_cubic(tc, th),
+                    *_expm_pq_rows(md, dt), _libm(math.expm1, md[6] * dt))
     _record(buf, f[SP_N].astype(np.int64) + i - 1, tt, y)
 
 

@@ -9,19 +9,16 @@ adaptive Dormand-Prince 5(4) stepper integrates two of them,
 and the other seven are solved in closed form: with s = sign z1 fixed they
 are linear in tau, d(z2 + d/c)/dtau = s c (z2 + d/c) and dX/dtau = A(s) X
 for X = zt and Phi, with A(+1) = A1 and A(-1) = A2. From an anchor state
-that is a scalar exponential and the exponential of a 2x2 matrix. Every
-stage reads zt2 from that closed form, and the same closed form gives z2,
-zt and Phi at accepted step endpoints (for the guards), at bisection
-points and at recorded samples. z1 roots are step boundaries: a step over
-which z1 changes sign is retaken up to the root (bisected on the step's
-cubic Hermite of z1, then polished by Newton iterations on the retaken
-endpoint), and the closed form is re-anchored there with the new s, so no
-step integrates tau across the kink of |z1|.
-
-zt2 is written two ways: the stages' _f takes p zt2 + q (N zt)_2 from
-_zt2_anchor, while the endpoints, guards and recorded rows take
-e21 zt1 + e22 zt2 from _flow_state. The two differ in the last bits for
-about 42 % of 1e5 random anchors, by at most 2.5e-14 relative.
+that is a scalar exponential and the exponential of a 2x2 matrix,
+exp(M dt) = p I + q N: each entry X of zt and Phi is p X + q (N X), with
+the products N X taken once per anchor (_n_products). Every stage reads
+zt2 in that form, and the same form gives z2, zt and Phi at accepted step
+endpoints (for the guards), at bisection points and at recorded samples.
+z1 roots are step boundaries: a step over which z1 changes sign is
+retaken up to the root (bisected on the step's cubic Hermite of z1, then
+polished by Newton iterations on the retaken endpoint), and the closed
+form is re-anchored there with the new s, so no step integrates tau
+across the kink of |z1|.
 
 Guards are tested at accepted step endpoints; an event is then located by
 bisection inside that step. Step sizes serve accuracy only: a step ends
@@ -39,12 +36,12 @@ of the recorded z1 to third order in the sample spacing.
 The kernel does not evaluate those interior samples. It writes each span's
 endpoint row, reserves the rows before it and leaves one descriptor per
 span (layout SP_*); after the call, emission.fill_spans fills every
-reserved row in one vectorized pass. Apart from the stages' zt2, the
-closed form's arithmetic after the transcendental calls is written once,
-in functions that take floats or numpy arrays alike (_expm2, _flow_state,
-_z1_cubic, _z1_prim, _record): the kernel calls them on floats, the fill
-on arrays, so each filled row equals what _record(_dense(...)) would have
-written, bit for bit.
+reserved row in one vectorized pass. The closed form's arithmetic after
+the transcendental calls is written once, in functions that take floats
+or numpy arrays alike (_n_products, _flow_state, _z1_cubic, _z1_prim,
+_record): the kernel calls them on floats, the fill on arrays, so each
+filled row equals what _record(_dense(...)) would have written, bit for
+bit. The stages' _f reads zt2 by _flow_state's expression, inlined.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
@@ -163,55 +160,51 @@ def _expm_pq(md, dt):
 
 
 @njit(cache=True)
-def _expm2(md, p, q):
-    """exp(M dt) = p I + q N as (e11, e12, e21, e22), for M split by _split
-    and (p, q) = _expm_pq(md, dt)."""
-    return (p + q * md[1], q * md[2], q * md[3], p - q * md[1])
+def _n_products(md, ya):
+    """N zt and N Phi at the anchor ya, for N of mode md (_split), as
+    ((N zt)_1, (N zt)_2, (N Phi)_11, (N Phi)_12, (N Phi)_21, (N Phi)_22)."""
+    n11, n12, n21 = md[1], md[2], md[3]
+    return (n11 * ya[3] + n12 * ya[4], n21 * ya[3] - n11 * ya[4],
+            n11 * ya[5] + n12 * ya[7], n11 * ya[6] + n12 * ya[8],
+            n21 * ya[5] - n11 * ya[7], n21 * ya[6] - n11 * ya[8])
 
 
 @njit(cache=True)
-def _flow_state(md, ya, tau, z1, e, x):
+def _flow_state(md, ya, nx, tau, z1, p, q, x):
     """The state at (tau, z1) in the closed form of mode md anchored at
-    ya, given e = exp(M dt) (_expm2) and x = expm1(s c dt) for
-    dt = tau - ya[0]."""
-    e11, e12, e21, e22 = e
+    ya, with nx = _n_products(md, ya), (p, q) = _expm_pq(md, dt) and
+    x = expm1(s c dt) for dt = tau - ya[0]: each entry X of zt and Phi
+    is p X + q (N X)."""
     return (tau, z1, ya[2] + (ya[2] + md[7]) * x,
-            e11 * ya[3] + e12 * ya[4], e21 * ya[3] + e22 * ya[4],
-            e11 * ya[5] + e12 * ya[7], e11 * ya[6] + e12 * ya[8],
-            e21 * ya[5] + e22 * ya[7], e21 * ya[6] + e22 * ya[8])
+            p * ya[3] + q * nx[0], p * ya[4] + q * nx[1],
+            p * ya[5] + q * nx[2], p * ya[6] + q * nx[3],
+            p * ya[7] + q * nx[4], p * ya[8] + q * nx[5])
 
 
 @njit(cache=True)
-def _closed(md, ya, tau, z1):
+def _closed(md, ya, nx, tau, z1):
     """The state at (tau, z1): z2, zt and Phi from the closed form of mode
-    md anchored at the state ya."""
+    md anchored at the state ya (nx = _n_products(md, ya))."""
     dt = tau - ya[0]
-    return _flow_state(md, ya, tau, z1, _expm2(md, *_expm_pq(md, dt)),
-                       math.expm1(md[6] * dt))
-
-
-@njit(cache=True)
-def _zt2_anchor(md, ya):
-    """(tau, zt2, (N zt)_2) at the anchor ya: zt2 at tau' is then
-    p zt2 + q (N zt)_2 with (p, q) = _expm_pq(md, tau' - tau)."""
-    return ya[0], ya[4], md[3] * ya[3] - md[1] * ya[4]
+    p, q = _expm_pq(md, dt)
+    return _flow_state(md, ya, nx, tau, z1, p, q, math.expm1(md[6] * dt))
 
 
 @njit(cache=True)
 def _mode(modes, s, ys):
     """The closed form for sign s anchored at the state ys, as (md, ya,
-    za): the mode, the anchor and _zt2_anchor."""
+    nx): the mode, the anchor and _n_products."""
     md = modes[0] if s > 0.0 else modes[1]
-    return md, ys, _zt2_anchor(md, ys)
+    return md, ys, _n_products(md, ys)
 
 
 @njit(cache=True)
-def _f(p, md, za, tau, z1):
-    """(dtau/dt, dz1/dt) at (tau, z1), with zt2 from the closed form (za
-    from _zt2_anchor)."""
+def _f(p, md, ya, nx, tau, z1):
+    """(dtau/dt, dz1/dt) at (tau, z1), with zt2 by _flow_state's
+    expression, inlined because every step calls _f six times."""
     a, k, zstar = p
-    e, q = _expm_pq(md, tau - za[0])
-    return abs(z1), a * z1 * (e * za[1] + q * za[2]) - k * (z1 - zstar)
+    e, q = _expm_pq(md, tau - ya[0])
+    return abs(z1), a * z1 * (e * ya[4] + q * nx[1]) - k * (z1 - zstar)
 
 
 @njit(cache=True)
@@ -238,7 +231,7 @@ def _guard_any(y, g):
 
 
 @njit(cache=True)
-def _dp_step(p, md, za, y, k1, h):
+def _dp_step(p, md, ya, nx, y, k1, h):
     """One Dormand-Prince 5(4) step of (tau, z1) of size h from y with
     k1 = f(y).
 
@@ -249,19 +242,19 @@ def _dp_step(p, md, za, y, k1, h):
     tau, z1 = y
     a1, b1 = k1
     try:                        # numba catches Exception, no subclass
-        a2, b2 = _f(p, md, za, tau + h * (_A21 * a1),
+        a2, b2 = _f(p, md, ya, nx, tau + h * (_A21 * a1),
                     z1 + h * (_A21 * b1))
-        a3, b3 = _f(p, md, za, tau + h * (_A31 * a1 + _A32 * a2),
+        a3, b3 = _f(p, md, ya, nx, tau + h * (_A31 * a1 + _A32 * a2),
                     z1 + h * (_A31 * b1 + _A32 * b2))
-        a4, b4 = _f(p, md, za,
+        a4, b4 = _f(p, md, ya, nx,
                     tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
                     z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
-        a5, b5 = _f(p, md, za,
+        a5, b5 = _f(p, md, ya, nx,
                     tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3
                                + _A54 * a4),
                     z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3
                               + _A54 * b4))
-        a6, b6 = _f(p, md, za,
+        a6, b6 = _f(p, md, ya, nx,
                     tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3
                                + _A64 * a4 + _A65 * a5),
                     z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3
@@ -270,7 +263,7 @@ def _dp_step(p, md, za, y, k1, h):
                          + _B6 * a6),
               z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5
                         + _B6 * b6))
-        k7 = _f(p, md, za, y1[0], y1[1])
+        k7 = _f(p, md, ya, nx, y1[0], y1[1])
     except Exception:
         nan2 = (math.nan, math.nan)
         return nan2, nan2, nan2
@@ -341,10 +334,11 @@ def _tau_at(tc, tau0, tau1, th):
 
 
 @njit(cache=True)
-def _dense(tc, md, ya, tau0, tau1, th):
+def _dense(tc, md, ya, nx, tau0, tau1, th):
     """The state at th inside the step: z1 from its cubic, tau from
     _tau_at and the rest from the closed form."""
-    return _closed(md, ya, _tau_at(tc, tau0, tau1, th), _z1_cubic(tc, th))
+    return _closed(md, ya, nx, _tau_at(tc, tau0, tau1, th),
+                   _z1_cubic(tc, th))
 
 
 @njit(cache=True)
@@ -363,14 +357,14 @@ def _z1_root(tc, s):
 
 
 @njit(cache=True)
-def _step_to_root(p, md, za, y0, f0, hr, h):
+def _step_to_root(p, md, ya, nx, y0, f0, hr, h):
     """Retake the step from y0 = (tau, z1) with size hr, a guess of the z1
     root, and polish hr by Newton iterations on the retaken endpoint's z1.
 
     Returns (hr, y1, f1, err, at_root); at_root says that |z1| at the
     endpoint is within 1e-12 of |z1| at y0. hr stays in (0, h].
     """
-    y1, f1, err = _dp_step(p, md, za, y0, f0, hr)
+    y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, hr)
     ztol = 1e-12 * abs(y0[1])
     for _ in range(_ROOT_ITERS):
         if abs(y1[1]) <= ztol or f1[1] == 0.0:
@@ -379,7 +373,7 @@ def _step_to_root(p, md, za, y0, f0, hr, h):
         if not 0.0 < hn <= h:   # also a NaN hn, from an overflowed step
             break
         hr = hn
-        y1, f1, err = _dp_step(p, md, za, y0, f0, hr)
+        y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, hr)
     return hr, y1, f1, err, abs(y1[1]) <= ztol
 
 
@@ -425,7 +419,7 @@ def _emit_span(buf, n, spans, ns, t0, h, tc, md, ya, tau0, tau1, ta, tau_a,
 
 
 @njit(cache=True)
-def _bisect_guard(t0, h, tc, md, ya, tau0, tau1, g, event_tol):
+def _bisect_guard(t0, h, tc, md, ya, nx, tau0, tau1, g, event_tol):
     """Earliest guard activation in (t0, t0+h]; guard is false at t0 and
     true at t0+h. Returns (t_event, width).
 
@@ -445,7 +439,7 @@ def _bisect_guard(t0, h, tc, md, ya, tau0, tau1, g, event_tol):
         if hi - lo <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        if _guard_any(_dense(tc, md, ya, tau0, tau1, (mid - t0) / h),
+        if _guard_any(_dense(tc, md, ya, nx, tau0, tau1, (mid - t0) / h),
                       g) != 0:
             hi = mid
         else:
@@ -503,8 +497,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     s = 1.0
     if ys[1] < 0.0 or (ys[1] == 0.0 and p[2] < 0.0):
         s = -1.0
-    md, ya, za = _mode(modes, s, ys)     # ya: anchor of the closed form
-    f0 = _f(p, md, za, ys[0], ys[1])
+    md, ya, nx = _mode(modes, s, ys)     # ya: anchor of the closed form
+    f0 = _f(p, md, ya, nx, ys[0], ys[1])
     h = max_step * 0.1
     flipped = False             # s switched at t without a step since
 
@@ -529,7 +523,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             break
 
         y0 = (ys[0], ys[1])
-        y1, f1, err = _dp_step(p, md, za, y0, f0, h)
+        y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, h)
         hs = h
         crossed = -math.inf < s * y1[1] < 0.0 and not flipped
         at_root = False
@@ -542,11 +536,11 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             if hs < _MIN_STEP:
                 # the root is at the step start: switch the mode here
                 s = -s
-                md, ya, za = _mode(modes, s, ys)
+                md, ya, nx = _mode(modes, s, ys)
                 flipped = True
                 continue
-            hs, y1, f1, err, at_root = _step_to_root(p, md, za, y0, f0, hs,
-                                                     h)
+            hs, y1, f1, err, at_root = _step_to_root(p, md, ya, nx, y0, f0,
+                                                     hs, h)
         enorm = _err_norm(y0, y1, err, ya[0], atol, rtol)
         if not enorm <= 1.0:
             h = hs * _step_factor(enorm)
@@ -555,7 +549,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
 
         # accepted step [t, t+hs]; f1 is f at the new point (FSAL)
         t_new = t + hs
-        ye = _closed(md, ya, y1[0], y1[1])
+        ye = _closed(md, ya, nx, y1[0], y1[1])
         code = _guard_any(ye, g)
 
         # recording decision at the accepted endpoint: thinned recording
@@ -578,9 +572,9 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
             if code != 0:
                 # an event ends the step, and the segment, at its point
-                t_new, width = _bisect_guard(t, hs, tc, md, ya, ys[0], y1[0],
-                                             g, event_tol)
-                ye = _dense(tc, md, ya, ys[0], y1[0], (t_new - t) / hs)
+                t_new, width = _bisect_guard(t, hs, tc, md, ya, nx, ys[0],
+                                             y1[0], g, event_tol)
+                ye = _dense(tc, md, ya, nx, ys[0], y1[0], (t_new - t) / hs)
             n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
                                y1[0], last_rec_t, last_rec_tau, last_rec_z1,
                                t_new, ye, budget_rel)
@@ -593,7 +587,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         f0 = f1
         if at_root:
             s = -s
-            md, ya, za = _mode(modes, s, ys)
+            md, ya, nx = _mode(modes, s, ys)
         if not crossed:
             h *= _step_factor(enorm)
         if code == 0 and z2_bad:

@@ -184,7 +184,6 @@ class DecayCertificate:
     kappa1: float
     kappa2: float
     mu: float
-    T: float
 
     def with_mu(self, mu: float) -> "DecayCertificate":
         """Certificate with an empirically measured excitation rate."""
@@ -316,4 +315,4 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
     return DecayCertificate(
         decay_rate=lam, c_bar=c_bar, log_c_bar=log_c_bar,
         K1=K1, K2=K2, rho=rho, log_one_minus_rho=lg, L=float(L),
-        kappa1=kappa1, kappa2=kappa2, mu=mu_analytic, T=0.0)
+        kappa1=kappa1, kappa2=kappa2, mu=mu_analytic)

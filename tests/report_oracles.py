@@ -98,7 +98,8 @@ def bound_report_to_dict(self) -> dict:
     return {k: getattr(self, k) for k in (
         "vobs_monotone", "vobs_worst_violation", "envelope_ok",
         "envelope_T", "envelope_margin", "phi_oracle_max_err",
-        "dwell_ok", "dwell_min_ratio", "zeno_ok", "zeno_max_jumps")}
+        "dwell_ok", "dwell_min_ratio", "zeno_ok", "zeno_max_jumps",
+        "z2_floor_margin")}
 
 
 def lyapunov_certificate_to_dict(self) -> dict:
@@ -134,5 +135,4 @@ def decay_certificate_to_dict(self) -> dict:
         "kappa1": self.kappa1,
         "kappa2": self.kappa2,
         "mu": self.mu,
-        "T": self.T,
     }

@@ -429,8 +429,8 @@ def test_criterion_8_oracle_jump_times(criterion_8_run, sv_params, sv_gains,
 
 # --- criterion 9: exponential estimation-error envelope -------------------
 
-def test_criterion_9_envelope(golden_run, sv_gains, sv_cert, sv_cfg):
-    dwell = extract_dwell(golden_run, sv_cfg)
+def test_criterion_9_envelope(golden_run, sv_gains, sv_cert):
+    dwell = extract_dwell(golden_run)
     decay = decay_certificate(
         sv_gains, sv_cert,
         (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar))

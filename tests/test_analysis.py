@@ -18,8 +18,6 @@ from xbstab.lyapunov import (DecayCertificate, decay_certificate,
                              dwell_time_lower_bound)
 from xbstab.model import HybridTrajectory, JumpKind, JumpRecord
 
-from test_model import make_cfg
-
 
 def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
               jumps=None):
@@ -39,10 +37,9 @@ def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
 
 class TestExtractDwell:
     def test_sine_excitation_closed_form(self):
-        cfg = make_cfg(z_star_init=1.0, epsilon=0.01)
         t = np.linspace(0.0, 2.0, 40001)
         traj = make_traj(t, np.sin(2 * np.pi * t))
-        rep = extract_dwell(traj, cfg)
+        rep = extract_dwell(traj)
         # |sin| >= 1/2 on intervals of length 1/3 separated by gaps of 1/6
         assert rep.tau_d == pytest.approx(1.0 / 3.0, rel=1e-3)
         assert rep.tau_s == pytest.approx(1.0 / 6.0, rel=1e-3)
@@ -53,10 +50,9 @@ class TestExtractDwell:
         assert rep.assumption_holds
 
     def test_no_excitation_raises(self):
-        cfg = make_cfg(z_star_init=1.0, epsilon=0.01)
         t = np.linspace(0.0, 1.0, 101)
         with pytest.raises(NoExcitation):
-            extract_dwell(make_traj(t, np.full(101, 0.1)), cfg)
+            extract_dwell(make_traj(t, np.full(101, 0.1)))
 
     def test_floor_is_the_dwell_certificates(self, scenario_dict):
         """The excitation floor times |z*| = z*_in/2^i of cycle i is the
@@ -67,8 +63,8 @@ class TestExtractDwell:
             assert _EXCITATION_FLOOR * scn.cfg.z_star_init / 2.0 ** i \
                 == cert.z_underbar_i
 
-    def test_report_serializes(self, golden_run, sv_cfg):
-        rep = extract_dwell(golden_run, sv_cfg)
+    def test_report_serializes(self, golden_run):
+        rep = extract_dwell(golden_run)
         d = rep.to_dict()
         assert set(d) == {"intervals", "tau_d", "tau_s", "z_under",
                           "z_bar", "mu", "window", "assumption_holds"}
@@ -129,7 +125,7 @@ def _fake_decay(kappa1, kappa2, mu):
         decay_rate=1.0, c_bar=1.0, log_c_bar=0.0,
         K1=np.zeros(2), K2=np.zeros(2), rho=0.5,
         log_one_minus_rho=math.log(0.5), L=1.0,
-        kappa1=kappa1, kappa2=kappa2, mu=mu, T=0.0)
+        kappa1=kappa1, kappa2=kappa2, mu=mu)
 
 
 class TestEnvelope:
@@ -195,7 +191,7 @@ class TestRunLevelChecks:
 
     def test_verify_bounds_aggregate(self, golden_run, sv_params, sv_cfg,
                                      sv_cert, sv_gains):
-        dwell = extract_dwell(golden_run, sv_cfg)
+        dwell = extract_dwell(golden_run)
         decay = decay_certificate(
             sv_gains, sv_cert,
             (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar)

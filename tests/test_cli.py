@@ -436,6 +436,26 @@ class TestEndToEnd:
         assert (out / "phase.csv").exists()
         assert (out / "timeseries.csv").exists()
 
+    @pytest.mark.parametrize("section, values", [
+        ("initial", {"z_hat0": [0.0, 0.3]}),        # z_hat0 = z0
+        ("observer", {"k1_plus": 100.0, "k2_plus": -8.0})])
+    def test_run_stalled_at_domain_floor_fails(self, tmp_path, scenario_dict,
+                                               section, values):
+        """Two runs that stall in cycle 0 with z2 one ulp above -d/c: an
+        exact initial estimate, and observer gains with real eigenvalues.
+        Each takes one jump in 2 s, and progress fails it."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg[section].update(values)
+        cfg["solver"].update(t_end=2.0, record_interval=0.01)
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]["results"]["progress"] is False
+        assert not report["all_checks_passed"]
+        assert len(report["jumps"]) == 1 and report["cycles_reached"] == [0]
+
     def test_failed_report_write_leaves_error_json_only(
             self, short_scenario, tmp_path, monkeypatch):
         """An OSError part-way through writing report.json ends the run in

@@ -224,8 +224,8 @@ def test_kernel_flow_matches_flow_map(sv_params, sv_gains, sv_cert, z1,
     gen = np.array([[mu + n11, n12], [n21, mu - n11]])
     rates = np.concatenate([[z2_rate * (state.z[1] + d_over_c)],
                             gen @ state.z_tilde, (gen @ state.phi).ravel()])
-    got = np.array([*fastpath._f((run[0], run[1], seg[0]), md,
-                                 fastpath._zt2_anchor(md, ya), ya[0], z1),
+    got = np.array([*fastpath._f((run[0], run[1], seg[0]), md, ya,
+                                 fastpath._n_products(md, ya), ya[0], z1),
                     *(abs(z1) * rates)])
     d = flow_map(sv_params, sv_gains, k, state)
     want = np.array([d.d_tau, d.d_z1, d.d_z2, *d.d_z_tilde,
@@ -261,7 +261,8 @@ def test_closed_form_is_exponential_of_generator(sv_params, sv_gains,
     mu, n11, n12, n21, _, _, z2_rate, d_over_c = md
     E = expm(np.array([[mu + n11, n12], [n21, mu - n11]]) * dtau)
     ya = _kernel_state(state)
-    got = np.array(fastpath._closed(md, ya, ya[0] + dtau, ya[1]))
+    got = np.array(fastpath._closed(md, ya, fastpath._n_products(md, ya),
+                                    ya[0] + dtau, ya[1]))
     w2 = state.z[1] + d_over_c
     want = np.concatenate([[ya[0] + dtau, ya[1],
                             w2 * math.exp(z2_rate * dtau) - d_over_c],
@@ -305,10 +306,11 @@ def test_modes_are_split_once_per_run(monkeypatch, sv_params, sv_gains,
                                    "nearly repeated, real",
                                    "nearly repeated, complex"])
 def test_expm2_matches_scipy(sv_gains, which, dt):
-    """fastpath._expm2 against scipy's expm, to 1e-13 of the largest entry:
-    the shipped A1 and A2 (eigenvalues -8 +- 10.05i), real distinct
-    eigenvalues (hyperbolic and eigen-exponential branches), a repeated
-    one and two nearly repeated ones."""
+    """exp(M dt) = p I + q N, with (p, q) from fastpath._expm_pq, against
+    scipy's expm, to 1e-13 of the largest entry: the shipped A1 and A2
+    (eigenvalues -8 +- 10.05i), real distinct eigenvalues (hyperbolic and
+    eigen-exponential branches), a repeated one and two nearly repeated
+    ones."""
     m = {"A1": sv_gains.A1, "A2": sv_gains.A2,
          "real": np.array([[-3.0, 1.0], [2.0, -5.0]]),
          "repeated": np.array([[-2.0, 1.0], [0.0, -2.0]]),
@@ -316,10 +318,43 @@ def test_expm2_matches_scipy(sv_gains, which, dt):
          "nearly repeated, complex": np.array([[-2.0, 1.0],
                                                [-1e-14, -2.0]])}[which]
     md = fastpath._split(*m.ravel())
-    got = np.array(fastpath._expm2(md, *fastpath._expm_pq(md, dt)))
+    p, q = fastpath._expm_pq(md, dt)
+    n11, n12, n21 = md[1], md[2], md[3]
+    got = np.array([p + q * n11, q * n12, q * n21, p - q * n11])
     want = expm(m * dt)
     assert np.max(np.abs(got.reshape(2, 2) - want)) \
         <= 1e-13 * np.max(np.abs(want))
+
+
+def test_stage_zt2_is_flow_state_zt2(sv_gains):
+    """The zt2 that the Dormand-Prince stages read (fastpath._f) is the
+    zt2 of _flow_state, which gives the endpoints, guards, bisection and
+    fill, in every bit: 1e5 random anchors and steps, a quarter on each
+    branch of _expm_pq. With a = 1, k = 0 and z1 = 1, _f's d_z1 is zt2."""
+    rng = np.random.default_rng(0)
+    # (matrix, range of w dt): the shipped modes (complex), a repeated
+    # eigenvalue, and a real pair on each side of w dt = 1
+    cases = [(sv_gains.A1, None), (sv_gains.A2, None),
+             (np.array([[-2.0, 1.0], [0.0, -2.0]]), None),
+             (np.array([[-3.0, 1.0], [2.0, -5.0]]), (0.0, 1.0)),
+             (np.array([[-3.0, 1.0], [2.0, -5.0]]), (1.0, 3.0))]
+    branches = set()
+    for (m, wdt), count in zip(cases, (12500, 12500, 25000, 25000, 25000)):
+        md = (*fastpath._split(*m.ravel()), 24.0, 0.5208333333333334)
+        for _ in range(count):
+            ya = tuple(rng.uniform(-2.0, 2.0, 9).tolist())
+            dt = (rng.uniform(0.0, 1e-2) if wdt is None
+                  else rng.uniform(*wdt) / md[5])
+            nx = fastpath._n_products(md, ya)
+            tau = ya[0] + dt
+            stage = fastpath._f((1.0, 0.0, 0.0), md, ya, nx, tau, 1.0)[1]
+            flow = fastpath._closed(md, ya, nx, tau, 1.0)[4]
+            assert stage == flow and math.copysign(1.0, stage) \
+                == math.copysign(1.0, flow), (md, ya, dt)
+            branches.add("complex" if md[4] < 0.0 else "repeated"
+                         if md[5] == 0.0 else "hyperbolic"
+                         if md[5] * (tau - ya[0]) < 1.0 else "two-exp")
+    assert len(branches) == 4
 
 
 @settings(max_examples=400, deadline=None)

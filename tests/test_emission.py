@@ -93,7 +93,8 @@ def test_fill_matches_dense_bit_for_bit(spans, chunk):
         dt = (tb - ta) / m
         for i in range(1, m):
             tt = ta + i * dt
-            y = fastpath._dense(tc, md, ya, tau0, tau1, (tt - t0) / h)
+            y = fastpath._dense(tc, md, ya, fastpath._n_products(md, ya),
+                                tau0, tau1, (tt - t0) / h)
             assert _branch(md, y[0] - ya[0]) == branch
             fastpath._record(ref, n + i - 1, tt, y)
         fastpath._record(ref, n_end - 1, tb, yb)

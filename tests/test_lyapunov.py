@@ -183,7 +183,7 @@ def test_batched_envelope_check_matches_loop(scenario_dict, k):
     scn = build_scenario(cfg)
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
-    dwell = extract_dwell(traj, scn.cfg)
+    dwell = extract_dwell(traj)
     A1, A2 = scn.gains.A1, scn.gains.A2
     log_c_bar = max(np.linalg.norm(A1, 2), np.linalg.norm(A2, 2)) \
         * dwell.z_bar * dwell.tau_s

@@ -101,7 +101,7 @@ def test_within_cycle_pairs_match_oracle_on_golden_run(golden_run, sv_params,
 @pytest.fixture(scope="module")
 def golden_reports(golden_run, sv_params, sv_cfg, sv_cert, sv_gains):
     """Every serialized report and certificate type, from the golden run."""
-    dwell = extract_dwell(golden_run, sv_cfg)
+    dwell = extract_dwell(golden_run)
     decay = decay_certificate(
         sv_gains, sv_cert,
         (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar)
