@@ -227,7 +227,8 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
         fastpath.flow_segment(y, t_fin, sc, buf, arc.n, ret, arc.spans)
         code, t_fin = int(ret[0]), float(ret[1])
         arc.n = int(ret[2])
-        emission.fill_spans(buf, arc.spans, int(ret[4]))
+        if ret[4] > 0:
+            emission.fill_spans(buf, arc.spans, int(ret[4]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
         arc.add_row(t_fin, y)

@@ -41,7 +41,10 @@ the transcendental calls is written once, in functions that take floats
 or numpy arrays alike (_n_products, _flow_state, _z1_cubic, _z1_prim,
 _record): the kernel calls them on floats, the fill on arrays, so each
 filled row equals what _record(_dense(...)) would have written, bit for
-bit. The stages' _f reads zt2 by _flow_state's expression, inlined.
+bit. _f reads zt2 by _flow_state's expression; _dp_step writes _f in
+place for its six stages, with _expm_pq's complex branch (the shipped
+modes' eigenvalues are complex), and returns the FSAL stage's (p, q),
+from which flow_segment gives the endpoint by _flow_state.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
@@ -201,7 +204,7 @@ def _mode(modes, s, ys):
 @njit(cache=True)
 def _f(p, md, ya, nx, tau, z1):
     """(dtau/dt, dz1/dt) at (tau, z1), with zt2 by _flow_state's
-    expression, inlined because every step calls _f six times."""
+    expression; _dp_step's stages write it in place."""
     a, k, zstar = p
     e, q = _expm_pq(md, tau - ya[0])
     return abs(z1), a * z1 * (e * ya[4] + q * nx[1]) - k * (z1 - zstar)
@@ -211,7 +214,8 @@ def _f(p, md, ya, nx, tau, z1):
 def _guard_any(y, g):
     """CODE_DC if y is in D_c, else CODE_DNC if it is in D_nc (the sets of
     engine.in_Dc and in_Dnc), else 0; g = (z*, thr, lambda_min h(i)^2, P11,
-    P12, P22)."""
+    P12, P22). flow_segment writes the first two tests in place at every
+    accepted step endpoint."""
     zstar, thr, lmh2, p11, p12, p22 = g
     zh2 = y[2] + y[4]
     if abs(zh2) >= thr and zh2 * zstar >= 0.0:
@@ -235,53 +239,87 @@ def _dp_step(p, md, ya, nx, y, k1, h):
     """One Dormand-Prince 5(4) step of (tau, z1) of size h from y with
     k1 = f(y).
 
-    Returns (y1, k7, err): the 5th-order solution, f(y1) (FSAL) and the
-    embedded error estimate; NaN or inf where a step far too large drives
-    the closed form out of range (math.exp raises on CPython).
+    Returns (y1, k7, err, pq): the 5th-order solution, f(y1) (FSAL), the
+    embedded error estimate and the FSAL stage's (p, q) = _expm_pq(md,
+    y1[0] - ya[0]), from which _flow_state gives the state at y1; NaN or
+    inf where a step far too large drives the closed form out of range
+    (math.exp raises on CPython). Every step evaluates six stages, so each
+    is _f written in place, and so is _expm_pq's complex branch, which the
+    shipped modes take.
     """
+    a, k, zstar = p
+    mu, cplx, w = md[0], md[4] < 0.0, md[5]
+    ta, zt2, nzt2 = ya[0], ya[4], nx[1]
     tau, z1 = y
     a1, b1 = k1
     try:                        # numba catches Exception, no subclass
-        a2, b2 = _f(p, md, ya, nx, tau + h * (_A21 * a1),
-                    z1 + h * (_A21 * b1))
-        a3, b3 = _f(p, md, ya, nx, tau + h * (_A31 * a1 + _A32 * a2),
-                    z1 + h * (_A31 * b1 + _A32 * b2))
-        a4, b4 = _f(p, md, ya, nx,
-                    tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
-                    z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
-        a5, b5 = _f(p, md, ya, nx,
-                    tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3
-                               + _A54 * a4),
-                    z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3
-                              + _A54 * b4))
-        a6, b6 = _f(p, md, ya, nx,
-                    tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3
-                               + _A64 * a4 + _A65 * a5),
-                    z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3
-                              + _A64 * b4 + _A65 * b5))
-        y1 = (tau + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5
-                         + _B6 * a6),
-              z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5
-                        + _B6 * b6))
-        k7 = _f(p, md, ya, nx, y1[0], y1[1])
+        dt = tau + h * (_A21 * a1) - ta
+        z = z1 + h * (_A21 * b1)
+        if cplx:
+            e = math.exp(mu * dt)
+            pe, qe = e * math.cos(w * dt), e * math.sin(w * dt) / w
+        else:
+            pe, qe = _expm_pq(md, dt)
+        a2 = abs(z)
+        b2 = a * z * (pe * zt2 + qe * nzt2) - k * (z - zstar)
+        dt = tau + h * (_A31 * a1 + _A32 * a2) - ta
+        z = z1 + h * (_A31 * b1 + _A32 * b2)
+        if cplx:
+            e = math.exp(mu * dt)
+            pe, qe = e * math.cos(w * dt), e * math.sin(w * dt) / w
+        else:
+            pe, qe = _expm_pq(md, dt)
+        a3 = abs(z)
+        b3 = a * z * (pe * zt2 + qe * nzt2) - k * (z - zstar)
+        dt = tau + h * (_A41 * a1 + _A42 * a2 + _A43 * a3) - ta
+        z = z1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
+        if cplx:
+            e = math.exp(mu * dt)
+            pe, qe = e * math.cos(w * dt), e * math.sin(w * dt) / w
+        else:
+            pe, qe = _expm_pq(md, dt)
+        a4 = abs(z)
+        b4 = a * z * (pe * zt2 + qe * nzt2) - k * (z - zstar)
+        dt = (tau + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+              - ta)
+        z = z1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+        if cplx:
+            e = math.exp(mu * dt)
+            pe, qe = e * math.cos(w * dt), e * math.sin(w * dt) / w
+        else:
+            pe, qe = _expm_pq(md, dt)
+        a5 = abs(z)
+        b5 = a * z * (pe * zt2 + qe * nzt2) - k * (z - zstar)
+        dt = (tau + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4
+                         + _A65 * a5) - ta)
+        z = z1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
+                      + _A65 * b5)
+        if cplx:
+            e = math.exp(mu * dt)
+            pe, qe = e * math.cos(w * dt), e * math.sin(w * dt) / w
+        else:
+            pe, qe = _expm_pq(md, dt)
+        a6 = abs(z)
+        b6 = a * z * (pe * zt2 + qe * nzt2) - k * (z - zstar)
+        tau1 = tau + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5
+                          + _B6 * a6)
+        z = z1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+        dt = tau1 - ta
+        if cplx:
+            e = math.exp(mu * dt)
+            pq = (e * math.cos(w * dt), e * math.sin(w * dt) / w)
+        else:
+            pq = _expm_pq(md, dt)
+        a7 = abs(z)
+        b7 = a * z * (pq[0] * zt2 + pq[1] * nzt2) - k * (z - zstar)
     except Exception:
         nan2 = (math.nan, math.nan)
-        return nan2, nan2, nan2
+        return nan2, nan2, nan2, nan2
     err = (h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6
-                + _E7 * k7[0]),
+                + _E7 * a7),
            h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
-                + _E7 * k7[1]))
-    return y1, k7, err
-
-
-@njit(cache=True)
-def _err_norm(y0, y1, err, tau_a, atol, rtol):
-    """RMS of the (tau, z1) error estimate, scaled by the tolerances. The
-    closed-form states are functions of tau - tau_a, with tau_a the
-    anchor's tau, so that is what rtol scales for tau."""
-    q0 = err[0] / (atol + rtol * abs(y1[0] - tau_a))
-    q1 = err[1] / (atol + rtol * max(abs(y0[1]), abs(y1[1])))
-    return math.sqrt(0.5 * (q0 * q0 + q1 * q1))
+                + _E7 * b7))
+    return (tau1, z), (a7, b7), err, pq
 
 
 @njit(cache=True)
@@ -361,10 +399,11 @@ def _step_to_root(p, md, ya, nx, y0, f0, hr, h):
     """Retake the step from y0 = (tau, z1) with size hr, a guess of the z1
     root, and polish hr by Newton iterations on the retaken endpoint's z1.
 
-    Returns (hr, y1, f1, err, at_root); at_root says that |z1| at the
-    endpoint is within 1e-12 of |z1| at y0. hr stays in (0, h].
+    Returns (hr, y1, f1, err, pq, at_root), with pq as from _dp_step;
+    at_root says that |z1| at the endpoint is within 1e-12 of |z1| at y0.
+    hr stays in (0, h].
     """
-    y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, hr)
+    y1, f1, err, pq = _dp_step(p, md, ya, nx, y0, f0, hr)
     ztol = 1e-12 * abs(y0[1])
     for _ in range(_ROOT_ITERS):
         if abs(y1[1]) <= ztol or f1[1] == 0.0:
@@ -373,8 +412,8 @@ def _step_to_root(p, md, ya, nx, y0, f0, hr, h):
         if not 0.0 < hn <= h:   # also a NaN hn, from an overflowed step
             break
         hr = hn
-        y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, hr)
-    return hr, y1, f1, err, abs(y1[1]) <= ztol
+        y1, f1, err, pq = _dp_step(p, md, ya, nx, y0, f0, hr)
+    return hr, y1, f1, err, pq, abs(y1[1]) <= ztol
 
 
 @njit(cache=True)
@@ -481,7 +520,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     run, seg = sc
     a, k, modes, pm, settings, z2_floor = run
     rtol, atol, max_step, event_tol, t_stop, rec_dt, budget_rel = settings
-    p = (a, k, seg[0])
+    zstar, thr = seg[0], seg[1]
+    p = (a, k, zstar)
     g = seg + pm
     t = float(t_start)
     cap = buf.shape[0]
@@ -495,7 +535,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
 
     # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
     s = 1.0
-    if ys[1] < 0.0 or (ys[1] == 0.0 and p[2] < 0.0):
+    if ys[1] < 0.0 or (ys[1] == 0.0 and zstar < 0.0):
         s = -1.0
     md, ya, nx = _mode(modes, s, ys)     # ya: anchor of the closed form
     f0 = _f(p, md, ya, nx, ys[0], ys[1])
@@ -523,7 +563,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             break
 
         y0 = (ys[0], ys[1])
-        y1, f1, err = _dp_step(p, md, ya, nx, y0, f0, h)
+        y1, f1, err, pq = _dp_step(p, md, ya, nx, y0, f0, h)
         hs = h
         crossed = -math.inf < s * y1[1] < 0.0 and not flipped
         at_root = False
@@ -539,18 +579,31 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
                 md, ya, nx = _mode(modes, s, ys)
                 flipped = True
                 continue
-            hs, y1, f1, err, at_root = _step_to_root(p, md, ya, nx, y0, f0,
-                                                     hs, h)
-        enorm = _err_norm(y0, y1, err, ya[0], atol, rtol)
+            hs, y1, f1, err, pq, at_root = _step_to_root(p, md, ya, nx, y0,
+                                                         f0, hs, h)
+        # RMS of the (tau, z1) error estimate scaled by the tolerances; the
+        # closed-form states are functions of tau - ya[0], so that is what
+        # rtol scales for tau
+        e0 = err[0] / (atol + rtol * abs(y1[0] - ya[0]))
+        e1 = err[1] / (atol + rtol * max(abs(ys[1]), abs(y1[1])))
+        enorm = math.sqrt(0.5 * (e0 * e0 + e1 * e1))
         if not enorm <= 1.0:
             h = hs * _step_factor(enorm)
             continue
         flipped = False
 
-        # accepted step [t, t+hs]; f1 is f at the new point (FSAL)
+        # accepted step [t, t+hs]; f1 is f at the new point (FSAL), and the
+        # closed form there reuses the FSAL stage's (p, q). _guard_any's
+        # first two tests are written in place: D_c, then the band outside
+        # which no state is in D_nc.
         t_new = t + hs
-        ye = _closed(md, ya, nx, y1[0], y1[1])
-        code = _guard_any(ye, g)
+        ye = _flow_state(md, ya, nx, y1[0], y1[1], pq[0], pq[1],
+                         math.expm1(md[6] * (y1[0] - ya[0])))
+        zh2 = ye[2] + ye[4]
+        if abs(zh2) >= thr and zh2 * zstar >= 0.0:
+            code = CODE_DC
+        elif not (abs(zh2) > thr or zh2 * zstar > 0.0):
+            code = _guard_any(ye, g)
 
         # recording decision at the accepted endpoint: thinned recording
         # leaves it pending while nothing forces a sample and one trapezoid
@@ -561,7 +614,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         force = code != 0 or at_stop or z2_bad or converged or at_root
         dtau = ye[0] - last_rec_tau
         trap = 0.5 * (abs(last_rec_z1) + abs(ye[1])) * (t_new - last_rec_t)
-        coarse_ok = abs(dtau - trap) <= _tau_budget(dtau, ye[0], budget_rel)
+        coarse_ok = abs(dtau - trap) <= (budget_rel * abs(dtau)
+                                         + _TAU_ABS_FLOOR * (1.0 + abs(ye[0])))
         if not force and coarse_ok and (t_new - last_rec_t) < rec_dt:
             have_pend = True
         else:
@@ -580,15 +634,17 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
                                t_new, ye, budget_rel)
             last_rec_t, last_rec_tau, last_rec_z1 = t_new, ye[0], ye[1]
 
-        # advance; a root re-anchors the closed form with the new sign, and
-        # a retaken step leaves the proposed step size as it was
+        # advance; a root re-anchors the closed form with the new sign, a
+        # retaken step leaves the proposed step size as it was, and so does
+        # an error norm of at most 0.5 at max_step (its factor, above 1.03,
+        # would be capped back to max_step)
         t = t_new
         ys = ye
         f0 = f1
         if at_root:
             s = -s
             md, ya, nx = _mode(modes, s, ys)
-        if not crossed:
+        if not crossed and (h != max_step or enorm > 0.5):
             h *= _step_factor(enorm)
         if code == 0 and z2_bad:
             code = CODE_DOMAIN

@@ -1,14 +1,17 @@
 """Test-only oracles of the closed-loop flow: the state-space right-hand
-side, the certainty-equivalence law, the estimate-form observer and the
-tracking error's analysis form. The simulator never integrates these; the
-tests check the kernel and each other against them."""
+side, the certainty-equivalence law, the estimate-form observer, the
+tracking error's analysis form and a reference Dormand-Prince step. The
+simulator never integrates these; the tests check the kernel and each
+other against them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from xbstab import fastpath as fp
 from xbstab.errors import StateOutOfDomain
 from xbstab.model import HybridState, ObserverGains, PlantParams
 
@@ -81,3 +84,49 @@ def tracking_error_rhs_analysis_form(params: PlantParams, k: float,
     z1e = state.z[0] - state.z_star
     zt2 = state.z_tilde[1]
     return -(k + params.a * zt2) * z1e + params.a * state.z_star * zt2
+
+
+def dp_step_reference(p, md, ya, nx, y, k1, h):
+    """fastpath._dp_step written stage by stage: every stage through
+    fastpath._f, the state at the step's end through fastpath._closed.
+
+    Returns (y1, k7, err, ye), ye being that state; on an overflow, the
+    all-NaN step that the kernel rejects."""
+    tau, z1 = y
+    a1, b1 = k1
+    try:
+        a2, b2 = fp._f(p, md, ya, nx, tau + h * (fp._A21 * a1),
+                       z1 + h * (fp._A21 * b1))
+        a3, b3 = fp._f(p, md, ya, nx,
+                       tau + h * (fp._A31 * a1 + fp._A32 * a2),
+                       z1 + h * (fp._A31 * b1 + fp._A32 * b2))
+        a4, b4 = fp._f(p, md, ya, nx,
+                       tau + h * (fp._A41 * a1 + fp._A42 * a2
+                                  + fp._A43 * a3),
+                       z1 + h * (fp._A41 * b1 + fp._A42 * b2
+                                 + fp._A43 * b3))
+        a5, b5 = fp._f(p, md, ya, nx,
+                       tau + h * (fp._A51 * a1 + fp._A52 * a2
+                                  + fp._A53 * a3 + fp._A54 * a4),
+                       z1 + h * (fp._A51 * b1 + fp._A52 * b2
+                                 + fp._A53 * b3 + fp._A54 * b4))
+        a6, b6 = fp._f(p, md, ya, nx,
+                       tau + h * (fp._A61 * a1 + fp._A62 * a2
+                                  + fp._A63 * a3 + fp._A64 * a4
+                                  + fp._A65 * a5),
+                       z1 + h * (fp._A61 * b1 + fp._A62 * b2
+                                 + fp._A63 * b3 + fp._A64 * b4
+                                 + fp._A65 * b5))
+        y1 = (tau + h * (fp._B1 * a1 + fp._B3 * a3 + fp._B4 * a4
+                         + fp._B5 * a5 + fp._B6 * a6),
+              z1 + h * (fp._B1 * b1 + fp._B3 * b3 + fp._B4 * b4
+                        + fp._B5 * b5 + fp._B6 * b6))
+        k7 = fp._f(p, md, ya, nx, y1[0], y1[1])
+    except (OverflowError, ValueError):
+        nan2 = (math.nan, math.nan)
+        return nan2, nan2, nan2, (math.nan,) * 9
+    err = (h * (fp._E1 * a1 + fp._E3 * a3 + fp._E4 * a4 + fp._E5 * a5
+                + fp._E6 * a6 + fp._E7 * k7[0]),
+           h * (fp._E1 * b1 + fp._E3 * b3 + fp._E4 * b4 + fp._E5 * b5
+                + fp._E6 * b6 + fp._E7 * k7[1]))
+    return y1, k7, err, fp._closed(md, ya, nx, y1[0], y1[1])

@@ -300,8 +300,10 @@ def test_criterion_8_runtime(request):
 
     The bound presumes the numba-compiled kernel (the whole suite has run
     in 7.4 s with it), so the test needs numba. The pure-Python fallback
-    takes 11.2 s for the fixture, above the bound, on a 2-CPU Intel Xeon
-    VM (pytest --durations, Python 3.11.7, numpy 2.4.6).
+    takes 5.9-10.1 s for the fixture, on either side of the bound, with
+    the fused Dormand-Prince step, and 8.4-10.9 s with the stages called
+    through _f: five alternating runs of each on one 2-CPU Intel Xeon VM
+    (pytest --durations, Python 3.11.7, numpy 2.4.6).
     """
     pytest.importorskip("numba")
     _, runtime = request.getfixturevalue("criterion_8_run")

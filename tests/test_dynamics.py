@@ -2,6 +2,7 @@
 jump map, with independent ODE oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from xbstab import (HybridState, JumpKind, SolverConfig, StateOutOfDomain,
                     engine, fastpath, in_Dc, in_Dnc, jump_map,
                     phi_contraction_norm, simulate)
 
-from flow_oracles import (control_input, flow_map, observer_rhs_zhat,
-                          tracking_error_rhs_analysis_form)
+from flow_oracles import (control_input, dp_step_reference, flow_map,
+                          observer_rhs_zhat, tracking_error_rhs_analysis_form)
 from test_model import make_cfg
 
 
@@ -326,35 +327,90 @@ def test_expm2_matches_scipy(sv_gains, which, dt):
         <= 1e-13 * np.max(np.abs(want))
 
 
-def test_stage_zt2_is_flow_state_zt2(sv_gains):
-    """The zt2 that the Dormand-Prince stages read (fastpath._f) is the
-    zt2 of _flow_state, which gives the endpoints, guards, bisection and
-    fill, in every bit: 1e5 random anchors and steps, a quarter on each
-    branch of _expm_pq. With a = 1, k = 0 and z1 = 1, _f's d_z1 is zt2."""
+def _anchor_draws(gains):
+    """1e5 random (md, ya, nx, tau), a quarter on each branch of _expm_pq:
+    modes md of the shipped A1 and A2 (complex eigenvalues), a repeated
+    eigenvalue, and a real pair with w dt on each side of 1, anchors ya
+    and times tau = ya[0] + dt."""
     rng = np.random.default_rng(0)
-    # (matrix, range of w dt): the shipped modes (complex), a repeated
-    # eigenvalue, and a real pair on each side of w dt = 1
-    cases = [(sv_gains.A1, None), (sv_gains.A2, None),
+    cases = [(gains.A1, None), (gains.A2, None),
              (np.array([[-2.0, 1.0], [0.0, -2.0]]), None),
              (np.array([[-3.0, 1.0], [2.0, -5.0]]), (0.0, 1.0)),
              (np.array([[-3.0, 1.0], [2.0, -5.0]]), (1.0, 3.0))]
-    branches = set()
     for (m, wdt), count in zip(cases, (12500, 12500, 25000, 25000, 25000)):
-        md = (*fastpath._split(*m.ravel()), 24.0, 0.5208333333333334)
+        md = (*fastpath._split(*map(float, m.ravel())), 24.0,
+              0.5208333333333334)
         for _ in range(count):
             ya = tuple(rng.uniform(-2.0, 2.0, 9).tolist())
             dt = (rng.uniform(0.0, 1e-2) if wdt is None
                   else rng.uniform(*wdt) / md[5])
-            nx = fastpath._n_products(md, ya)
-            tau = ya[0] + dt
-            stage = fastpath._f((1.0, 0.0, 0.0), md, ya, nx, tau, 1.0)[1]
-            flow = fastpath._closed(md, ya, nx, tau, 1.0)[4]
-            assert stage == flow and math.copysign(1.0, stage) \
-                == math.copysign(1.0, flow), (md, ya, dt)
-            branches.add("complex" if md[4] < 0.0 else "repeated"
-                         if md[5] == 0.0 else "hyperbolic"
-                         if md[5] * (tau - ya[0]) < 1.0 else "two-exp")
+            yield md, ya, fastpath._n_products(md, ya), ya[0] + dt
+
+
+def _branch(md, dt):
+    return ("complex" if md[4] < 0.0 else "repeated" if md[5] == 0.0
+            else "hyperbolic" if md[5] * dt < 1.0 else "two-exp")
+
+
+def test_stage_zt2_is_flow_state_zt2(sv_gains):
+    """The zt2 that fastpath._f reads is the zt2 of _flow_state, which
+    gives the endpoints, guards, bisection and fill, in every bit, on the
+    draws of _anchor_draws. With a = 1, k = 0 and z1 = 1, _f's d_z1 is
+    zt2."""
+    branches = set()
+    for md, ya, nx, tau in _anchor_draws(sv_gains):
+        stage = fastpath._f((1.0, 0.0, 0.0), md, ya, nx, tau, 1.0)[1]
+        flow = fastpath._closed(md, ya, nx, tau, 1.0)[4]
+        assert stage == flow and math.copysign(1.0, stage) \
+            == math.copysign(1.0, flow), (md, ya, tau)
+        branches.add(_branch(md, tau - ya[0]))
     assert len(branches) == 4
+
+
+def _bits(*parts):
+    """The floats of the tuples in parts as bytes: equal in every bit."""
+    flat = sum(parts, ())
+    return struct.pack(f"{len(flat)}d", *flat)
+
+
+def _fused_step(p, md, ya, nx, y, k1, h):
+    """fastpath._dp_step's (y1, k7, err) and the state at y1, built as
+    flow_segment builds it from the FSAL stage's (p, q)."""
+    y1, k7, err, pq = fastpath._dp_step(p, md, ya, nx, y, k1, h)
+    return y1, k7, err, fastpath._flow_state(
+        md, ya, nx, y1[0], y1[1], pq[0], pq[1],
+        math.expm1(md[6] * (y1[0] - ya[0])))
+
+
+def test_fused_step_is_reference_step(sv_gains):
+    """fastpath._dp_step, whose stages evaluate _f and _expm_pq's complex
+    branch in place, gives the (y1, k7, err) of the stage-by-stage
+    flow_oracles.dp_step_reference in every bit, and the state at y1 built
+    from its FSAL stage's (p, q) is that reference's _closed state: on the
+    draws of _anchor_draws, from tau with random z1, k1 and h, and on a
+    step whose closed form overflows (all NaN on CPython)."""
+    # (a, k, z*), z1, dz1/dt and h of each draw
+    steps = np.random.default_rng(1).uniform(
+        (-2.0, 0.0, -2.0, -2.0, -2.0, 0.0), (2.0, 2.0, 2.0, 2.0, 2.0, 1e-2),
+        (100000, 6)).tolist()
+    branches = set()
+    for (md, ya, nx, tau), (a, k, zstar, z1, b1, h) in zip(
+            _anchor_draws(sv_gains), steps, strict=True):
+        p, y, k1 = (a, k, zstar), (tau, z1), (abs(z1), b1)
+        got = _fused_step(p, md, ya, nx, y, k1, h)
+        want = dp_step_reference(p, md, ya, nx, y, k1, h)
+        assert _bits(*got) == _bits(*want), (md, ya, y, k1, h)
+        branches.add(_branch(md, got[0][0] - ya[0]))
+    assert len(branches) == 4
+
+    # exp(M dt) with mu = 1 overflows in the second stage
+    md = (*fastpath._split(1.0, -5.0, 5.0, 1.0), 24.0, 0.5208333333333334)
+    ya = (0.0,) * 9
+    args = ((1.0, 1.0, 1.0), md, ya, fastpath._n_products(md, ya),
+            (0.0, 1.0), (1.0, 1.0), 1e4)
+    got = _fused_step(*args)
+    assert not np.isfinite(sum(got, ())).any()
+    assert _bits(*got) == _bits(*dp_step_reference(*args))
 
 
 @settings(max_examples=400, deadline=None)
