@@ -1,7 +1,16 @@
 """Post-processing checks: every assumption and bound the construction
 relies on is re-verified numerically on a simulated trajectory.
 
-All functions are read-only over HybridTrajectory instances.
+All functions are read-only over HybridTrajectory instances. Every pass
+over the rows reads them in blocks of _BLOCK_ROWS rows and carries from
+one block to the next only what its result needs: a min or max, a first
+or last index, the block's last row where it takes differences of
+neighbouring rows, or a running sum. Min, max and index results do not
+depend on the blocks, and a running sum is carried in the order of the
+whole-array sum, so every result is that of one pass over whole columns,
+bit for bit. A pass's scratch is a few blocks however long the arc;
+extract_dwell also fills one full-length column, the cumulative integral
+of |z1|, which its sliding windows read at arbitrary rows.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ _EXCITATION_FLOOR = 0.5
 # one ulp of d/c, healthy ones 2.3e-8 to 3.0e-8 (benchmark workloads,
 # seeds 0-10), 4.7e3x above and 2.3e4x below the floor
 _PROGRESS_FLOOR = 1e-12
+# rows per block of every pass over the arc: the float scratch of a block
+# is 64 KiB a column, and each numpy call still takes thousands of rows
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -74,13 +86,24 @@ class BoundReport:
         return all(self.verdicts.values())
 
 
+def _blocks(rows: slice, overlap: int = 0):
+    """Slices of at most _BLOCK_ROWS rows that cover `rows` in order, each
+    extended by `overlap` rows into the next one; with overlap 1 every
+    pair of neighbouring rows lies in exactly one block."""
+    for lo in range(rows.start, rows.stop - overlap, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS + overlap, rows.stop))
+
+
 def cycle_slices(traj: HybridTrajectory) -> dict:
     """{i: index range of cycle i's samples, first to last}, in ascending
     cycle order, from one pass over the rows where the cycle changes."""
     cyc = traj.cycle
     if len(cyc) == 0:
         return {}
-    lo = [0] + (np.flatnonzero(cyc[1:] != cyc[:-1]) + 1).tolist()
+    lo = [0]
+    for b in _blocks(slice(0, len(cyc)), 1):
+        c = cyc[b]
+        lo += (np.flatnonzero(c[1:] != c[:-1]) + b.start + 1).tolist()
     hi = lo[1:] + [len(cyc)]
     first, stop = {}, {}
     for i, a, b in zip(cyc[lo].tolist(), lo, hi):
@@ -89,20 +112,76 @@ def cycle_slices(traj: HybridTrajectory) -> dict:
     return {i: slice(first[i], stop[i]) for i in sorted(first)}
 
 
-def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
-    """Index range of the samples belonging to cycle i."""
+def _cycle(slices: dict, i: int) -> slice:
+    """slices[i]; CycleNotFound if cycle i has no samples."""
     try:
-        return cycle_slices(traj)[i]
+        return slices[i]
     except KeyError:
         raise CycleNotFound(f"cycle {i} has no samples") from None
 
 
-def _abs_z1_cumulative(traj: HybridTrajectory) -> np.ndarray:
-    """Trapezoidal cumulative integral of |z1(t)| over the whole arc."""
-    dt = np.diff(traj.t)
-    a = np.abs(traj.z1)
-    inc = 0.5 * (a[:-1] + a[1:]) * dt
-    return np.concatenate([[0.0], np.cumsum(inc)])
+def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
+    """Index range of the samples belonging to cycle i."""
+    return _cycle(cycle_slices(traj), i)
+
+
+def _excitation_pass(traj: HybridTrajectory) -> tuple:
+    """One pass over a trajectory of at least two rows: (the trapezoidal
+    cumulative integral of |z1(t)|, first and last rows of the excitation
+    runs, the smallest excitation floor, the largest |z1|).
+
+    A run of rows with |z1| >= _EXCITATION_FLOOR |z*| starts where that
+    test turns true, or at row 0, and ends at the row where it turns
+    false, or at the last row. Each block's sum starts from the previous
+    block's last value, in the order of np.cumsum over the whole arc."""
+    n, t = len(traj), traj.t
+    cum = np.empty(n)
+    cum[0] = 0.0
+    rise, fall, floors, peaks = [], [], [], []
+    for b in _blocks(slice(0, n), 1):
+        a = np.abs(traj.z1[b])
+        thr = _EXCITATION_FLOOR * np.abs(traj.z_star[b])
+        mask = a >= thr
+        if b.start == 0:
+            rise.append(np.flatnonzero(mask[:1]))
+        edges = np.diff(mask.astype(np.int8))
+        rise.append(np.flatnonzero(edges == 1) + (b.start + 1))
+        fall.append(np.flatnonzero(edges == -1) + (b.start + 1))
+        floors.append(thr.min())
+        peaks.append(a.max())
+        c = cum[b]
+        c[1:] = 0.5 * (a[:-1] + a[1:]) * np.diff(t[b])
+        np.cumsum(c, out=c)
+    fall.append(np.flatnonzero(mask[-1:]) + (n - 1))
+    return (cum, np.concatenate(rise), np.concatenate(fall),
+            np.min(floors), np.max(peaks))
+
+
+def _interp_sorted(x: np.ndarray, t: np.ndarray, f: np.ndarray,
+                   start: int) -> tuple:
+    """np.interp(x, t, f), bit for bit, for sorted t and sorted x with
+    x[0] >= t[start], reading t and f a block of rows at a time from
+    `start` on. Returns the values and the row from which a next x, no
+    smaller than x[-1], may start.
+
+    Each x is interpolated between the same two rows of t as in the
+    whole-array call: the rows start:stop bracket every x below
+    t[stop - 1], and every x when stop is past the last row. One call of
+    np.interp over the whole arc would copy all of t, a strided column of
+    the arc's rows, into a contiguous array."""
+    out = np.empty(len(x))
+    n, k = len(t), 0
+    while True:
+        stop = min(start + _BLOCK_ROWS + 1, n)
+        cnt = (len(x) - k if stop == n
+               else int(np.searchsorted(x[k:], t[stop - 1])))
+        if cnt:
+            out[k:k + cnt] = np.interp(x[k:k + cnt], t[start:stop],
+                                       f[start:stop])
+            k += cnt
+        if k == len(x):
+            return out, start
+        start = stop - 1
 
 
 def _within_cycle_pairs(jumps: list) -> list:
@@ -130,20 +209,9 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     if len(traj) < 2:
         raise NoExcitation("trajectory too short to classify")
     t = traj.t
-    a = np.abs(traj.z1)
-    thr = _EXCITATION_FLOOR * np.abs(traj.z_star)
-    mask = a >= thr
-
-    # maximal runs of True
-    edges = np.diff(mask.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1) + 1)
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(len(mask) - 1)
-    intervals = np.array([[t[s], t[e]] for s, e in zip(starts, ends)
-                          if t[e] > t[s]])
+    cum, starts, ends, z_under, z_bar = _excitation_pass(traj)
+    keep = t[ends] > t[starts]
+    intervals = np.column_stack([t[starts[keep]], t[ends[keep]]])
     if intervals.size == 0:
         raise NoExcitation(f"no interval with |z1| >= "
                            f"{_EXCITATION_FLOOR} |z*|")
@@ -155,21 +223,28 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     window = _within_cycle_period(traj)
     if window <= 0.0:
         window = float(t[-1] - t[0])
-    cum = _abs_z1_cumulative(traj)
-    t_lo = t[t <= t[-1] - window]
-    if t_lo.size == 0:
-        t_lo = t[:1]
+    # the windows start at the samples t <= t[-1] - window: a prefix of
+    # the rows, since t does not decrease
+    m = sum(int(np.count_nonzero(t[b] <= t[-1] - window))
+            for b in _blocks(slice(0, len(t))))
+    if m == 0:
+        m = 1
         window = float(t[-1] - t[0])
-    lo = np.interp(t_lo, t, cum)
-    hi = np.interp(t_lo + window, t, cum)
-    mu = float(((hi - lo) / window).min()) if window > 0 else 0.0
+    mu = 0.0
+    if window > 0:
+        means, lo_row, hi_row = [], 0, 0
+        for b in _blocks(slice(0, m)):
+            lo, lo_row = _interp_sorted(t[b], t, cum, lo_row)
+            hi, hi_row = _interp_sorted(t[b] + window, t, cum, hi_row)
+            means.append(((hi - lo) / window).min())
+        mu = float(np.min(means))
 
     return DwellReport(
         intervals=intervals,
         tau_d=float(lengths.min()),
         tau_s=tau_s,
-        z_under=float(thr.min()),
-        z_bar=float(a.max()),
+        z_under=float(z_under),
+        z_bar=float(z_bar),
         mu=mu,
         window=window,
         assumption_holds=bool(mu > 0.0 and lengths.min() > 0.0),
@@ -185,29 +260,71 @@ def check_vobs_monotone(traj: HybridTrajectory,
     so the check applies uniformly across the whole sample sequence.
     """
     p11, p12, p22 = cert.P[0, 0], cert.P[0, 1], cert.P[1, 1]
-    zt1, zt2 = traj.z_tilde1, traj.z_tilde2
-    v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
-    dv = np.diff(v)
-    rel = dv / np.maximum(v[:-1], _TINY)
-    worst = float(rel.max()) if rel.size else 0.0
+    rises = []
+    for b in _blocks(slice(0, len(traj)), 1):
+        zt1, zt2 = traj.z_tilde1[b], traj.z_tilde2[b]
+        v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
+        rises.append((np.diff(v) / np.maximum(v[:-1], _TINY)).max())
+    worst = float(np.max(rises)) if rises else 0.0
     return worst <= 1e-6, worst
+
+
+def _phi_error(traj: HybridTrajectory, slices: dict) -> float:
+    """check_phi_oracle over the cycles `slices`."""
+    worst = 0.0
+    for sl in slices.values():
+        zt0 = np.array([traj.z_tilde1[sl.start], traj.z_tilde2[sl.start]])
+        n0 = np.linalg.norm(zt0)
+        if n0 == 0.0:
+            continue
+        errs = []
+        for b in _blocks(sl):
+            phi = traj.phi[b]
+            pred1 = phi[:, 0] * zt0[0] + phi[:, 1] * zt0[1]
+            pred2 = phi[:, 2] * zt0[0] + phi[:, 3] * zt0[1]
+            errs.append(np.hypot(traj.z_tilde1[b] - pred1,
+                                 traj.z_tilde2[b] - pred2).max())
+        worst = max(worst, float(np.max(errs)) / n0)
+    return worst
 
 
 def check_phi_oracle(traj: HybridTrajectory) -> float:
     """Max over completed cycles of ||z_tilde - Phi z_tilde0|| relative to
     ||z_tilde0|| at the cycle start (the transition-matrix contract)."""
-    worst = 0.0
-    for sl in cycle_slices(traj).values():
-        zt0 = np.array([traj.z_tilde1[sl.start], traj.z_tilde2[sl.start]])
-        n0 = np.linalg.norm(zt0)
-        if n0 == 0.0:
-            continue
-        phi = traj.phi[sl]
-        pred1 = phi[:, 0] * zt0[0] + phi[:, 1] * zt0[1]
-        pred2 = phi[:, 2] * zt0[0] + phi[:, 3] * zt0[1]
-        err = np.hypot(traj.z_tilde1[sl] - pred1, traj.z_tilde2[sl] - pred2)
-        worst = max(worst, float(err.max()) / n0)
-    return worst
+    return _phi_error(traj, cycle_slices(traj))
+
+
+def _envelope(traj: HybridTrajectory, decay: DecayCertificate,
+              first: int) -> dict:
+    """check_envelope from row `first`, the start of from_cycle. One pass
+    carries the last row where the bound fails and the margin since."""
+    rows = slice(first, len(traj))
+    t0 = traj.t[first]
+    zt0 = math.hypot(traj.z_tilde1[first], traj.z_tilde2[first])
+    if zt0 == 0.0:
+        ok = all(bool(np.all(np.hypot(traj.z_tilde1[b],
+                                      traj.z_tilde2[b]) == 0.0))
+                 for b in _blocks(rows))
+        return {"envelope_ok": ok, "T": 0.0,
+                "margin": math.inf if ok else -math.inf}
+    start, margin = first, math.inf
+    for b in _blocks(rows):
+        log_bound = (math.log(decay.kappa1) + math.log(zt0)
+                     - decay.kappa2 * decay.mu * (traj.t[b] - t0))
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.hypot(traj.z_tilde1[b], traj.z_tilde2[b]))
+        fail = np.flatnonzero(~(log_mag <= log_bound))
+        if fail.size:
+            # the bound holds at every row after the block's last failure
+            k = int(fail[-1]) + 1
+            start, margin = b.start + k, math.inf
+            log_bound, log_mag = log_bound[k:], log_mag[k:]
+        if log_bound.size:
+            margin = min(margin, float((log_bound - log_mag).min()))
+    if start == len(traj):
+        return {"envelope_ok": False, "T": math.inf, "margin": -math.inf}
+    return {"envelope_ok": True, "T": float(traj.t[start] - t0),
+            "margin": margin}
 
 
 def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
@@ -218,28 +335,7 @@ def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
     sample time offset from which the bound holds at every later sample;
     the margin is the minimal log-space slack past t0 + T.
     """
-    sl = cycle_slice(traj, from_cycle)
-    t0 = traj.t[sl.start]
-    zt0 = math.hypot(traj.z_tilde1[sl.start], traj.z_tilde2[sl.start])
-    t = traj.t[sl.start:]
-    mag = np.hypot(traj.z_tilde1[sl.start:], traj.z_tilde2[sl.start:])
-    if zt0 == 0.0:
-        ok = bool(np.all(mag == 0.0))
-        return {"envelope_ok": ok, "T": 0.0,
-                "margin": math.inf if ok else -math.inf}
-    log_bound = (math.log(decay.kappa1) + math.log(zt0)
-                 - decay.kappa2 * decay.mu * (t - t0))
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag)
-    holds = log_mag <= log_bound
-    if not holds[-1]:
-        return {"envelope_ok": False, "T": math.inf, "margin": -math.inf}
-    # first index from which the bound holds forever after
-    fail = np.flatnonzero(~holds)
-    start = int(fail[-1]) + 1 if fail.size else 0
-    T = float(t[start] - t0)
-    margin = float((log_bound[start:] - log_mag[start:]).min())
-    return {"envelope_ok": True, "T": T, "margin": margin}
+    return _envelope(traj, decay, cycle_slice(traj, from_cycle).start)
 
 
 def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
@@ -276,6 +372,31 @@ def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,
     return bool(np.all(z2 <= bound * (1.0 + 1e-9) + 1e-12))
 
 
+def _dwell_ratio(traj: HybridTrajectory, params: PlantParams,
+                 cfg: ControllerConfig, slices: dict) -> tuple[bool, float]:
+    """check_dwell_lower_bound over the cycles `slices`."""
+    min_ratio = math.inf
+    pairs = _within_cycle_pairs(traj.jumps)
+    for i, sl in slices.items():
+        if i < 1:
+            continue
+        z_bar_i = (cfg.z_star_init / 2.0 ** (i - 1)) * (1.0 + g_of(cfg, i - 1))
+        for rows in _blocks(sl):
+            inside = np.abs(traj.z1[rows]) <= z_bar_i
+            if inside.any():
+                break
+        else:
+            continue
+        t_entered = traj.t[rows.start + int(inside.argmax())]
+        t_first, t_last = traj.t[sl.start], traj.t[sl.stop - 1]
+        _, t_li, _ = dwell_time_lower_bound(params, cfg, i)
+        for a, b in pairs:
+            if t_entered <= a.t <= t_last and t_first <= b.t <= t_last:
+                min_ratio = min(min_ratio, (b.t - a.t) / t_li)
+    return (min_ratio >= 1.0 - 1e-9 if math.isfinite(min_ratio) else True,
+            min_ratio)
+
+
 def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
                             cfg: ControllerConfig) -> tuple[bool, float]:
     """Within-cycle flow intervals vs. the closed-form dwell lower bound.
@@ -285,23 +406,7 @@ def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
     invariant set |z1| <= (z*_in / 2^(i-1))(1 + g(i-1)). Returns
     (ok, minimal interval/bound ratio).
     """
-    min_ratio = math.inf
-    pairs = _within_cycle_pairs(traj.jumps)
-    for i, sl in cycle_slices(traj).items():
-        if i < 1:
-            continue
-        z_bar_i = (cfg.z_star_init / 2.0 ** (i - 1)) * (1.0 + g_of(cfg, i - 1))
-        inside = np.abs(traj.z1[sl]) <= z_bar_i
-        if not inside.any():
-            continue
-        t_entered = traj.t[sl][inside.argmax()]
-        t_first, t_last = traj.t[sl.start], traj.t[sl.stop - 1]
-        _, t_li, _ = dwell_time_lower_bound(params, cfg, i)
-        for a, b in pairs:
-            if t_entered <= a.t <= t_last and t_first <= b.t <= t_last:
-                min_ratio = min(min_ratio, (b.t - a.t) / t_li)
-    return (min_ratio >= 1.0 - 1e-9 if math.isfinite(min_ratio) else True,
-            min_ratio)
+    return _dwell_ratio(traj, params, cfg, cycle_slices(traj))
 
 
 def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
@@ -322,19 +427,24 @@ def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
 
 def verify_bounds(traj: HybridTrajectory, params: PlantParams,
                   cfg: ControllerConfig, cert: LyapunovCertificate,
-                  decay: DecayCertificate, from_cycle: int) -> BoundReport:
-    """All per-trajectory bound checks combined into one report."""
+                  decay: DecayCertificate, from_cycle: int,
+                  slices: dict = None) -> BoundReport:
+    """All per-trajectory bound checks combined into one report. `slices`
+    is cycle_slices(traj), for a caller that already has it."""
+    if slices is None:
+        slices = cycle_slices(traj)
     mono, worst = check_vobs_monotone(traj, cert)
-    env = check_envelope(traj, decay, from_cycle)
-    phi_err = check_phi_oracle(traj)
-    dwell_ok, ratio = check_dwell_lower_bound(traj, params, cfg)
+    env = _envelope(traj, decay, _cycle(slices, from_cycle).start)
+    phi_err = _phi_error(traj, slices)
+    dwell_ok, ratio = _dwell_ratio(traj, params, cfg, slices)
     _, _, t_lmin = dwell_time_lower_bound(params, cfg, 1)
     zeno_ok, zeno_worst = check_zeno(traj, t_lmin)
+    floor_gap = np.min([(traj.z2[b] - params.z2_floor).min()
+                        for b in _blocks(slice(0, len(traj)))])
     return BoundReport(
         vobs_monotone=mono, vobs_worst_violation=worst,
         envelope_ok=env["envelope_ok"], envelope_T=env["T"],
         envelope_margin=env["margin"], phi_oracle_max_err=phi_err,
         dwell_ok=dwell_ok, dwell_min_ratio=ratio,
         zeno_ok=zeno_ok, zeno_max_jumps=zeno_worst,
-        z2_floor_margin=float((traj.z2 - params.z2_floor).min()
-                              / -params.z2_floor))
+        z2_floor_margin=float(floor_gap / -params.z2_floor))

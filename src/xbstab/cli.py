@@ -291,13 +291,33 @@ def _plot_files(out: Path, outputs: dict) -> list:
             (out / outputs["timeseries_csv"], _TIMESERIES_COLUMNS)]
 
 
+class _PerBlock:
+    """A float column of the CSV files that is computed, from the same rows
+    of the trajectory, for each block of rows the writer slices: the
+    writer's children build it one block at a time, and this process never
+    holds it whole."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, traj: HybridTrajectory, of_rows):
+        self._traj, self._of_rows = traj, of_rows
+
+    def __len__(self) -> int:
+        return len(self._traj)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self._of_rows(_rows(self._traj, rows))
+
+
 def _columns(traj: HybridTrajectory) -> dict:
     """Every trajectory column the CSV files can name, except u."""
     return {"t": traj.t, "j": np.asarray(traj.j, dtype=np.int64),
             "i": np.asarray(traj.cycle, dtype=np.int64), "tau": traj.tau,
-            "z1": traj.z1, "z2": traj.z2, "z1_hat": traj.z1_hat,
-            "z2_hat": traj.z2_hat, "z_tilde1": traj.z_tilde1,
-            "z_tilde2": traj.z_tilde2, "z_star": traj.z_star}
+            "z1": traj.z1, "z2": traj.z2,
+            "z1_hat": _PerBlock(traj, lambda v: v.z1_hat),
+            "z2_hat": _PerBlock(traj, lambda v: v.z2_hat),
+            "z_tilde1": traj.z_tilde1, "z_tilde2": traj.z_tilde2,
+            "z_star": traj.z_star}
 
 
 def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
@@ -314,7 +334,7 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     columns = _columns(traj)
-    columns["u"] = traj.control(scn.params, scn.k)
+    columns["u"] = _PerBlock(traj, lambda v: v.control(scn.params, scn.k))
     write_csvs(columns,
                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
                + _plot_files(out, scn.outputs))
@@ -335,15 +355,21 @@ def emit_plot_data(traj: HybridTrajectory, path) -> tuple:
     return files[0][0], files[1][0]
 
 
-def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
-    """Column-wise sub-trajectory with the jump log restricted to it."""
-    j_lo, j_hi = int(traj.j[sl.start]), int(traj.j[sl.stop - 1])
-    jumps = [jr for jr in traj.jumps if j_lo <= jr.j < j_hi]
+def _rows(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
+    """Rows sl of every column, as views, without the jump log."""
     return HybridTrajectory(
         t=traj.t[sl], j=traj.j[sl], cycle=traj.cycle[sl], tau=traj.tau[sl],
         z1=traj.z1[sl], z2=traj.z2[sl],
         z_tilde1=traj.z_tilde1[sl], z_tilde2=traj.z_tilde2[sl],
-        z_star=traj.z_star[sl], phi=traj.phi[sl], jumps=jumps)
+        z_star=traj.z_star[sl], phi=traj.phi[sl])
+
+
+def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
+    """Column-wise sub-trajectory with the jump log restricted to it."""
+    j_lo, j_hi = int(traj.j[sl.start]), int(traj.j[sl.stop - 1])
+    sub = _rows(traj, sl)
+    sub.jumps = [jr for jr in traj.jumps if j_lo <= jr.j < j_hi]
+    return sub
 
 
 def _dwell_reports_per_cycle(traj: HybridTrajectory, slices: dict) -> dict:
@@ -409,7 +435,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         decay = decay.with_mu(empirical_mu)
 
     bounds = verify_bounds(traj, scn.params, scn.cfg, scn.cert, decay,
-                           from_cycle=first_cycle)
+                           from_cycle=first_cycle, slices=slices)
 
     check_results = {**bounds.verdicts, "excitation": excitation_ok}
     all_passed = all(check_results[name] for name in enabled)

@@ -305,8 +305,10 @@ def _append(src, dst):
 def write_csvs(columns: dict, files: list):
     """Write CSV files drawn from one set of columns.
 
-    `columns` maps a column name to a 1-D array; integer arrays are
-    written with str(), float arrays with "%.17g". `files` lists
+    `columns` maps a column name to a 1-D array, or to an object with a
+    len(), a dtype and slices that are such arrays, which each child then
+    builds for the rows it formats; integer arrays are written with
+    str(), float arrays with "%.17g". `files` lists
     (path, column names) pairs; each file gets a header of its column
     names and one row per sample. The bytes equal those of np.savetxt with
     fmt "%.17g" ("%d" for the integer columns), delimiter "," and no

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xbstab import cli, csvwriter, emission, engine, fastpath, lanes
+from xbstab import (analysis, cli, csvwriter, emission, engine, fastpath,
+                    lanes)
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -414,6 +416,75 @@ class TestSplitWriter:
         assert json.loads((good / "report.json").read_text())[
             "all_checks_passed"]
         assert len(list(good.iterdir())) == 4
+
+
+@pytest.fixture(scope="module")
+def bundled_run():
+    """The bundled scenario as shipped and its simulated arc: 51,072 rows,
+    23 jumps, cycles 0-2."""
+    scn = build_scenario(load_config(SCENARIO_PATH))
+    traj = engine.simulate(scn.params, scn.gains, scn.cert, scn.cfg,
+                           scn.solver, scn.z0, scn.z_hat0, k=scn.k)
+    return scn, traj
+
+
+def _artifacts(out: Path) -> dict:
+    return {name: (out / name).read_bytes() for name in (
+        "report.json", "trajectory.csv", "phase.csv", "timeseries.csv")}
+
+
+class TestBlockedPasses:
+    """The passes after simulate read the arc in blocks of
+    analysis._BLOCK_ROWS rows."""
+
+    def test_artifacts_do_not_depend_on_the_block(self, bundled_run,
+                                                  tmp_path, monkeypatch):
+        """report.json and the CSV files are the same bytes with the
+        default block, with 997 rows (block edges inside excitation
+        intervals), with edges at the post-jump row of a within-cycle
+        jump and at the first row of cycle 1 (both split a jump's
+        duplicated rows), and with one block for the whole arc."""
+        scn, traj = bundled_run
+        monkeypatch.setattr(cli, "simulate", lambda *a, **kw: traj)
+        n, t = len(traj), traj.t
+        jump_rows = (np.flatnonzero(t[1:] == t[:-1]) + 1).tolist()
+        cycle_1 = analysis.cycle_slice(traj, 1).start
+        within = next(r for r in jump_rows if 1 < r < cycle_1)
+        assert cycle_1 in jump_rows
+        sizes = [analysis._BLOCK_ROWS, 997, within, cycle_1, n]
+        runs = []
+        for rows in sizes:
+            monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
+            cli.execute(scn, tmp_path / str(rows))
+            runs.append(_artifacts(tmp_path / str(rows)))
+        assert all(run == runs[0] for run in runs[1:])
+        dwell = json.loads(runs[0]["report.json"])["dwell_report"]
+        assert any(a < t[k] < b for a, b in dwell["intervals"]
+                   for k in range(997, n, 997))
+
+    def test_scratch_after_simulate_is_bounded(self, bundled_run, tmp_path,
+                                               monkeypatch):
+        """From the return of simulate to the end of execute, the traced
+        peak stays within one float column (extract_dwell's cumulative
+        integral) and 16 blocks of floats; the CSV writer's children are
+        other processes. Before the passes were blocked, extract_dwell
+        alone took 7.7 columns."""
+        scn, traj = bundled_run
+        rows = 4096
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert len(traj) >= 8 * rows
+
+        def simulated(*a, **kw):
+            tracemalloc.start()
+            return traj
+
+        monkeypatch.setattr(cli, "simulate", simulated)
+        try:
+            cli.execute(scn, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(traj) + 16 * 8 * rows, peak
 
 
 class TestEndToEnd:

@@ -126,7 +126,7 @@ def test_shipped_scenario_takes_the_vectorized_path(scenario_dict,
                     scn.z0, scn.z_hat0, k=scn.k)
     columns = cli._columns(traj)
     columns["u"] = traj.control(scn.params, scn.k)
-    floats = [c for c in columns.values() if c.dtype.kind == "f"]
+    floats = [c[:] for c in columns.values() if c.dtype.kind == "f"]
     csvwriter._power_table()
     printf, slow = csvwriter._printf, []
 

@@ -1,6 +1,7 @@
-"""The one-pass cycle index, the within-cycle jump pairing and the
-as_dict serializers against their earlier implementations in
-report_oracles.py: same slices, same verdicts, same dicts."""
+"""The one-pass cycle index, the within-cycle jump pairing, the as_dict
+serializers and the passes that read the arc in blocks of rows against
+their earlier implementations in report_oracles.py: same slices, same
+verdicts, same dicts, for any block size."""
 
 import dataclasses
 import json
@@ -12,34 +13,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import report_oracles as old
+from xbstab import analysis
 from xbstab.analysis import (_within_cycle_period, check_dwell_lower_bound,
-                             cycle_slice, cycle_slices, extract_dwell,
-                             verify_bounds)
+                             check_envelope, check_phi_oracle,
+                             check_vobs_monotone, cycle_slice, cycle_slices,
+                             extract_dwell, verify_bounds)
 from xbstab.cli import _sanitize
-from xbstab.errors import CycleNotFound
+from xbstab.errors import CycleNotFound, NoExcitation
 from xbstab.lyapunov import decay_certificate, dwell_certificate
 from xbstab.model import JumpKind, JumpRecord
 
-from test_analysis import make_traj
+from test_analysis import _fake_decay, make_traj
 from test_model import make_cfg
 
 _INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 _CYCLES = st.lists(st.integers(-2, 4) | _INT64, max_size=60)
+# rows per block of the passes: from one row to several blocks per arc
+_ROWS = st.integers(1, 9) | st.just(analysis._BLOCK_ROWS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(col=_CYCLES, ordered=st.booleans())
-def test_cycle_slices_match_flatnonzero(col, ordered):
+@given(col=_CYCLES, ordered=st.booleans(), rows=_ROWS)
+def test_cycle_slices_match_flatnonzero(col, ordered, rows):
     cyc = np.array(sorted(col) if ordered else col, dtype=np.int64)
     traj = make_traj(np.zeros(cyc.size), np.zeros(cyc.size), cycle=cyc)
     expect = [(i, old.cycle_slice(traj, i)) for i in np.unique(cyc).tolist()]
-    assert list(cycle_slices(traj).items()) == expect
-    for i, sl in expect:
-        assert cycle_slice(traj, i) == sl
-    absent = max(col, default=0) + 1
-    if absent < 2 ** 63:
-        with pytest.raises(CycleNotFound):
-            cycle_slice(traj, absent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert list(cycle_slices(traj).items()) == expect
+        for i, sl in expect:
+            assert cycle_slice(traj, i) == sl
+        absent = max(col, default=0) + 1
+        if absent < 2 ** 63:
+            with pytest.raises(CycleNotFound):
+                cycle_slice(traj, absent)
 
 
 # a jump log sorted by j with distinct j: a j gap of 1 makes two jumps
@@ -68,9 +75,9 @@ def _jump_log(draws, sort_t):
 @given(draws=_JUMPS, cycles=st.lists(st.integers(0, 3), min_size=2,
                                      max_size=60),
        z1=st.floats(0.0, 400.0), ordered=st.booleans(),
-       sort_t=st.booleans())
+       sort_t=st.booleans(), rows=_ROWS)
 def test_within_cycle_pairs_match_oracle(sv_params, draws, cycles, z1,
-                                         ordered, sort_t):
+                                         ordered, sort_t, rows):
     n = len(cycles)
     cyc = np.array(sorted(cycles) if ordered else cycles, dtype=np.int64)
     # |z1| falls over the run, so each cycle enters its invariant set
@@ -80,8 +87,63 @@ def test_within_cycle_pairs_match_oracle(sv_params, draws, cycles, z1,
                      jumps=_jump_log(draws, sort_t))
     cfg = make_cfg()
     assert _within_cycle_period(traj) == old._within_cycle_period(traj)
-    assert (check_dwell_lower_bound(traj, sv_params, cfg)
-            == old.check_dwell_lower_bound(traj, sv_params, cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert (check_dwell_lower_bound(traj, sv_params, cfg)
+                == old.check_dwell_lower_bound(traj, sv_params, cfg))
+
+
+def _arc(seed: int, n: int, cycles: int):
+    """n rows of an arc with duplicated jump rows, excitation runs that
+    the reference |z*| halving per cycle opens and closes, |z1| that
+    leaves and enters the invariant sets of cycles 1 and 2, and an
+    estimation error that shrinks, stalls and grows."""
+    rng = np.random.default_rng(seed)
+    dt = rng.choice([0.0, 1e-3, 2e-3, 0.1], n - 1, p=[0.2, 0.4, 0.3, 0.1])
+    t = np.concatenate([[0.0], np.cumsum(dt)])
+    cyc = np.sort(rng.integers(0, cycles, n))
+    z_star = 75.0 / 2.0 ** cyc * rng.choice([-1.0, 1.0])
+    z1 = (rng.choice([0.0, 10.0, 30.0, 60.0, 200.0], n)
+          * rng.choice([-1, 1], n))
+    zt = (rng.standard_normal((n, 2))
+          * np.exp(rng.uniform(-3.0, 3.0) * np.sin(t * rng.uniform(1, 9)))
+          [:, None])
+    phi = 1.0 + 1e-3 * rng.standard_normal((n, 4))
+    jumps = [JumpRecord(t=float(t[k]), j=m + 1, kind=JumpKind.WITHIN_CYCLE)
+             for m, k in enumerate(np.flatnonzero(dt == 0.0))]
+    return make_traj(t, z1, z_tilde=zt, z_star=z_star, cycle=cyc, phi=phi,
+                     jumps=jumps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 60),
+       cycles=st.integers(1, 3), rows=_ROWS,
+       kappa=st.sampled_from([0.5, 1.0, 2.0]),
+       rate=st.sampled_from([0.0, 1.0, 30.0]))
+def test_blocked_passes_match_whole_columns(sv_params, sv_cert, seed, n,
+                                            cycles, rows, kappa, rate):
+    """extract_dwell and the per-sample checks equal their whole-column
+    versions for every block size: the same dicts and floats, bit for bit."""
+    traj = _arc(seed, n, cycles)
+    decay = _fake_decay(kappa, rate, 1.0)
+
+    def dwell(extract):
+        try:
+            return extract(traj).to_dict()
+        except NoExcitation as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert dwell(extract_dwell) == dwell(old.extract_dwell)
+        assert (check_vobs_monotone(traj, sv_cert)
+                == old.check_vobs_monotone(traj, sv_cert))
+        assert check_phi_oracle(traj) == old.check_phi_oracle(traj)
+        assert (check_dwell_lower_bound(traj, sv_params, make_cfg())
+                == old.check_dwell_lower_bound(traj, sv_params, make_cfg()))
+        for i in np.unique(traj.cycle).tolist():
+            assert (check_envelope(traj, decay, i)
+                    == old.check_envelope(traj, decay, i))
 
 
 def test_within_cycle_pairs_match_oracle_on_golden_run(golden_run, sv_params,
