@@ -14,7 +14,7 @@ from .errors import (BadInitialBall, InvalidGains, NoCertificate,
 from .model import (ControllerConfig, HSchedule, HybridState,
                     HybridTrajectory, JumpKind, ObserverGains, PlantParams,
                     SolverConfig, derive_control_gain, g_of,
-                    reference_set_value, t_lmin_asymptote)
+                    t_lmin_asymptote)
 from .lyapunov import (complete_gains, dwell_certificate,
                        dwell_time_lower_bound, solve_common_lyapunov)
 from .engine import (in_Dc, in_Dnc, initialize, jump_map,
@@ -31,7 +31,6 @@ __all__ = [
     "ZenoSuspected", "check_envelope", "check_vobs_monotone",
     "complete_gains", "derive_control_gain", "dwell_certificate",
     "dwell_time_lower_bound", "extract_dwell", "g_of", "in_Dc", "in_Dnc",
-    "initialize", "jump_map", "phi_contraction_norm",
-    "reference_set_value", "simulate", "solve_common_lyapunov",
-    "t_lmin_asymptote", "verify_bounds",
+    "initialize", "jump_map", "phi_contraction_norm", "simulate",
+    "solve_common_lyapunov", "t_lmin_asymptote", "verify_bounds",
 ]

@@ -1,10 +1,11 @@
 """Post-processing checks: every assumption and bound the construction
 relies on is re-verified numerically on a simulated trajectory.
 
-All functions are read-only over HybridTrajectory instances. Every pass
-over the rows reads them in blocks of _BLOCK_ROWS rows and carries from
-one block to the next only what its result needs: a min or max, a first
-or last index, the block's last row where it takes differences of
+All functions are read-only over HybridTrajectory instances. Each check is
+one function, which finds the cycles it needs itself (cycle_slices). Every
+pass over the rows reads them in blocks of _BLOCK_ROWS rows and carries
+from one block to the next only what its result needs: a min or max, a
+first or last index, the block's last row where it takes differences of
 neighbouring rows, or a running sum. Min, max and index results do not
 depend on the blocks, and a running sum is carried in the order of the
 whole-array sum, so every result is that of one pass over whole columns,
@@ -81,10 +82,6 @@ class BoundReport:
                 "dwell": self.dwell_ok, "zeno": self.zeno_ok,
                 "progress": self.z2_floor_margin > _PROGRESS_FLOOR}
 
-    @property
-    def all_ok(self) -> bool:
-        return all(self.verdicts.values())
-
 
 def _blocks(rows: slice, overlap: int = 0):
     """Slices of at most _BLOCK_ROWS rows that cover `rows` in order, each
@@ -112,17 +109,12 @@ def cycle_slices(traj: HybridTrajectory) -> dict:
     return {i: slice(first[i], stop[i]) for i in sorted(first)}
 
 
-def _cycle(slices: dict, i: int) -> slice:
-    """slices[i]; CycleNotFound if cycle i has no samples."""
-    try:
-        return slices[i]
-    except KeyError:
-        raise CycleNotFound(f"cycle {i} has no samples") from None
-
-
 def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
     """Index range of the samples belonging to cycle i."""
-    return _cycle(cycle_slices(traj), i)
+    try:
+        return cycle_slices(traj)[i]
+    except KeyError:
+        raise CycleNotFound(f"cycle {i} has no samples") from None
 
 
 def _excitation_pass(traj: HybridTrajectory) -> tuple:
@@ -269,10 +261,11 @@ def check_vobs_monotone(traj: HybridTrajectory,
     return worst <= 1e-6, worst
 
 
-def _phi_error(traj: HybridTrajectory, slices: dict) -> float:
-    """check_phi_oracle over the cycles `slices`."""
+def check_phi_oracle(traj: HybridTrajectory) -> float:
+    """Max over completed cycles of ||z_tilde - Phi z_tilde0|| relative to
+    ||z_tilde0|| at the cycle start (the transition-matrix contract)."""
     worst = 0.0
-    for sl in slices.values():
+    for sl in cycle_slices(traj).values():
         zt0 = np.array([traj.z_tilde1[sl.start], traj.z_tilde2[sl.start]])
         n0 = np.linalg.norm(zt0)
         if n0 == 0.0:
@@ -288,16 +281,16 @@ def _phi_error(traj: HybridTrajectory, slices: dict) -> float:
     return worst
 
 
-def check_phi_oracle(traj: HybridTrajectory) -> float:
-    """Max over completed cycles of ||z_tilde - Phi z_tilde0|| relative to
-    ||z_tilde0|| at the cycle start (the transition-matrix contract)."""
-    return _phi_error(traj, cycle_slices(traj))
+def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
+                   from_cycle: int) -> dict:
+    """Exponential envelope |z_tilde(t)| <= k1 |z_tilde(t0)| e^{-k2 mu (t-t0)}.
 
-
-def _envelope(traj: HybridTrajectory, decay: DecayCertificate,
-              first: int) -> dict:
-    """check_envelope from row `first`, the start of from_cycle. One pass
-    carries the last row where the bound fails and the margin since."""
+    t0 is the start of from_cycle. T is reported empirically as the first
+    sample time offset from which the bound holds at every later sample;
+    the margin is the minimal log-space slack past t0 + T. One pass
+    carries the last row where the bound fails and the margin since.
+    """
+    first = cycle_slice(traj, from_cycle).start
     rows = slice(first, len(traj))
     t0 = traj.t[first]
     zt0 = math.hypot(traj.z_tilde1[first], traj.z_tilde2[first])
@@ -325,17 +318,6 @@ def _envelope(traj: HybridTrajectory, decay: DecayCertificate,
         return {"envelope_ok": False, "T": math.inf, "margin": -math.inf}
     return {"envelope_ok": True, "T": float(traj.t[start] - t0),
             "margin": margin}
-
-
-def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
-                   from_cycle: int) -> dict:
-    """Exponential envelope |z_tilde(t)| <= k1 |z_tilde(t0)| e^{-k2 mu (t-t0)}.
-
-    t0 is the start of from_cycle. T is reported empirically as the first
-    sample time offset from which the bound holds at every later sample;
-    the margin is the minimal log-space slack past t0 + T.
-    """
-    return _envelope(traj, decay, cycle_slice(traj, from_cycle).start)
 
 
 def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
@@ -372,12 +354,18 @@ def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,
     return bool(np.all(z2 <= bound * (1.0 + 1e-9) + 1e-12))
 
 
-def _dwell_ratio(traj: HybridTrajectory, params: PlantParams,
-                 cfg: ControllerConfig, slices: dict) -> tuple[bool, float]:
-    """check_dwell_lower_bound over the cycles `slices`."""
+def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
+                            cfg: ControllerConfig) -> tuple[bool, float]:
+    """Within-cycle flow intervals vs. the closed-form dwell lower bound.
+
+    For each cycle i >= 1, intervals between consecutive within-cycle jumps
+    are checked against T_li once the trajectory has entered the per-cycle
+    invariant set |z1| <= (z*_in / 2^(i-1))(1 + g(i-1)). Returns
+    (ok, minimal interval/bound ratio).
+    """
     min_ratio = math.inf
     pairs = _within_cycle_pairs(traj.jumps)
-    for i, sl in slices.items():
+    for i, sl in cycle_slices(traj).items():
         if i < 1:
             continue
         z_bar_i = (cfg.z_star_init / 2.0 ** (i - 1)) * (1.0 + g_of(cfg, i - 1))
@@ -395,18 +383,6 @@ def _dwell_ratio(traj: HybridTrajectory, params: PlantParams,
                 min_ratio = min(min_ratio, (b.t - a.t) / t_li)
     return (min_ratio >= 1.0 - 1e-9 if math.isfinite(min_ratio) else True,
             min_ratio)
-
-
-def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
-                            cfg: ControllerConfig) -> tuple[bool, float]:
-    """Within-cycle flow intervals vs. the closed-form dwell lower bound.
-
-    For each cycle i >= 1, intervals between consecutive within-cycle jumps
-    are checked against T_li once the trajectory has entered the per-cycle
-    invariant set |z1| <= (z*_in / 2^(i-1))(1 + g(i-1)). Returns
-    (ok, minimal interval/bound ratio).
-    """
-    return _dwell_ratio(traj, params, cfg, cycle_slices(traj))
 
 
 def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
@@ -427,16 +403,12 @@ def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
 
 def verify_bounds(traj: HybridTrajectory, params: PlantParams,
                   cfg: ControllerConfig, cert: LyapunovCertificate,
-                  decay: DecayCertificate, from_cycle: int,
-                  slices: dict = None) -> BoundReport:
-    """All per-trajectory bound checks combined into one report. `slices`
-    is cycle_slices(traj), for a caller that already has it."""
-    if slices is None:
-        slices = cycle_slices(traj)
+                  decay: DecayCertificate, from_cycle: int) -> BoundReport:
+    """All per-trajectory bound checks combined into one report."""
     mono, worst = check_vobs_monotone(traj, cert)
-    env = _envelope(traj, decay, _cycle(slices, from_cycle).start)
-    phi_err = _phi_error(traj, slices)
-    dwell_ok, ratio = _dwell_ratio(traj, params, cfg, slices)
+    env = check_envelope(traj, decay, from_cycle)
+    phi_err = check_phi_oracle(traj)
+    dwell_ok, ratio = check_dwell_lower_bound(traj, params, cfg)
     _, _, t_lmin = dwell_time_lower_bound(params, cfg, 1)
     zeno_ok, zeno_worst = check_zeno(traj, t_lmin)
     floor_gap = np.min([(traj.z2[b] - params.z2_floor).min()

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import cycle_slices, extract_dwell, verify_bounds
-from .engine import initial_cycle, simulate
+from .engine import simulate
 from .errors import LaneCrashed, NoExcitation, XbstabError
 from .lyapunov import (LyapunovCertificate, complete_gains,
                        decay_certificate, dwell_certificate,
@@ -435,7 +435,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         decay = decay.with_mu(empirical_mu)
 
     bounds = verify_bounds(traj, scn.params, scn.cfg, scn.cert, decay,
-                           from_cycle=first_cycle, slices=slices)
+                           from_cycle=first_cycle)
 
     check_results = {**bounds.verdicts, "excitation": excitation_ok}
     all_passed = all(check_results[name] for name in enabled)
@@ -451,7 +451,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         "schema": SCHEMA_VERSION,
         "config": scn.raw,
         "control_gain_k": scn.k,
-        "initial_cycle": initial_cycle(scn.cfg, scn.cert.gamma),
+        "initial_cycle": first_cycle,
         "g_converges_to_zero": g_zero,
         "warnings": warnings,
         "certificates": {

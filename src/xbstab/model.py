@@ -151,8 +151,9 @@ class HSchedule:
             if not 0.0 < self.value < 1.0:
                 raise ValueError(f"constant h must lie in (0,1), got {self.value}")
         elif self.kind is HScheduleKind.POWER:
-            if not self.value > 1.0:
-                raise ValueError(f"power base must exceed 1, got {self.value}")
+            if not 1.0 < self.value < math.inf:
+                raise ValueError(f"power base must be a finite number above "
+                                 f"1, got {self.value}")
         elif self.kind is HScheduleKind.EXPLICIT:
             if not self.values:
                 raise ValueError("explicit h schedule needs at least one value")
@@ -222,15 +223,6 @@ def g_of(cfg: ControllerConfig, i: int) -> float:
     return g
 
 
-def reference_set_value(cfg: ControllerConfig, i: int, sign: int) -> float:
-    """Reference value sign * z_star_init / 2**i of cycle i."""
-    if i < 0:
-        raise ValueError(f"cycle index must be >= 0, got {i}")
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign}")
-    return sign * cfg.z_star_init / 2.0 ** i
-
-
 def t_lmin_asymptote(params: PlantParams, cfg: ControllerConfig) -> float:
     """Uniform dwell-time floor (d/c - epsilon) / (d * z_star_init)."""
     band = params.d / params.c - cfg.epsilon
@@ -292,11 +284,6 @@ class HybridState:
             raise ValueError("z and z_tilde must be 2-vectors")
         if self.phi.shape != (2, 2):
             raise ValueError("phi must be a 2x2 matrix")
-
-    @property
-    def z_hat(self) -> np.ndarray:
-        """Observer estimate z + z_tilde."""
-        return self.z + self.z_tilde
 
     def replace(self, **kw) -> "HybridState":
         return dataclasses.replace(self, **kw)

@@ -29,6 +29,8 @@ from xbstab.lyapunov import decay_certificate, dwell_time_lower_bound
 from xbstab.model import HybridTrajectory, JumpKind
 from xbstab.cli import g_converges_to_zero
 
+from rundiff import oracle
+
 
 # --- criterion 1: gain completion (exact) --------------------------------
 
@@ -310,119 +312,29 @@ def test_criterion_8_runtime(request):
     assert runtime < 10.0
 
 
-def _oracle_jumps(params, gains, cert, cfg, z0, z_hat0, k, t_end):
-    """Jumps [(t, JumpKind)] of the closed loop up to t_end, by scipy.
-
-    Shares no code with the engine: the flow is written out from the plant,
-    the certainty-equivalence law and the error/transition-matrix dynamics,
-    and D_c, D_nc are written from the docstrings of engine.in_Dc and
-    in_Dnc as functions that are >= 0 exactly on the set, with
-    s = zhat2 sign(z*):
-
-        D_c:  s - thr >= 0
-        D_nc: min(s + thr, -s, lambda_min h(i)^2 - lambda_max(Phi'P Phi)) >= 0
-
-    Boundary convention, as in the engine: a flow event is located on the
-    guard-true side (the guard function strictly positive), and after each
-    jump the closed sets are tested at the same point for a chained jump,
-    as the kernel's start check does before any flow. A WithinCycle flip thus
-    leaves |zhat2| just above thr, outside D_nc, and no NewCycle chains
-    onto it. Locating events on the guard-false side instead lets D_nc
-    fire at |zhat2| = thr right after a flip, which moves the first
-    NewCycle from 0.0431 s to 0.0408 s.
-    """
-    a, c, d = params.a, params.c, params.d
-    P, lam_min = cert.P, cert.lambda_min
-
-    def rhs(_, y, z_star):
-        z1, z2, e1, e2, f11, f12, f21, f22 = y
-        if z1 > 0.0:
-            k1, k2 = gains.k1_plus, gains.k2_plus
-        elif z1 < 0.0:
-            k1, k2 = gains.k1_minus, gains.k2_minus
-        else:
-            k1 = k2 = 0.0
-        u = a * z1 * (z2 + e2) - k * (z1 - z_star)
-        return [-a * z1 * z2 + u, (c * z2 + d) * z1,
-                z1 * (-k1 * e1 - a * e2), z1 * (-k2 * e1 + c * e2),
-                z1 * (-k1 * f11 - a * f21), z1 * (-k1 * f12 - a * f22),
-                z1 * (-k2 * f11 + c * f21), z1 * (-k2 * f12 + c * f22)]
-
-    def s_thr(y, z_star):
-        s = (y[1] + y[3]) * math.copysign(1.0, z_star)
-        return s, d * abs(z_star) / (c * cfg.z_star_init)
-
-    def g_dc(y, z_star):
-        s, thr = s_thr(y, z_star)
-        return s - thr
-
-    def g_dnc(y, z_star, h):
-        s, thr = s_thr(y, z_star)
-        phi = y[4:].reshape(2, 2)
-        lam_max = np.linalg.eigvalsh(phi.T @ P @ phi)[-1]
-        return min(s + thr, -s, lam_min * h * h - lam_max)
-
-    y = np.array([*z0, *(np.asarray(z_hat0) - np.asarray(z0)),
-                  1.0, 0.0, 0.0, 1.0])
-    z_star, i, t = cfg.z_star_init, 0, 0.0
-    jumps = []
-
-    def jump(kind):
-        nonlocal z_star, i
-        jumps.append((t, kind))
-        if kind is JumpKind.WITHIN_CYCLE:
-            z_star = -z_star
-        else:
-            z_star, i = z_star / 2.0, i + 1
-            y[4:] = [1.0, 0.0, 0.0, 1.0]
-
-    while True:
-        h = cfg.h_of(i, cert.gamma)
-        if g_dc(y, z_star) >= 0.0:
-            jump(JumpKind.WITHIN_CYCLE)
-            continue
-        if g_dnc(y, z_star, h) >= 0.0:
-            jump(JumpKind.NEW_CYCLE)
-            continue
-        guards = [lambda _, y_, z=z_star: g_dc(y_, z),
-                  lambda _, y_, z=z_star, h=h: g_dnc(y_, z, h)]
-        for g in guards:
-            g.terminal, g.direction = True, 1
-        sol = solve_ivp(lambda t_, y_, z=z_star: rhs(t_, y_, z),
-                        (t, t_end), y, method="DOP853", rtol=1e-12,
-                        atol=1e-14, events=guards, dense_output=True)
-        assert sol.success, sol.message
-        if sol.status == 0:
-            return jumps
-        fired = 0 if sol.t_events[0].size else 1
-        t_root, step = sol.t[-1], 1e-15
-        t = t_root
-        while guards[fired](t, sol.sol(t)) <= 0.0:
-            assert step <= 1e-9, f"guard stays false past the root {t_root}"
-            t, step = t_root + step, 2.0 * step
-        y = sol.sol(t)
-        jump((JumpKind.WITHIN_CYCLE, JumpKind.NEW_CYCLE)[fired])
-
-
-def test_criterion_8_oracle_jump_times(criterion_8_run, sv_params, sv_gains,
-                                       sv_cert, sv_cfg, sv_initial):
+def test_criterion_8_oracle_jump_times(criterion_8_run, scenario_dict):
     """An independent re-integration reproduces the jumps of cycles 0-2.
 
-    scipy's DOP853 at rtol 1e-12, with its own flow and guards
-    (_oracle_jumps), runs the reference scenario to t = 1.45 s, past the
-    end of cycle 2 at 1.409 s. Every jump it finds, WithinCycle flips
-    included, has the same kind as simulate's jump of the same index and
-    lies within 1e-6 s of it; among them are the three NewCycle jumps that
-    close cycles 0-2.
+    benchmark/oracle.py's jump_sequence, scipy's DOP853 at rtol 1e-12 with
+    its own flow, guards, P and h(i), runs the shipped scenario to
+    t = 1.45 s, past the end of cycle 2 at 1.409 s. Every jump it finds,
+    WithinCycle flips included, has the same kind and is taken from the
+    same cycle as simulate's jump of the same index, and lies within
+    1e-6 s of it; among them are the three NewCycle jumps that close
+    cycles 0-2.
     """
     traj, _ = criterion_8_run
-    z0, z_hat0 = sv_initial
-    ref = _oracle_jumps(sv_params, sv_gains, sv_cert, sv_cfg, z0, z_hat0,
-                        k=500.0, t_end=1.45)
-    got = [(jr.t, jr.kind) for jr in traj.jumps[:len(ref)]]
-    assert [kind for _, kind in got] == [kind for _, kind in ref]
-    assert sum(kind is JumpKind.NEW_CYCLE for _, kind in ref) == 3
-    dt = np.abs(np.array([t for t, _ in got]) - [t for t, _ in ref])
+    cfg = json.loads(json.dumps(scenario_dict))
+    cfg["solver"]["t_end"] = 1.45
+    ref = [(t, JumpKind(kind), i) for t, kind, i in oracle.jump_sequence(cfg)]
+    jumps = traj.jumps[:len(ref)]
+    assert [jr.kind for jr in jumps] == [kind for _, kind, _ in ref]
+    assert sum(kind is JumpKind.NEW_CYCLE for _, kind, _ in ref) == 3
+    # the cycle before jump j is that of the first row with counter j: the
+    # initial row or the row after jump j - 1
+    rows = np.searchsorted(traj.j, [jr.j for jr in jumps])
+    assert traj.cycle[rows].tolist() == [i for _, _, i in ref]
+    dt = np.abs(np.array([jr.t for jr in jumps]) - [t for t, _, _ in ref])
     worst = int(dt.argmax())
     assert dt[worst] <= 1e-6, (
         f"jump {worst} ({ref[worst][1].name}) at t={ref[worst][0]:.9f}: "

@@ -681,6 +681,11 @@ class TestEndToEnd:
         ("controller", "h_schedule", [0.5, "0.5"], "controller.h_schedule"),
         ("initial", "z0", [10 ** 400, 0.3], "initial.z0"),
         ("controller", "h_schedule", [10 ** 400], "controller.h_schedule"),
+        # nor is a spec's value: power:inf would make every h(i) 1.0
+        ("controller", "h_schedule", "power:inf", "controller.h_schedule"),
+        ("controller", "h_schedule", "power:Infinity",
+         "controller.h_schedule"),
+        ("controller", "h_schedule", "constant:inf", "controller.h_schedule"),
         # a passing run must not leave its report where a failure goes
         ("outputs", "report_json", "error.json", "outputs.report_json"),
     ])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xbstab import (ControllerConfig, HSchedule, HybridState,
                     HybridTrajectory, InvalidGains, ObserverGains,
                     PlantParams, SolverConfig, derive_control_gain, g_of,
-                    reference_set_value, t_lmin_asymptote)
+                    t_lmin_asymptote)
 
 
 def make_cfg(**kw):
@@ -131,14 +131,6 @@ class TestScheduleHelpers:
             expected *= cfg.h_schedule.h(i)
             assert g_of(cfg, i) == pytest.approx(expected)
 
-    @given(st.integers(min_value=0, max_value=20),
-           st.sampled_from([-1, 1]))
-    def test_reference_halves_per_cycle(self, i, sign):
-        cfg = make_cfg()
-        val = reference_set_value(cfg, i, sign)
-        assert val == sign * 75.0 / 2.0 ** i
-        assert abs(reference_set_value(cfg, i + 1, sign)) * 2 == abs(val)
-
     def test_t_lmin_asymptote(self, sv_params):
         cfg = make_cfg()
         assert t_lmin_asymptote(sv_params, cfg) == pytest.approx(
@@ -164,7 +156,7 @@ class TestHybridState:
     def test_z_hat_and_replace(self):
         s = HybridState(tau=0.1, cycle=2, z=[1.0, 2.0], z_tilde=[0.5, -0.5],
                         z_star=18.75, phi=np.eye(2))
-        assert np.allclose(s.z_hat, [1.5, 1.5])
+        assert np.allclose(s.z + s.z_tilde, [1.5, 1.5])
         s2 = s.replace(z_star=-18.75)
         assert s2.z_star == -18.75 and s2.cycle == 2
         assert np.array_equal(s2.z, s.z)
