@@ -9,9 +9,10 @@ first or last index, the block's last row where it takes differences of
 neighbouring rows, or a running sum. Min, max and index results do not
 depend on the blocks, and a running sum is carried in the order of the
 whole-array sum, so every result is that of one pass over whole columns,
-bit for bit. A pass's scratch is a few blocks however long the arc;
-extract_dwell also fills one full-length column, the cumulative integral
-of |z1|, which its sliding windows read at arbitrary rows.
+bit for bit. A pass's scratch is a few blocks however long the arc:
+cycle_slices reads the cycle column's marks, not its rows, and the
+sliding windows of extract_dwell read the cumulative integral of |z1|
+through two forward cursors, each of which carries its own running sum.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .errors import CycleNotFound, NoExcitation
 from .lyapunov import (DecayCertificate, LyapunovCertificate,
                        dwell_time_lower_bound)
-from .model import (ControllerConfig, HybridTrajectory, JumpKind,
-                    PlantParams, as_dict, g_of)
+from .model import (_BLOCK_ROWS, ControllerConfig, HybridTrajectory,
+                    JumpKind, PlantParams, as_dict, g_of)
 
 _TINY = 1e-300
 # the excitation floor |z1| >= |z*|/2: the z_underbar_i = z*_in/2^(i+1) of
@@ -35,9 +36,6 @@ _EXCITATION_FLOOR = 0.5
 # one ulp of d/c, healthy ones 2.3e-8 to 3.0e-8 (benchmark workloads,
 # seeds 0-10), 4.7e3x above and 2.3e4x below the floor
 _PROGRESS_FLOOR = 1e-12
-# rows per block of every pass over the arc: the float scratch of a block
-# is 64 KiB a column, and each numpy call still takes thousands of rows
-_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -93,17 +91,15 @@ def _blocks(rows: slice, overlap: int = 0):
 
 def cycle_slices(traj: HybridTrajectory) -> dict:
     """{i: index range of cycle i's samples, first to last}, in ascending
-    cycle order, from one pass over the rows where the cycle changes."""
-    cyc = traj.cycle
+    cycle order, from the marks where the cycle changes."""
+    rows, cyc = traj.cycle.marks()
     if len(cyc) == 0:
         return {}
-    lo = [0]
-    for b in _blocks(slice(0, len(cyc)), 1):
-        c = cyc[b]
-        lo += (np.flatnonzero(c[1:] != c[:-1]) + b.start + 1).tolist()
-    hi = lo[1:] + [len(cyc)]
+    runs = np.flatnonzero(np.concatenate(([True], cyc[1:] != cyc[:-1])))
+    lo = rows[runs].tolist()
+    hi = lo[1:] + [len(traj)]
     first, stop = {}, {}
-    for i, a, b in zip(cyc[lo].tolist(), lo, hi):
+    for i, a, b in zip(cyc[runs].tolist(), lo, hi):
         first.setdefault(i, a)
         stop[i] = b
     return {i: slice(first[i], stop[i]) for i in sorted(first)}
@@ -118,17 +114,14 @@ def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
 
 
 def _excitation_pass(traj: HybridTrajectory) -> tuple:
-    """One pass over a trajectory of at least two rows: (the trapezoidal
-    cumulative integral of |z1(t)|, first and last rows of the excitation
-    runs, the smallest excitation floor, the largest |z1|).
+    """One pass over a trajectory of at least two rows: (first and last
+    rows of the excitation runs, the smallest excitation floor, the
+    largest |z1|).
 
     A run of rows with |z1| >= _EXCITATION_FLOOR |z*| starts where that
     test turns true, or at row 0, and ends at the row where it turns
-    false, or at the last row. Each block's sum starts from the previous
-    block's last value, in the order of np.cumsum over the whole arc."""
-    n, t = len(traj), traj.t
-    cum = np.empty(n)
-    cum[0] = 0.0
+    false, or at the last row."""
+    n = len(traj)
     rise, fall, floors, peaks = [], [], [], []
     for b in _blocks(slice(0, n), 1):
         a = np.abs(traj.z1[b])
@@ -141,20 +134,51 @@ def _excitation_pass(traj: HybridTrajectory) -> tuple:
         fall.append(np.flatnonzero(edges == -1) + (b.start + 1))
         floors.append(thr.min())
         peaks.append(a.max())
-        c = cum[b]
-        c[1:] = 0.5 * (a[:-1] + a[1:]) * np.diff(t[b])
-        np.cumsum(c, out=c)
     fall.append(np.flatnonzero(mask[-1:]) + (n - 1))
-    return (cum, np.concatenate(rise), np.concatenate(fall),
-            np.min(floors), np.max(peaks))
+    return (np.concatenate(rise), np.concatenate(fall), np.min(floors),
+            np.max(peaks))
+
+
+class _Integral:
+    """A forward cursor over the trapezoidal cumulative integral of
+    |z1(t)|, with the values of np.cumsum over the whole arc, bit for bit.
+
+    Rows a:b, with a no smaller than the previous slice's first row, are
+    summed by np.cumsum from the value at row a, which the previous slice
+    holds or a walk on from its last row reaches a block at a time. Only
+    the last slice is kept."""
+
+    def __init__(self, traj: HybridTrajectory):
+        self._t, self._z1 = traj.t, traj.z1
+        self._lo, self._cum = 0, np.zeros(1)    # rows lo:lo + len(cum)
+
+    def _sum(self, lo: int, hi: int, start: float) -> np.ndarray:
+        """Rows lo:hi of the integral, from its value `start` at row lo."""
+        a, t = np.abs(self._z1[lo:hi]), self._t[lo:hi]
+        c = np.empty(hi - lo)
+        c[0] = start
+        c[1:] = 0.5 * (a[:-1] + a[1:]) * (t[1:] - t[:-1])
+        return np.cumsum(c, out=c)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        while rows.start >= self._lo + len(self._cum):
+            end = self._lo + len(self._cum) - 1
+            self._cum = self._sum(end, min(end + _BLOCK_ROWS + 1,
+                                           rows.start + 1), self._cum[-1])
+            self._lo = end
+        self._cum = self._sum(rows.start, rows.stop,
+                              self._cum[rows.start - self._lo])
+        self._lo = rows.start
+        return self._cum
 
 
 def _interp_sorted(x: np.ndarray, t: np.ndarray, f: np.ndarray,
                    start: int) -> tuple:
     """np.interp(x, t, f), bit for bit, for sorted t and sorted x with
     x[0] >= t[start], reading t and f a block of rows at a time from
-    `start` on. Returns the values and the row from which a next x, no
-    smaller than x[-1], may start.
+    `start` on (so f may be a forward cursor, _Integral). Returns the
+    values and the row from which a next x, no smaller than x[-1], may
+    start.
 
     Each x is interpolated between the same two rows of t as in the
     whole-array call: the rows start:stop bracket every x below
@@ -201,7 +225,7 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     if len(traj) < 2:
         raise NoExcitation("trajectory too short to classify")
     t = traj.t
-    cum, starts, ends, z_under, z_bar = _excitation_pass(traj)
+    starts, ends, z_under, z_bar = _excitation_pass(traj)
     keep = t[ends] > t[starts]
     intervals = np.column_stack([t[starts[keep]], t[ends[keep]]])
     if intervals.size == 0:
@@ -225,9 +249,10 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     mu = 0.0
     if window > 0:
         means, lo_row, hi_row = [], 0, 0
+        lo_cum, hi_cum = _Integral(traj), _Integral(traj)
         for b in _blocks(slice(0, m)):
-            lo, lo_row = _interp_sorted(t[b], t, cum, lo_row)
-            hi, hi_row = _interp_sorted(t[b] + window, t, cum, hi_row)
+            lo, lo_row = _interp_sorted(t[b], t, lo_cum, lo_row)
+            hi, hi_row = _interp_sorted(t[b] + window, t, hi_cum, hi_row)
             means.append(((hi - lo) / window).min())
         mu = float(np.min(means))
 

@@ -306,13 +306,13 @@ class _PerBlock:
         return len(self._traj)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return self._of_rows(_rows(self._traj, rows))
+        return self._of_rows(self._traj.rows(rows))
 
 
 def _columns(traj: HybridTrajectory) -> dict:
-    """Every trajectory column the CSV files can name, except u."""
-    return {"t": traj.t, "j": np.asarray(traj.j, dtype=np.int64),
-            "i": np.asarray(traj.cycle, dtype=np.int64), "tau": traj.tau,
+    """Every trajectory column the CSV files can name, except u. j, i and
+    z_star are the trajectory's MarkColumns, which slice to arrays."""
+    return {"t": traj.t, "j": traj.j, "i": traj.cycle, "tau": traj.tau,
             "z1": traj.z1, "z2": traj.z2,
             "z1_hat": _PerBlock(traj, lambda v: v.z1_hat),
             "z2_hat": _PerBlock(traj, lambda v: v.z2_hat),
@@ -355,19 +355,10 @@ def emit_plot_data(traj: HybridTrajectory, path) -> tuple:
     return files[0][0], files[1][0]
 
 
-def _rows(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
-    """Rows sl of every column, as views, without the jump log."""
-    return HybridTrajectory(
-        t=traj.t[sl], j=traj.j[sl], cycle=traj.cycle[sl], tau=traj.tau[sl],
-        z1=traj.z1[sl], z2=traj.z2[sl],
-        z_tilde1=traj.z_tilde1[sl], z_tilde2=traj.z_tilde2[sl],
-        z_star=traj.z_star[sl], phi=traj.phi[sl])
-
-
 def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
     """Column-wise sub-trajectory with the jump log restricted to it."""
     j_lo, j_hi = int(traj.j[sl.start]), int(traj.j[sl.stop - 1])
-    sub = _rows(traj, sl)
+    sub = traj.rows(sl)
     sub.jumps = [jr for jr in traj.jumps if j_lo <= jr.j < j_hi]
     return sub
 

@@ -9,10 +9,13 @@ The jump sets D_c, D_nc and the jump map live here too, with one function
 per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
 A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
-writes into directly, through a window of exactly _INIT_BUFFER_ROWS free
-rows per call; the array grows between calls by allocate-and-copy. j,
-cycle and z_star change only at jumps, so one mark per run of rows stands
-for them, and the trajectory's other columns, phi included, are views.
+writes into directly, through a window that ends _INIT_BUFFER_ROWS rows
+past the recorded ones. The array starts with room for the start row and
+the first window, and grows between calls by allocate-and-copy, at least
+doubling, when a window would pass its end. j, cycle and z_star change
+only at jumps: the trajectory keeps them as MarkColumns over one (first
+row, j, cycle, z_star) mark per run of rows, and its other columns, phi
+included, are views of the rows.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
                      StepFailure, ZenoSuspected)
 from .lyapunov import LyapunovCertificate
 from .model import (ControllerConfig, HybridState, HybridTrajectory,
-                    JumpKind, JumpRecord, ObserverGains, PlantParams,
-                    SolverConfig, g_of)
+                    JumpKind, JumpRecord, MarkColumn, ObserverGains,
+                    PlantParams, SolverConfig, g_of)
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
@@ -103,7 +106,8 @@ class _Arc:
     run of rows sharing those three, and the jump records."""
 
     def __init__(self):
-        self.rows = np.empty((_INIT_BUFFER_ROWS, 10))
+        # the start row and the first window
+        self.rows = np.empty((_INIT_BUFFER_ROWS + 1, 10))
         self.n = 0
         self.marks = []
         self.jumps = []
@@ -129,16 +133,17 @@ class _Arc:
         self.add_row(t, _state_to_y(state))
 
     def trajectory(self) -> HybridTrajectory:
-        """The recorded arc; every float column is a view of the rows."""
+        """The recorded arc: every float column is a view of the rows, and
+        j, cycle and z_star are MarkColumns over the marks."""
         data = self.rows[:self.n]
         first, j, cyc, zs = zip(*self.marks)
-        count = np.diff(first, append=self.n)
+        first = np.array(first, np.int64)
         return HybridTrajectory(
-            t=data[:, 0], j=np.repeat(np.array(j, np.int64), count),
-            cycle=np.repeat(np.array(cyc, np.int64), count), tau=data[:, 1],
-            z1=data[:, 2], z2=data[:, 3],
+            t=data[:, 0], j=MarkColumn(first, np.array(j, np.int64), self.n),
+            cycle=MarkColumn(first, np.array(cyc, np.int64), self.n),
+            tau=data[:, 1], z1=data[:, 2], z2=data[:, 3],
             z_tilde1=data[:, 4], z_tilde2=data[:, 5],
-            z_star=np.repeat(np.array(zs, float), count),
+            z_star=MarkColumn(first, np.array(zs, float), self.n),
             phi=data[:, 6:10], jumps=self.jumps)
 
 
@@ -210,8 +215,8 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
 
     Records the samples after the start sample into arc and returns
     (code, t_final, state_final, bracket_width). The kernel writes them
-    straight into arc.window() from row arc.n on: exactly _INIT_BUFFER_ROWS
-    free rows, which must exceed one step's worst case
+    straight into arc.window() from row arc.n on: the _INIT_BUFFER_ROWS
+    rows past arc.n, which must exceed one step's worst case
     (fastpath.MAX_STEP_ROWS). When they fill, the interrupted point is
     recorded again as a re-anchor row and the segment resumes from it.
     """
@@ -264,7 +269,8 @@ def simulate(params: PlantParams, gains: ObserverGains,
     raises IllegalJump.
 
     The arc is held once, in the array of the module docstring: the
-    returned columns t, tau, z1 to z_tilde2 and phi are views of it.
+    returned columns t, tau, z1 to z_tilde2 and phi are views of it, and
+    j, cycle and z_star are MarkColumns over one mark per jump.
     """
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)

@@ -22,6 +22,13 @@ import numpy as np
 
 from .errors import InvalidGains
 
+# rows per block of a pass over the rows: the float scratch of a block is
+# 64 KiB a column, and each numpy call still takes thousands of rows
+_BLOCK_ROWS = 8192
+# the largest double below 1, the power schedule's h(i) where 1/(1 + b**-i)
+# rounds to 1
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 def as_dict(obj) -> dict:
     """Every dataclass field of obj by name, numpy arrays as nested lists
@@ -120,10 +127,13 @@ class HSchedule:
       constant  -- h(i) == value for every i
       paper_v   -- h(i) = 1/(1 + 4**-i) for i in 1..8, then 1/2
       explicit  -- a finite list, repeated from its last entry
-      power     -- h(i) = 1/(1 + value**-i) for every i; the cumulative
-                   product g(i) then has a positive limit, which violates
-                   the convergence requirement lim g(i) = 0 (kept so the
-                   runner can detect and flag exactly this misuse)
+      power     -- h(i) = 1/(1 + value**-i) for every i, or the largest
+                   double below 1 where that rounds to 1 (for base 4 from
+                   i = 27 on, for bases of about 1e16 or more from i = 1);
+                   the cumulative product g(i) then has a positive limit,
+                   which violates the convergence requirement lim g(i) = 0
+                   (kept so the runner can detect and flag exactly this
+                   misuse)
     """
 
     kind: HScheduleKind
@@ -170,7 +180,7 @@ class HSchedule:
         if self.kind is HScheduleKind.PAPER_V:
             return 1.0 / (1.0 + 4.0 ** (-i)) if i <= 8 else 0.5
         if self.kind is HScheduleKind.POWER:
-            return 1.0 / (1.0 + self.value ** (-i))
+            return min(1.0 / (1.0 + self.value ** (-i)), _BELOW_ONE)
         return self.values[min(i, len(self.values)) - 1]
 
 
@@ -301,29 +311,157 @@ class JumpRecord:
     kind: JumpKind
 
 
+class MarkColumn:
+    """A column that changes only at marks: row r holds values[k] of the
+    last mark k whose first row first[k] is at most r. first starts at 0
+    and rises strictly. simulate keeps j, cycle and z_star this way, one
+    mark per flow interval, instead of one value per row.
+
+    It reads as the expanded column np.repeat(values, np.diff(first,
+    append=n)) does: an int index gives a NumPy scalar, a slice or an
+    index array (of ints or bools) a new array, and np.asarray the whole
+    column. rows(sl) is the column of rows sl, sharing the marks.
+    """
+
+    def __init__(self, first, values, n: int, start: int = 0):
+        # rows start:start + n of the column that first and values mark
+        self._first = np.asarray(first, dtype=np.int64)
+        self._values = np.asarray(values)
+        self._n, self._start = n, start
+
+    @classmethod
+    def of(cls, column) -> "MarkColumn":
+        """The column of a 1-D array, with a mark wherever the value
+        changes; floats compare by their bits, so -0.0 and nan keep
+        theirs."""
+        col = np.asarray(column)
+        if col.ndim != 1:
+            raise ValueError(f"a column is one-dimensional, got shape "
+                             f"{col.shape}")
+        bits = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
+        first = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if col.size:
+            first = np.concatenate(([0], first))
+        return cls(first, col[first], len(col))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:
+        return (f"MarkColumn({len(self.marks()[0])} marks, {self._n} rows, "
+                f"{self.dtype})")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._values.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the marks."""
+        return self._first.nbytes + self._values.nbytes
+
+    def marks(self) -> tuple:
+        """(first rows, values) of the marks that cover this column's rows,
+        the first rows counted from its row 0."""
+        a, b = self._start, self._start + self._n
+        k0 = int(self._first.searchsorted(a, "right")) - 1
+        k1 = int(self._first.searchsorted(b, "left")) if b > a else k0
+        first = self._first[k0:k1] - a
+        first[:1] = 0
+        return first, self._values[k0:k1]
+
+    def rows(self, sl: slice) -> "MarkColumn":
+        """The column of rows sl (step 1), without copying the marks."""
+        lo, hi, step = sl.indices(self._n)
+        if step != 1:
+            raise ValueError("rows() takes a slice of step 1")
+        return MarkColumn(self._first, self._values, max(hi - lo, 0),
+                          self._start + lo)
+
+    def _expand(self, a: int, b: int) -> np.ndarray:
+        """Rows a:b, a < b, of the marked column (not of this view)."""
+        first = self._first
+        k = int(first.searchsorted(a, "right"))
+        if k == len(first) or first[k] >= b:
+            return self._values[k - 1:k].repeat(b - a)
+        m = int(first.searchsorted(b, "left"))
+        edges = np.empty(m - k + 2, np.int64)
+        edges[0], edges[1:-1], edges[-1] = a, first[k:m], b
+        return self._values[k - 1:m].repeat(edges[1:] - edges[:-1])
+
+    def __getitem__(self, key):
+        n = self._n
+        if isinstance(key, (int, np.integer)):
+            r = int(key)
+            if not -n <= r < n:
+                raise IndexError(f"row {r} out of range for {n} rows")
+            r += self._start + (n if r < 0 else 0)
+            return self._values[self._first.searchsorted(r, "right") - 1]
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(n)
+            if step == 1:
+                if hi <= lo:
+                    return self._values[:0].copy()
+                return self._expand(self._start + lo, self._start + hi)
+            key = np.arange(lo, hi, step)
+        idx = np.asarray(key)
+        if idx.dtype == bool:
+            if idx.shape != (n,):
+                raise IndexError(f"a boolean index of shape {idx.shape} "
+                                 f"for {n} rows")
+            idx = np.flatnonzero(idx)
+        elif idx.size == 0:
+            idx = idx.astype(np.intp)
+        elif idx.dtype.kind not in "iu":
+            raise IndexError("a column takes an int, a slice or an array "
+                             "of ints or bools")
+        idx = np.where(idx < 0, idx + n, idx)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise IndexError(f"index out of range for {n} rows")
+        return self._values[
+            self._first.searchsorted(idx + self._start, "right") - 1]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        col = self[:]
+        return col if dtype is None else col.astype(dtype, copy=False)
+
+    def __eq__(self, other):
+        # as <, > and the rest do, instead of comparing identities
+        raise TypeError("a MarkColumn does not compare; compare "
+                        "np.asarray(column)")
+
+    __ne__ = __eq__
+
+
 @dataclass
 class HybridTrajectory:
     """A hybrid arc stored column-wise, indexed by hybrid time (t, j).
 
     Samples are lexicographically ordered in (t, j); j increments by one at
     each entry of `jumps`, and the sample at a jump instant appears twice
-    (pre- and post-jump). The columns may be views of one array (simulate
-    returns t, tau, z1 to z_tilde2 and phi as views of its rows).
+    (pre- and post-jump). The float columns may be views of one array
+    (simulate returns t, tau, z1 to z_tilde2 and phi as views of its rows).
+    j, cycle and z_star are MarkColumns, which change only at jumps, so
+    they take memory per jump, not per row; one given as an array becomes
+    MarkColumn.of(it).
     """
 
     t: np.ndarray
-    j: np.ndarray
-    cycle: np.ndarray
+    j: MarkColumn
+    cycle: MarkColumn
     tau: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     z_tilde1: np.ndarray
     z_tilde2: np.ndarray
-    z_star: np.ndarray
+    z_star: MarkColumn
     phi: np.ndarray                 # (n, 4) row-major flattening
     jumps: list = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("j", "cycle", "z_star"):
+            if not isinstance(getattr(self, name), MarkColumn):
+                setattr(self, name, MarkColumn.of(getattr(self, name)))
         n = len(self.t)
         for name in ("j", "cycle", "tau", "z1", "z2", "z_tilde1",
                      "z_tilde2", "z_star"):
@@ -334,6 +472,15 @@ class HybridTrajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def rows(self, sl: slice) -> "HybridTrajectory":
+        """Rows sl (step 1) of every column, as views, without the jump
+        log."""
+        return HybridTrajectory(
+            t=self.t[sl], j=self.j.rows(sl), cycle=self.cycle.rows(sl),
+            tau=self.tau[sl], z1=self.z1[sl], z2=self.z2[sl],
+            z_tilde1=self.z_tilde1[sl], z_tilde2=self.z_tilde2[sl],
+            z_star=self.z_star.rows(sl), phi=self.phi[sl])
 
     @property
     def z1_hat(self) -> np.ndarray:
@@ -346,20 +493,28 @@ class HybridTrajectory:
     def control(self, params: PlantParams, k: float) -> np.ndarray:
         """Control input u at every sample."""
         return (params.a * self.z1 * self.z2_hat
-                - k * (self.z1 - self.z_star))
+                - k * (self.z1 - np.asarray(self.z_star)))
 
     def validate_domain(self):
         """Check hybrid-time-domain well-formedness; raise on violation.
-        Compares adjacent elements: the full-length temporaries are bool."""
-        j, i, t = self.j, self.cycle, self.t
+        Reads the marks of j and cycle, and t a block of rows at a time."""
+        _, j = self.j.marks()
+        i_first, i = self.cycle.marks()
+
+        def without_jump(rows):         # rows r whose j is that of r - 1
+            return np.any(self.j[rows] == self.j[rows - 1])
+
         if np.any(j[1:] < j[:-1]):
             raise ValueError("jump counter decreases")
-        same_j = j[1:] == j[:-1]
-        if np.any(same_j & (t[1:] < t[:-1])):
-            raise ValueError("time decreases within a flow interval")
-        if np.any(j[1:][~same_j] > j[:-1][~same_j] + 1):
+        t = self.t
+        for lo in range(0, len(t) - 1, _BLOCK_ROWS):
+            tb = t[lo:lo + _BLOCK_ROWS + 1]
+            if without_jump(np.flatnonzero(tb[1:] < tb[:-1]) + (lo + 1)):
+                raise ValueError("time decreases within a flow interval")
+        if np.any(j[1:] > j[:-1] + 1):
             raise ValueError("jump counter skips a value")
-        if np.any(i[1:] < i[:-1]) or np.any(same_j & (i[1:] != i[:-1])):
+        if np.any(i[1:] < i[:-1]) or without_jump(
+                i_first[1:][i[1:] != i[:-1]]):
             raise ValueError("cycle index decreases or changes without a jump")
 
 

@@ -22,7 +22,7 @@ from xbstab.model import (ControllerConfig, HybridTrajectory, JumpKind,
 
 def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
     """Index range of the samples belonging to cycle i."""
-    idx = np.flatnonzero(traj.cycle == i)
+    idx = np.flatnonzero(np.asarray(traj.cycle) == i)
     if idx.size == 0:
         raise CycleNotFound(f"cycle {i} has no samples")
     return slice(int(idx[0]), int(idx[-1]) + 1)

@@ -239,7 +239,7 @@ def test_criterion_8_convergence_reproduction(criterion_8_run, sv_params,
     """
     traj, _ = criterion_8_run
     z_in = sv_cfg.z_star_init
-    last = int(traj.cycle.max())          # the cycle cut by the horizon
+    last = int(np.asarray(traj.cycle).max())   # the cycle cut by the horizon
     starts = [0.0] + [jr.t for jr in traj.jumps
                       if jr.kind is JumpKind.NEW_CYCLE]
     assert last >= 4, f"cycle 3 never completes (last cycle {last})"

@@ -14,7 +14,7 @@ from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
 from xbstab.analysis import cycle_slice
 from xbstab.engine import _Arc, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
-from xbstab.model import g_of
+from xbstab.model import MarkColumn, g_of
 
 from flow_oracles import flow_map
 from test_model import make_cfg
@@ -209,6 +209,22 @@ class TestIntegrateFlow:
         thr = sv_params.d / sv_params.c
         zhat2 = seg.z2[-1] + seg.z_tilde2[-1]
         assert zhat2 == pytest.approx(thr, abs=1e-5)
+
+    def test_first_window_fits_the_first_array(self, sv_initial, sv_params,
+                                               sv_gains, sv_cert):
+        """The arc's first array holds the start row and the first window,
+        so the first segment's window does not reallocate it; the next
+        window grows it."""
+        arc = _Arc()
+        first = arc.rows
+        state = initialize(sv_params, sv_gains, sv_cert, make_cfg(),
+                           *sv_initial)
+        arc.add_state(0.0, state, 0)
+        assert len(arc.window()) == 1 + engine._INIT_BUFFER_ROWS
+        assert arc.rows is first
+        arc.n += 1
+        assert len(arc.window()) == 2 + engine._INIT_BUFFER_ROWS
+        assert arc.rows is not first
 
     def test_buffer_resume_is_seamless(self, monkeypatch, sv_params,
                                        sv_gains, sv_cert):
@@ -412,6 +428,30 @@ def test_columns_are_views_of_one_array(dense_20ms):
         assert np.shares_memory(getattr(dense_20ms, name), rows), name
 
 
+def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
+    """Besides the rows, simulate's trajectory holds only arrays of one
+    entry per mark, one mark per jump and one for the start: j, cycle and
+    z_star are MarkColumns, not full-length columns."""
+    rows, marks = dense_20ms.t.base, len(dense_20ms.jumps) + 1
+    assert len(dense_20ms) > 100 * marks
+    for name in ("j", "cycle", "z_star"):
+        assert isinstance(getattr(dense_20ms, name), MarkColumn), name
+    seen, todo, arrays = set(), [dense_20ms], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or obj is dense_20ms.jumps:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    views = [a for a in arrays if np.shares_memory(a, rows)]
+    assert len(views) == 7 and len(arrays) > 7      # the marks were reached
+    for a in arrays:
+        assert np.shares_memory(a, rows) or a.size <= marks, a.shape
+
+
 def test_z1_roots_are_recorded(dense_20ms):
     """A z1 root is a step boundary: the step over it is retaken up to the
     root, whose endpoint is recorded. So every sign change of the recorded
@@ -420,7 +460,7 @@ def test_z1_roots_are_recorded(dense_20ms):
     tol = 1e-9 * np.abs(dense_20ms.z1).max()
     changes = 0
     for jj in np.unique(dense_20ms.j):
-        z1 = dense_20ms.z1[dense_20ms.j == jj]
+        z1 = dense_20ms.z1[np.asarray(dense_20ms.j) == jj]
         nonzero = np.flatnonzero(z1)
         for a, b in zip(nonzero[:-1], nonzero[1:]):
             if z1[a] * z1[b] < 0.0:
@@ -530,5 +570,5 @@ class TestSimulate:
         solver = SolverConfig(max_step=5.4e-5, t_end=0.5)
         traj = simulate(sv_params, sv_gains, sv_cert, cfg, solver,
                         z0, z_hat0, k=500.0)
-        assert traj.cycle.max() == 1
+        assert np.asarray(traj.cycle).max() == 1
         assert traj.t[-1] < 0.5    # stopped by the cycle cap, not time

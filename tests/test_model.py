@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbstab import (ControllerConfig, HSchedule, HybridState,
                     HybridTrajectory, InvalidGains, ObserverGains,
                     PlantParams, SolverConfig, derive_control_gain, g_of,
                     t_lmin_asymptote)
+from xbstab.model import MarkColumn
 
 
 def make_cfg(**kw):
@@ -91,11 +92,19 @@ class TestHSchedule:
         s = {"constant": lambda: HSchedule.constant(v),
              "paper_v": HSchedule.paper_v,
              "power": lambda: HSchedule.power(2.0 + 10.0 * v)}[kind]()
-        # power schedules tend to 1 and round to 1.0 in floats; that is
-        # exactly the misuse the runner's convergence flag exists for
-        assert 0.0 < s.h(i) <= 1.0
-        if kind != "power":
-            assert s.h(i) < 1.0
+        assert 0.0 < s.h(i) < 1.0
+
+    @pytest.mark.parametrize("base, cycles", [(4.0, range(27, 80)),
+                                              (1e16, range(1, 5)),
+                                              (1e300, range(1, 5))])
+    def test_power_rounding_to_one_gives_the_double_below(self, base,
+                                                           cycles):
+        """1/(1 + b^-i) rounds to 1.0 for these cycles; h(i) is the largest
+        double below 1 there instead."""
+        s = HSchedule.power(base)
+        for i in cycles:
+            assert 1.0 / (1.0 + base ** -i) == 1.0
+            assert s.h(i) == math.nextafter(1.0, 0.0)
 
 
 class TestControllerConfig:
@@ -218,6 +227,74 @@ class TestHybridTrajectory:
             - 500.0 * (tr.z1 - tr.z_star)
         assert np.allclose(u, expected)
         assert np.allclose(tr.z2_hat, 0.25)
+
+
+def _same(got, expect):
+    """got is the array expect: same dtype, shape and bits."""
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+# (rows, value) of each mark: runs of one to four rows
+_MARKS = st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)),
+                  min_size=1, max_size=8)
+
+
+class TestMarkColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(marks=_MARKS, dtype=st.sampled_from([np.int64, np.float64]),
+           data=st.data())
+    def test_reads_as_its_expansion(self, marks, dtype, data):
+        """Every access equals that of np.repeat of the values over their
+        runs, on the column and on a column of its rows."""
+        counts = [c for c, _ in marks]
+        values = np.array([v for _, v in marks], dtype=dtype)
+        n = sum(counts)
+        full = np.repeat(values, counts)
+        col = MarkColumn(np.cumsum([0] + counts[:-1]), values, n)
+        rows = st.integers(-n - 2, n + 2)
+        lo, hi = data.draw(rows), data.draw(rows)
+        for c, f in [(col, full), (col.rows(slice(lo, hi)), full[lo:hi])]:
+            m = len(f)
+            assert len(c) == m and c.dtype == f.dtype
+            _same(np.asarray(c), f)
+            _same(c[:], f)
+            first, vals = c.marks()
+            _same(np.repeat(vals, np.diff(first, append=m)), f)
+            if m:
+                r = data.draw(st.integers(-m, m - 1))
+                got = c[r]
+                assert type(got) is type(f[r]) and got == f[r]
+            for bad in (m, -m - 1):
+                with pytest.raises(IndexError):
+                    c[bad]
+            a, b = data.draw(rows), data.draw(rows)
+            step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+            _same(c[a:b:step], f[a:b:step])
+            _same(c[a:a], f[a:a])
+            idx = data.draw(st.lists(st.integers(-m, m - 1), max_size=6)
+                            if m else st.just([]))
+            _same(c[idx], f[idx])
+            _same(c[np.array(idx, dtype=np.int64)], f[idx])
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=m,
+                                               max_size=m)), dtype=bool)
+            _same(c[mask], f[mask])
+
+    def test_of_an_array_keeps_every_bit(self):
+        col = np.array([0.0, -0.0, -0.0, math.nan, math.nan, 1.0, 1.0])
+        marks = MarkColumn.of(col)
+        assert marks.marks()[0].tolist() == [0, 1, 3, 5]
+        _same(np.asarray(marks), col)
+        assert len(MarkColumn.of(np.zeros(0, np.int64))) == 0
+
+    def test_does_not_compare(self):
+        """== and != raise, as < does, instead of comparing identities."""
+        col = MarkColumn([0, 2], np.array([0, 1]), 3)
+        for op in (lambda: col == 1, lambda: col != 1, lambda: col < 1):
+            with pytest.raises(TypeError):
+                op()
+        assert (np.array([0, 0, 1]) == col).all()
 
 
 class TestSolverConfig:

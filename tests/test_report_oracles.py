@@ -21,7 +21,8 @@ from xbstab.analysis import (_within_cycle_period, check_dwell_lower_bound,
 from xbstab.cli import _sanitize
 from xbstab.errors import CycleNotFound, NoExcitation
 from xbstab.lyapunov import decay_certificate, dwell_certificate
-from xbstab.model import JumpKind, JumpRecord
+from xbstab.model import (HybridTrajectory, JumpKind, JumpRecord,
+                          MarkColumn)
 
 from test_analysis import _fake_decay, make_traj
 from test_model import make_cfg
@@ -144,6 +145,81 @@ def test_blocked_passes_match_whole_columns(sv_params, sv_cert, seed, n,
         for i in np.unique(traj.cycle).tolist():
             assert (check_envelope(traj, decay, i)
                     == old.check_envelope(traj, decay, i))
+
+
+def _marked_arc(seed: int, n_marks: int):
+    """An arc kept as simulate keeps it: j, cycle and z_star as
+    MarkColumns over one mark per flow interval, each mark's first row
+    the post-jump copy of the row before it. Within-cycle jumps flip z*,
+    cycle jumps halve it; the cycle column repeats its value over the
+    marks of one cycle, as the engine's does."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 12, n_marks)
+    n = int(counts.sum())
+    first = np.concatenate(([0], np.cumsum(counts[:-1])))
+    new_cycle = rng.random(n_marks) < 0.3
+    new_cycle[0] = False
+    cyc = np.cumsum(new_cycle)
+    sign = np.cumprod(np.where(new_cycle, 1.0, -1.0))
+    z_star = 75.0 / 2.0 ** cyc * sign
+    dt = rng.choice([1e-3, 2e-3, 0.1], n - 1, p=[0.5, 0.4, 0.1])
+    dt[first[1:] - 1] = 0.0
+    t = np.concatenate([[0.0], np.cumsum(dt)])
+    z1 = (rng.choice([0.0, 10.0, 30.0, 60.0, 200.0], n)
+          * rng.choice([-1, 1], n))
+    zt = (rng.standard_normal((n, 2))
+          * np.exp(rng.uniform(-3.0, 3.0) * np.sin(t * rng.uniform(1, 9)))
+          [:, None])
+    return HybridTrajectory(
+        t=t, j=MarkColumn(first, np.arange(n_marks), n),
+        cycle=MarkColumn(first, cyc, n), tau=np.zeros(n), z1=z1,
+        z2=rng.uniform(-0.5, 1.0, n), z_tilde1=zt[:, 0], z_tilde2=zt[:, 1],
+        z_star=MarkColumn(first, z_star, n),
+        phi=1.0 + 1e-3 * rng.standard_normal((n, 4)),
+        jumps=[JumpRecord(t=float(t[r]), j=k,
+                          kind=(JumpKind.NEW_CYCLE if new_cycle[k + 1]
+                                else JumpKind.WITHIN_CYCLE))
+               for k, r in enumerate(first[1:].tolist())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_marks=st.integers(1, 12),
+       rows=_ROWS, kappa=st.sampled_from([0.5, 1.0, 2.0]),
+       rate=st.sampled_from([0.0, 1.0, 30.0]))
+def test_marks_backed_arc_matches_whole_columns(sv_params, sv_cert, seed,
+                                                n_marks, rows, kappa, rate):
+    """cycle_slices, extract_dwell and verify_bounds on an arc whose j,
+    cycle and z_star are per-jump marks equal the whole-column oracles,
+    for every block size."""
+    traj = _marked_arc(seed, n_marks)
+    traj.validate_domain()
+    decay = _fake_decay(kappa, rate, 1.0)
+    cfg = make_cfg()
+
+    def dwell(extract):
+        try:
+            return extract(traj).to_dict()
+        except NoExcitation as exc:
+            return str(exc)
+
+    cycles = np.unique(traj.cycle).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        assert list(cycle_slices(traj).items()) == [
+            (i, old.cycle_slice(traj, i)) for i in cycles]
+        assert dwell(extract_dwell) == dwell(old.extract_dwell)
+        for i in cycles:
+            rep = verify_bounds(traj, sv_params, cfg, sv_cert, decay, i)
+            env = old.check_envelope(traj, decay, i)
+            assert ((rep.vobs_monotone, rep.vobs_worst_violation)
+                    == old.check_vobs_monotone(traj, sv_cert))
+            assert ((rep.envelope_ok, rep.envelope_T, rep.envelope_margin)
+                    == (env["envelope_ok"], env["T"], env["margin"]))
+            assert rep.phi_oracle_max_err == old.check_phi_oracle(traj)
+            assert ((rep.dwell_ok, rep.dwell_min_ratio)
+                    == old.check_dwell_lower_bound(traj, sv_params, cfg))
+            assert rep.z2_floor_margin == float(
+                np.min(traj.z2 - sv_params.z2_floor) / -sv_params.z2_floor)
 
 
 def test_within_cycle_pairs_match_oracle_on_golden_run(golden_run, sv_params,
