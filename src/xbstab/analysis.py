@@ -353,7 +353,10 @@ def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
     The comparison system dz2/dt = M (c z2 + d), M = max |z1| over cycle
     i_star, from z2(0) = (d/c + eps)/2^(i*-1), has the closed form
     z2(t) = (z2(0) + d/c) e^(M c t) - d/c; it is evaluated over the
-    matched initial phase [t_c, t_c + T_lmin].
+    matched initial phase [t_c, t_c + T_lmin]: the rows from the cycle's
+    first on with t <= t_c + T_lmin, past the cycle's end when the cycle
+    is shorter. t never decreases, so they end where a search of t, a
+    block at a time, first finds a later t.
     """
     if i_star < 1:
         raise CycleNotFound("comparison bound applies to cycles i >= 1")
@@ -364,8 +367,12 @@ def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
     _, _, t_lmin = dwell_time_lower_bound(params, cfg, i_star)
     z2_0 = (d / c + cfg.epsilon) / 2.0 ** (i_star - 1)
 
-    sel = (traj.t >= t_c) & (traj.t <= t_c + t_lmin)
-    sel[:sl.start] = False
+    for b in _blocks(slice(sl.start, len(traj))):
+        stop = b.start + int(np.searchsorted(traj.t[b], t_c + t_lmin,
+                                             side="right"))
+        if stop < b.stop:
+            break
+    sel = slice(sl.start, stop)
     ts = traj.t[sel] - t_c
     bound = z2_0 + (z2_0 + d / c) * np.expm1(M * c * np.clip(ts, 0.0, t_lmin))
     return ts, traj.z2[sel], bound

@@ -12,15 +12,19 @@ A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
 writes into directly, through a window that ends _INIT_BUFFER_ROWS rows
 past the recorded ones. The array starts with room for the start row and
 the first window, and grows between calls by allocate-and-copy, at least
-doubling, when a window would pass its end. j, cycle and z_star change
-only at jumps: the trajectory keeps them as MarkColumns over one (first
-row, j, cycle, z_star) mark per run of rows, and its other columns, phi
-included, are views of the rows.
+doubling, when a window would pass its end. The row array, each grown
+copy of it and the kernel's span table live in anonymous memory mapped
+in base pages (_Arc._buffer), so reserved capacity is resident only in
+the 4 KB pages a run writes. j, cycle and z_star change only at jumps:
+the trajectory keeps them as MarkColumns over one (first row, j, cycle,
+z_star) mark per run of rows, and its other columns, phi included, are
+views of the rows.
 """
 
 from __future__ import annotations
 
 import collections
+import mmap
 
 import numpy as np
 
@@ -34,6 +38,9 @@ from .model import (ControllerConfig, HybridState, HybridTrajectory,
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
+# private, so that forked CSV writers see the rows copy-on-write
+_MAP_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
+    else {}
 
 
 def initial_cycle(cfg: ControllerConfig, gamma: float) -> int:
@@ -103,23 +110,43 @@ def _y_to_state(y: np.ndarray, cycle: int, z_star: float) -> HybridState:
 
 class _Arc:
     """The rows (t, y) of a run, a (first row, j, cycle, z_star) mark per
-    run of rows sharing those three, and the jump records."""
+    run of rows sharing those three, and the jump records.
+
+    The row array, its grown copies and the span table come from _buffer,
+    so their reserved capacity costs memory only where the run writes.
+    """
 
     def __init__(self):
         # the start row and the first window
-        self.rows = np.empty((_INIT_BUFFER_ROWS + 1, 10))
+        self.rows = self._buffer(_INIT_BUFFER_ROWS + 1, 10)
         self.n = 0
         self.marks = []
         self.jumps = []
         # a window holds _INIT_BUFFER_ROWS rows, each descriptor at least 2
-        self.spans = np.empty((_INIT_BUFFER_ROWS // 2, fastpath.N_SP))
+        self.spans = self._buffer(_INIT_BUFFER_ROWS // 2, fastpath.N_SP)
+
+    @staticmethod
+    def _buffer(rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) float array over its own anonymous mapping, which
+        the array keeps alive and which is unmapped with it.
+
+        The pages are zero until written and become resident one 4 KB page
+        at a time: the mapping is advised against transparent huge pages
+        (MADV_NOHUGEPAGE, where mmap has it), which numpy requests for
+        every array of 4 MB or more, and which would make a reserved
+        window resident in 2 MB steps.
+        """
+        mem = mmap.mmap(-1, rows * cols * 8, **_MAP_PRIVATE)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            mem.madvise(mmap.MADV_NOHUGEPAGE)
+        return np.frombuffer(mem, float).reshape(rows, cols)
 
     def window(self) -> np.ndarray:
         """The rows up to _INIT_BUFFER_ROWS past the recorded ones, after
-        growing the array (np.empty: ndarray.resize would touch it all)."""
+        growing the array by copying the recorded rows into a new one."""
         end = self.n + _INIT_BUFFER_ROWS
         if end > len(self.rows):
-            grown = np.empty((max(end, 2 * len(self.rows)), 10))
+            grown = self._buffer(max(end, 2 * len(self.rows)), 10)
             grown[:self.n] = self.rows[:self.n]
             self.rows = grown
         return self.rows[:end]

@@ -5,9 +5,11 @@ The quadratic certificate solves
 
     A_i' P + P A_i = -C'C,   i in {1, 2},
 
-exactly (a 3x3 linear system in the entries of P) and is the basis for the
-cycle-exit test of the hybrid engine. The decay certificate reproduces the
-constructive estimation-error envelope
+by the closed form of the 2x2 Lyapunov equation, and is the basis for the
+cycle-exit test of the hybrid engine. Both certificates are 2x2 algebra,
+written out in float arithmetic and the math module (P, its eigenvalues,
+the residuals and the spectral norms), so a run never calls LAPACK. The
+decay certificate reproduces the constructive estimation-error envelope
 
     |z_tilde(t)| <= kappa1 |z_tilde(t0)| exp(-kappa2 mu (t - t0)),
 
@@ -62,40 +64,62 @@ class LyapunovCertificate:
     to_dict = as_dict
 
 
-def solve_common_lyapunov(gains: ObserverGains) -> LyapunovCertificate:
-    """Solve A_i' P + P A_i = -C'C for both error modes.
+def _norm2(m11: float, m12: float, m21: float, m22: float) -> float:
+    """||M||_2 of the 2x2 matrix [[m11, m12], [m21, m22]] in closed form:
+    its largest singular value,
+    (hypot(m11 + m22, m21 - m12) + hypot(m11 - m22, m12 + m21)) / 2."""
+    return 0.5 * (math.hypot(m11 + m22, m21 - m12)
+                  + math.hypot(m11 - m22, m12 + m21))
 
-    The symmetric unknown (p11, p12, p22) is obtained from the 3x3 linear
-    system induced by A1; the residual for A2 must then vanish by the gain
-    equality constraints and is verified to 1e-9 in spectral norm.
+
+def _residual_norm(A: np.ndarray, p11: float, p12: float,
+                   p22: float) -> float:
+    """||A' P + P A + C'C||_2, the residual written entrywise."""
+    (a11, a12), (a21, a22) = A.tolist()
+    r12 = a12 * p11 + (a11 + a22) * p12 + a21 * p22
+    return _norm2(2.0 * (a11 * p11 + a21 * p12) + 1.0, r12, r12,
+                  2.0 * (a12 * p12 + a22 * p22))
+
+
+def solve_common_lyapunov(gains: ObserverGains) -> LyapunovCertificate:
+    """Solve A_i' P + P A_i = -C'C for both error modes, in closed form.
+
+    For a 2x2 A with trace t and determinant D, A' P + P A = -Q has the
+    solution P = (D Q + B' Q B) / (-2 t D) with B = A - t I. With A = A1
+    and Q = C'C = [[1, 0], [0, 0]] it reads
+    P = [[D + a22^2, -a12 a22], [-a12 a22, a12^2]] / (-2 t D).
+    The residual for A2 must then vanish by the gain equality constraints
+    and is verified to 1e-9 in spectral norm (_norm2). P is positive
+    definite when p22 > 0 and det P = D a12^2 / (2 t D)^2 = D p22 / (-2 t D)
+    > 0, a form without the cancellation of p11 p22 - p12^2. Its
+    eigenvalues are lambda_max = (p11 + p22)/2 + hypot((p11 - p22)/2, p12)
+    and lambda_min = det P / lambda_max. Only float arithmetic and the math
+    module are used, so certifying calls no LAPACK.
     """
     A1, A2 = gains.A1, gains.A2
-    a11, a12 = A1[0]
-    a21, a22 = A1[1]
-    M = np.array([
-        [2.0 * a11, 2.0 * a21, 0.0],
-        [a12, a11 + a22, a21],
-        [0.0, 2.0 * a12, 2.0 * a22],
-    ])
-    rhs = np.array([-1.0, 0.0, 0.0])
-    try:
-        p11, p12, p22 = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoCertificate(f"Lyapunov system is singular: {exc}") from exc
+    (a11, a12), (a21, a22) = A1.tolist()
+    trace, det = a11 + a22, a11 * a22 - a12 * a21
+    den = -2.0 * trace * det
+    if den == 0.0 or not math.isfinite(den):
+        raise NoCertificate(f"Lyapunov system is singular: trace {trace}, "
+                            f"determinant {det} of A1")
+    p11, p12, p22 = (det + a22 * a22) / den, -a12 * a22 / den, a12 * a12 / den
     P = np.array([[p11, p12], [p12, p22]])
 
-    CtC = np.array([[1.0, 0.0], [0.0, 0.0]])
-    res = [float(np.linalg.norm(A.T @ P + P @ A + CtC, 2)) for A in (A1, A2)]
-    eigs = np.linalg.eigvalsh(P)
-    if eigs[0] <= 0:
-        raise NoCertificate(f"P is not positive definite (eigs={eigs})")
+    res = [_residual_norm(A, p11, p12, p22) for A in (A1, A2)]
+    det_p = det * p22 / den
+    if not (p22 > 0 and det_p > 0):
+        raise NoCertificate(f"P is not positive definite (p22={p22}, "
+                            f"det P={det_p})")
+    lam_max = 0.5 * (p11 + p22) + math.hypot(0.5 * (p11 - p22), p12)
+    lam_min = det_p / lam_max
     if max(res) > _RESIDUAL_TOL:
         raise NoCertificate(f"Lyapunov residuals too large: {res}")
     return LyapunovCertificate(
         P=P,
-        lambda_min=float(eigs[0]),
-        lambda_max=float(eigs[1]),
-        gamma=float(math.sqrt(eigs[1] / eigs[0])),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        gamma=math.sqrt(lam_max / lam_min),
         residual_1=res[0],
         residual_2=res[1],
     )
@@ -237,13 +261,15 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
     rate lambda is searched on a logarithmic grid; L is the smallest grid
     value reaching rho <= 0.9, falling back to the best rho < 1 when
     the target is out of reach (the constants are conservative by design).
+    The overshoot log c_bar = max_i ||A_i||_2 z_bar tau_s takes the
+    spectral norms in closed form (_norm2).
     """
     tau_d, tau_s, z_under, z_bar = assumption
     if min(tau_d, z_under, z_bar) <= 0 or tau_s < 0:
         raise ValueError("dwell quantities must be strictly positive "
                          "(tau_s may be zero)")
     A1, A2 = gains.A1, gains.A2
-    a_norm = max(np.linalg.norm(A1, 2), np.linalg.norm(A2, 2))
+    a_norm = max(_norm2(*A.ravel().tolist()) for A in (A1, A2))
     log_c_bar = a_norm * z_bar * tau_s
     c_bar = math.exp(log_c_bar) if log_c_bar < 700 else math.inf
 

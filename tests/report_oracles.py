@@ -3,8 +3,9 @@ within-cycle jump pairing and the report serializers as they were written
 before the cycles were indexed in one pass and the reports serialized
 through model.as_dict, and the excitation report and the per-sample bound
 checks as they were written over whole columns, before they read the arc
-in blocks of rows. The bodies are kept as they were; the tests check the
-package against them."""
+in blocks of rows, and the overshoot comparison as it selected its rows
+with boolean masks over the whole of t. The bodies are kept as they were;
+the tests check the package against them."""
 
 from __future__ import annotations
 
@@ -196,6 +197,25 @@ def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
     T = float(t[start] - t0)
     margin = float((log_bound[start:] - log_mag[start:]).min())
     return {"envelope_ok": True, "T": T, "margin": margin}
+
+
+def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
+                         cfg: ControllerConfig, i_star: int):
+    """analysis.overshoot_comparison."""
+    if i_star < 1:
+        raise CycleNotFound("comparison bound applies to cycles i >= 1")
+    sl = cycle_slice(traj, i_star)
+    t_c = traj.t[sl.start]
+    c, d = params.c, params.d
+    M = float(np.abs(traj.z1[sl]).max())
+    _, _, t_lmin = dwell_time_lower_bound(params, cfg, i_star)
+    z2_0 = (d / c + cfg.epsilon) / 2.0 ** (i_star - 1)
+
+    sel = (traj.t >= t_c) & (traj.t <= t_c + t_lmin)
+    sel[:sl.start] = False
+    ts = traj.t[sel] - t_c
+    bound = z2_0 + (z2_0 + d / c) * np.expm1(M * c * np.clip(ts, 0.0, t_lmin))
+    return ts, traj.z2[sel], bound
 
 
 def dwell_report_to_dict(self) -> dict:

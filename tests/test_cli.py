@@ -1166,6 +1166,38 @@ def test_run_does_not_load_numpy_ma(short_scenario, tmp_path):
     assert proc.stdout.split() == ["0", "False", "False"]
 
 
+class _LapackCalled(Exception):
+    """Raised by the stand-ins for numpy.linalg's LAPACK routines."""
+
+
+def test_run_calls_no_lapack(monkeypatch, short_scenario, tmp_path):
+    """Certifying takes closed forms, so a run loads no LAPACK (whose
+    first calls keep about 1.4 MB of OpenBLAS resident): with solve,
+    eigvalsh, eigvals, eig, svd and inv raising, where both numpy.linalg
+    and the norm inside it (norm(., 2) calls svd) find them, the 20 ms
+    run still passes every check."""
+    try:
+        from numpy.linalg import _linalg as impl
+    except ImportError:         # numpy < 2
+        from numpy.linalg import linalg as impl
+    calls = []
+
+    def refuse(name):
+        def lapack(*args, **kwargs):
+            calls.append(name)
+            raise _LapackCalled(name)
+        return lapack
+
+    for name in ("solve", "eigvalsh", "eigvals", "eig", "svd", "inv"):
+        monkeypatch.setattr(impl, name, refuse(name))
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    assert run_scenario(short_scenario, out_dir=tmp_path / "out") == 0
+    assert calls == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text(
+        encoding="utf-8"))
+    assert report["all_checks_passed"]
+
+
 def test_cli_import_does_not_load_multiprocessing():
     """The split CSV writer forks with os.fork, and its formatter builds
     exact powers of ten from ints; importing the CLI must not pay for

@@ -3,6 +3,8 @@ execution loop, with a scipy reference integration as oracle."""
 
 import dataclasses
 import math
+import mmap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.integrate import solve_ivp
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
                     ZenoSuspected, engine, fastpath, initialize, simulate)
 from xbstab.analysis import cycle_slice
+from xbstab.cli import build_scenario
 from xbstab.engine import _Arc, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
 from xbstab.model import MarkColumn, g_of
@@ -450,6 +453,59 @@ def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
     assert len(views) == 7 and len(arrays) > 7      # the marks were reached
     for a in arrays:
         assert np.shares_memory(a, rows) or a.size <= marks, a.shape
+
+
+def _smaps_entry(address: int) -> dict:
+    """The /proc/self/smaps fields of the mapping that holds `address`."""
+    entry = None
+    with open("/proc/self/smaps", encoding="ascii") as fh:
+        for line in fh:
+            head = line.split(None, 1)[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                if entry is not None:
+                    break
+                if lo <= address < hi:
+                    entry = {}
+            elif entry is not None:
+                key, _, value = line.partition(":")
+                entry[key] = value.strip()
+    assert entry is not None, hex(address)
+    return entry
+
+
+@pytest.mark.skipif(not (Path("/proc/self/smaps").exists()
+                         and hasattr(mmap, "MADV_NOHUGEPAGE")),
+                    reason="needs /proc/self/smaps and MADV_NOHUGEPAGE")
+def test_arc_buffers_are_in_base_pages(monkeypatch, scenario_dict):
+    """After simulate of the shipped scenario, whose rows outgrow the first
+    array, the mappings that hold the rows behind traj.t and the span
+    table hold no transparent huge page: reserved rows are resident only
+    in the 4 KB pages the run wrote."""
+    arcs = []
+
+    class Recorded(_Arc):
+        def __init__(self):
+            super().__init__()
+            arcs.append(self)
+
+    monkeypatch.setattr(engine, "_Arc", Recorded)
+    scn = build_scenario(scenario_dict)
+    traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
+                    scn.z0, scn.z_hat0, k=scn.k)
+    assert len(traj) > engine._INIT_BUFFER_ROWS // 4
+    t = traj.t
+    first, last = t.ctypes.data, t.ctypes.data + (len(t) - 1) * t.strides[0]
+    spans = arcs[0].spans
+    entries = {hex(address): _smaps_entry(address)
+               for address in (first, last, spans.ctypes.data,
+                               spans.ctypes.data + spans.nbytes - 1)}
+    assert {address: entry["AnonHugePages"]
+            for address, entry in entries.items()} \
+        == dict.fromkeys(entries, "0 kB")
+    for address, entry in entries.items():
+        if "VmFlags" in entry:
+            assert "nh" in entry["VmFlags"].split(), address
 
 
 def test_z1_roots_are_recorded(dense_20ms):

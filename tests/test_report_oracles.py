@@ -17,10 +17,12 @@ from xbstab import analysis
 from xbstab.analysis import (_within_cycle_period, check_dwell_lower_bound,
                              check_envelope, check_phi_oracle,
                              check_vobs_monotone, cycle_slice, cycle_slices,
-                             extract_dwell, verify_bounds)
+                             extract_dwell, overshoot_comparison,
+                             verify_bounds)
 from xbstab.cli import _sanitize
 from xbstab.errors import CycleNotFound, NoExcitation
-from xbstab.lyapunov import decay_certificate, dwell_certificate
+from xbstab.lyapunov import (decay_certificate, dwell_certificate,
+                             dwell_time_lower_bound)
 from xbstab.model import (HybridTrajectory, JumpKind, JumpRecord,
                           MarkColumn)
 
@@ -234,6 +236,44 @@ def test_within_cycle_pairs_match_oracle_on_golden_run(golden_run, sv_params,
     assert list(cycle_slices(golden_run).items()) == [
         (i, old.cycle_slice(golden_run, i))
         for i in np.unique(golden_run.cycle).tolist()]
+
+
+def _assert_same_bits(new, expect):
+    for a, b in zip(new, expect, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [7, None])
+@pytest.mark.parametrize("i_star", [1, 2])
+def test_overshoot_rows_match_masks_on_golden_run(golden_run, sv_params,
+                                                  sv_cfg, i_star, rows):
+    """overshoot_comparison finds its last row by a search of t, a block at
+    a time: (ts, z2, bound) are the whole-column masks' bit for bit."""
+    expect = old.overshoot_comparison(golden_run, sv_params, sv_cfg, i_star)
+    assert expect[0].size > 100
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        _assert_same_bits(overshoot_comparison(golden_run, sv_params, sv_cfg,
+                                               i_star), expect)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, analysis._BLOCK_ROWS])
+def test_overshoot_rows_run_past_a_short_cycle(sv_params, sv_cfg, rows):
+    """A cycle shorter than T_lmin: the rows of the next cycle up to
+    t_c + T_lmin are selected too, a repeated t at that end included, as
+    the masks select them."""
+    _, _, t_lmin = dwell_time_lower_bound(sv_params, sv_cfg, 1)
+    t = np.arange(40) * 5e-5
+    t[20:22] = t[10] + t_lmin               # the end, at a jump's two rows
+    cycle = np.array([0] * 10 + [1] * 4 + [2] * 26)
+    traj = make_traj(t, np.linspace(1.0, 2.0, 40), cycle=cycle)
+    expect = old.overshoot_comparison(traj, sv_params, sv_cfg, 1)
+    assert expect[0].size == 12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        _assert_same_bits(overshoot_comparison(traj, sv_params, sv_cfg, 1),
+                          expect)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from pathlib import Path
 from xbstab.cli import main
 
 import rundiff
+import workload_outputs
 
 
 def _run(tmp_path, scenario_dict, name, rel_tol):
@@ -47,3 +48,18 @@ def test_tolerance_change_moves_jumps_not_verdicts(tmp_path, scenario_dict):
                           str(parent)], capture_output=True, text=True,
                          check=True).stdout
     assert json.loads(out)["."]["moved"] == {}
+
+
+def test_workload_outputs_layout(tmp_path):
+    """tests/workload_outputs.py runs a checkout's xbstab run on a
+    benchmark workload's input, written beside the run's directory."""
+    root = Path(workload_outputs.__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    assert workload_outputs.main([str(root), str(out), "--workload",
+                                  "bundled_dense", "--seed", "1"]) == 0
+    config = json.loads((out / "bundled_dense-seed1.json").read_text(
+        encoding="utf-8"))
+    assert config == workload_outputs._workloads().scenario(
+        root, "bundled_dense", 1)
+    assert sorted(p.name for p in (out / "bundled_dense-seed1").iterdir()) \
+        == ["phase.csv", "report.json", "timeseries.csv", "trajectory.csv"]
