@@ -248,10 +248,12 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
         window = float(t[-1] - t[0])
     mu = 0.0
     if window > 0:
-        means, lo_row, hi_row = [], 0, 0
+        # a window starts on a sample, where np.interp would return the
+        # integral's own value (a t repeated at a jump has an equal one)
+        means, hi_row = [], 0
         lo_cum, hi_cum = _Integral(traj), _Integral(traj)
         for b in _blocks(slice(0, m)):
-            lo, lo_row = _interp_sorted(t[b], t, lo_cum, lo_row)
+            lo = lo_cum[b]
             hi, hi_row = _interp_sorted(t[b] + window, t, hi_cum, hi_row)
             means.append(((hi - lo) / window).min())
         mu = float(np.min(means))

@@ -16,14 +16,13 @@ doubling, when a window would pass its end. The row array, each grown
 copy of it and the kernel's span table live in anonymous memory mapped
 in base pages (_Arc._buffer), so reserved capacity is resident only in
 the 4 KB pages a run writes. j, cycle and z_star change only at jumps:
-the trajectory keeps them as MarkColumns over one (first row, j, cycle,
-z_star) mark per run of rows, and its other columns, phi included, are
-views of the rows.
+the run keeps one (first row, cycle, z_star) mark per run of rows, whose
+index is j, and the trajectory reads j, cycle, z_star and the jump log
+off those marks; its other columns, phi included, are views of the rows.
 """
 
 from __future__ import annotations
 
-import collections
 import mmap
 
 import numpy as np
@@ -109,8 +108,8 @@ def _y_to_state(y: np.ndarray, cycle: int, z_star: float) -> HybridState:
 
 
 class _Arc:
-    """The rows (t, y) of a run, a (first row, j, cycle, z_star) mark per
-    run of rows sharing those three, and the jump records.
+    """The rows (t, y) of a run and a (first row, cycle, z_star) mark per
+    run of rows between jumps: mark j opens the rows of jump counter j.
 
     The row array, its grown copies and the span table come from _buffer,
     so their reserved capacity costs memory only where the run writes.
@@ -121,7 +120,6 @@ class _Arc:
         self.rows = self._buffer(_INIT_BUFFER_ROWS + 1, 10)
         self.n = 0
         self.marks = []
-        self.jumps = []
         # a window holds _INIT_BUFFER_ROWS rows, each descriptor at least 2
         self.spans = self._buffer(_INIT_BUFFER_ROWS // 2, fastpath.N_SP)
 
@@ -155,23 +153,32 @@ class _Arc:
         self.window()[self.n] = (t, *y)
         self.n += 1
 
-    def add_state(self, t: float, state: HybridState, j: int):
-        self.marks.append((self.n, j, state.cycle, state.z_star))
+    def add_state(self, t: float, state: HybridState):
+        self.marks.append((self.n, state.cycle, state.z_star))
         self.add_row(t, _state_to_y(state))
+
+    def jump_t(self, k: int) -> float:
+        """The time of jump k, the t of mark k + 1's first row."""
+        return float(self.rows[self.marks[k + 1][0], 0])
 
     def trajectory(self) -> HybridTrajectory:
         """The recorded arc: every float column is a view of the rows, and
-        j, cycle and z_star are MarkColumns over the marks."""
+        j, cycle and z_star are MarkColumns over the marks. Jump k is a
+        NewCycle where mark k + 1 starts a new cycle, else a WithinCycle."""
         data = self.rows[:self.n]
-        first, j, cyc, zs = zip(*self.marks)
+        first, cyc, zs = zip(*self.marks)
         first = np.array(first, np.int64)
+        jumps = [JumpRecord(t=self.jump_t(k), j=k,
+                            kind=JumpKind.NEW_CYCLE if cyc[k + 1] != cyc[k]
+                            else JumpKind.WITHIN_CYCLE)
+                 for k in range(len(first) - 1)]
         return HybridTrajectory(
-            t=data[:, 0], j=MarkColumn(first, np.array(j, np.int64), self.n),
+            t=data[:, 0], j=MarkColumn(first, np.arange(len(first)), self.n),
             cycle=MarkColumn(first, np.array(cyc, np.int64), self.n),
             tau=data[:, 1], z1=data[:, 2], z2=data[:, 3],
             z_tilde1=data[:, 4], z_tilde2=data[:, 5],
             z_star=MarkColumn(first, np.array(zs, float), self.n),
-            phi=data[:, 6:10], jumps=self.jumps)
+            phi=data[:, 6:10], jumps=jumps)
 
 
 def _dc_threshold(params: PlantParams, cfg: ControllerConfig,
@@ -241,7 +248,7 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     run's constants `run` (fastpath.run_constants).
 
     Records the samples after the start sample into arc and returns
-    (code, t_final, state_final, bracket_width). The kernel writes them
+    (code, t_final, state_final). The kernel writes them
     straight into arc.window() from row arc.n on: the _INIT_BUFFER_ROWS
     rows past arc.n, which must exceed one step's worst case
     (fastpath.MAX_STEP_ROWS). When they fill, the interrupted point is
@@ -252,15 +259,15 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
                          f"hold one step ({fastpath.MAX_STEP_ROWS} rows)")
     sc = (run, _segment_constants(params, cfg, cert, state))
     y = _state_to_y(state)
-    ret = np.zeros(5)
+    ret = np.zeros(4)
     t_fin = t_start
     while True:
         buf = arc.window()
         fastpath.flow_segment(y, t_fin, sc, buf, arc.n, ret, arc.spans)
         code, t_fin = int(ret[0]), float(ret[1])
         arc.n = int(ret[2])
-        if ret[4] > 0:
-            emission.fill_spans(buf, arc.spans, int(ret[4]))
+        if ret[3] > 0:
+            emission.fill_spans(buf, arc.spans, int(ret[3]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
         arc.add_row(t_fin, y)
@@ -269,8 +276,7 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
             f"z2 reached -d/c={params.z2_floor} at t={t_fin}")
     if code == fastpath.CODE_STEP_FAILURE:
         raise StepFailure(f"step size underflow at t={t_fin}")
-    return code, t_fin, _y_to_state(y, state.cycle, state.z_star), \
-        float(ret[3])
+    return code, t_fin, _y_to_state(y, state.cycle, state.z_star)
 
 
 def simulate(params: PlantParams, gains: ObserverGains,
@@ -297,43 +303,42 @@ def simulate(params: PlantParams, gains: ObserverGains,
 
     The arc is held once, in the array of the module docstring: the
     returned columns t, tau, z1 to z_tilde2 and phi are views of it, and
-    j, cycle and z_star are MarkColumns over one mark per jump.
+    j, cycle, z_star and the jump log are read off one (first row, cycle,
+    z_star) mark per jump and one for the start (_Arc.trajectory).
     """
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)
     arc = _Arc()
-    arc.add_state(0.0, state, 0)
+    arc.add_state(0.0, state)
 
-    t, j = 0.0, 0
+    t = 0.0
+    kind = None                 # of the last jump
     chained = 0                 # jumps in a row from segments without flow
-    window = collections.deque()
+    lo = 0                      # the first jump in the Zeno window
 
     while True:
         t_start = t
-        code, t, state, _ = _run_segment(params, cert, cfg, run, state, t,
-                                         arc)
+        code, t, state = _run_segment(params, cert, cfg, run, state, t, arc)
         if code == fastpath.CODE_HORIZON or code == fastpath.CODE_CONVERGED:
             break
+        last = kind
         kind = JumpKind.WITHIN_CYCLE if code == fastpath.CODE_DC \
             else JumpKind.NEW_CYCLE
         if t > t_start:
             chained = 0
         else:
             chained += 1
-            if kind is JumpKind.WITHIN_CYCLE and arc.jumps \
-                    and arc.jumps[-1].kind is JumpKind.WITHIN_CYCLE:
+            if kind is JumpKind.WITHIN_CYCLE and last is kind:
                 raise IllegalJump(
                     f"within-cycle guard re-fired without flow at t={t}")
         state = jump_map(state, kind)
-        arc.jumps.append(JumpRecord(t=t, j=j, kind=kind))
-        j += 1
-        arc.add_state(t, state, j)
-        window.append(t)
-        while window and window[0] < t - solver.zeno_window:
-            window.popleft()
-        if len(window) > solver.zeno_max_jumps:
+        arc.add_state(t, state)
+        jumps = len(arc.marks) - 1
+        while lo < jumps and arc.jump_t(lo) < t - solver.zeno_window:
+            lo += 1
+        if jumps - lo > solver.zeno_max_jumps:
             raise ZenoSuspected(
-                f"{len(window)} jumps within {solver.zeno_window} time units "
+                f"{jumps - lo} jumps within {solver.zeno_window} time units "
                 f"around t={t}")
         if kind is JumpKind.NEW_CYCLE and state.cycle >= cfg.max_cycles:
             break

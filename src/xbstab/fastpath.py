@@ -460,7 +460,7 @@ def _emit_span(buf, n, spans, ns, t0, h, tc, md, ya, tau0, tau1, ta, tau_a,
 @njit(cache=True)
 def _bisect_guard(t0, h, tc, md, ya, nx, tau0, tau1, g, event_tol):
     """Earliest guard activation in (t0, t0+h]; guard is false at t0 and
-    true at t0+h. Returns (t_event, width).
+    true at t0+h. Returns t_event.
 
     The event is located on the guard-true side: t_event is the upper end
     of a bracket of at most event_tol whose lower end is guard-false, and
@@ -483,19 +483,18 @@ def _bisect_guard(t0, h, tc, md, ya, nx, tau0, tau1, g, event_tol):
             hi = mid
         else:
             lo = mid
-    return hi, hi - lo
+    return hi
 
 
 @njit(cache=True)
-def _finish(y, ys, ret, code, t, n, width, ns):
+def _finish(y, ys, ret, code, t, n, ns):
     """Write the state ys back into y and the exit record into ret."""
     for m in range(9):
         y[m] = ys[m]
     ret[0] = code
     ret[1] = t
     ret[2] = n
-    ret[3] = width
-    ret[4] = ns
+    ret[3] = ns
 
 
 @njit(cache=True)
@@ -504,7 +503,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     = (run, seg) of the module docstring.
 
     Writes samples into buf starting at row n0 (10 columns: t then y) and
-    fills ret = [code, t_final, n_written, bracket_width, n_spans]. The
+    fills ret = [code, t_final, n_written, n_spans]. The
     interior rows of a recorded span are reserved, not written: the call
     leaves one descriptor per such span in spans[:n_spans], and
     emission.fill_spans(buf, spans, n_spans) writes them. spans needs
@@ -531,7 +530,6 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     # a guard already active at the segment start is a zero-width event;
     # the loop runs while code is 0, which is also CODE_HORIZON
     code = _guard_any(ys, g)
-    width = 0.0
 
     # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
     s = 1.0
@@ -626,8 +624,8 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
             if code != 0:
                 # an event ends the step, and the segment, at its point
-                t_new, width = _bisect_guard(t, hs, tc, md, ya, nx, ys[0],
-                                             y1[0], g, event_tol)
+                t_new = _bisect_guard(t, hs, tc, md, ya, nx, ys[0], y1[0], g,
+                                      event_tol)
                 ye = _dense(tc, md, ya, nx, ys[0], y1[0], (t_new - t) / hs)
             n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
                                y1[0], last_rec_t, last_rec_tau, last_rec_z1,
@@ -651,7 +649,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         elif code == 0 and converged:
             code = CODE_CONVERGED
 
-    _finish(y, ys, ret, code, t, n, width, ns)
+    _finish(y, ys, ret, code, t, n, ns)
 
 
 def run_constants(params, gains, k, cert, solver) -> tuple:

@@ -299,11 +299,10 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
         - math.log(lam)
     log_2gc2 = math.log(2.0 * gamma_r) + 2.0 * log_c_bar
 
-    # rho(L) = (2 gamma c_bar^2 e^{-2 lam L} + k_bar) / (1 + k_bar)
+    # rho(L) = (2 gamma c_bar^2 e^{-2 lam L} + k_bar) / (1 + k_bar); every
+    # grid L is at least 1.01 L0, so log_x <= -0.01 log_2gc2 <= -0.01 log 2
     def log_one_minus_rho_of(L: float) -> float:
         log_x = log_2gc2 - 2.0 * lam * L
-        if log_x >= 0.0:
-            return math.inf        # rho >= 1
         one_minus_x = -math.expm1(log_x)
         return math.log(one_minus_x) - np.logaddexp(0.0, log_k_bar)
 
@@ -311,8 +310,6 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
     chosen = None
     for L in np.geomspace(max(L0, 1e-12) * 1.01, max(L0, 1e-12) * 1e4, 200):
         lg = log_one_minus_rho_of(L)
-        if lg == math.inf:
-            continue
         one_minus_rho = math.exp(lg) if lg > -745 else 5e-324
         rho = 1.0 - one_minus_rho
         if rho >= 1.0:
@@ -322,9 +319,6 @@ def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
             break
         if chosen is None or rho < chosen[1]:
             chosen = (L, rho, lg)
-    if chosen is None or chosen[1] >= 1.0:
-        raise PlacementFailed("no window length yields a contraction "
-                              "factor below one")
     L, rho, lg = chosen
 
     # kappa1 = gamma (k_bar + 2 c_bar^2 gamma) / (rho (1 + k_bar))

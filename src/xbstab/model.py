@@ -318,9 +318,10 @@ class MarkColumn:
     mark per flow interval, instead of one value per row.
 
     It reads as the expanded column np.repeat(values, np.diff(first,
-    append=n)) does: an int index gives a NumPy scalar, a slice or an
-    index array (of ints or bools) a new array, and np.asarray the whole
-    column. rows(sl) is the column of rows sl, sharing the marks.
+    append=n)) does: an int index gives a NumPy scalar, a slice of step 1
+    a new array, and np.asarray the whole column; every other index is
+    NumPy's on the whole column. rows(sl) is the column of rows sl,
+    sharing the marks.
     """
 
     def __init__(self, first, values, n: int, start: int = 0):
@@ -390,36 +391,15 @@ class MarkColumn:
         return self._values[k - 1:m].repeat(edges[1:] - edges[:-1])
 
     def __getitem__(self, key):
-        n = self._n
+        rows = range(self._start, self._start + self._n)
         if isinstance(key, (int, np.integer)):
-            r = int(key)
-            if not -n <= r < n:
-                raise IndexError(f"row {r} out of range for {n} rows")
-            r += self._start + (n if r < 0 else 0)
-            return self._values[self._first.searchsorted(r, "right") - 1]
-        if isinstance(key, slice):
-            lo, hi, step = key.indices(n)
-            if step == 1:
-                if hi <= lo:
-                    return self._values[:0].copy()
-                return self._expand(self._start + lo, self._start + hi)
-            key = np.arange(lo, hi, step)
-        idx = np.asarray(key)
-        if idx.dtype == bool:
-            if idx.shape != (n,):
-                raise IndexError(f"a boolean index of shape {idx.shape} "
-                                 f"for {n} rows")
-            idx = np.flatnonzero(idx)
-        elif idx.size == 0:
-            idx = idx.astype(np.intp)
-        elif idx.dtype.kind not in "iu":
-            raise IndexError("a column takes an int, a slice or an array "
-                             "of ints or bools")
-        idx = np.where(idx < 0, idx + n, idx)
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
-            raise IndexError(f"index out of range for {n} rows")
-        return self._values[
-            self._first.searchsorted(idx + self._start, "right") - 1]
+            return self._values[self._first.searchsorted(rows[key],
+                                                         "right") - 1]
+        if isinstance(key, slice) and rows[key].step == 1:
+            rows = rows[key]
+            return self._expand(rows.start, rows.stop) if rows \
+                else self._values[:0].copy()
+        return self[:][key]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         col = self[:]
@@ -502,7 +482,7 @@ class HybridTrajectory:
         i_first, i = self.cycle.marks()
 
         def without_jump(rows):         # rows r whose j is that of r - 1
-            return np.any(self.j[rows] == self.j[rows - 1])
+            return any(self.j[r] == self.j[r - 1] for r in rows.tolist())
 
         if np.any(j[1:] < j[:-1]):
             raise ValueError("jump counter decreases")

@@ -24,6 +24,7 @@ from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
                         main, parse_h_schedule, run_scenario)
+from xbstab.lyapunov import decay_certificate, dwell_certificate
 from xbstab.model import HScheduleKind, HybridTrajectory, PlantParams
 
 from conftest import SCENARIO_PATH
@@ -870,6 +871,69 @@ class TestEndToEnd:
         assert err["error"]["type"] == "ValueError"
         assert "sweep_controller_k=500" in err["error"]["message"]
         assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    def _run_solver(self, tmp_path, scenario_dict, **solver):
+        """main's exit code and output directory for the shipped scenario
+        with the given solver fields."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["solver"].update(solver)
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        return main(["run", str(path), "--out", str(out)]), out
+
+    def test_no_excitation_falls_back_to_the_analytic_dwell(
+            self, tmp_path, scenario_dict):
+        """A 0.1 ms run has no interval with |z1| >= |z*|/2: excitation
+        fails, both dwell reports carry the error, and the decay
+        certificate takes the dwell data of dwell_certificate at cycle
+        max(2, i0)."""
+        rc, out = self._run_solver(tmp_path, scenario_dict, t_end=1e-4)
+        assert rc == 1
+        report = json.loads((out / "report.json").read_text())
+        results = report["checks"]["results"]
+        assert results.pop("excitation") is False
+        assert all(results.values())
+        error = {"error": "no interval with |z1| >= 0.5 |z*|"}
+        assert report["dwell_report"] == error
+        assert report["dwell_report_per_cycle"] == {"0": error}
+        scn = build_scenario(scenario_dict)
+        dc = dwell_certificate(scn.params, scn.cfg,
+                               max(2, report["initial_cycle"]))
+        decay = decay_certificate(scn.gains, scn.cert,
+                                  (dc.tau_di, dc.tau_si, dc.z_underbar_i,
+                                   dc.z_bar_i))
+        assert report["certificates"]["decay"]["mu"] == decay.mu
+
+    def test_step_size_underflow_writes_error_json(self, tmp_path,
+                                                   scenario_dict):
+        """Tolerances of 1e-30 shrink the first step below the smallest
+        one the kernel takes: StepFailure, in error.json alone."""
+        rc, out = self._run_solver(tmp_path, scenario_dict, rel_tol=1e-30,
+                                   abs_tol=1e-30)
+        assert rc == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == {"type": "StepFailure",
+                                "message": "step size underflow at t=0.0"}
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    def test_converged_run_stops_before_t_end(self, tmp_path, scenario_dict,
+                                              monkeypatch):
+        """With abs_tol 10, |z| + |z_tilde| < abs_tol soon holds: the
+        kernel returns CODE_CONVERGED, and the run ends there with a
+        report."""
+        codes = []
+        flow = fastpath.flow_segment
+
+        def recording_flow(y, t_start, sc, buf, n0, ret, spans):
+            flow(y, t_start, sc, buf, n0, ret, spans)
+            codes.append(int(ret[0]))
+
+        monkeypatch.setattr(fastpath, "flow_segment", recording_flow)
+        _, out = self._run_solver(tmp_path, scenario_dict, abs_tol=10.0)
+        assert codes[-1] == fastpath.CODE_CONVERGED
+        report = json.loads((out / "report.json").read_text())
+        assert 0.0 < report["t_final"] < scenario_dict["solver"]["t_end"]
 
     def test_checks_none_always_passes(self, short_scenario, tmp_path):
         out = tmp_path / "out"

@@ -125,22 +125,21 @@ def _reference_end(sv_params, sv_gains, y0, t_end):
                          f"restarts to reach t={t_end}")
 
 
-def integrate_flow(params, gains, cert, cfg, solver, state, t_start, j, k):
+def integrate_flow(params, gains, cert, cfg, solver, state, t_start, k):
     """One flow segment through engine._run_segment, as (segment, event).
 
     The segment includes the start sample; event is None at the horizon,
-    else its guard ("Dc" or "Dnc"), time and bracket width."""
+    else its guard ("Dc" or "Dnc") and time."""
     arc = _Arc()
-    arc.add_state(t_start, state, j)
-    code, t_fin, _, width = _run_segment(
+    arc.add_state(t_start, state)
+    code, t_fin, _ = _run_segment(
         params, cert, cfg, fastpath.run_constants(params, gains, k, cert,
                                                   solver),
         state, t_start, arc)
     event = None
     if code in (fastpath.CODE_DC, fastpath.CODE_DNC):
         event = SimpleNamespace(
-            t=t_fin, bracket_width=width,
-            guard="Dc" if code == fastpath.CODE_DC else "Dnc")
+            t=t_fin, guard="Dc" if code == fastpath.CODE_DC else "Dnc")
     return arc.trajectory(), event
 
 
@@ -151,7 +150,7 @@ class TestIntegrateFlow:
         t_end = 5e-4
         solver = SolverConfig(max_step=5.4e-5, t_end=t_end)
         seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
-                                    solver, state, 0.0, 0, k=500.0)
+                                    solver, state, 0.0, k=500.0)
         assert event is None
         assert seg.t[0] == 0.0 and seg.t[-1] == pytest.approx(t_end)
 
@@ -169,7 +168,7 @@ class TestIntegrateFlow:
         t_end = 5e-4
         solver = SolverConfig(max_step=5.4e-5, t_end=t_end)
         seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
-                                    solver, state, 0.0, 0, k=500.0)
+                                    solver, state, 0.0, k=500.0)
         assert event is None
         assert seg.z1[0] < 0.0 < seg.z1[-1]
         assert np.count_nonzero(np.diff(np.sign(seg.z1))) == 1
@@ -189,7 +188,7 @@ class TestIntegrateFlow:
         t_end = 5e-4
         solver = SolverConfig(max_step=5.4e-5, t_end=t_end)
         seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
-                                    solver, state, 0.0, 0, k=500.0)
+                                    solver, state, 0.0, k=500.0)
         assert event is None
         assert np.all(seg.z1[1:] > 0.0)
 
@@ -203,10 +202,15 @@ class TestIntegrateFlow:
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=0.05, event_tol=1e-9)
         seg, event = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
-                                    solver, state, 0.0, 0, k=500.0)
+                                    solver, state, 0.0, k=500.0)
         assert event is not None and event.guard == "Dc"
         assert 0.0 < event.t < 0.05
-        assert event.bracket_width <= 1e-9
+        # the bisection at event_tol 1e-9 stops on a bracket that holds
+        # the one at 1e-13, whose upper end is the finer event
+        _, fine = integrate_flow(sv_params, sv_gains, sv_cert, cfg,
+                                 dataclasses.replace(solver, event_tol=1e-13),
+                                 state, 0.0, k=500.0)
+        assert 0.0 <= event.t - fine.t <= 1e-9
         assert seg.t[-1] == pytest.approx(event.t)
         # at the event, the estimate has reached the threshold band
         thr = sv_params.d / sv_params.c
@@ -222,7 +226,7 @@ class TestIntegrateFlow:
         first = arc.rows
         state = initialize(sv_params, sv_gains, sv_cert, make_cfg(),
                            *sv_initial)
-        arc.add_state(0.0, state, 0)
+        arc.add_state(0.0, state)
         assert len(arc.window()) == 1 + engine._INIT_BUFFER_ROWS
         assert arc.rows is first
         arc.n += 1
@@ -238,13 +242,13 @@ class TestIntegrateFlow:
         run = fastpath.run_constants(sv_params, sv_gains, 500.0, sv_cert,
                                      solver)
         big = _Arc()
-        code_a, t_a, end_a, _ = _run_segment(sv_params, sv_cert, cfg, run,
-                                             state, 0.0, big)
+        code_a, t_a, end_a = _run_segment(sv_params, sv_cert, cfg, run,
+                                          state, 0.0, big)
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
                             fastpath.MAX_STEP_ROWS + 104)
         small = _Arc()
-        code_b, t_b, end_b, _ = _run_segment(sv_params, sv_cert, cfg, run,
-                                             state, 0.0, small)
+        code_b, t_b, end_b = _run_segment(sv_params, sv_cert, cfg, run,
+                                          state, 0.0, small)
         assert code_a == code_b and t_a == pytest.approx(t_b)
         assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
         assert np.allclose(end_a.z_tilde, end_b.z_tilde,
@@ -347,7 +351,7 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
     def nan_flow(y, t_start, sc, buf, n0, ret, spans):
         buf[n0:] = np.nan
         flow(y, t_start, sc, buf, n0, ret, spans)
-        ns = int(ret[4])
+        ns = int(ret[3])
         # does the call's last span end on its last row?
         last = ns > 0 and spans[ns - 1, fastpath.SP_N] \
             + spans[ns - 1, fastpath.SP_M] == ret[2]
