@@ -291,33 +291,20 @@ def _plot_files(out: Path, outputs: dict) -> list:
             (out / outputs["timeseries_csv"], _TIMESERIES_COLUMNS)]
 
 
-class _PerBlock:
-    """A float column of the CSV files that is computed, from the same rows
-    of the trajectory, for each block of rows the writer slices: the
-    writer's children build it one block at a time, and this process never
-    holds it whole."""
-
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, traj: HybridTrajectory, of_rows):
-        self._traj, self._of_rows = traj, of_rows
-
-    def __len__(self) -> int:
-        return len(self._traj)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self._of_rows(self._traj.rows(rows))
-
-
-def _columns(traj: HybridTrajectory) -> dict:
-    """Every trajectory column the CSV files can name, except u. j, i and
-    z_star are the trajectory's MarkColumns, which slice to arrays."""
-    return {"t": traj.t, "j": traj.j, "i": traj.cycle, "tau": traj.tau,
-            "z1": traj.z1, "z2": traj.z2,
-            "z1_hat": _PerBlock(traj, lambda v: v.z1_hat),
-            "z2_hat": _PerBlock(traj, lambda v: v.z2_hat),
-            "z_tilde1": traj.z_tilde1, "z_tilde2": traj.z_tilde2,
-            "z_star": traj.z_star}
+def _block_reader(traj: HybridTrajectory, u=None):
+    """block(lo, hi) for csvwriter.write_csvs: every trajectory column the
+    CSV files can name, of rows lo:hi, as arrays. u, the control input
+    under (params, k) = u, is there only when u is given."""
+    def block(lo: int, hi: int) -> dict:
+        v = traj.rows(slice(lo, hi))
+        columns = {"t": v.t, "j": v.j[:], "i": v.cycle[:], "tau": v.tau,
+                   "z1": v.z1, "z2": v.z2, "z1_hat": v.z1_hat,
+                   "z2_hat": v.z2_hat, "z_tilde1": v.z_tilde1,
+                   "z_tilde2": v.z_tilde2, "z_star": v.z_star[:]}
+        if u is not None:
+            columns["u"] = v.control(*u)
+        return columns
+    return block
 
 
 def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
@@ -333,9 +320,7 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    columns = _columns(traj)
-    columns["u"] = _PerBlock(traj, lambda v: v.control(scn.params, scn.k))
-    write_csvs(columns,
+    write_csvs(len(traj), _block_reader(traj, (scn.params, scn.k)),
                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
                + _plot_files(out, scn.outputs))
 
@@ -351,7 +336,7 @@ def emit_plot_data(traj: HybridTrajectory, path) -> tuple:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = _plot_files(out, _DEFAULT_OUTPUTS)
-    write_csvs(_columns(traj), files)
+    write_csvs(len(traj), _block_reader(traj), files)
     return files[0][0], files[1][0]
 
 

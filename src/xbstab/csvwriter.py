@@ -1,8 +1,9 @@
 """The CSV writer behind the scenario runner's artifacts.
 
-write_csvs writes CSV files drawn from one set of columns in one pass over
-blocks of rows, with the bytes of np.savetxt with fmt "%.17g" ("%d" for
-integer columns) written file by file. Each value is formatted once and
+write_csvs writes CSV files drawn from one set of named columns in one
+pass over blocks of rows, with the bytes of np.savetxt with fmt "%.17g"
+("%d" for integer columns) written file by file. A block reader gives the
+columns of each block of rows as arrays; each value is formatted once and
 its text goes into every file that has its column.
 
 The float columns of a block are formatted together by numpy. A
@@ -16,7 +17,7 @@ built, and checked against '%.17g' on a fixed set of values, on first use;
 if any of them differ, every value goes through '%.17g'.
 
 The rows are split into contiguous shares, one per usable CPU, and a child
-forked after the columns exist formats each share into unnamed temporary
+forked after the rows exist formats each share into unnamed temporary
 files, which this process appends in order. The usable CPUs are those of
 the process's affinity mask: in a sweep lane (xbstab.lanes), the lane's
 own share of the CPUs. It formats in-process only where os.fork does not
@@ -235,20 +236,21 @@ def _share_bounds(n: int) -> list:
     return [(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
 
 
-def _format_rows(columns: dict, names: list, outs: list, lo: int, hi: int):
-    """Write rows lo:hi into each (binary file, column indices into
-    `names`) of `outs`, in blocks of _BLOCK_ROWS: the float columns of a
-    block are formatted in one call of _float_fields, and every file's
-    rows are joined from the same fields."""
-    floats = [name for name in names if columns[name].dtype.kind not in "iu"]
+def _format_rows(block, names: list, outs: list, lo: int, hi: int):
+    """Write rows lo:hi, read by block() _BLOCK_ROWS at a time, into each
+    (binary file, column indices into `names`) of `outs`: the float
+    columns of a block are formatted in one call of _float_fields, and
+    every file's rows are joined from the same fields."""
     for b_lo in range(lo, hi, _BLOCK_ROWS):
         n = min(b_lo + _BLOCK_ROWS, hi) - b_lo
-        fields = {name: _int_fields(columns[name][b_lo:b_lo + n])
+        columns = block(b_lo, b_lo + n)
+        floats = [name for name in names
+                  if columns[name].dtype.kind not in "iu"]
+        fields = {name: _int_fields(columns[name])
                   for name in names if name not in floats}
         if floats:
             F = _float_fields(np.concatenate(
-                [columns[name][b_lo:b_lo + n] for name in floats],
-                dtype=np.float64))
+                [columns[name] for name in floats], dtype=np.float64))
             # rows that are NUL throughout a column would only be deleted
             # again by _join: each column keeps the rows it uses
             used = F.reshape(len(F), len(floats), n).any(axis=2)
@@ -259,8 +261,7 @@ def _format_rows(columns: dict, names: list, outs: list, lo: int, hi: int):
             fh.write(_join([fields[names[i]] for i in idx], n))
 
 
-def _fork_share(columns: dict, names: list, outs: list, lo: int,
-                hi: int) -> int:
+def _fork_share(block, names: list, outs: list, lo: int, hi: int) -> int:
     """Format rows lo:hi into `outs` in a forked child; returns its pid.
 
     The child leaves only through os._exit, with status 0 once its files
@@ -271,7 +272,7 @@ def _fork_share(columns: dict, names: list, outs: list, lo: int,
         return pid
     status = 1
     try:
-        _format_rows(columns, names, outs, lo, hi)
+        _format_rows(block, names, outs, lo, hi)
         for fh, _ in outs:
             fh.flush()
         status = 0
@@ -302,25 +303,24 @@ def _append(src, dst):
     shutil.copyfileobj(src, dst)
 
 
-def write_csvs(columns: dict, files: list):
-    """Write CSV files drawn from one set of columns.
+def write_csvs(n: int, block, files: list):
+    """Write CSV files of n rows drawn from one set of named columns.
 
-    `columns` maps a column name to a 1-D array, or to an object with a
-    len(), a dtype and slices that are such arrays, which each child then
-    builds for the rows it formats; integer arrays are written with
-    str(), float arrays with "%.17g". `files` lists
-    (path, column names) pairs; each file gets a header of its column
-    names and one row per sample. The bytes equal those of np.savetxt with
-    fmt "%.17g" ("%d" for the integer columns), delimiter "," and no
-    comment prefix, however the rows are split.
+    block(lo, hi) returns a dict that maps each column name of `files` to
+    a 1-D array of rows lo:hi, which each child calls for the blocks it
+    formats; integer arrays are written with str(), float arrays with
+    "%.17g". `files` lists (path, column names) pairs; each file gets a
+    header of its column names and one row per sample. The bytes equal
+    those of np.savetxt with fmt "%.17g" ("%d" for the integer columns),
+    delimiter "," and no comment prefix, however the rows are split.
 
     The rows are split by _share_bounds into contiguous shares. This
     process opens the files, writes their headers and opens one unnamed
     temporary file per CSV file and share in that file's directory. Then
     a child forked for each share formats it into its temporary files,
     and this process formats nothing: it waits for every child and
-    appends the shares in order (_append). The children share the columns
-    copy-on-write, so nothing is pickled; each builds and checks the
+    appends the shares in order (_append). The children share what block
+    reads copy-on-write, so nothing is pickled; each builds and checks the
     formatter's power table, and the formatter's arrays live only in
     them. A child that fails
     raises OSError here; on any failure the CSV files are removed, and no
@@ -335,7 +335,6 @@ def write_csvs(columns: dict, files: list):
     test_forked_write_with_warnings_as_errors has run on Python 3.11 only.
     """
     names = list(dict.fromkeys(name for _, cols in files for name in cols))
-    n = len(columns[names[0]])
     if n == 0:
         raise ValueError("cannot write CSV files for an empty trajectory")
     idx = [[names.index(c) for c in cols] for _, cols in files]
@@ -348,7 +347,7 @@ def write_csvs(columns: dict, files: list):
                 opened.append(path)
                 finals[-1].write((",".join(cols) + "\n").encode("utf-8"))
             if not hasattr(os, "fork"):
-                _format_rows(columns, names, list(zip(finals, idx)), 0, n)
+                _format_rows(block, names, list(zip(finals, idx)), 0, n)
                 return
             for fh in finals:
                 fh.flush()
@@ -359,7 +358,7 @@ def write_csvs(columns: dict, files: list):
             pids = []
             try:
                 for (lo, hi), tmps in zip(bounds, shares):
-                    pids.append(_fork_share(columns, names,
+                    pids.append(_fork_share(block, names,
                                             list(zip(tmps, idx)), lo, hi))
             finally:
                 statuses = [os.waitpid(pid, 0)[1] for pid in pids]

@@ -10,15 +10,18 @@ per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
 A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
 writes into directly, through a window that ends _INIT_BUFFER_ROWS rows
-past the recorded ones. The array starts with room for the start row and
-the first window, and grows between calls by allocate-and-copy, at least
-doubling, when a window would pass its end. The row array, each grown
-copy of it and the kernel's span table live in anonymous memory mapped
-in base pages (_Arc._buffer), so reserved capacity is resident only in
-the 4 KB pages a run writes. j, cycle and z_star change only at jumps:
-the run keeps one (first row, cycle, z_star) mark per run of rows, whose
-index is j, and the trajectory reads j, cycle, z_star and the jump log
-off those marks; its other columns, phi included, are views of the rows.
+past the recorded ones. Each row is written once: a segment whose window
+fills resumes from the last row the kernel recorded, and only a jump
+instant has two rows, its pre- and post-jump points. The array starts
+with room for the start row and the first window, and grows between
+calls by allocate-and-copy, at least doubling, when a window would pass
+its end. The row array, each grown copy of it and the kernel's span
+table live in anonymous memory mapped in base pages (_Arc._buffer), so
+reserved capacity is resident only in the 4 KB pages a run writes. j,
+cycle and z_star change only at jumps: the run keeps one (first row,
+cycle, z_star) mark per run of rows, whose index is j, and the trajectory
+reads j, cycle, z_star and the jump log off those marks; its other
+columns, phi included, are views of the rows.
 """
 
 from __future__ import annotations
@@ -149,13 +152,10 @@ class _Arc:
             self.rows = grown
         return self.rows[:end]
 
-    def add_row(self, t: float, y: np.ndarray):
-        self.window()[self.n] = (t, *y)
-        self.n += 1
-
     def add_state(self, t: float, state: HybridState):
         self.marks.append((self.n, state.cycle, state.z_star))
-        self.add_row(t, _state_to_y(state))
+        self.window()[self.n] = (t, *_state_to_y(state))
+        self.n += 1
 
     def jump_t(self, k: int) -> float:
         """The time of jump k, the t of mark k + 1's first row."""
@@ -251,8 +251,9 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     (code, t_final, state_final). The kernel writes them
     straight into arc.window() from row arc.n on: the _INIT_BUFFER_ROWS
     rows past arc.n, which must exceed one step's worst case
-    (fastpath.MAX_STEP_ROWS). When they fill, the interrupted point is
-    recorded again as a re-anchor row and the segment resumes from it.
+    (fastpath.MAX_STEP_ROWS). When they fill, the kernel has recorded the
+    point it stopped at, and the segment resumes from it in a new window
+    without writing a row, so each flow instant is recorded once.
     """
     if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
@@ -270,7 +271,6 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
             emission.fill_spans(buf, arc.spans, int(ret[3]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
-        arc.add_row(t_fin, y)
     if code == fastpath.CODE_DOMAIN:
         raise StateOutOfDomain(
             f"z2 reached -d/c={params.z2_floor} at t={t_fin}")

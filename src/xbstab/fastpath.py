@@ -512,9 +512,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     y is updated in place to the final state on every exit code. The
     caller is expected to have recorded the segment-start sample already.
     A step starts only with at least MAX_STEP_ROWS free rows in buf, so no
-    sample is ever dropped; otherwise the call returns CODE_BUFFER_FULL at
-    the current point, so a buffer of fewer than MAX_STEP_ROWS rows makes
-    no progress.
+    sample is ever dropped; otherwise the call records the current point,
+    unless it is recorded already, and returns CODE_BUFFER_FULL there, so
+    the caller resumes from (t_final, y) without writing a row, and a
+    buffer of fewer than MAX_STEP_ROWS rows makes no progress.
     """
     run, seg = sc
     a, k, modes, pm, settings, z2_floor = run
@@ -547,6 +548,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
 
     while code == 0:
         if n > cap - MAX_STEP_ROWS:
+            # the caller resumes from (t, ys); a row is free, since the
+            # last step took at most _SPAN_MAX_ROWS + 1 of MAX_STEP_ROWS
+            if have_pend:
+                n = _record(buf, n, t, ys)
             code = CODE_BUFFER_FULL
             break
         t_left = t_stop - t

@@ -24,6 +24,7 @@ everything is evaluated in log space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,9 @@ from .errors import NoCertificate, PlacementFailed
 from .model import (ControllerConfig, ObserverGains, PlantParams, as_dict,
                     g_of, t_lmin_asymptote)
 
-_RESIDUAL_TOL = 1e-9
+# a residual above this times 2 ||A_i||_2 lambda_max + 1, the rounding of
+# the terms it sums, refuses the certificate
+_RESIDUAL_EPS = 8.0 * sys.float_info.epsilon
 
 
 def complete_gains(params: PlantParams, k1_plus: float,
@@ -88,10 +91,12 @@ def solve_common_lyapunov(gains: ObserverGains) -> LyapunovCertificate:
     solution P = (D Q + B' Q B) / (-2 t D) with B = A - t I. With A = A1
     and Q = C'C = [[1, 0], [0, 0]] it reads
     P = [[D + a22^2, -a12 a22], [-a12 a22, a12^2]] / (-2 t D).
-    The residual for A2 must then vanish by the gain equality constraints
-    and is verified to 1e-9 in spectral norm (_norm2). P is positive
-    definite when p22 > 0 and det P = D a12^2 / (2 t D)^2 = D p22 / (-2 t D)
-    > 0, a form without the cancellation of p11 p22 - p12^2. Its
+    The residual for A2 must then vanish by the gain equality constraints.
+    Each residual, in spectral norm (_norm2), is held to the rounding of
+    the terms it sums, 8 eps (2 ||A_i||_2 lambda_max + 1), so a correct P
+    is accepted however large it is. P is positive definite when p22 > 0
+    and det P = D a12^2 / (2 t D)^2 = D p22 / (-2 t D) > 0, a form
+    without the cancellation of p11 p22 - p12^2. Its
     eigenvalues are lambda_max = (p11 + p22)/2 + hypot((p11 - p22)/2, p12)
     and lambda_min = det P / lambda_max. Only float arithmetic and the math
     module are used, so certifying calls no LAPACK.
@@ -113,7 +118,8 @@ def solve_common_lyapunov(gains: ObserverGains) -> LyapunovCertificate:
                             f"det P={det_p})")
     lam_max = 0.5 * (p11 + p22) + math.hypot(0.5 * (p11 - p22), p12)
     lam_min = det_p / lam_max
-    if max(res) > _RESIDUAL_TOL:
+    if any(r > _RESIDUAL_EPS * (2.0 * _norm2(*A.ravel().tolist()) * lam_max
+                                + 1.0) for A, r in zip((A1, A2), res)):
         raise NoCertificate(f"Lyapunov residuals too large: {res}")
     return LyapunovCertificate(
         P=P,

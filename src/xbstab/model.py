@@ -320,15 +320,14 @@ class MarkColumn:
     It reads as the expanded column np.repeat(values, np.diff(first,
     append=n)) does: an int index gives a NumPy scalar, a slice of step 1
     a new array, and np.asarray the whole column; every other index is
-    NumPy's on the whole column. rows(sl) is the column of rows sl,
-    sharing the marks.
+    NumPy's on the whole column. rows(sl) is the column of rows sl, over
+    the marks that cover them.
     """
 
-    def __init__(self, first, values, n: int, start: int = 0):
-        # rows start:start + n of the column that first and values mark
+    def __init__(self, first, values, n: int):
         self._first = np.asarray(first, dtype=np.int64)
         self._values = np.asarray(values)
-        self._n, self._start = n, start
+        self._n = n
 
     @classmethod
     def of(cls, column) -> "MarkColumn":
@@ -349,7 +348,7 @@ class MarkColumn:
         return self._n
 
     def __repr__(self) -> str:
-        return (f"MarkColumn({len(self.marks()[0])} marks, {self._n} rows, "
+        return (f"MarkColumn({len(self._first)} marks, {self._n} rows, "
                 f"{self.dtype})")
 
     @property
@@ -362,25 +361,23 @@ class MarkColumn:
         return self._first.nbytes + self._values.nbytes
 
     def marks(self) -> tuple:
-        """(first rows, values) of the marks that cover this column's rows,
-        the first rows counted from its row 0."""
-        a, b = self._start, self._start + self._n
-        k0 = int(self._first.searchsorted(a, "right")) - 1
-        k1 = int(self._first.searchsorted(b, "left")) if b > a else k0
-        first = self._first[k0:k1] - a
-        first[:1] = 0
-        return first, self._values[k0:k1]
+        """(first rows, values) of the marks."""
+        return self._first, self._values
 
     def rows(self, sl: slice) -> "MarkColumn":
-        """The column of rows sl (step 1), without copying the marks."""
+        """The column of rows sl (step 1): the marks that cover them, with
+        first rows counted from sl's first row."""
         lo, hi, step = sl.indices(self._n)
         if step != 1:
             raise ValueError("rows() takes a slice of step 1")
-        return MarkColumn(self._first, self._values, max(hi - lo, 0),
-                          self._start + lo)
+        k0 = int(self._first.searchsorted(lo, "right")) - 1
+        k1 = int(self._first.searchsorted(hi, "left")) if hi > lo else k0
+        first = self._first[k0:k1] - lo
+        first[:1] = 0
+        return MarkColumn(first, self._values[k0:k1], max(hi - lo, 0))
 
     def _expand(self, a: int, b: int) -> np.ndarray:
-        """Rows a:b, a < b, of the marked column (not of this view)."""
+        """Rows a:b, a < b."""
         first = self._first
         k = int(first.searchsorted(a, "right"))
         if k == len(first) or first[k] >= b:
@@ -391,7 +388,7 @@ class MarkColumn:
         return self._values[k - 1:m].repeat(edges[1:] - edges[:-1])
 
     def __getitem__(self, key):
-        rows = range(self._start, self._start + self._n)
+        rows = range(self._n)
         if isinstance(key, (int, np.integer)):
             return self._values[self._first.searchsorted(rows[key],
                                                          "right") - 1]
@@ -418,12 +415,12 @@ class HybridTrajectory:
     """A hybrid arc stored column-wise, indexed by hybrid time (t, j).
 
     Samples are lexicographically ordered in (t, j); j increments by one at
-    each entry of `jumps`, and the sample at a jump instant appears twice
-    (pre- and post-jump). The float columns may be views of one array
-    (simulate returns t, tau, z1 to z_tilde2 and phi as views of its rows).
-    j, cycle and z_star are MarkColumns, which change only at jumps, so
-    they take memory per jump, not per row; one given as an array becomes
-    MarkColumn.of(it).
+    each entry of `jumps`. Every flow instant appears once, and a jump
+    instant twice (pre- and post-jump). The float columns may be views of
+    one array (simulate returns t, tau, z1 to z_tilde2 and phi as views of
+    its rows). j, cycle and z_star are MarkColumns, which change only at
+    jumps, so they take memory per jump, not per row; one given as an
+    array becomes MarkColumn.of(it).
     """
 
     t: np.ndarray
@@ -454,8 +451,8 @@ class HybridTrajectory:
         return len(self.t)
 
     def rows(self, sl: slice) -> "HybridTrajectory":
-        """Rows sl (step 1) of every column, as views, without the jump
-        log."""
+        """Rows sl (step 1) of every column, the float ones as views,
+        without the jump log."""
         return HybridTrajectory(
             t=self.t[sl], j=self.j.rows(sl), cycle=self.cycle.rows(sl),
             tau=self.tau[sl], z1=self.z1[sl], z2=self.z2[sl],

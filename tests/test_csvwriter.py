@@ -124,9 +124,8 @@ def test_shipped_scenario_takes_the_vectorized_path(scenario_dict,
     scn = build_scenario(scenario_dict)
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
-    columns = cli._columns(traj)
-    columns["u"] = traj.control(scn.params, scn.k)
-    floats = [c[:] for c in columns.values() if c.dtype.kind == "f"]
+    columns = cli._block_reader(traj, (scn.params, scn.k))(0, len(traj))
+    floats = [c for c in columns.values() if c.dtype.kind == "f"]
     csvwriter._power_table()
     printf, slow = csvwriter._printf, []
 

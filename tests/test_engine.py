@@ -12,7 +12,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
-                    ZenoSuspected, engine, fastpath, initialize, simulate)
+                    StateOutOfDomain, ZenoSuspected, engine, fastpath,
+                    initialize, simulate)
 from xbstab.analysis import cycle_slice
 from xbstab.cli import build_scenario
 from xbstab.engine import _Arc, _run_segment, initial_cycle
@@ -255,16 +256,33 @@ class TestIntegrateFlow:
                            rtol=1e-9, atol=1e-12)
         ta = big.rows[:big.n, 0]
         tb = small.rows[:small.n, 0]
-        # the resumed run re-anchors and restarts its step controller, so
-        # the sample grids differ; both must still be ordered recordings
-        # of the same solution over the same span
-        assert np.all(np.diff(ta) >= 0) and np.all(np.diff(tb) >= 0)
+        # the resumed run restarts its step controller, so the sample
+        # grids differ; both must still be recordings of the same solution
+        # over the same span, and without a jump no instant is recorded
+        # twice, at a resume either
+        assert np.all(np.diff(ta) > 0) and np.all(np.diff(tb) > 0)
         assert ta[0] == tb[0] and ta[-1] == pytest.approx(tb[-1])
         za = big.rows[:big.n, 2]
         zb = small.rows[:small.n, 2]
         common = np.linspace(0.0, min(ta[-1], tb[-1]), 200)
         assert np.allclose(np.interp(common, ta, za),
                            np.interp(common, tb, zb), rtol=1e-6, atol=1e-9)
+
+    def test_domain_exit_raises(self, sv_params, sv_gains, sv_cert,
+                                sv_cfg):
+        """A segment started just above z2 = -d/c with z1 < 0 drives z2
+        below the floor: the kernel ends it with CODE_DOMAIN and the
+        engine raises StateOutOfDomain at the step that crossed."""
+        floor = sv_params.z2_floor
+        state = HybridState(tau=0.0, cycle=0,
+                            z=(-1.0, math.nextafter(floor, 0.0)),
+                            z_tilde=(0.0, 0.1), z_star=-75.0, phi=np.eye(2))
+        solver = SolverConfig(max_step=5.4e-5, t_end=0.01)
+        run = fastpath.run_constants(sv_params, sv_gains, 500.0, sv_cert,
+                                     solver)
+        with pytest.raises(StateOutOfDomain,
+                           match=rf"z2 reached -d/c={floor} at t=0\.00138"):
+            _run_segment(sv_params, sv_cert, sv_cfg, run, state, 0.0, _Arc())
 
     def test_buffer_below_one_step_rejected(self, monkeypatch, sv_params,
                                             sv_gains, sv_cert):
@@ -330,8 +348,8 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
     # no rows lost at a resume: a kernel that drops the rows of a step
     # that overruns its buffer keeps criterion 5 but records about 30 %
     # fewer samples here (a 4196-row buffer with a 4096-row margin).
-    # Resumes add re-anchor rows and restart the step controller, so the
-    # count may rise by about 1 %.
+    # Resumes restart the step controller, so the count may rise by about
+    # 1 %.
     assert len(traj) >= 0.98 * len(ref)
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbstab import (InvalidGains, NoCertificate, PlantParams,
-                    complete_gains, dwell_certificate,
+from xbstab import (InvalidGains, NoCertificate, ObserverGains,
+                    PlantParams, complete_gains, dwell_certificate,
                     dwell_time_lower_bound, solve_common_lyapunov)
 from xbstab.analysis import extract_dwell
 from xbstab.cli import build_scenario
@@ -82,6 +82,28 @@ class TestCommonLyapunov:
         cert = solve_common_lyapunov(complete_gains(p, 5.0, -2.0))
         assert cert.lambda_min > 0 and cert.gamma >= 1.0
 
+    def test_large_p_is_certified(self):
+        """k1+ just above c makes ||P||_2 about 4.5e6, and the residuals of
+        the correct P, rounding of order eps ||A||_2 ||P||_2, about 3.7e-9:
+        the bound on them scales with ||P||_2, so the gains certify."""
+        gains = complete_gains(PlantParams(a=375.0, c=2.5, d=1.0),
+                               2.505, -0.02505)
+        cert = solve_common_lyapunov(gains)
+        assert cert.lambda_max > 4e6
+        assert max(cert.residual_1, cert.residual_2) > 1e-9
+        assert cert.lambda_min > 0
+
+    def test_gains_off_the_equalities_are_refused(self, sv_params,
+                                                  sv_gains):
+        """The shipped gains with k2- off by 1e-9 relative leave an A2
+        residual of 2.7e-8, far above the rounding bound of 3.6e-11."""
+        gains = ObserverGains(params=sv_params, k1_plus=sv_gains.k1_plus,
+                              k2_plus=sv_gains.k2_plus,
+                              k1_minus=sv_gains.k1_minus,
+                              k2_minus=sv_gains.k2_minus * (1.0 + 1e-9))
+        with pytest.raises(NoCertificate, match="residuals too large"):
+            solve_common_lyapunov(gains)
+
 
 _EPS = np.finfo(float).eps
 
@@ -92,8 +114,10 @@ def _valid_gains(draw):
     factor 1 + rho (k1+ - c)^2 / (4 c k1+). A1 has the discriminant
     tr^2 - 4 det = (1 - rho) (k1+ - c)^2: real eigenvalues for rho < 1,
     complex ones for rho > 1 and nearly repeated ones for rho = 1 +- 1e-13
-    to 1e-2. Past these ranges the float P becomes large enough that its
-    residual, rounding of order eps ||A|| ||P||, nears _RESIDUAL_TOL."""
+    to 1e-2. TestClosedForms' bounds were measured over these ranges.
+    Past them P grows, and with it its residual, rounding of order
+    eps ||A|| ||P||, which the refusal bound follows
+    (test_large_p_is_certified)."""
     a = draw(st.floats(1.0, 400.0))
     c = draw(st.floats(5.0, 50.0))
     k1 = c * draw(st.floats(1.5, 10.0))
