@@ -395,8 +395,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         dwell_dict = dwell_report.to_dict()
         excitation_ok = dwell_report.assumption_holds
         assumption = (dwell_report.tau_d, dwell_report.tau_s,
-                      dwell_report.z_under, dwell_report.z_bar)
-        empirical_mu = dwell_report.mu
+                      dwell_report.z_under)
     except NoExcitation as exc:
         dwell_dict = {"error": str(exc)}
         excitation_ok = False
@@ -404,11 +403,8 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         dc_anchor = dwell_certificate(scn.params, scn.cfg,
                                       max(2, first_cycle))
         assumption = (dc_anchor.tau_di, dc_anchor.tau_si,
-                      dc_anchor.z_underbar_i, dc_anchor.z_bar_i)
-        empirical_mu = None
+                      dc_anchor.z_underbar_i)
     decay = decay_certificate(scn.gains, scn.cert, assumption)
-    if empirical_mu is not None:
-        decay = decay.with_mu(empirical_mu)
 
     bounds = verify_bounds(traj, scn.params, scn.cfg, scn.cert, decay,
                            from_cycle=first_cycle)

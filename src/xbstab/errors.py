@@ -13,10 +13,6 @@ class NoCertificate(XbstabError):
     """The common Lyapunov equation has no valid solution."""
 
 
-class PlacementFailed(XbstabError):
-    """No sampled decay rate yields a contraction factor below one."""
-
-
 class StateOutOfDomain(XbstabError):
     """The continuous state left the admissible region z2 > -d/c."""
 

@@ -1,35 +1,33 @@
 """Common-Lyapunov certificate, observer-gain completion, and the
-constructive dwell-time / decay constants.
+dwell-time and decay certificates.
 
 The quadratic certificate solves
 
     A_i' P + P A_i = -C'C,   i in {1, 2},
 
 by the closed form of the 2x2 Lyapunov equation, and is the basis for the
-cycle-exit test of the hybrid engine. Both certificates are 2x2 algebra,
-written out in float arithmetic and the math module (P, its eigenvalues,
-the residuals and the spectral norms), so a run never calls LAPACK. The
-decay certificate reproduces the constructive estimation-error envelope
+cycle-exit test of the hybrid engine. The decay certificate is the
+contraction of V = z_tilde' P z_tilde over one excitation window, which
+gives the estimation-error envelope
 
-    |z_tilde(t)| <= kappa1 |z_tilde(t0)| exp(-kappa2 mu (t - t0)),
+    |z_tilde(t)| <= kappa1 |z_tilde(t0)| exp(-kappa2 mu (t - t0))
 
-with the injected-gain construction replaced by explicit pole placement
-(both closed-loop eigenvalues at -3*lambda), verified in closed form: with
-a double eigenvalue the matrix exponential's norm is exact, and the
-envelope is checked at its worst point (_envelope_ok). The constants
-involved are astronomically conservative for realistic dwell data, so
-everything is evaluated in log space.
+for any t0 at most tau_s before the first excitation interval; over a
+window of tau-length T, 1 - rho grows like T^3 (decay_certificate). Both
+certificates are 2x2 algebra, written out in float arithmetic and the
+math module, so a run never calls LAPACK.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCertificate, PlacementFailed
+from .errors import NoCertificate
+from .fastpath import _expm_pq, _split
 from .model import (ControllerConfig, ObserverGains, PlantParams, as_dict,
                     g_of, t_lmin_asymptote)
 
@@ -201,144 +199,109 @@ def dwell_certificate(params: PlantParams, cfg: ControllerConfig,
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """Constructive constants of the exponential estimation-error envelope."""
+    """The exponential envelope of the estimation error, from the factor
+    rho by which V contracts over one excitation window
+    (decay_certificate); log(1 - rho) carries rho where it rounds to 1."""
 
-    decay_rate: float           # design rate lambda
-    c_bar: float
-    log_c_bar: float
-    K1: np.ndarray
-    K2: np.ndarray
     rho: float
     log_one_minus_rho: float
-    L: float
-    kappa1: float
-    kappa2: float
-    mu: float
-
-    def with_mu(self, mu: float) -> "DecayCertificate":
-        """Certificate with an empirically measured excitation rate."""
-        return replace(self, mu=mu)
+    kappa1: float               # gamma / sqrt(rho)
+    kappa2: float               # -ln(rho) / (2 T)
+    mu: float                   # T / (2 tau_d + tau_s)
 
     to_dict = as_dict
 
 
-def _place_output_injection(A: np.ndarray, pole: float) -> np.ndarray:
-    """K such that A + K C (C = [1 0]) has both eigenvalues at `pole`.
+def _gramian(md: tuple, T: float) -> tuple[float, float, float]:
+    """(w11, w12, w22) of the observability Gramian
+    W(T) = int_0^T e^{A's} C'C e^{As} ds of the mode A split as md.
 
-    Only the first column of A is affected by K, so trace and determinant
-    assignments decouple: m11 = 2*pole - a22, m21 = (pole^2 - m11 a22)/a12.
+    W(T) equals P - e^{A'T} P e^{AT}, but that difference cancels where
+    1 - rho is small, so W is summed from terms that do not: at
+    h = T / 2^k with h ||A||_2 <= eps, W(h) = h [[1, y/2], [y/2, y^2/3]]
+    to rounding, y = a12 h, then k doublings
+    W(2h) = W(h) + e^{A'h} W(h) e^{Ah}, with e^{Ah} = pI + qN (_expm_pq).
     """
-    a12, a22 = A[0, 1], A[1, 1]
-    m11 = 2.0 * pole - a22
-    m21 = (m11 * a22 - pole * pole) / a12
-    return np.array([m11 - A[0, 0], m21 - A[1, 0]])
+    mu, n11, n12, n21 = md[:4]
+    a_norm = _norm2(mu + n11, n12, n21, mu - n11)
+    k = max(0, math.ceil(math.log2(T * a_norm) + 53))
+    h = T / 2.0 ** k
+    w11, w12, w22 = h, 0.5 * h * h * n12, h * (h * n12) ** 2 / 3.0
+    for _ in range(k):
+        p, q = _expm_pq(md, h)
+        e11, e12, e21, e22 = p + q * n11, q * n12, q * n21, p - q * n11
+        z11, z12 = w11 * e11 + w12 * e21, w11 * e12 + w12 * e22
+        z21, z22 = w12 * e11 + w22 * e21, w12 * e12 + w22 * e22
+        w11, w12, w22 = (w11 + e11 * z11 + e21 * z21,
+                         w12 + e11 * z12 + e21 * z22,
+                         w22 + e12 * z12 + e22 * z22)
+        h *= 2.0
+    return w11, w12, w22
 
 
-def _envelope_ok(M: np.ndarray, pole: float, lam: float, log_c_bar: float,
-                 tau_start: float) -> bool:
-    """Whether ||e^{M tau}||_2 <= (1/c_bar) e^{-2 lam (tau - s)} for every
-    tau >= s = tau_start.
+def _log_rho(A: np.ndarray, cert: LyapunovCertificate,
+             T: float) -> tuple[float, float]:
+    """(log rho, log(1 - rho)) for rho = lambda_max(E'PE, P), E = e^{AT}:
+    the factor by which V contracts over a tau-length T of mode A.
 
-    M has both eigenvalues at `pole`, so N = M - pole I is nilpotent,
-    e^{M tau} = e^(pole tau) (I + N tau) and, with n = ||N||_F,
-    ||I + N tau||_2 = exp(asinh(n tau / 2)). The log of the left side over
-    the right, asinh(n tau / 2) - r tau plus a constant with
-    r = -(pole + 2 lam), is concave in tau. For r > 0 (decay_certificate
-    places pole = -3 lam, so r = lam) its maximum over tau >= s lies at s
-    or at its stationary point sqrt(1/r^2 - 4/n^2), which exists for
-    n > 2 r.
+    With P = U U' (U upper triangular), rho = ||U' E U^-T||_2^2. It is
+    taken in log space, E = e^{rT} F with r the largest real part of an
+    eigenvalue of A, so rho underflows in its exponent alone. Where
+    rho >= 1/2, 1 - rho is the smallest eigenvalue of (W, P) for the
+    Gramian W = P - E'PE (_gramian): det W / det P over the largest
+    eigenvalue of U^-1 W U^-T. Neither form calls LAPACK.
     """
-    r = -(pole + 2.0 * lam)
-    n = float(np.linalg.norm(M - pole * np.eye(2)))
-    tau = tau_start
-    if n > 2.0 * r:
-        tau = max(tau, math.sqrt(1.0 / (r * r) - 4.0 / (n * n)))
-    return pole * tau + math.asinh(0.5 * n * tau) \
-        <= -log_c_bar - 2.0 * lam * (tau - tau_start)
+    md = _split(*A.ravel().tolist())
+    mu, n11, n12, n21, disc, w = md
+    r = mu + w if disc > 0.0 else mu
+    p, q = _expm_pq((mu - r,) + md[1:], T)      # F = e^{-rT} E = pI + qN
+    f11, f12, f21, f22 = p + q * n11, q * n12, q * n21, p - q * n11
+    (_, p12), (_, p22) = cert.P.tolist()
+    det_p = cert.lambda_min * cert.lambda_max
+    # P = U U' with U = [[u11, t u22], [0, u22]], s = u22 / u11
+    t, s = p12 / p22, p22 / math.sqrt(det_p)
+    g11 = f11 - t * f12
+    log_rho = 2.0 * (r * T + math.log(_norm2(
+        g11, f12 / s, s * (t * g11 + f21 - t * f22), f22 + t * f12)))
+    if log_rho < -math.log(2.0):
+        return log_rho, math.log(-math.expm1(log_rho))
+    w11, w12, w22 = _gramian(md, T)
+    r11 = (w11 - 2.0 * t * w12 + t * t * w22) * p22 / det_p
+    r22 = w22 / p22
+    r_max = 0.5 * (r11 + r22) + math.hypot(0.5 * (r11 - r22),
+                                           (w12 - t * w22) / math.sqrt(det_p))
+    one_minus_rho = (w11 * w22 - w12 * w12) / det_p / r_max
+    return math.log1p(-one_minus_rho), math.log(one_minus_rho)
 
 
 def decay_certificate(gains: ObserverGains, cert: LyapunovCertificate,
-                      assumption: tuple[float, float, float, float]
+                      assumption: tuple[float, float, float]
                       ) -> DecayCertificate:
-    """Constructive envelope constants from dwell data.
+    """The estimation-error envelope that V = z_tilde' P z_tilde certifies.
 
-    assumption = (tau_d, tau_s, z_underbar, z_bar): minimal on-interval
-    length, maximal gap, and the excitation floor/ceiling of |z1|. The decay
-    rate lambda is searched on a logarithmic grid; L is the smallest grid
-    value reaching rho <= 0.9, falling back to the best rho < 1 when
-    the target is out of reach (the constants are conservative by design).
-    The overshoot log c_bar = max_i ||A_i||_2 z_bar tau_s takes the
-    spectral norms in closed form (_norm2).
+    assumption = (tau_d, tau_s, z_underbar): the shortest excitation
+    interval, the longest gap between two, and the floor of |z1| on them.
+    In tau-time z_tilde' = A_i z_tilde, so V never increases, and a jump
+    leaves z_tilde unchanged. On an excitation interval the mode is fixed,
+    and a stretch of tau_d covers a tau-length of at least
+    T = z_underbar tau_d, over which V contracts by rho (_log_rho, the
+    worse mode). From any t a whole stretch ends by t + 2 tau_d + tau_s,
+    since t may fall in an interval with less than tau_d left, so
+    V(t) <= rho^floor((t - t0) / (2 tau_d + tau_s)) V(t0): kappa1 =
+    gamma / sqrt(rho) (inf where that overflows), kappa2 = -ln(rho) / (2 T)
+    and mu = T / (2 tau_d + tau_s). The lead-in condition: t0 lies at most
+    tau_s before the first interval. 1 - rho grows like T^3 for short T
+    (about 0.44 T^3 on the shipped gains), and rho underflows for long T,
+    where kappa2 stays finite.
     """
-    tau_d, tau_s, z_under, z_bar = assumption
-    if min(tau_d, z_under, z_bar) <= 0 or tau_s < 0:
+    tau_d, tau_s, z_under = assumption
+    if min(tau_d, z_under) <= 0 or tau_s < 0:
         raise ValueError("dwell quantities must be strictly positive "
                          "(tau_s may be zero)")
-    A1, A2 = gains.A1, gains.A2
-    a_norm = max(_norm2(*A.ravel().tolist()) for A in (A1, A2))
-    log_c_bar = a_norm * z_bar * tau_s
-    c_bar = math.exp(log_c_bar) if log_c_bar < 700 else math.inf
-
-    s = tau_d * z_under / 2.0       # envelope activation point in tau-time
-
-    lam = None
-    lam0 = max(log_c_bar, 1.0) / (3.0 * s)
-    for mult in np.geomspace(1.0, 1e4, 60):
-        cand = lam0 * mult
-        pole = -3.0 * cand
-        K1 = _place_output_injection(A1, pole)
-        K2 = _place_output_injection(A2, pole)
-        M1 = A1 + np.outer(K1, [1.0, 0.0])
-        M2 = A2 + np.outer(K2, [1.0, 0.0])
-        if _envelope_ok(M1, pole, cand, log_c_bar, s) and \
-           _envelope_ok(M2, pole, cand, log_c_bar, s):
-            lam = cand
-            break
-    if lam is None:
-        raise PlacementFailed("no decay rate on the search grid satisfies "
-                              "the injected-gain envelope")
-
-    k_inj = max(np.linalg.norm(K1), np.linalg.norm(K2))
-    p_m, p_M = cert.lambda_min, cert.lambda_max
-    gamma_r = p_M / p_m
-    log_k_bar = math.log(p_M) + 2.0 * log_c_bar + 2.0 * math.log(k_inj) \
-        - math.log(lam)
-    log_2gc2 = math.log(2.0 * gamma_r) + 2.0 * log_c_bar
-
-    # rho(L) = (2 gamma c_bar^2 e^{-2 lam L} + k_bar) / (1 + k_bar); every
-    # grid L is at least 1.01 L0, so log_x <= -0.01 log_2gc2 <= -0.01 log 2
-    def log_one_minus_rho_of(L: float) -> float:
-        log_x = log_2gc2 - 2.0 * lam * L
-        one_minus_x = -math.expm1(log_x)
-        return math.log(one_minus_x) - np.logaddexp(0.0, log_k_bar)
-
-    L0 = log_2gc2 / (2.0 * lam)     # x = 1 threshold
-    chosen = None
-    for L in np.geomspace(max(L0, 1e-12) * 1.01, max(L0, 1e-12) * 1e4, 200):
-        lg = log_one_minus_rho_of(L)
-        one_minus_rho = math.exp(lg) if lg > -745 else 5e-324
-        rho = 1.0 - one_minus_rho
-        if rho >= 1.0:
-            rho = math.nextafter(1.0, 0.0)
-        if rho <= 0.9:
-            chosen = (L, rho, lg)
-            break
-        if chosen is None or rho < chosen[1]:
-            chosen = (L, rho, lg)
-    L, rho, lg = chosen
-
-    # kappa1 = gamma (k_bar + 2 c_bar^2 gamma) / (rho (1 + k_bar))
-    log_num = math.log(gamma_r) + np.logaddexp(log_k_bar, log_2gc2)
-    log_den = math.log(rho) + np.logaddexp(0.0, log_k_bar)
-    kappa1 = math.exp(log_num - log_den)
-    # kappa2 = -ln(rho)/L evaluated through log1p for rho close to 1
-    one_minus_rho = math.exp(lg) if lg > -745 else 5e-324
-    kappa2 = -math.log1p(-one_minus_rho) / L
-    if kappa2 <= 0.0:
-        kappa2 = 5e-324 / L if L < 1.0 else 5e-324
-
-    mu_analytic = z_under * tau_d / (tau_d + tau_s)
+    T = z_under * tau_d
+    log_rho, lg = max(_log_rho(A, cert, T) for A in (gains.A1, gains.A2))
+    half = -0.5 * log_rho
     return DecayCertificate(
-        decay_rate=lam, c_bar=c_bar, log_c_bar=log_c_bar,
-        K1=K1, K2=K2, rho=rho, log_one_minus_rho=lg, L=float(L),
-        kappa1=kappa1, kappa2=kappa2, mu=mu_analytic)
+        rho=math.exp(log_rho), log_one_minus_rho=lg,
+        kappa1=cert.gamma * math.exp(half) if half < 709.0 else math.inf,
+        kappa2=-log_rho / (2.0 * T), mu=T / (2.0 * tau_d + tau_s))

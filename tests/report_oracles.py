@@ -263,14 +263,8 @@ def dwell_time_certificate_to_dict(self) -> dict:
 def decay_certificate_to_dict(self) -> dict:
     """lyapunov.DecayCertificate.to_dict."""
     return {
-        "decay_rate": self.decay_rate,
-        "c_bar": self.c_bar,
-        "log_c_bar": self.log_c_bar,
-        "K1": self.K1.tolist(),
-        "K2": self.K2.tolist(),
         "rho": self.rho,
         "log_one_minus_rho": self.log_one_minus_rho,
-        "L": self.L,
         "kappa1": self.kappa1,
         "kappa2": self.kappa2,
         "mu": self.mu,

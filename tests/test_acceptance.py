@@ -346,9 +346,7 @@ def test_criterion_8_oracle_jump_times(criterion_8_run, scenario_dict):
 def test_criterion_9_envelope(golden_run, sv_gains, sv_cert):
     dwell = extract_dwell(golden_run)
     decay = decay_certificate(
-        sv_gains, sv_cert,
-        (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar))
-    decay = decay.with_mu(dwell.mu)
+        sv_gains, sv_cert, (dwell.tau_d, dwell.tau_s, dwell.z_under))
     for i in np.unique(golden_run.cycle):
         res = check_envelope(golden_run, decay, from_cycle=int(i))
         assert res["envelope_ok"], f"cycle {i}: {res}"

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from xbstab import check_envelope, dwell_certificate, extract_dwell
-from xbstab.analysis import (_EXCITATION_FLOOR, check_dwell_lower_bound,
-                             check_overshoot_bound, check_phi_oracle,
+from xbstab.analysis import (_EXCITATION_FLOOR, BoundReport,
+                             check_dwell_lower_bound, check_overshoot_bound,
+                             check_phi_oracle, check_vobs_monotone,
                              check_zeno, cycle_slice, overshoot_comparison,
                              verify_bounds)
 from xbstab.cli import build_scenario
@@ -121,11 +122,36 @@ class TestZeno:
 
 
 def _fake_decay(kappa1, kappa2, mu):
-    return DecayCertificate(
-        decay_rate=1.0, c_bar=1.0, log_c_bar=0.0,
-        K1=np.zeros(2), K2=np.zeros(2), rho=0.5,
-        log_one_minus_rho=math.log(0.5), L=1.0,
-        kappa1=kappa1, kappa2=kappa2, mu=mu)
+    return DecayCertificate(rho=0.5, log_one_minus_rho=math.log(0.5),
+                            kappa1=kappa1, kappa2=kappa2, mu=mu)
+
+
+class TestThresholdEdges:
+    """The vobs and phi thresholds, with a case on each side of each."""
+
+    @pytest.mark.parametrize("rise, ok", [(2e-6, False), (5e-7, True)])
+    def test_vobs_relative_slack(self, sv_cert, rise, ok):
+        """V rises once by `rise` relative, against the slack of 1e-6."""
+        scale = np.sqrt([1.0, 1.0, 1.0 + rise, 1.0 + rise])
+        traj = make_traj(np.arange(4.0), np.ones(4),
+                         z_tilde=np.outer(scale, [0.3, -0.1]))
+        got, worst = check_vobs_monotone(traj, sv_cert)
+        assert got is ok
+        assert worst == pytest.approx(rise, rel=1e-6)
+
+    @pytest.mark.parametrize("err, ok", [(2e-5, False), (5e-6, True)])
+    def test_phi_threshold(self, err, ok):
+        """z_tilde off Phi z_tilde0 by `err` relative, against 1e-5."""
+        traj = make_traj(np.arange(3.0), np.ones(3),
+                         z_tilde=[[1.0, 0.0], [1.0 + err, 0.0], [1.0, 0.0]])
+        phi_err = check_phi_oracle(traj)
+        assert phi_err == pytest.approx(err, rel=1e-9)
+        rep = BoundReport(
+            vobs_monotone=True, vobs_worst_violation=0.0, envelope_ok=True,
+            envelope_T=0.0, envelope_margin=1.0, phi_oracle_max_err=phi_err,
+            dwell_ok=True, dwell_min_ratio=2.0, zeno_ok=True,
+            zeno_max_jumps=0, z2_floor_margin=1.0)
+        assert rep.verdicts["phi"] == ok
 
 
 class TestEnvelope:
@@ -193,9 +219,7 @@ class TestRunLevelChecks:
                                      sv_cert, sv_gains):
         dwell = extract_dwell(golden_run)
         decay = decay_certificate(
-            sv_gains, sv_cert,
-            (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar)
-        ).with_mu(dwell.mu)
+            sv_gains, sv_cert, (dwell.tau_d, dwell.tau_s, dwell.z_under))
         rep = verify_bounds(golden_run, sv_params, sv_cfg, sv_cert, decay,
                             from_cycle=0)
         assert all(rep.verdicts.values())

@@ -4,6 +4,7 @@ import ast
 import errno
 import importlib.util
 import json
+import math
 import os
 import re
 import signal
@@ -527,7 +528,9 @@ class TestEndToEnd:
                                                section, values):
         """Two runs that stall in cycle 0 with z2 one ulp above -d/c: an
         exact initial estimate, and observer gains with real eigenvalues.
-        Each takes one jump in 2 s, and progress fails it."""
+        Each takes one jump in 2 s, and progress fails it. That one
+        interval covers a tau-length of 74.9, where the decay factor rho
+        underflows to 0: its log keeps kappa2 finite."""
         cfg = json.loads(json.dumps(scenario_dict))
         cfg[section].update(values)
         cfg["solver"].update(t_end=2.0, record_interval=0.01)
@@ -539,6 +542,9 @@ class TestEndToEnd:
         assert report["checks"]["results"]["progress"] is False
         assert not report["all_checks_passed"]
         assert len(report["jumps"]) == 1 and report["cycles_reached"] == [0]
+        decay = report["certificates"]["decay"]
+        assert decay["rho"] == 0.0
+        assert 0.0 < decay["kappa2"] < math.inf
 
     def test_failed_report_write_leaves_error_json_only(
             self, short_scenario, tmp_path, monkeypatch):
@@ -901,8 +907,7 @@ class TestEndToEnd:
         dc = dwell_certificate(scn.params, scn.cfg,
                                max(2, report["initial_cycle"]))
         decay = decay_certificate(scn.gains, scn.cert,
-                                  (dc.tau_di, dc.tau_si, dc.z_underbar_i,
-                                   dc.z_bar_i))
+                                  (dc.tau_di, dc.tau_si, dc.z_underbar_i))
         assert report["certificates"]["decay"]["mu"] == decay.mu
 
     def test_step_size_underflow_writes_error_json(self, tmp_path,

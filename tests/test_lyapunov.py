@@ -1,21 +1,19 @@
 """Unit tests for gain completion, the common Lyapunov certificate and the
-constructive dwell/decay constants."""
+dwell and decay certificates."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.linalg import expm
 
 from xbstab import (InvalidGains, NoCertificate, ObserverGains,
                     PlantParams, complete_gains, dwell_certificate,
                     dwell_time_lower_bound, solve_common_lyapunov)
-from xbstab.analysis import extract_dwell
-from xbstab.cli import build_scenario
-from xbstab.engine import simulate
-from xbstab.lyapunov import (_envelope_ok, _norm2, _place_output_injection,
+from xbstab.lyapunov import (_log_rho, _norm2, _residual_norm,
                              decay_certificate)
 
 from test_model import make_cfg
@@ -92,6 +90,27 @@ class TestCommonLyapunov:
         assert cert.lambda_max > 4e6
         assert max(cert.residual_1, cert.residual_2) > 1e-9
         assert cert.lambda_min > 0
+
+    @pytest.mark.parametrize("off, ratio", [(4e-12, 3.03), (4e-13, 0.30)])
+    def test_refusal_bound_edge(self, sv_params, sv_gains, sv_cert, off,
+                                ratio):
+        """k2- off by 4e-12 relative leaves an A2 residual 3.03 times the
+        bound 8 eps (2 ||A2||_2 lambda_max + 1), and is refused; off by
+        4e-13 it is 0.30 times the bound, and is certified."""
+        gains = ObserverGains(params=sv_params, k1_plus=sv_gains.k1_plus,
+                              k2_plus=sv_gains.k2_plus,
+                              k1_minus=sv_gains.k1_minus,
+                              k2_minus=sv_gains.k2_minus * (1.0 + off))
+        (p11, p12), (_, p22) = sv_cert.P.tolist()     # P is A1's alone
+        bound = 8.0 * _EPS * (2.0 * _norm2(*gains.A2.ravel().tolist())
+                              * sv_cert.lambda_max + 1.0)
+        residual = _residual_norm(gains.A2, p11, p12, p22)
+        assert residual / bound == pytest.approx(ratio, abs=0.01)
+        if ratio > 1.0:
+            with pytest.raises(NoCertificate, match="residuals too large"):
+                solve_common_lyapunov(gains)
+        else:
+            assert solve_common_lyapunov(gains).residual_2 == residual
 
     def test_gains_off_the_equalities_are_refused(self, sv_params,
                                                   sv_gains):
@@ -224,122 +243,130 @@ class TestDwellTime:
 
 
 class TestDecayCertificate:
-    def test_no_gap_means_unit_overshoot(self, sv_gains, sv_cert):
-        d = decay_certificate(sv_gains, sv_cert, (1e-3, 0.0, 1.0, 10.0))
-        assert d.c_bar == 1.0 and d.log_c_bar == 0.0
-
     def test_contraction_and_envelope_constants(self, sv_gains, sv_cert):
-        d = decay_certificate(sv_gains, sv_cert, (1e-3, 2e-3, 9.0, 75.0))
+        d = decay_certificate(sv_gains, sv_cert, (1e-3, 2e-3, 9.0))
         assert 0.0 < d.rho < 1.0
-        assert d.kappa1 >= 1.0
-        assert d.kappa2 > 0.0
-        assert d.mu == pytest.approx(9.0 * 1e-3 / 3e-3)
+        assert d.kappa1 == pytest.approx(sv_cert.gamma / math.sqrt(d.rho),
+                                         rel=1e-12)
+        assert d.kappa2 == pytest.approx(-math.log(d.rho) / (2 * 9e-3),
+                                         rel=1e-9)
+        assert d.mu == pytest.approx(9.0 * 1e-3 / 4e-3)
+        assert d.log_one_minus_rho == pytest.approx(math.log1p(-d.rho),
+                                                    abs=1e-12)
+
+    def test_fields_are_python_floats(self, sv_gains, sv_cert):
+        for T in (8.22e-3, 1.0, 74.9):
+            d = decay_certificate(sv_gains, sv_cert, (T / 4.0, 2e-3, 4.0))
+            assert all(type(v) is float for v in d.to_dict().values())
+
+    def test_long_window_keeps_kappa2_finite(self, sv_gains, sv_cert):
+        """The stall reproducers' one interval of 2 s covers T = 74.9:
+        rho underflows to 0, but its log does not, so kappa2 is finite
+        and the shipped modes' decay rate -8 shows in it."""
+        d = decay_certificate(sv_gains, sv_cert, (2.0, 0.0, 74.9 / 2.0))
+        assert d.rho == 0.0 and d.log_one_minus_rho == 0.0
+        assert d.kappa2 == pytest.approx(8.0, rel=1e-2)
+        assert math.isfinite(d.kappa1)
 
     def test_rho_decreases_with_longer_window(self, sv_gains, sv_cert):
-        """Recompute 1 - rho from the defining formula in log space (rho
-        itself rounds to 1.0 in floats) and check a longer averaging
-        window strictly improves the contraction factor."""
-        d = decay_certificate(sv_gains, sv_cert, (1e-3, 2e-3, 9.0, 75.0))
-        gamma_r = sv_cert.lambda_max / sv_cert.lambda_min
-        log_2gc2 = math.log(2 * gamma_r) + 2 * d.log_c_bar
-        log_k_bar = (math.log(sv_cert.lambda_max) + 2 * d.log_c_bar
-                     + 2 * math.log(max(np.linalg.norm(d.K1),
-                                        np.linalg.norm(d.K2)))
-                     - math.log(d.decay_rate))
-
-        def log_one_minus_rho(L):
-            log_x = log_2gc2 - 2 * d.decay_rate * L
-            return math.log(-math.expm1(log_x)) \
-                - np.logaddexp(0.0, log_k_bar)
-
-        assert log_one_minus_rho(d.L) == pytest.approx(
-            d.log_one_minus_rho, rel=1e-9)
-        assert log_one_minus_rho(2 * d.L) > log_one_minus_rho(d.L)
-
-    def test_with_mu_override(self, sv_gains, sv_cert):
-        d = decay_certificate(sv_gains, sv_cert, (1e-3, 2e-3, 9.0, 75.0))
-        d2 = d.with_mu(5.0)
-        assert d2.mu == 5.0
-        assert d2.kappa1 == d.kappa1
+        for A in (sv_gains.A1, sv_gains.A2):
+            log_rho = [_log_rho(A, sv_cert, T)[0]
+                       for T in np.geomspace(1e-6, 40.0, 60)]
+            assert all(np.diff(log_rho) < 0.0)
 
     def test_rejects_nonpositive_dwell_data(self, sv_gains, sv_cert):
         with pytest.raises(ValueError):
-            decay_certificate(sv_gains, sv_cert, (0.0, 1.0, 1.0, 1.0))
+            decay_certificate(sv_gains, sv_cert, (0.0, 1.0, 1.0))
 
 
-def _envelope_ok_loop(M, pole, lam, log_c_bar, tau_start):
-    """The envelope check one tau at a time at 400 taus: the sampled
-    oracle of the closed-form lyapunov._envelope_ok."""
-    for tau in np.linspace(tau_start, tau_start + 60.0 / lam, 400):
-        G = np.eye(2) + (M - pole * np.eye(2)) * tau
-        lhs = pole * tau + math.log(np.linalg.norm(G, 2))
-        if lhs > -log_c_bar - 2.0 * lam * (tau - tau_start):
-            return False
-    return True
+def _reference_log_rho(A, P, T):
+    """(log rho, 1 - rho) by scipy: 1 - rho = lambda_min(W, P) for the
+    Gramian W from scipy quad of e^{A's} C'C e^{As} (with scipy expm),
+    taken as det W / det P / lambda_max, since an eigensolver's smallest
+    eigenvalue is only good to eps lambda_max; log rho =
+    2 r T + log lambda_max(F'PF, P) with F = expm((A - rI) T) and r the
+    largest real part of an eigenvalue of A."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(P))
+    r = max(np.linalg.eigvals(A).real)
+    F = expm((A - r * np.eye(2)) * T)
+    log_rho = 2.0 * r * T + math.log(
+        np.linalg.eigvalsh(L_inv @ F.T @ P @ F @ L_inv.T)[1])
+    if log_rho < math.log(0.25):
+        return log_rho, None
+
+    def entry(s, i, j):
+        row = expm(A * s)[0]
+        return row[i] * row[j]
+
+    # w11 and w22 integrate squares, to 1e-13 relative; w12 can cancel,
+    # so it is held to 1e-14 of its Cauchy-Schwarz bound sqrt(w11 w22)
+    w11, w22 = (quad(entry, 0.0, T, args=(i, i), epsabs=0.0, epsrel=1e-13,
+                     limit=1000)[0] for i in (0, 1))
+    w12 = quad(entry, 0.0, T, args=(0, 1), epsabs=1e-14 * math.sqrt(
+        w11 * w22), epsrel=1e-13, limit=1000)[0]
+    W = np.array([[w11, w12], [w12, w22]])
+    lam_max = np.linalg.eigvalsh(L_inv @ W @ L_inv.T)[1]
+    return log_rho, np.linalg.det(W) / np.linalg.det(P) / lam_max
 
 
-@pytest.mark.parametrize("k", [500.0, 400.0])
-def test_batched_envelope_check_matches_loop(scenario_dict, k):
-    """On the dwell data of the shipped scenario and of its k = 400
-    variant, the closed-form check gives the sampled loop's verdict for
-    both modes at every decay rate of decay_certificate's search grid."""
-    cfg = json.loads(json.dumps(scenario_dict))
-    cfg["controller"]["k"] = k
-    scn = build_scenario(cfg)
-    traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
-                    scn.z0, scn.z_hat0, k=scn.k)
-    dwell = extract_dwell(traj)
-    A1, A2 = scn.gains.A1, scn.gains.A2
-    log_c_bar = max(np.linalg.norm(A1, 2), np.linalg.norm(A2, 2)) \
-        * dwell.z_bar * dwell.tau_s
-    s = dwell.tau_d * dwell.z_under / 2.0
-    verdicts = []
-    for mult in np.geomspace(1.0, 1e4, 60):
-        lam = max(log_c_bar, 1.0) / (3.0 * s) * mult
-        for A in (A1, A2):
-            M = A + np.outer(_place_output_injection(A, -3.0 * lam),
-                             [1.0, 0.0])
-            verdict = _envelope_ok(M, -3.0 * lam, lam, log_c_bar, s)
-            assert verdict == _envelope_ok_loop(M, -3.0 * lam, lam,
-                                                log_c_bar, s), (mult, A)
-            verdicts.append(verdict)
-    assert True in verdicts and False in verdicts
+def _assert_log_rho_matches(A, cert, T, rel=0.0):
+    """1 - rho to 1e-10 relative where rho >= 1/2, log rho to 1e-10
+    absolute below, or to `rel` relative where that is larger."""
+    log_rho, log_one_minus_rho = _log_rho(A, cert, T)
+    ref_log_rho, ref_one_minus_rho = _reference_log_rho(A, cert.P, T)
+    if log_rho >= -math.log(2.0):
+        assert math.exp(log_one_minus_rho) == pytest.approx(
+            ref_one_minus_rho, rel=1e-10, abs=0.0), T
+    else:
+        assert log_rho == pytest.approx(ref_log_rho, rel=rel, abs=1e-10), T
 
 
-def test_envelope_maximum_between_samples_is_caught():
-    """A case whose worst tau lies midway between two of the 400 taus the
-    sampled check takes: over all tau >= s the envelope fails by 5e-4 in
-    the log, which both neighbouring samples miss by about 2e-3, and 1e-3
-    less log c_bar makes it hold."""
-    lam, pole = 1.0, -3.0
-    M = pole * np.eye(2) + np.array([[0.0, 10.0], [0.0, 0.0]])
-    peak = math.sqrt(1.0 - 4.0 / 10.0 ** 2)      # stationary, ||N||_F = 10
-    s = peak - 30.0 / 399.0     # the samples s and s + 60/399 straddle it
-
-    def excess(taus, log_c_bar):
-        G = np.eye(2) + (M - pole * np.eye(2)) * taus[:, None, None]
-        return pole * taus + np.log(np.linalg.norm(G, 2, axis=(1, 2))) \
-            + log_c_bar + 2.0 * lam * (taus - s)
-
-    log_c_bar = 5e-4 - excess(np.array([peak]), 0.0)[0]
-    dense = excess(np.linspace(s, s + 60.0 / lam, 100001), log_c_bar)
-    assert dense.max() == pytest.approx(5e-4, abs=1e-7)
-    assert _envelope_ok_loop(M, pole, lam, log_c_bar, s)
-    assert not _envelope_ok(M, pole, lam, log_c_bar, s)
-    assert _envelope_ok(M, pole, lam, log_c_bar - 1e-3, s)
+def _whole_stretches(intervals, t0, t, tau_d):
+    """The most disjoint stretches of length tau_d, each inside one
+    interval, that fit in [t0, t]."""
+    return sum(max(0, min(b, t) - max(a, t0)) // tau_d for a, b in intervals)
 
 
-class TestPolePlacement:
-    @pytest.mark.parametrize("pole", [-5.0, -50.0, -500.0])
-    def test_both_eigenvalues_at_pole(self, sv_gains, pole):
+def test_window_count_of_the_decay_certificate():
+    """decay_certificate counts one contraction per 2 tau_d + tau_s from
+    any t0 at most tau_s before the first interval. On intervals of
+    2 tau_d - delta with gaps of tau_s (in integers: tau_d 10, tau_s 15,
+    delta 1), every [t0, t] on the grid holds that many whole tau_d
+    stretches, while one per tau_d + tau_s overcounts."""
+    tau_d, tau_s, delta = 10, 15, 1
+    period = 2 * tau_d - delta + tau_s
+    intervals = [(k * period, k * period + 2 * tau_d - delta)
+                 for k in range(8)]
+    end = intervals[-1][1]
+    overcounted = False
+    for t0 in range(-tau_s, end + 1):
+        for t in range(t0, end + 1):
+            n = _whole_stretches(intervals, t0, t, tau_d)
+            assert n >= (t - t0) // (2 * tau_d + tau_s), (t0, t)
+            overcounted |= n < (t - t0) // (tau_d + tau_s)
+    assert overcounted
+
+
+class TestContractionAgainstGramian:
+    """lyapunov._log_rho, which builds e^{AT} from fastpath._expm_pq and
+    sums the Gramian by doubling, against scipy's quadrature of the
+    Gramian and scipy's matrix exponential."""
+
+    @pytest.mark.parametrize("T", [1e-6, 1e-5, 8.6e-5, 1e-3, 8.22e-3, 0.03,
+                                   0.1, 0.15, 0.2, 1.0, 5.0, 40.0])
+    def test_shipped_gains(self, sv_gains, sv_cert, T):
         for A in (sv_gains.A1, sv_gains.A2):
-            K = _place_output_injection(A, pole)
-            M = A + np.outer(K, [1.0, 0.0])
-            eigs = np.linalg.eigvals(M)
-            # a defective double eigenvalue splits by ~sqrt(machine eps)
-            assert np.allclose(sorted(eigs.real), [pole, pole], rtol=1e-6)
-            assert np.allclose(eigs.imag, 0.0, atol=1e-5 * abs(pole))
-            # the characteristic polynomial coefficients are exact targets
-            assert np.trace(M) == pytest.approx(2 * pole, rel=1e-12)
-            assert np.linalg.det(M) == pytest.approx(pole * pole,
-                                                     rel=1e-12)
+            _assert_log_rho_matches(A, sv_cert, T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_valid_gains(), st.floats(-6.0, math.log10(40.0)))
+    def test_closed_forms_draws(self, draw, log_T):
+        """Both modes of TestClosedForms' gains, at T from 1e-6 to 40.
+        log rho reaches -1.2e4 here, where scipy's expm is the weaker
+        side: against 60-digit arithmetic it was off by up to 4.6e-7
+        (4e-11 relative), _log_rho by 2.4e-9."""
+        a, c, d, k1, k2 = draw
+        gains = complete_gains(PlantParams(a=a, c=c, d=d), k1, k2)
+        cert = solve_common_lyapunov(gains)
+        for A in (gains.A1, gains.A2):
+            _assert_log_rho_matches(A, cert, 10.0 ** log_T, rel=1e-10)

@@ -281,9 +281,7 @@ def golden_reports(golden_run, sv_params, sv_cfg, sv_cert, sv_gains):
     """Every serialized report and certificate type, from the golden run."""
     dwell = extract_dwell(golden_run)
     decay = decay_certificate(
-        sv_gains, sv_cert,
-        (dwell.tau_d, dwell.tau_s, dwell.z_under, dwell.z_bar)
-    ).with_mu(dwell.mu)
+        sv_gains, sv_cert, (dwell.tau_d, dwell.tau_s, dwell.z_under))
     bounds = verify_bounds(golden_run, sv_params, sv_cfg, sv_cert, decay,
                            from_cycle=0)
     return [
@@ -291,8 +289,8 @@ def golden_reports(golden_run, sv_params, sv_cfg, sv_cert, sv_gains):
         (bounds, old.bound_report_to_dict),
         (sv_cert, old.lyapunov_certificate_to_dict),
         (decay, old.decay_certificate_to_dict),
-        # c_bar overflows to inf for long gaps; the report spells it out
-        (dataclasses.replace(decay, c_bar=math.inf, log_c_bar=800.0),
+        # kappa1 overflows to inf for long windows; the report spells it out
+        (dataclasses.replace(decay, rho=0.0, kappa1=math.inf),
          old.decay_certificate_to_dict),
     ] + [(dwell_certificate(sv_params, sv_cfg, i),
           old.dwell_time_certificate_to_dict) for i in (1, 2, 3)]
