@@ -13,6 +13,13 @@ bit for bit. A pass's scratch is a few blocks however long the arc:
 cycle_slices reads the cycle column's marks, not its rows, and the
 sliding windows of extract_dwell read the cumulative integral of |z1|
 through two forward cursors, each of which carries its own running sum.
+
+simulate stores z2, z_tilde and Phi only where its kernel wrote them and
+evaluates the rest when read (model.ClosedColumn). So the checks that
+read them, V_obs, the envelope, the Phi oracle and verify_bounds' progress
+floor, are passes (_Vobs, _Envelope, _PhiOracle, _Floor) that
+verify_bounds runs together, evaluating each block once; extract_dwell
+and check_dwell_lower_bound read only t, z1 and the marks.
 """
 
 from __future__ import annotations
@@ -81,12 +88,14 @@ class BoundReport:
                 "progress": self.z2_floor_margin > _PROGRESS_FLOOR}
 
 
-def _blocks(rows: slice, overlap: int = 0):
-    """Slices of at most _BLOCK_ROWS rows that cover `rows` in order, each
-    extended by `overlap` rows into the next one; with overlap 1 every
-    pair of neighbouring rows lies in exactly one block."""
-    for lo in range(rows.start, rows.stop - overlap, _BLOCK_ROWS):
-        yield slice(lo, min(lo + _BLOCK_ROWS + overlap, rows.stop))
+def _blocks(rows: slice, overlap: int = 0, size: int = 0):
+    """Slices of at most `size` rows (by default _BLOCK_ROWS) that cover
+    `rows` in order, each extended by `overlap` rows into the next one;
+    with overlap 1 every pair of neighbouring rows lies in exactly one
+    block."""
+    size = size or _BLOCK_ROWS
+    for lo in range(rows.start, rows.stop - overlap, size):
+        yield slice(lo, min(lo + size + overlap, rows.stop))
 
 
 def cycle_slices(traj: HybridTrajectory) -> dict:
@@ -270,6 +279,143 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     )
 
 
+class _Vobs:
+    """check_vobs_monotone's pass: the largest relative rise of V_obs
+    between neighbouring rows, carrying the last row's V across blocks."""
+
+    def __init__(self, cert: LyapunovCertificate):
+        self._p = cert.P[0, 0], cert.P[0, 1], cert.P[1, 1]
+        self._last, self._rises = None, []
+
+    def feed(self, b: slice, c: np.ndarray):
+        p11, p12, p22 = self._p
+        zt1, zt2 = c[1], c[2]
+        v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
+        if self._last is not None:
+            v = np.concatenate(([self._last], v))
+        if v.size > 1:
+            self._rises.append(
+                (np.diff(v) / np.maximum(v[:-1], _TINY)).max())
+        self._last = v[-1]
+
+    def result(self) -> tuple[bool, float]:
+        worst = float(np.max(self._rises)) if self._rises else 0.0
+        return worst <= 1e-6, worst
+
+
+class _PhiOracle:
+    """check_phi_oracle's pass: per cycle, the largest |z_tilde - Phi
+    z_tilde0| over its rows, with z_tilde0 read at the cycle's first
+    row."""
+
+    def __init__(self, traj: HybridTrajectory):
+        self._cycles = list(cycle_slices(traj).values())
+        self._start = {}                # index in _cycles -> (zt0, |zt0|)
+        self._errs = {}
+
+    def feed(self, b: slice, c: np.ndarray):
+        for k, sl in enumerate(self._cycles):
+            lo, hi = max(sl.start, b.start), min(sl.stop, b.stop)
+            if lo >= hi:
+                continue
+            if lo == sl.start:
+                zt0 = np.array([c[1, lo - b.start], c[2, lo - b.start]])
+                self._start[k] = zt0, np.linalg.norm(zt0)
+            zt0, n0 = self._start[k]
+            if n0 == 0.0:
+                continue
+            r = slice(lo - b.start, hi - b.start)
+            pred1 = c[3, r] * zt0[0] + c[4, r] * zt0[1]
+            pred2 = c[5, r] * zt0[0] + c[6, r] * zt0[1]
+            self._errs.setdefault(k, []).append(
+                np.hypot(c[1, r] - pred1, c[2, r] - pred2).max())
+
+    def result(self) -> float:
+        return max([0.0] + [float(np.max(errs)) / float(self._start[k][1])
+                            for k, errs in sorted(self._errs.items())])
+
+
+class _Envelope:
+    """check_envelope's pass from the first row of from_cycle on: the last
+    row where the bound fails and the margin since."""
+
+    def __init__(self, traj: HybridTrajectory, decay: DecayCertificate,
+                 from_cycle: int):
+        self._t = traj.t
+        self._first = first = cycle_slice(traj, from_cycle).start
+        self._t0 = traj.t[first]
+        zt = traj.closed_rows(slice(first, first + 1))
+        self._zt0 = math.hypot(zt[1, 0], zt[2, 0])
+        self._decay = decay
+        self._start, self._margin, self._zero = first, math.inf, True
+        self._n = len(traj)
+
+    def feed(self, b: slice, c: np.ndarray):
+        lo = max(b.start, self._first)
+        if lo >= b.stop:
+            return
+        zt1, zt2 = c[1, lo - b.start:], c[2, lo - b.start:]
+        if self._zt0 == 0.0:
+            self._zero &= bool(np.all(np.hypot(zt1, zt2) == 0.0))
+            return
+        decay = self._decay
+        log_bound = (math.log(decay.kappa1) + math.log(self._zt0)
+                     - decay.kappa2 * decay.mu
+                     * (self._t[lo:b.stop] - self._t0))
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.hypot(zt1, zt2))
+        fail = np.flatnonzero(~(log_mag <= log_bound))
+        if fail.size:
+            # the bound holds at every row after the block's last failure
+            k = int(fail[-1]) + 1
+            self._start, self._margin = lo + k, math.inf
+            log_bound, log_mag = log_bound[k:], log_mag[k:]
+        if log_bound.size:
+            self._margin = min(self._margin,
+                               float((log_bound - log_mag).min()))
+
+    def result(self) -> dict:
+        if self._zt0 == 0.0:
+            ok = self._zero
+            return {"envelope_ok": ok, "T": 0.0,
+                    "margin": math.inf if ok else -math.inf}
+        if self._start == self._n:
+            return {"envelope_ok": False, "T": math.inf,
+                    "margin": -math.inf}
+        return {"envelope_ok": True,
+                "T": float(self._t[self._start] - self._t0),
+                "margin": self._margin}
+
+
+class _Floor:
+    """verify_bounds' progress pass: the smallest z2 + d/c."""
+
+    def __init__(self, params: PlantParams):
+        self._floor, self._gaps = params.z2_floor, []
+
+    def feed(self, b: slice, c: np.ndarray):
+        self._gaps.append((c[0] - self._floor).min())
+
+    def result(self) -> float:
+        return np.min(self._gaps)
+
+
+def _closed_pass(traj: HybridTrajectory, checks: tuple,
+                 start: int = 0) -> list:
+    """Feed rows start: to each of `checks` a block at a time, with the
+    block's closed-form columns (HybridTrajectory.closed_rows) evaluated
+    once for all of them into one buffer; returns their results. The
+    blocks are half of _BLOCK_ROWS: the buffer holds seven columns, and
+    the evaluation's scratch is about as large again."""
+    size = max(1, _BLOCK_ROWS // 2)
+    buf = np.empty((7, size))
+    for b in _blocks(slice(start, len(traj)), size=size):
+        c = traj.closed_rows(b, buf)
+        for check in checks:
+            check.feed(b, c)
+    return [check.result() for check in checks]
+
+
 def check_vobs_monotone(traj: HybridTrajectory,
                         cert: LyapunovCertificate) -> tuple[bool, float]:
     """V_obs = z_tilde' P z_tilde non-increasing at every sample pair, to
@@ -278,34 +424,14 @@ def check_vobs_monotone(traj: HybridTrajectory,
     Returns (ok, worst relative violation); jumps leave z_tilde unchanged,
     so the check applies uniformly across the whole sample sequence.
     """
-    p11, p12, p22 = cert.P[0, 0], cert.P[0, 1], cert.P[1, 1]
-    rises = []
-    for b in _blocks(slice(0, len(traj)), 1):
-        zt1, zt2 = traj.z_tilde1[b], traj.z_tilde2[b]
-        v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
-        rises.append((np.diff(v) / np.maximum(v[:-1], _TINY)).max())
-    worst = float(np.max(rises)) if rises else 0.0
-    return worst <= 1e-6, worst
+    return _closed_pass(traj, (_Vobs(cert),))[0]
 
 
 def check_phi_oracle(traj: HybridTrajectory) -> float:
     """Max over completed cycles of ||z_tilde - Phi z_tilde0|| relative to
-    ||z_tilde0|| at the cycle start (the transition-matrix contract)."""
-    worst = 0.0
-    for sl in cycle_slices(traj).values():
-        zt0 = np.array([traj.z_tilde1[sl.start], traj.z_tilde2[sl.start]])
-        n0 = np.linalg.norm(zt0)
-        if n0 == 0.0:
-            continue
-        errs = []
-        for b in _blocks(sl):
-            phi = traj.phi[b]
-            pred1 = phi[:, 0] * zt0[0] + phi[:, 1] * zt0[1]
-            pred2 = phi[:, 2] * zt0[0] + phi[:, 3] * zt0[1]
-            errs.append(np.hypot(traj.z_tilde1[b] - pred1,
-                                 traj.z_tilde2[b] - pred2).max())
-        worst = max(worst, float(np.max(errs)) / n0)
-    return worst
+    ||z_tilde0|| at the cycle start (the transition-matrix contract), as a
+    Python float."""
+    return _closed_pass(traj, (_PhiOracle(traj),))[0]
 
 
 def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
@@ -317,34 +443,8 @@ def check_envelope(traj: HybridTrajectory, decay: DecayCertificate,
     the margin is the minimal log-space slack past t0 + T. One pass
     carries the last row where the bound fails and the margin since.
     """
-    first = cycle_slice(traj, from_cycle).start
-    rows = slice(first, len(traj))
-    t0 = traj.t[first]
-    zt0 = math.hypot(traj.z_tilde1[first], traj.z_tilde2[first])
-    if zt0 == 0.0:
-        ok = all(bool(np.all(np.hypot(traj.z_tilde1[b],
-                                      traj.z_tilde2[b]) == 0.0))
-                 for b in _blocks(rows))
-        return {"envelope_ok": ok, "T": 0.0,
-                "margin": math.inf if ok else -math.inf}
-    start, margin = first, math.inf
-    for b in _blocks(rows):
-        log_bound = (math.log(decay.kappa1) + math.log(zt0)
-                     - decay.kappa2 * decay.mu * (traj.t[b] - t0))
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(np.hypot(traj.z_tilde1[b], traj.z_tilde2[b]))
-        fail = np.flatnonzero(~(log_mag <= log_bound))
-        if fail.size:
-            # the bound holds at every row after the block's last failure
-            k = int(fail[-1]) + 1
-            start, margin = b.start + k, math.inf
-            log_bound, log_mag = log_bound[k:], log_mag[k:]
-        if log_bound.size:
-            margin = min(margin, float((log_bound - log_mag).min()))
-    if start == len(traj):
-        return {"envelope_ok": False, "T": math.inf, "margin": -math.inf}
-    return {"envelope_ok": True, "T": float(traj.t[start] - t0),
-            "margin": margin}
+    env = _Envelope(traj, decay, from_cycle)
+    return _closed_pass(traj, (env,), env._first)[0]
 
 
 def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
@@ -438,15 +538,16 @@ def check_zeno(traj: HybridTrajectory, t_lmin: float) -> tuple[bool, int]:
 def verify_bounds(traj: HybridTrajectory, params: PlantParams,
                   cfg: ControllerConfig, cert: LyapunovCertificate,
                   decay: DecayCertificate, from_cycle: int) -> BoundReport:
-    """All per-trajectory bound checks combined into one report."""
-    mono, worst = check_vobs_monotone(traj, cert)
-    env = check_envelope(traj, decay, from_cycle)
-    phi_err = check_phi_oracle(traj)
+    """All per-trajectory bound checks combined into one report. The
+    checks that read z2, z_tilde or Phi (V_obs, the envelope, the Phi
+    oracle and the progress floor) share one pass, which evaluates each
+    block's closed-form columns once."""
+    (mono, worst), env, phi_err, floor_gap = _closed_pass(
+        traj, (_Vobs(cert), _Envelope(traj, decay, from_cycle),
+               _PhiOracle(traj), _Floor(params)))
     dwell_ok, ratio = check_dwell_lower_bound(traj, params, cfg)
     _, _, t_lmin = dwell_time_lower_bound(params, cfg, 1)
     zeno_ok, zeno_worst = check_zeno(traj, t_lmin)
-    floor_gap = np.min([(traj.z2[b] - params.z2_floor).min()
-                        for b in _blocks(slice(0, len(traj)))])
     return BoundReport(
         vobs_monotone=mono, vobs_worst_violation=worst,
         envelope_ok=env["envelope_ok"], envelope_T=env["T"],

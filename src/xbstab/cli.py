@@ -56,7 +56,7 @@ from .lyapunov import (LyapunovCertificate, complete_gains,
                        decay_certificate, dwell_certificate,
                        solve_common_lyapunov)
 from .model import (ControllerConfig, HSchedule, HybridTrajectory,
-                    PlantParams, SolverConfig, derive_control_gain)
+                    PlantParams, SolverConfig, control, derive_control_gain)
 
 SCHEMA_VERSION = 1
 
@@ -294,15 +294,28 @@ def _plot_files(out: Path, outputs: dict) -> list:
 def _block_reader(traj: HybridTrajectory, u=None):
     """block(lo, hi) for csvwriter.write_csvs: every trajectory column the
     CSV files can name, of rows lo:hi, as arrays. u, the control input
-    under (params, k) = u, is there only when u is given."""
+    under (params, k) = u, is there only when u is given.
+
+    The closed-form columns of a block are evaluated once
+    (HybridTrajectory.closed_rows), into one buffer that the reader keeps
+    from block to block: in a forked writer child, the child's own. The
+    columns of a block are valid until the next block is read."""
+    buf = np.empty((7, 0))
+
     def block(lo: int, hi: int) -> dict:
+        nonlocal buf
+        if buf.shape[1] < hi - lo:
+            buf = np.empty((7, hi - lo))
         v = traj.rows(slice(lo, hi))
+        z2, zt1, zt2, _, _, _, _ = traj.closed_rows(slice(lo, hi), buf)
+        z_star = v.z_star[:]
+        z2_hat = z2 + zt2
         columns = {"t": v.t, "j": v.j[:], "i": v.cycle[:], "tau": v.tau,
-                   "z1": v.z1, "z2": v.z2, "z1_hat": v.z1_hat,
-                   "z2_hat": v.z2_hat, "z_tilde1": v.z_tilde1,
-                   "z_tilde2": v.z_tilde2, "z_star": v.z_star[:]}
+                   "z1": v.z1, "z2": z2, "z1_hat": v.z1 + zt1,
+                   "z2_hat": z2_hat, "z_tilde1": zt1, "z_tilde2": zt2,
+                   "z_star": z_star}
         if u is not None:
-            columns["u"] = v.control(*u)
+            columns["u"] = control(*u, v.z1, z2_hat, z_star)
         return columns
     return block
 

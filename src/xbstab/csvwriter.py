@@ -43,6 +43,16 @@ _BLOCK_ROWS = 2048
 # 1.7-2.4 ms in the median (6.3 ms at worst) for a 47 MB process on a
 # 2-CPU x86 VM, and a share of 8192 rows takes tens of ms to format
 _MIN_SHARE_ROWS = 8192
+# bytes of the array a writer child allocates and frees before its first
+# block. glibc serves a request of 128 KB or more from its own mapping and,
+# when such a mapping is freed, raises that threshold to its size and the
+# heap's trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD). Most
+# of a block's arrays are 160-550 KB, so without this each block can map
+# fresh pages, and how many depends on what the parent freed before the
+# fork: the two children on the shipped scenario took 7,400-9,100 minor
+# faults. After it, every block's arrays reuse the heap pages of the first
+# block (5,370-5,400). np.empty touches no page of it.
+_HEAP_WARMUP_BYTES = 8 << 20
 # bytes asked of one os.copy_file_range call (Linux copies at most about
 # 2 GiB per call); a share's file takes as many calls as it needs
 _COPY_BYTES = 1 << 30
@@ -264,14 +274,17 @@ def _format_rows(block, names: list, outs: list, lo: int, hi: int):
 def _fork_share(block, names: list, outs: list, lo: int, hi: int) -> int:
     """Format rows lo:hi into `outs` in a forked child; returns its pid.
 
-    The child leaves only through os._exit, with status 0 once its files
-    are flushed and 1 on any exception, so no buffer, atexit hook or
-    finally block it inherited runs a second time."""
+    The child first frees one array of _HEAP_WARMUP_BYTES, so that its
+    block arrays reuse one set of heap pages. It leaves only through
+    os._exit, with status 0 once its files are flushed and 1 on any
+    exception, so no buffer, atexit hook or finally block it inherited
+    runs a second time."""
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
+        np.empty(_HEAP_WARMUP_BYTES, np.uint8)
         _format_rows(block, names, outs, lo, hi)
         for fh, _ in outs:
             fh.flush()

@@ -8,20 +8,27 @@ HybridTrajectory ordered lexicographically in hybrid time (t, j).
 The jump sets D_c, D_nc and the jump map live here too, with one function
 per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
-A run keeps its rows (t, y) in one (capacity, 10) array that the kernel
-writes into directly, through a window that ends _INIT_BUFFER_ROWS rows
-past the recorded ones. Each row is written once: a segment whose window
-fills resumes from the last row the kernel recorded, and only a jump
-instant has two rows, its pre- and post-jump points. The array starts
-with room for the start row and the first window, and grows between
-calls by allocate-and-copy, at least doubling, when a window would pass
-its end. The row array, each grown copy of it and the kernel's span
-table live in anonymous memory mapped in base pages (_Arc._buffer), so
-reserved capacity is resident only in the 4 KB pages a run writes. j,
-cycle and z_star change only at jumps: the run keeps one (first row,
-cycle, z_star) mark per run of rows, whose index is j, and the trajectory
-reads j, cycle, z_star and the jump log off those marks; its other
-columns, phi included, are views of the rows.
+The kernel writes each call's rows (t, y), 10 floats a row, into one
+window of _INIT_BUFFER_ROWS rows that every call reuses from its row 0,
+and reserves the interior rows of its recorded spans. After each call the
+engine splits the window into three stores (_Arc.take): t, tau and z1 of
+every row, the seven closed-form columns z2, z_tilde and Phi of the rows
+the kernel wrote, and one span record (first row, count, mode, anchor)
+per span of filled rows, whose t, tau and z1 emission.fill_spans writes.
+So a filled row costs 24 B and a row the kernel wrote 80 B. Each row is
+recorded once: a segment whose window fills resumes from the last row the
+kernel recorded, and only a jump instant has two rows, its pre- and
+post-jump points. Each store starts with room for the start row and a
+full window and grows between calls by allocate-and-copy, at least
+doubling. The window, the stores and the kernel's span table live in
+anonymous memory mapped in base pages (_Arc._buffer), so reserved
+capacity is resident only in the 4 KB pages a run writes. j, cycle and
+z_star change only at jumps: the run keeps one (first row, cycle, z_star)
+mark per run of rows, whose index is j, and the trajectory reads j,
+cycle, z_star and the jump log off those marks. Its t, tau and z1 are
+views of the first store, and z2, z_tilde and phi ClosedColumns that
+evaluate the filled rows from their span records when read
+(emission.ClosedForm).
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ from . import emission, fastpath
 from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
                      StepFailure, ZenoSuspected)
 from .lyapunov import LyapunovCertificate
-from .model import (ControllerConfig, HybridState, HybridTrajectory,
-                    JumpKind, JumpRecord, MarkColumn, ObserverGains,
-                    PlantParams, SolverConfig, g_of)
+from .model import (ClosedColumn, ControllerConfig, HybridState,
+                    HybridTrajectory, JumpKind, JumpRecord, MarkColumn,
+                    ObserverGains, PlantParams, SolverConfig, g_of)
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
@@ -111,20 +118,29 @@ def _y_to_state(y: np.ndarray, cycle: int, z_star: float) -> HybridState:
 
 
 class _Arc:
-    """The rows (t, y) of a run and a (first row, cycle, z_star) mark per
-    run of rows between jumps: mark j opens the rows of jump counter j.
+    """The rows of a run, in the three stores of the module docstring, and
+    a (first row, cycle, z_star) mark per run of rows between jumps: mark
+    j opens the rows of jump counter j.
 
-    The row array, its grown copies and the span table come from _buffer,
-    so their reserved capacity costs memory only where the run writes.
+    window and spans are the kernel's buffer and span table, which each
+    call uses from row 0. flow holds t, tau and z1 of every row, kept the
+    closed-form columns of the rows the kernel and add_state wrote, and
+    records a span record (emission.R_*) per span of filled rows; modes
+    holds the two modes the records name. Every array comes from _buffer,
+    so its reserved capacity costs memory only where the run writes.
     """
 
     def __init__(self):
-        # the start row and the first window
-        self.rows = self._buffer(_INIT_BUFFER_ROWS + 1, 10)
-        self.n = 0
-        self.marks = []
-        # a window holds _INIT_BUFFER_ROWS rows, each descriptor at least 2
+        self.window = self._buffer(_INIT_BUFFER_ROWS, 10)
+        # each descriptor comes with at least 2 rows
         self.spans = self._buffer(_INIT_BUFFER_ROWS // 2, fastpath.N_SP)
+        # the start row and a full window
+        self.flow = self._buffer(_INIT_BUFFER_ROWS + 1, 3)
+        self.kept = self._buffer(_INIT_BUFFER_ROWS + 1, 7)
+        self.records = self._buffer(_INIT_BUFFER_ROWS // 2, emission.N_R)
+        self.modes = np.zeros((2, fastpath.SP_YA - fastpath.SP_MD))
+        self.n = self.nk = self.ns = 0
+        self.marks = []
 
     @staticmethod
     def _buffer(rows: int, cols: int) -> np.ndarray:
@@ -142,30 +158,70 @@ class _Arc:
             mem.madvise(mmap.MADV_NOHUGEPAGE)
         return np.frombuffer(mem, float).reshape(rows, cols)
 
-    def window(self) -> np.ndarray:
-        """The rows up to _INIT_BUFFER_ROWS past the recorded ones, after
-        growing the array by copying the recorded rows into a new one."""
-        end = self.n + _INIT_BUFFER_ROWS
-        if end > len(self.rows):
-            grown = self._buffer(max(end, 2 * len(self.rows)), 10)
-            grown[:self.n] = self.rows[:self.n]
-            self.rows = grown
-        return self.rows[:end]
+    @classmethod
+    def _grow(cls, store: np.ndarray, used: int, more: int) -> np.ndarray:
+        """store, or a copy of its first `used` rows in a new array of at
+        least twice its rows, if `more` rows past them would not fit."""
+        if used + more <= len(store):
+            return store
+        grown = cls._buffer(max(used + more, 2 * len(store)), store.shape[1])
+        grown[:used] = store[:used]
+        return grown
+
+    def _append(self, rows: int, kept: int, records: int):
+        """Room for rows, kept rows and span records past the stored
+        ones."""
+        self.flow = self._grow(self.flow, self.n, rows)
+        self.kept = self._grow(self.kept, self.nk, kept)
+        self.records = self._grow(self.records, self.ns, records)
 
     def add_state(self, t: float, state: HybridState):
         self.marks.append((self.n, state.cycle, state.z_star))
-        self.window()[self.n] = (t, *_state_to_y(state))
+        self._append(1, 1, 0)
+        y = _state_to_y(state)
+        self.flow[self.n] = (t, *y[:2])
+        self.kept[self.nk] = y[2:]
         self.n += 1
+        self.nk += 1
+
+    def take(self, rows: int, count: int):
+        """Split a kernel call's first `rows` rows of window and `count`
+        span descriptors into the stores: the rows it wrote go to flow and
+        kept, and the rows it reserved are filled in flow, with a span
+        record each. A call without descriptors wrote every row, and is
+        moved by two slice copies."""
+        win = self.window[:rows]
+        wrote, kept = slice(None), rows
+        if count:
+            wrote = emission.written_rows(self.spans, count, rows)
+            kept = int(np.count_nonzero(wrote))
+        self._append(rows, kept, count)
+        flow = self.flow[self.n:self.n + rows]
+        flow[wrote] = win[wrote, :3]
+        self.kept[self.nk:self.nk + kept] = win[wrote, 3:]
+        if count:
+            emission.fill_spans(flow, self.spans, count)
+            mode = emission.span_records(
+                self.spans, count, self.n,
+                self.records[self.ns:self.ns + count])
+            self.modes[mode] = self.spans[:count,
+                                          fastpath.SP_MD:fastpath.SP_YA]
+        self.n += rows
+        self.nk += kept
+        self.ns += count
 
     def jump_t(self, k: int) -> float:
         """The time of jump k, the t of mark k + 1's first row."""
-        return float(self.rows[self.marks[k + 1][0], 0])
+        return float(self.flow[self.marks[k + 1][0], 0])
 
     def trajectory(self) -> HybridTrajectory:
-        """The recorded arc: every float column is a view of the rows, and
-        j, cycle and z_star are MarkColumns over the marks. Jump k is a
-        NewCycle where mark k + 1 starts a new cycle, else a WithinCycle."""
-        data = self.rows[:self.n]
+        """The recorded arc: t, tau and z1 are views of flow, z2, z_tilde
+        and phi ClosedColumns over the stores, and j, cycle and z_star
+        MarkColumns over the marks. Jump k is a NewCycle where mark k + 1
+        starts a new cycle, else a WithinCycle."""
+        flow = self.flow[:self.n]
+        closed = emission.ClosedForm(flow[:, 1], self.kept[:self.nk],
+                                     self.records[:self.ns], self.modes)
         first, cyc, zs = zip(*self.marks)
         first = np.array(first, np.int64)
         jumps = [JumpRecord(t=self.jump_t(k), j=k,
@@ -173,12 +229,14 @@ class _Arc:
                             else JumpKind.WITHIN_CYCLE)
                  for k in range(len(first) - 1)]
         return HybridTrajectory(
-            t=data[:, 0], j=MarkColumn(first, np.arange(len(first)), self.n),
+            t=flow[:, 0], j=MarkColumn(first, np.arange(len(first)), self.n),
             cycle=MarkColumn(first, np.array(cyc, np.int64), self.n),
-            tau=data[:, 1], z1=data[:, 2], z2=data[:, 3],
-            z_tilde1=data[:, 4], z_tilde2=data[:, 5],
+            tau=flow[:, 1], z1=flow[:, 2],
+            z2=ClosedColumn(closed, 0, self.n),
+            z_tilde1=ClosedColumn(closed, 1, self.n),
+            z_tilde2=ClosedColumn(closed, 2, self.n),
             z_star=MarkColumn(first, np.array(zs, float), self.n),
-            phi=data[:, 6:10], jumps=jumps)
+            phi=ClosedColumn(closed, slice(3, 7), self.n), jumps=jumps)
 
 
 def _dc_threshold(params: PlantParams, cfg: ControllerConfig,
@@ -248,12 +306,13 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     run's constants `run` (fastpath.run_constants).
 
     Records the samples after the start sample into arc and returns
-    (code, t_final, state_final). The kernel writes them
-    straight into arc.window() from row arc.n on: the _INIT_BUFFER_ROWS
-    rows past arc.n, which must exceed one step's worst case
-    (fastpath.MAX_STEP_ROWS). When they fill, the kernel has recorded the
-    point it stopped at, and the segment resumes from it in a new window
-    without writing a row, so each flow instant is recorded once.
+    (code, t_final, state_final). The kernel writes them into
+    arc.window from its row 0 on, and arc.take moves them into the
+    stores after each call. The window's _INIT_BUFFER_ROWS rows must
+    exceed one step's worst case (fastpath.MAX_STEP_ROWS). When they fill,
+    the kernel has recorded the point it stopped at, and the segment
+    resumes from it in the emptied window without writing a row, so each
+    flow instant is recorded once.
     """
     if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
@@ -263,12 +322,9 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     ret = np.zeros(4)
     t_fin = t_start
     while True:
-        buf = arc.window()
-        fastpath.flow_segment(y, t_fin, sc, buf, arc.n, ret, arc.spans)
+        fastpath.flow_segment(y, t_fin, sc, arc.window, 0, ret, arc.spans)
         code, t_fin = int(ret[0]), float(ret[1])
-        arc.n = int(ret[2])
-        if ret[3] > 0:
-            emission.fill_spans(buf, arc.spans, int(ret[3]))
+        arc.take(int(ret[2]), int(ret[3]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
     if code == fastpath.CODE_DOMAIN:
@@ -301,10 +357,11 @@ def simulate(params: PlantParams, gains: ObserverGains,
     row raise ZenoSuspected, and a WithinCycle chained onto a WithinCycle
     raises IllegalJump.
 
-    The arc is held once, in the array of the module docstring: the
-    returned columns t, tau, z1 to z_tilde2 and phi are views of it, and
-    j, cycle, z_star and the jump log are read off one (first row, cycle,
-    z_star) mark per jump and one for the start (_Arc.trajectory).
+    The arc is held once, in the stores of the module docstring: the
+    returned t, tau and z1 are views of one of them, z2, z_tilde1,
+    z_tilde2 and phi are evaluated from them when read, and j, cycle,
+    z_star and the jump log are read off one (first row, cycle, z_star)
+    mark per jump and one for the start (_Arc.trajectory).
     """
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)

@@ -35,16 +35,19 @@ of the recorded z1 to third order in the sample spacing.
 
 The kernel does not evaluate those interior samples. It writes each span's
 endpoint row, reserves the rows before it and leaves one descriptor per
-span (layout SP_*); after the call, emission.fill_spans fills every
-reserved row in one vectorized pass. The closed form's arithmetic after
-the transcendental calls is written once, in functions that take floats
-or numpy arrays alike (_n_products, _flow_state, _z1_cubic, _z1_prim,
-_record): the kernel calls them on floats, the fill on arrays, so each
-filled row equals what _record(_dense(...)) would have written, bit for
-bit. _f reads zt2 by _flow_state's expression; _dp_step writes _f in
-place for its six stages, with _expm_pq's complex branch (the shipped
-modes' eigenvalues are complex), and returns the FSAL stage's (p, q),
-from which flow_segment gives the endpoint by _flow_state.
+span (layout SP_*); after the call, emission.fill_spans writes t, tau
+and z1 of every reserved row in one vectorized pass, and the engine keeps
+z2, zt and Phi only for the rows the kernel wrote: emission.ClosedForm
+evaluates them for the reserved rows when they are read. The closed
+form's arithmetic after the transcendental calls is written once, in
+functions that take floats or numpy arrays alike (_n_products,
+_flow_state, _z1_cubic, _z1_prim): the kernel calls them on floats,
+emission on arrays, so each filled row reads back as what
+_record(_dense(...)) would have written, bit for bit. _f reads zt2 by
+_flow_state's expression; _dp_step writes _f in place for its six
+stages, with _expm_pq's complex branch (the shipped modes' eigenvalues
+are complex), and returns the FSAL stage's (p, q), from which
+flow_segment gives the endpoint by _flow_state.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
@@ -505,10 +508,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     Writes samples into buf starting at row n0 (10 columns: t then y) and
     fills ret = [code, t_final, n_written, n_spans]. The
     interior rows of a recorded span are reserved, not written: the call
-    leaves one descriptor per such span in spans[:n_spans], and
-    emission.fill_spans(buf, spans, n_spans) writes them. spans needs
-    (len(buf) - n0) // 2 rows, since each descriptor comes with at least
-    two rows.
+    leaves one descriptor per such span in spans[:n_spans], from which
+    the engine fills them (emission.fill_spans, emission.ClosedForm).
+    spans needs (len(buf) - n0) // 2 rows, since each descriptor comes
+    with at least two rows.
     y is updated in place to the final state on every exit code. The
     caller is expected to have recorded the segment-start sample already.
     A step starts only with at least MAX_STEP_ROWS free rows in buf, so no

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .errors import InvalidGains
 
@@ -270,6 +271,12 @@ def derive_control_gain(params: PlantParams, cfg: ControllerConfig,
     return gamma * a * cfg.R_tilde + k_prime
 
 
+def control(params: PlantParams, k: float, z1, z2_hat,
+            z_star) -> np.ndarray:
+    """The certainty-equivalence control u = a z1 zhat2 - k (z1 - z*)."""
+    return params.a * z1 * z2_hat - k * (z1 - np.asarray(z_star))
+
+
 @dataclass(frozen=True)
 class HybridState:
     """Augmented closed-loop state (tau, i, z, z_tilde, z_star, Phi)."""
@@ -410,17 +417,96 @@ class MarkColumn:
     __ne__ = __eq__
 
 
+class ClosedColumn(NDArrayOperatorsMixin):
+    """A column that simulate evaluates when read instead of storing it
+    for every row: z2, z_tilde1, z_tilde2 or phi, closed-form functions
+    of tau on each mode arc.
+
+    source(lo, hi, out=None) gives the seven closed-form columns (z2,
+    z_tilde1, z_tilde2, phi11, phi12, phi21, phi22) of rows lo:hi at once,
+    as a (7, hi - lo) array (emission.ClosedForm); this column is its row
+    `index`, or for a slice its rows transposed, as phi's (n, 4). Rows
+    0:n of the column are rows lo:lo + n of the source.
+
+    It reads as the evaluated column would: an int index gives a row, a
+    slice of step 1 a new array, evaluated _BLOCK_ROWS rows at a time, and
+    np.asarray the whole column; NumPy's operators and ufuncs act on the
+    whole column, and every other index is NumPy's on it. rows(sl) is
+    the column of rows sl over the same source, and block(sl) all seven
+    columns of rows sl from one call of source. nbytes is this column's
+    share of the bytes the source holds.
+    """
+
+    def __init__(self, source, index, n: int, lo: int = 0):
+        self.source, self._index, self._n, self._lo = source, index, n, lo
+        self._width = len(range(7)[index]) if isinstance(index, slice) \
+            else 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:
+        return f"ClosedColumn({self._index}, {self._n} rows)"
+
+    @property
+    def shape(self) -> tuple:
+        return (self._n,) if self._width == 1 else (self._n, self._width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.source.nbytes * self._width // 7
+
+    def rows(self, sl: slice) -> "ClosedColumn":
+        """The column of rows sl (step 1)."""
+        lo, hi, step = sl.indices(self._n)
+        if step != 1:
+            raise ValueError("rows() takes a slice of step 1")
+        return ClosedColumn(self.source, self._index, max(hi - lo, 0),
+                            self._lo + lo)
+
+    def block(self, sl: slice, out=None) -> np.ndarray:
+        """The seven columns of rows sl (step 1) as a (7, m) array."""
+        rows = range(self._n)[sl]
+        return self.source(self._lo + rows.start, self._lo + rows.stop, out)
+
+    def __getitem__(self, key):
+        rows = range(self._n)
+        if isinstance(key, (int, np.integer)):
+            r = rows[key]
+            return self[r:r + 1][0]
+        if not (isinstance(key, slice) and rows[key].step == 1):
+            return self[:][key]
+        rows = rows[key]
+        col = np.empty((len(rows),) + self.shape[1:])
+        for a in range(0, len(rows), _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, len(rows))
+            col[a:b] = self.block(slice(rows.start + a,
+                                        rows.start + b))[self._index].T
+        return col
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        col = self[:]
+        return col if dtype is None else col.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, ClosedColumn) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 @dataclass
 class HybridTrajectory:
     """A hybrid arc stored column-wise, indexed by hybrid time (t, j).
 
     Samples are lexicographically ordered in (t, j); j increments by one at
     each entry of `jumps`. Every flow instant appears once, and a jump
-    instant twice (pre- and post-jump). The float columns may be views of
-    one array (simulate returns t, tau, z1 to z_tilde2 and phi as views of
-    its rows). j, cycle and z_star are MarkColumns, which change only at
-    jumps, so they take memory per jump, not per row; one given as an
-    array becomes MarkColumn.of(it).
+    instant twice (pre- and post-jump). Every column may be given as an
+    array. simulate returns t, tau and z1, which its kernel integrates,
+    as views of one array, and z2, z_tilde1, z_tilde2 and phi as
+    ClosedColumns, evaluated on read from the same stores; closed_rows
+    reads all four of a block of rows at once. j, cycle and z_star are
+    MarkColumns, which change only at jumps, so they take memory per
+    jump, not per row; one given as an array becomes MarkColumn.of(it).
     """
 
     t: np.ndarray
@@ -428,11 +514,11 @@ class HybridTrajectory:
     cycle: MarkColumn
     tau: np.ndarray
     z1: np.ndarray
-    z2: np.ndarray
-    z_tilde1: np.ndarray
-    z_tilde2: np.ndarray
+    z2: np.ndarray | ClosedColumn
+    z_tilde1: np.ndarray | ClosedColumn
+    z_tilde2: np.ndarray | ClosedColumn
     z_star: MarkColumn
-    phi: np.ndarray                 # (n, 4) row-major flattening
+    phi: np.ndarray | ClosedColumn  # (n, 4) row-major flattening
     jumps: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -451,13 +537,34 @@ class HybridTrajectory:
         return len(self.t)
 
     def rows(self, sl: slice) -> "HybridTrajectory":
-        """Rows sl (step 1) of every column, the float ones as views,
-        without the jump log."""
-        return HybridTrajectory(
-            t=self.t[sl], j=self.j.rows(sl), cycle=self.cycle.rows(sl),
-            tau=self.tau[sl], z1=self.z1[sl], z2=self.z2[sl],
-            z_tilde1=self.z_tilde1[sl], z_tilde2=self.z_tilde2[sl],
-            z_star=self.z_star.rows(sl), phi=self.phi[sl])
+        """Rows sl (step 1) of every column, arrays as views, without the
+        jump log; nothing is evaluated."""
+        def part(col):
+            if isinstance(col, (MarkColumn, ClosedColumn)):
+                return col.rows(sl)
+            return col[sl]
+        return HybridTrajectory(**{f.name: part(getattr(self, f.name))
+                                   for f in fields(self)
+                                   if f.name != "jumps"})
+
+    def closed_rows(self, sl: slice, out=None) -> np.ndarray:
+        """The closed-form columns z2, z_tilde1, z_tilde2 and phi11 to
+        phi22 of rows sl (step 1) as a (7, m) array, into out[:, :m] when
+        out is given: from one evaluation where all four are ClosedColumns
+        of one source, as simulate returns them."""
+        cols = (self.z2, self.z_tilde1, self.z_tilde2, self.phi)
+        sources = {(c.source, c._lo) if isinstance(c, ClosedColumn)
+                   else None for c in cols}
+        if len(sources) == 1 and None not in sources:
+            return self.z2.block(sl, out)
+        rows = range(len(self))[sl]
+        out = np.empty((7, len(rows))) if out is None \
+            else out[:, :len(rows)]
+        sl = slice(rows.start, rows.stop)
+        out[0], out[1], out[2] = self.z2[sl], self.z_tilde1[sl], \
+            self.z_tilde2[sl]
+        out[3:] = self.phi[sl].T
+        return out
 
     @property
     def z1_hat(self) -> np.ndarray:
@@ -469,8 +576,7 @@ class HybridTrajectory:
 
     def control(self, params: PlantParams, k: float) -> np.ndarray:
         """Control input u at every sample."""
-        return (params.a * self.z1 * self.z2_hat
-                - k * (self.z1 - np.asarray(self.z_star)))
+        return control(params, k, self.z1, self.z2_hat, self.z_star)
 
     def validate_domain(self):
         """Check hybrid-time-domain well-formedness; raise on violation.

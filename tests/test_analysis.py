@@ -141,17 +141,20 @@ class TestThresholdEdges:
 
     @pytest.mark.parametrize("err, ok", [(2e-5, False), (5e-6, True)])
     def test_phi_threshold(self, err, ok):
-        """z_tilde off Phi z_tilde0 by `err` relative, against 1e-5."""
+        """z_tilde off Phi z_tilde0 by `err` relative, against 1e-5. The
+        error is a Python float, so the verdict is a Python bool, and a
+        failing run reads `verdicts["phi"] is False`."""
         traj = make_traj(np.arange(3.0), np.ones(3),
                          z_tilde=[[1.0, 0.0], [1.0 + err, 0.0], [1.0, 0.0]])
         phi_err = check_phi_oracle(traj)
+        assert type(phi_err) is float
         assert phi_err == pytest.approx(err, rel=1e-9)
         rep = BoundReport(
             vobs_monotone=True, vobs_worst_violation=0.0, envelope_ok=True,
             envelope_T=0.0, envelope_margin=1.0, phi_oracle_max_err=phi_err,
             dwell_ok=True, dwell_min_ratio=2.0, zeno_ok=True,
             zeno_max_jumps=0, z2_floor_margin=1.0)
-        assert rep.verdicts["phi"] == ok
+        assert rep.verdicts["phi"] is ok
 
 
 class TestEnvelope:

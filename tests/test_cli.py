@@ -478,7 +478,7 @@ class TestBlockedPasses:
                                                monkeypatch):
         """From the return of simulate to the end of execute, the traced
         peak stays within 16 blocks of floats, however long the arc: no
-        pass holds a full-length column (11.6 blocks measured, 12.1 on a
+        pass holds a full-length column (10.7 blocks measured, 11.5 on a
         run four times as long); the CSV writer's children are other
         processes. Before the passes were blocked, extract_dwell alone
         took 7.7 columns, and before its sliding windows read the integral
@@ -499,6 +499,40 @@ class TestBlockedPasses:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 8 * rows, peak
+
+    def test_closed_columns_are_evaluated_once(self, bundled_run, tmp_path,
+                                               monkeypatch):
+        """With a counter on the evaluator of z2, z_tilde and phi
+        (emission.ClosedForm), extract_dwell and the per-cycle dwell
+        reports evaluate no row, and execute evaluates each filled row
+        once in this process: verify_bounds reads them all in one pass,
+        and the CSV writer's children evaluate their own shares."""
+        scn, traj = bundled_run
+        ranges = []
+        call = emission.ClosedForm.__call__
+
+        def counted(self, lo, hi, out=None):
+            ranges.append((lo, hi))
+            return call(self, lo, hi, out)
+
+        monkeypatch.setattr(emission.ClosedForm, "__call__", counted)
+        analysis.extract_dwell(traj)
+        cli._dwell_reports_per_cycle(traj, analysis.cycle_slices(traj))
+        assert ranges == []
+        monkeypatch.setattr(cli, "simulate", lambda *a, **kw: traj)
+        cli.execute(scn, tmp_path)
+        n, src = len(traj), traj.z2.source
+
+        def count(starts, stops):
+            edges = np.zeros(n + 1, np.int64)
+            np.add.at(edges, starts, 1)
+            np.add.at(edges, stops, -1)
+            return np.cumsum(edges[:-1])
+
+        filled = count(src._first, src._end) > 0
+        reads = count(*np.array(ranges).T)
+        assert np.count_nonzero(filled) == src._filled > 0.9 * n
+        assert np.all(reads[filled] == 1)
 
 
 class TestEndToEnd:

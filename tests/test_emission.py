@@ -1,4 +1,5 @@
-"""The vectorized fill of reserved sample rows (emission.fill_spans) against
+"""The vectorized fill of reserved sample rows (emission.fill_spans) and
+their closed-form columns evaluated on read (emission.ClosedForm) against
 the kernel's per-sample path, _record(_dense(...)), bit for bit."""
 
 from unittest import mock
@@ -76,12 +77,16 @@ def _span(draw):
        chunk=st.sampled_from([1, 7, 1 << 11]))
 def test_fill_matches_dense_bit_for_bit(spans, chunk):
     """Spans on every branch of _expm_pq and both cases of _tau_at, side
-    by side in one buffer: each row fill_spans writes equals the row of
-    the per-sample loop it replaced, in every bit."""
+    by side in one buffer: fill_spans writes t, tau and z1 of each
+    reserved row and nothing else, ClosedForm gives the other seven
+    columns of every row from the span records and the written rows, and
+    each row equals the row of the per-sample loop the fill replaced, in
+    every bit."""
     rows = 1 + 40 * len(spans)
     buf = np.full((rows, 10), np.nan)
     ref = np.full((rows, 10), np.nan)
     descr = np.full((rows // 2, fastpath.N_SP), np.nan)
+    reserved = np.zeros(rows, bool)
     n, ns = 1, 0
     for branch, linear, args in spans:
         t0, h, tc, md, ya, tau0, tau1, ta, _, _, tb, yb, _ = args
@@ -98,8 +103,23 @@ def test_fill_matches_dense_bit_for_bit(spans, chunk):
             assert _branch(md, y[0] - ya[0]) == branch
             fastpath._record(ref, n + i - 1, tt, y)
         fastpath._record(ref, n_end - 1, tb, yb)
+        reserved[n:n_end - 1] = True
         n = n_end
-    with mock.patch.object(emission, "_FILL_ROWS", chunk):
+    with mock.patch.object(emission, "_FILL_ROWS", chunk), \
+            mock.patch.object(emission, "_CLOSED_ROWS", chunk):
         emission.fill_spans(buf, descr, ns)
-    assert np.array_equal(buf[1:n].view(np.uint64), ref[1:n].view(np.uint64))
+        wrote = emission.written_rows(descr, ns, n)
+        assert np.array_equal(wrote, ~reserved[:n])
+        # each span its own mode: the modes table has a row per record
+        rec = np.empty((ns, emission.N_R))
+        emission.span_records(descr, ns, 0, rec)
+        rec[:, emission.R_MODE] = np.arange(ns)
+        closed = emission.ClosedForm(
+            buf[:n, 1], buf[:n][wrote, 3:], rec,
+            descr[:ns, fastpath.SP_MD:fastpath.SP_YA])(0, n)
+    assert np.array_equal(buf[1:n, :3].view(np.uint64),
+                          ref[1:n, :3].view(np.uint64))
+    assert np.isnan(buf[reserved, 3:]).all()
+    assert np.array_equal(closed[:, 1:].view(np.uint64),
+                          ref[1:n, 3:].T.view(np.uint64))
     assert np.isnan(buf[0]).all() and np.isnan(buf[n:]).all()

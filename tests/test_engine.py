@@ -2,6 +2,7 @@
 execution loop, with a scipy reference integration as oracle."""
 
 import dataclasses
+import json
 import math
 import mmap
 from pathlib import Path
@@ -12,13 +13,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from xbstab import (BadInitialBall, HybridState, JumpKind, SolverConfig,
-                    StateOutOfDomain, ZenoSuspected, engine, fastpath,
-                    initialize, simulate)
+                    StateOutOfDomain, ZenoSuspected, emission, engine,
+                    fastpath, initialize, simulate)
 from xbstab.analysis import cycle_slice
 from xbstab.cli import build_scenario
 from xbstab.engine import _Arc, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
-from xbstab.model import MarkColumn, g_of
+from xbstab.model import ClosedColumn, MarkColumn, g_of
 
 from flow_oracles import flow_map
 from test_model import make_cfg
@@ -220,19 +221,22 @@ class TestIntegrateFlow:
 
     def test_first_window_fits_the_first_array(self, sv_initial, sv_params,
                                                sv_gains, sv_cert):
-        """The arc's first array holds the start row and the first window,
-        so the first segment's window does not reallocate it; the next
-        window grows it."""
+        """The kernel's window holds _INIT_BUFFER_ROWS rows, and the arc's
+        first stores hold the start row and a full window, so the first
+        call does not reallocate them; one more row grows them, at least
+        doubling."""
         arc = _Arc()
-        first = arc.rows
+        first = arc.flow, arc.kept
         state = initialize(sv_params, sv_gains, sv_cert, make_cfg(),
                            *sv_initial)
         arc.add_state(0.0, state)
-        assert len(arc.window()) == 1 + engine._INIT_BUFFER_ROWS
-        assert arc.rows is first
-        arc.n += 1
-        assert len(arc.window()) == 2 + engine._INIT_BUFFER_ROWS
-        assert arc.rows is not first
+        assert len(arc.window) == engine._INIT_BUFFER_ROWS
+        arc.take(engine._INIT_BUFFER_ROWS, 0)
+        assert arc.flow is first[0] and arc.kept is first[1]
+        assert arc.n == arc.nk == 1 + engine._INIT_BUFFER_ROWS
+        arc.take(1, 0)
+        assert arc.flow is not first[0] and arc.kept is not first[1]
+        assert len(arc.flow) == len(arc.kept) == 2 * len(first[0])
 
     def test_buffer_resume_is_seamless(self, monkeypatch, sv_params,
                                        sv_gains, sv_cert):
@@ -254,16 +258,16 @@ class TestIntegrateFlow:
         assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
         assert np.allclose(end_a.z_tilde, end_b.z_tilde,
                            rtol=1e-9, atol=1e-12)
-        ta = big.rows[:big.n, 0]
-        tb = small.rows[:small.n, 0]
+        ta = big.flow[:big.n, 0]
+        tb = small.flow[:small.n, 0]
         # the resumed run restarts its step controller, so the sample
         # grids differ; both must still be recordings of the same solution
         # over the same span, and without a jump no instant is recorded
         # twice, at a resume either
         assert np.all(np.diff(ta) > 0) and np.all(np.diff(tb) > 0)
         assert ta[0] == tb[0] and ta[-1] == pytest.approx(tb[-1])
-        za = big.rows[:big.n, 2]
-        zb = small.rows[:small.n, 2]
+        za = big.flow[:big.n, 2]
+        zb = small.flow[:small.n, 2]
         common = np.linspace(0.0, min(ta[-1], tb[-1]), 200)
         assert np.allclose(np.interp(common, ta, za),
                            np.interp(common, tb, zb), rtol=1e-6, atol=1e-9)
@@ -392,6 +396,82 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
         assert not np.isnan(getattr(traj, name)).any(), name
 
 
+@pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
+def test_filled_rows_read_back_bit_for_bit(monkeypatch, sv_params, sv_gains,
+                                          sv_cert, sv_cfg, sv_initial, rows):
+    """simulate stores t, tau and z1 of a filled row and evaluates z2,
+    z_tilde and phi when they are read. On the 20 ms bundled run, at the
+    default buffer and at one that resumes often, every filled row read
+    through the trajectory equals the kernel's _record(_dense(...)) of
+    its span descriptor, bit for bit."""
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.02)
+    calls = []
+
+    class Recorded(_Arc):
+        def take(self, rows, count):
+            calls.append((self.n, self.spans[:count].tolist()))
+            super().take(rows, count)
+
+    monkeypatch.setattr(engine, "_Arc", Recorded)
+    if rows is not None:
+        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
+    traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                    k=500.0)
+    fp = fastpath
+    buf, idx, want = np.empty((1, 10)), [], []
+    for first_row, descriptors in calls:
+        for d in descriptors:
+            tc, md, ya = d[fp.SP_TC:fp.SP_MD], d[fp.SP_MD:fp.SP_YA], \
+                d[fp.SP_YA:]
+            nx = fp._n_products(md, ya)
+            for i in range(1, int(d[fp.SP_M])):
+                tt = d[fp.SP_TA] + i * d[fp.SP_DT]
+                fp._record(buf, 0, tt, fp._dense(
+                    tc, md, ya, nx, d[fp.SP_TAU0], d[fp.SP_TAU1],
+                    (tt - d[fp.SP_T0]) / d[fp.SP_H]))
+                idx.append(first_row + int(d[fp.SP_N]) + i - 1)
+                want.append(buf[0].copy())
+    if rows is not None:
+        # at least 5 buffer resumes: calls beyond one per segment
+        assert len(calls) >= len(traj.jumps) + 1 + 5
+    assert len(set(idx)) == len(idx) == traj.z2.source._filled
+    assert len(idx) > 0.9 * len(traj)
+    got = np.column_stack([traj.t, traj.tau, traj.z1, traj.z2, traj.z_tilde1,
+                           traj.z_tilde2, traj.phi])[idx]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+def test_arc_storage(scenario_dict, thinned):
+    """Every column of the shipped run has nbytes, and beside the marks
+    the arc holds 24 B per filled row, 80 B per row the kernel wrote and
+    at most 120 B per span record. With long_thinned's recording no span
+    has filled rows, and the arc holds no more than 80 B a row, as when
+    every row was stored whole, and the two modes' table."""
+    raw = json.loads(json.dumps(scenario_dict))
+    if thinned:
+        raw["solver"].update(record_interval=1e-3, tau_budget_rel=1e9)
+    scn = build_scenario(raw)
+    traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
+                    scn.z0, scn.z_hat0, k=scn.k)
+    src = traj.z2.source
+    n, spans, filled = len(traj), len(src._records), src._filled
+    marks = sum(getattr(traj, name).nbytes for name in ("j", "cycle",
+                                                        "z_star"))
+    held = sum(getattr(traj, name).nbytes for name in (
+        "t", "tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"))
+    assert held <= (24 * filled + 80 * (n - filled) + 120 * spans
+                    + src._modes.nbytes)
+    assert marks < 200 * (len(traj.jumps) + 1)
+    if thinned:
+        assert spans == filled == 0
+        assert held <= 80 * n + src._modes.nbytes
+    else:
+        assert filled > 0.9 * n and held < 0.4 * 80 * n
+
+
 def _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
                   tau_budget_rel):
     z0, z_hat0 = sv_initial
@@ -445,20 +525,33 @@ def test_dense_recording_contract(dense_20ms):
 
 
 def test_columns_are_views_of_one_array(dense_20ms):
-    """simulate holds the arc once: every float column, phi included, is a
-    view of the rows that t is a view of, not a copy. (t and phi hold
-    disjoint elements, so np.shares_memory(t, phi) itself is False.)"""
+    """simulate holds the arc once: tau and z1 are views of the array
+    that t is a view of, not copies, and z2, z_tilde1, z_tilde2 and phi
+    are ClosedColumns over one source, which evaluates them on read from
+    the same stores."""
     rows = dense_20ms.t.base
-    for name in ("tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"):
+    for name in ("tau", "z1"):
         assert np.shares_memory(getattr(dense_20ms, name), rows), name
+    closed = [getattr(dense_20ms, name)
+              for name in ("z2", "z_tilde1", "z_tilde2", "phi")]
+    assert all(isinstance(c, ClosedColumn) for c in closed)
+    assert len({c.source for c in closed}) == 1
+    assert isinstance(closed[0].source, emission.ClosedForm)
+    assert np.shares_memory(closed[0].source._tau, rows)
 
 
 def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
-    """Besides the rows, simulate's trajectory holds only arrays of one
-    entry per mark, one mark per jump and one for the start: j, cycle and
-    z_star are MarkColumns, not full-length columns."""
-    rows, marks = dense_20ms.t.base, len(dense_20ms.jumps) + 1
-    assert len(dense_20ms) > 100 * marks
+    """Besides its stores (t, tau and z1 of every row, the closed-form
+    columns of the rows the kernel wrote, and the span records),
+    simulate's trajectory holds only arrays of one entry per mark or per
+    span record: j, cycle and z_star are MarkColumns, not full-length
+    columns, and z2, z_tilde and phi are not stored for the filled
+    rows."""
+    src = dense_20ms.z2.source
+    stores = (dense_20ms.t.base, src._kept, src._records)
+    marks, spans = len(dense_20ms.jumps) + 1, len(src._records)
+    assert len(dense_20ms) > 100 * marks and len(dense_20ms) > 10 * spans
+    assert len(src._kept) < len(dense_20ms) // 4
     for name in ("j", "cycle", "z_star"):
         assert isinstance(getattr(dense_20ms, name), MarkColumn), name
     seen, todo, arrays = set(), [dense_20ms], []
@@ -471,10 +564,12 @@ def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
             arrays.append(obj)
         elif hasattr(obj, "__dict__"):
             todo.extend(vars(obj).values())
-    views = [a for a in arrays if np.shares_memory(a, rows)]
-    assert len(views) == 7 and len(arrays) > 7      # the marks were reached
+    views = [a for a in arrays
+             if any(np.shares_memory(a, store) for store in stores)]
+    assert len(views) == 6 and len(arrays) > 6      # the marks were reached
     for a in arrays:
-        assert np.shares_memory(a, rows) or a.size <= marks, a.shape
+        assert a.size <= max(marks, spans) or any(a is v for v in views), \
+            a.shape
 
 
 def _smaps_entry(address: int) -> dict:
