@@ -8,27 +8,26 @@ HybridTrajectory ordered lexicographically in hybrid time (t, j).
 The jump sets D_c, D_nc and the jump map live here too, with one function
 per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
-The kernel writes each call's rows (t, y), 10 floats a row, into one
-window of _INIT_BUFFER_ROWS rows that every call reuses from its row 0,
-and reserves the interior rows of its recorded spans. After each call the
-engine splits the window into three stores (_Arc.take): t, tau and z1 of
-every row, the seven closed-form columns z2, z_tilde and Phi of the rows
-the kernel wrote, and one span record (first row, count, mode, anchor)
-per span of filled rows, whose t, tau and z1 emission.fill_spans writes.
-So a filled row costs 24 B and a row the kernel wrote 80 B. Each row is
-recorded once: a segment whose window fills resumes from the last row the
-kernel recorded, and only a jump instant has two rows, its pre- and
-post-jump points. Each store starts with room for the start row and a
+The kernel writes t, tau and z1 of each call's rows into one window of
+_INIT_BUFFER_ROWS rows that every call reuses from its row 0, reserves the
+interior rows of its recorded spans, and leaves an anchor (fastpath AN_*:
+first row, mode, state) wherever it anchors the closed form. After each
+call the engine moves the rows into the arc's flow store, fills the
+reserved ones there (emission.fill_spans) and appends the anchors
+(_Arc.take). So a row costs 24 B, and an anchor 96 B; the engine adds an
+anchor at each row it writes itself, which that row holds (AN_HELD). Each
+row is recorded once: a segment whose window fills resumes from the last
+row the kernel recorded, and only a jump instant has two rows, its pre-
+and post-jump points. Each store starts with room for the start row and a
 full window and grows between calls by allocate-and-copy, at least
-doubling. The window, the stores and the kernel's span table live in
-anonymous memory mapped in base pages (_Arc._buffer), so reserved
-capacity is resident only in the 4 KB pages a run writes. j, cycle and
-z_star change only at jumps: the run keeps one (first row, cycle, z_star)
-mark per run of rows, whose index is j, and the trajectory reads j,
-cycle, z_star and the jump log off those marks. Its t, tau and z1 are
-views of the first store, and z2, z_tilde and phi ClosedColumns that
-evaluate the filled rows from their span records when read
-(emission.ClosedForm).
+doubling. The window, the stores and the kernel's tables live in anonymous
+memory mapped in base pages (_Arc._buffer), so reserved capacity is
+resident only in the 4 KB pages a run writes. j, cycle and z_star change
+only at jumps: the run keeps one (first row, cycle, z_star) mark per run
+of rows, whose index is j, and the trajectory reads j, cycle, z_star and
+the jump log off those marks. Its t, tau and z1 are views of the flow
+store, and z2, z_tilde and phi ClosedColumns that evaluate each row from
+its anchor when read (emission.ClosedForm).
 """
 
 from __future__ import annotations
@@ -118,29 +117,29 @@ def _y_to_state(y: np.ndarray, cycle: int, z_star: float) -> HybridState:
 
 
 class _Arc:
-    """The rows of a run, in the three stores of the module docstring, and
-    a (first row, cycle, z_star) mark per run of rows between jumps: mark
-    j opens the rows of jump counter j.
+    """The rows of a run in flow (t, tau and z1 of every row), its anchors
+    (fastpath.AN_*) in anchors and a (first row, cycle, z_star) mark per
+    run of rows between jumps in marks: mark j opens the rows of jump
+    counter j.
 
-    window and spans are the kernel's buffer and span table, which each
-    call uses from row 0. flow holds t, tau and z1 of every row, kept the
-    closed-form columns of the rows the kernel and add_state wrote, and
-    records a span record (emission.R_*) per span of filled rows; modes
-    holds the two modes the records name. Every array comes from _buffer,
-    so its reserved capacity costs memory only where the run writes.
+    window, spans and window_anchors are the kernel's buffer, span table
+    and anchor table, which each call uses from row 0. Every array comes
+    from _buffer, so its reserved capacity costs memory only where the run
+    writes.
     """
 
     def __init__(self):
-        self.window = self._buffer(_INIT_BUFFER_ROWS, 10)
+        self.window = self._buffer(_INIT_BUFFER_ROWS, 3)
         # each descriptor comes with at least 2 rows
         self.spans = self._buffer(_INIT_BUFFER_ROWS // 2, fastpath.N_SP)
+        # a call that fills it returns CODE_BUFFER_FULL and resumes
+        self.window_anchors = self._buffer(_INIT_BUFFER_ROWS // 2,
+                                           fastpath.N_AN)
         # the start row and a full window
         self.flow = self._buffer(_INIT_BUFFER_ROWS + 1, 3)
-        self.kept = self._buffer(_INIT_BUFFER_ROWS + 1, 7)
-        self.records = self._buffer(_INIT_BUFFER_ROWS // 2, emission.N_R)
-        self.modes = np.zeros((2, fastpath.SP_YA - fastpath.SP_MD))
-        self.n = self.nk = self.ns = 0
-        self.marks = []
+        self.anchors = self._buffer(_INIT_BUFFER_ROWS // 2 + 1, fastpath.N_AN)
+        self.marks = self._buffer(_INIT_BUFFER_ROWS // 2, 3)
+        self.n = self.na = self.nm = 0
 
     @staticmethod
     def _buffer(rows: int, cols: int) -> np.ndarray:
@@ -168,74 +167,65 @@ class _Arc:
         grown[:used] = store[:used]
         return grown
 
-    def _append(self, rows: int, kept: int, records: int):
-        """Room for rows, kept rows and span records past the stored
-        ones."""
+    def _append(self, rows: int, anchors: int):
+        """Room for rows and anchors past the stored ones."""
         self.flow = self._grow(self.flow, self.n, rows)
-        self.kept = self._grow(self.kept, self.nk, kept)
-        self.records = self._grow(self.records, self.ns, records)
+        self.anchors = self._grow(self.anchors, self.na, anchors)
 
     def add_state(self, t: float, state: HybridState):
-        self.marks.append((self.n, state.cycle, state.z_star))
-        self._append(1, 1, 0)
+        """Write the row (t, state), a mark, and an anchor at the state in
+        the mode the kernel starts from there, whose row holds the state
+        (AN_HELD)."""
+        self.marks = self._grow(self.marks, self.nm, 1)
+        self.marks[self.nm] = (self.n, state.cycle, state.z_star)
+        self.nm += 1
+        self._append(1, 1)
         y = _state_to_y(state)
         self.flow[self.n] = (t, *y[:2])
-        self.kept[self.nk] = y[2:]
+        self.na = fastpath._anchor(self.anchors, self.na, self.n,
+                                   fastpath._sign(y[1], state.z_star), y, 1.0)
         self.n += 1
-        self.nk += 1
 
-    def take(self, rows: int, count: int):
-        """Split a kernel call's first `rows` rows of window and `count`
-        span descriptors into the stores: the rows it wrote go to flow and
-        kept, and the rows it reserved are filled in flow, with a span
-        record each. A call without descriptors wrote every row, and is
-        moved by two slice copies."""
-        win = self.window[:rows]
-        wrote, kept = slice(None), rows
-        if count:
-            wrote = emission.written_rows(self.spans, count, rows)
-            kept = int(np.count_nonzero(wrote))
-        self._append(rows, kept, count)
+    def take(self, rows: int, count: int, anchors: int):
+        """Move a kernel call's first `rows` rows of window and `anchors`
+        anchors into the stores, and fill the rows its `count` span
+        descriptors reserved."""
+        self._append(rows, anchors)
         flow = self.flow[self.n:self.n + rows]
-        flow[wrote] = win[wrote, :3]
-        self.kept[self.nk:self.nk + kept] = win[wrote, 3:]
-        if count:
-            emission.fill_spans(flow, self.spans, count)
-            mode = emission.span_records(
-                self.spans, count, self.n,
-                self.records[self.ns:self.ns + count])
-            self.modes[mode] = self.spans[:count,
-                                          fastpath.SP_MD:fastpath.SP_YA]
+        flow[:] = self.window[:rows]
+        emission.fill_spans(flow, self.spans, count)
+        new = self.anchors[self.na:self.na + anchors]
+        new[:] = self.window_anchors[:anchors]
+        new[:, fastpath.AN_FIRST] += self.n
         self.n += rows
-        self.nk += kept
-        self.ns += count
+        self.na += anchors
 
     def jump_t(self, k: int) -> float:
         """The time of jump k, the t of mark k + 1's first row."""
-        return float(self.flow[self.marks[k + 1][0], 0])
+        return float(self.flow[int(self.marks[k + 1, 0]), 0])
 
-    def trajectory(self) -> HybridTrajectory:
-        """The recorded arc: t, tau and z1 are views of flow, z2, z_tilde
-        and phi ClosedColumns over the stores, and j, cycle and z_star
-        MarkColumns over the marks. Jump k is a NewCycle where mark k + 1
-        starts a new cycle, else a WithinCycle."""
+    def trajectory(self, modes) -> HybridTrajectory:
+        """The recorded arc under the run's two modes (run_constants): t,
+        tau and z1 are views of flow, z2, z_tilde and phi ClosedColumns
+        over flow and anchors, and j, cycle and z_star MarkColumns over the
+        marks. Jump k is a NewCycle where mark k + 1 starts a new cycle,
+        else a WithinCycle."""
         flow = self.flow[:self.n]
-        closed = emission.ClosedForm(flow[:, 1], self.kept[:self.nk],
-                                     self.records[:self.ns], self.modes)
-        first, cyc, zs = zip(*self.marks)
-        first = np.array(first, np.int64)
-        jumps = [JumpRecord(t=self.jump_t(k), j=k,
-                            kind=JumpKind.NEW_CYCLE if cyc[k + 1] != cyc[k]
+        closed = emission.ClosedForm(flow[:, 1], self.anchors[:self.na],
+                                     np.array(modes))
+        marks = self.marks[:self.nm]
+        first, cyc = marks[:, :2].T.astype(np.int64)
+        new = (cyc[1:] != cyc[:-1]).tolist()
+        jumps = [JumpRecord(t=t, j=k, kind=JumpKind.NEW_CYCLE if new[k]
                             else JumpKind.WITHIN_CYCLE)
-                 for k in range(len(first) - 1)]
+                 for k, t in enumerate(flow[first[1:], 0].tolist())]
         return HybridTrajectory(
             t=flow[:, 0], j=MarkColumn(first, np.arange(len(first)), self.n),
-            cycle=MarkColumn(first, np.array(cyc, np.int64), self.n),
-            tau=flow[:, 1], z1=flow[:, 2],
-            z2=ClosedColumn(closed, 0, self.n),
+            cycle=MarkColumn(first, cyc, self.n), tau=flow[:, 1],
+            z1=flow[:, 2], z2=ClosedColumn(closed, 0, self.n),
             z_tilde1=ClosedColumn(closed, 1, self.n),
             z_tilde2=ClosedColumn(closed, 2, self.n),
-            z_star=MarkColumn(first, np.array(zs, float), self.n),
+            z_star=MarkColumn(first, marks[:, 2].copy(), self.n),
             phi=ClosedColumn(closed, slice(3, 7), self.n), jumps=jumps)
 
 
@@ -305,26 +295,27 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     """Flow from (t_start, state) until an event or the horizon, with the
     run's constants `run` (fastpath.run_constants).
 
-    Records the samples after the start sample into arc and returns
-    (code, t_final, state_final). The kernel writes them into
-    arc.window from its row 0 on, and arc.take moves them into the
-    stores after each call. The window's _INIT_BUFFER_ROWS rows must
-    exceed one step's worst case (fastpath.MAX_STEP_ROWS). When they fill,
-    the kernel has recorded the point it stopped at, and the segment
-    resumes from it in the emptied window without writing a row, so each
-    flow instant is recorded once.
+    Records the samples after the start sample into arc and returns (code,
+    t_final, state_final). The kernel writes them into arc.window from its
+    row 0 on, and its anchors into arc.window_anchors, and arc.take moves
+    them into the stores after each call. The window's _INIT_BUFFER_ROWS
+    rows must exceed one step's worst case (fastpath.MAX_STEP_ROWS). When
+    they fill, the kernel has recorded the point it stopped at, and the
+    segment resumes from it in the emptied window without writing a row,
+    so each flow instant is recorded once.
     """
     if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
                          f"hold one step ({fastpath.MAX_STEP_ROWS} rows)")
     sc = (run, _segment_constants(params, cfg, cert, state))
     y = _state_to_y(state)
-    ret = np.zeros(4)
+    ret = np.zeros(5)
     t_fin = t_start
     while True:
-        fastpath.flow_segment(y, t_fin, sc, arc.window, 0, ret, arc.spans)
+        fastpath.flow_segment(y, t_fin, sc, arc.window, 0, ret, arc.spans,
+                              arc.window_anchors)
         code, t_fin = int(ret[0]), float(ret[1])
-        arc.take(int(ret[2]), int(ret[3]))
+        arc.take(int(ret[2]), int(ret[3]), int(ret[4]))
         if code != fastpath.CODE_BUFFER_FULL:
             break
     if code == fastpath.CODE_DOMAIN:
@@ -358,10 +349,10 @@ def simulate(params: PlantParams, gains: ObserverGains,
     raises IllegalJump.
 
     The arc is held once, in the stores of the module docstring: the
-    returned t, tau and z1 are views of one of them, z2, z_tilde1,
-    z_tilde2 and phi are evaluated from them when read, and j, cycle,
-    z_star and the jump log are read off one (first row, cycle, z_star)
-    mark per jump and one for the start (_Arc.trajectory).
+    returned t, tau and z1 are views of the flow store, z2, z_tilde1,
+    z_tilde2 and phi are evaluated from each row's anchor when read, and
+    j, cycle, z_star and the jump log are read off one (first row, cycle,
+    z_star) mark per jump and one for the start (_Arc.trajectory).
     """
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)
@@ -390,7 +381,7 @@ def simulate(params: PlantParams, gains: ObserverGains,
                     f"within-cycle guard re-fired without flow at t={t}")
         state = jump_map(state, kind)
         arc.add_state(t, state)
-        jumps = len(arc.marks) - 1
+        jumps = arc.nm - 1
         while lo < jumps and arc.jump_t(lo) < t - solver.zeno_window:
             lo += 1
         if jumps - lo > solver.zeno_max_jumps:
@@ -403,6 +394,6 @@ def simulate(params: PlantParams, gains: ObserverGains,
             raise ZenoSuspected(
                 f"more than 4 chained jumps without flow at t={t}")
 
-    traj = arc.trajectory()
+    traj = arc.trajectory(run[2])
     traj.validate_domain()
     return traj

@@ -33,21 +33,24 @@ integrated tau increment is distributed in proportion to the integral of
 monotone, ends exactly at the step's endpoint tau and matches the trapezoid
 of the recorded z1 to third order in the sample spacing.
 
-The kernel does not evaluate those interior samples. It writes each span's
-endpoint row, reserves the rows before it and leaves one descriptor per
-span (layout SP_*); after the call, emission.fill_spans writes t, tau
-and z1 of every reserved row in one vectorized pass, and the engine keeps
-z2, zt and Phi only for the rows the kernel wrote: emission.ClosedForm
-evaluates them for the reserved rows when they are read. The closed
+The kernel writes t, tau and z1 of each recorded row, the values it
+integrates, and nothing else. It writes each span's endpoint row, reserves
+the rows before it and leaves one descriptor per span (layout SP_*), from
+which emission.fill_spans writes t, tau and z1 of every reserved row in
+one vectorized pass after the call. Wherever it anchors the closed form
+(_mode: at the segment start and at each z1 root), it leaves an anchor
+(layout AN_*): the first row the anchor covers, its mode and its state.
+z2, zt and Phi of a row are the closed form of its anchor at the row's
+tau, which emission.ClosedForm evaluates when they are read. The closed
 form's arithmetic after the transcendental calls is written once, in
 functions that take floats or numpy arrays alike (_n_products,
 _flow_state, _z1_cubic, _z1_prim): the kernel calls them on floats,
-emission on arrays, so each filled row reads back as what
-_record(_dense(...)) would have written, bit for bit. _f reads zt2 by
-_flow_state's expression; _dp_step writes _f in place for its six
-stages, with _expm_pq's complex branch (the shipped modes' eigenvalues
-are complex), and returns the FSAL stage's (p, q), from which
-flow_segment gives the endpoint by _flow_state.
+emission on arrays, so each row reads back as the state the kernel
+computed for it, bit for bit. _f reads zt2 by _flow_state's expression;
+_dp_step writes _f in place for its six stages, with _expm_pq's complex
+branch (the shipped modes' eigenvalues are complex), and returns the FSAL
+stage's (p, q), from which flow_segment gives the endpoint by
+_flow_state, as _closed would at the same tau.
 
 A run's constants reach the kernel as one record of floats and tuples,
 sc = (run, seg): run = (a, k, modes, (P11, P12, P22), settings, -d/c)
@@ -61,8 +64,8 @@ arithmetic on is a float local or a tuple of floats, and numpy arrays are
 touched only to read the inputs, write sample rows and descriptors and
 write the results back. The same source is jit-compiled when numba is
 installed (the ``fast`` extra) and runs as plain CPython otherwise. The
-numba path has not been compiled with the descriptor stores; the fill
-calls the shared functions' Python source, on both backends.
+numba path has never been compiled in this repository. emission calls the
+shared functions' Python source, on both backends.
 """
 
 from __future__ import annotations
@@ -83,11 +86,18 @@ except ImportError:               # numba is the optional ``fast`` extra
 
 # span-descriptor layout, one row of flow_segment's spans array per span
 # with interior samples: its first interior row and sample count m, the
-# span start and sample spacing, the step's start, size and tau range, and
-# what _dense reads: the step's _tau_curve, the mode and the anchor state
-SP_N, SP_M, SP_TA, SP_DT, SP_T0, SP_H, SP_TAU0, SP_TAU1 = range(8)
-SP_TC, SP_MD, SP_YA = 8, 13, 21
-N_SP = 30
+# sample spacing, the step's start (also the span's), size and tau range,
+# and the step's _tau_curve
+SP_N, SP_M, SP_DT, SP_T0, SP_H, SP_TAU0, SP_TAU1, SP_TC = range(8)
+N_SP = 12
+
+# anchor layout, one row of flow_segment's anchors array per anchoring of
+# the closed form: the first row it covers, its mode (0 for z1 > 0, 1 for
+# z1 < 0), whether that first row is held, that is, is the anchor state as
+# stored (1.0) rather than its closed form at dt = 0 (0.0), which turns a
+# -0.0 into +0.0, and the anchor state
+AN_FIRST, AN_MODE, AN_HELD, AN_YA = 0, 1, 2, 3
+N_AN = 12
 
 # segment exit codes
 CODE_HORIZON = 0
@@ -194,6 +204,12 @@ def _closed(md, ya, nx, tau, z1):
     dt = tau - ya[0]
     p, q = _expm_pq(md, dt)
     return _flow_state(md, ya, nx, tau, z1, p, q, math.expm1(md[6] * dt))
+
+
+@njit(cache=True)
+def _sign(z1, zstar):
+    """s = sign z1; at z1 = 0, the sign of dz1/dt = k z*."""
+    return -1.0 if z1 < 0.0 or (z1 == 0.0 and zstar < 0.0) else 1.0
 
 
 @njit(cache=True)
@@ -421,10 +437,37 @@ def _step_to_root(p, md, ya, nx, y0, f0, hr, h):
 
 @njit(cache=True)
 def _record(buf, n, tt, y):
+    """Write t, tau and z1 of the point (tt, y) into row n."""
     buf[n, 0] = tt
-    for m in range(9):
-        buf[n, m + 1] = y[m]
+    buf[n, 1] = y[0]
+    buf[n, 2] = y[1]
     return n + 1
+
+
+@njit(cache=True)
+def _anchor(anchors, na, n, s, ys, held):
+    """Write the anchor (layout AN_*) of the closed form for sign s at the
+    state ys, whose first row n holds ys if held is 1.0, into row na, or
+    over row na - 1 if that anchor covers no row yet; returns the anchor
+    count."""
+    if na > 0 and anchors[na - 1, AN_FIRST] == n:
+        na -= 1
+    anchors[na, AN_FIRST] = n
+    anchors[na, AN_MODE] = 0.0 if s > 0.0 else 1.0
+    anchors[na, AN_HELD] = held
+    for m in range(9):
+        anchors[na, AN_YA + m] = ys[m]
+    return na + 1
+
+
+@njit(cache=True)
+def _record_pending(buf, n, t, ys, anchors, na, flipped):
+    """Record the pending point (t, ys). Right after a mode switch at it
+    (flipped), ys is the last anchor's state, and its row that anchor's
+    first row, which then holds the state as stored (AN_HELD)."""
+    if flipped:
+        anchors[na - 1, AN_HELD] = 1.0
+    return _record(buf, n, t, ys)
 
 
 @njit(cache=True)
@@ -433,26 +476,26 @@ def _tau_budget(dtau, tau_now, budget_rel):
 
 
 @njit(cache=True)
-def _emit_span(buf, n, spans, ns, t0, h, tc, md, ya, tau0, tau1, ta, tau_a,
-               z1_a, tb, yb, budget_rel):
-    """Record samples on (ta, tb] within the step [t0, t0 + h], whose tau
-    runs from tau0 to tau1; yb is the state at tb. The span gets m equally
-    spaced samples, m chosen from the endpoint tau/trapezoid mismatch e:
-    the composite trapezoid error falls as 1/m^2, so m > sqrt(e / budget)
-    brings it within the budget. The endpoint row is written here; the
-    m - 1 interior rows before it are only reserved, and their descriptor
-    goes to spans[ns] (layout SP_*) for emission.fill_spans. Returns the new
-    (n, ns); at most _SPAN_MAX_ROWS rows are taken."""
-    dtau = yb[0] - tau_a
-    e = abs(dtau - 0.5 * (abs(z1_a) + abs(yb[1])) * (tb - ta))
+def _emit_span(buf, n, spans, ns, t0, h, tc, tau0, tau1, tb, yb,
+               budget_rel):
+    """Record samples on (t0, tb] within the step [t0, t0 + h], whose tau
+    runs from tau0 to tau1 and whose start is recorded; yb is the state at
+    tb. The span gets m equally spaced samples, m chosen from the endpoint
+    tau/trapezoid mismatch e: the composite trapezoid error falls as
+    1/m^2, so m > sqrt(e / budget) brings it within the budget. The
+    endpoint row is written here; the m - 1 interior rows before it are
+    only reserved, and their descriptor goes to spans[ns] (layout SP_*)
+    for emission.fill_spans. Returns the new (n, ns); at most
+    _SPAN_MAX_ROWS rows are taken."""
+    dtau = yb[0] - tau0
+    e = abs(dtau - 0.5 * (abs(tc[0]) + abs(yb[1])) * (tb - t0))
     q = math.sqrt(e / _tau_budget(dtau, yb[0], budget_rel))
     m = _SPAN_MAX_ROWS
     if q < _SPAN_MAX_ROWS - 1:
         m = int(q) + 1
     if m > 1:
         # the descriptor's fields in the order of the SP_* layout
-        d = ((float(n), float(m), ta, (tb - ta) / m, t0, h, tau0, tau1)
-             + tc + md + ya)
+        d = (float(n), float(m), (tb - t0) / m, t0, h, tau0, tau1) + tc
         for i in range(N_SP):
             spans[ns, i] = d[i]
         n += m - 1
@@ -490,7 +533,7 @@ def _bisect_guard(t0, h, tc, md, ya, nx, tau0, tau1, g, event_tol):
 
 
 @njit(cache=True)
-def _finish(y, ys, ret, code, t, n, ns):
+def _finish(y, ys, ret, code, t, n, ns, na):
     """Write the state ys back into y and the exit record into ret."""
     for m in range(9):
         y[m] = ys[m]
@@ -498,27 +541,30 @@ def _finish(y, ys, ret, code, t, n, ns):
     ret[1] = t
     ret[2] = n
     ret[3] = ns
+    ret[4] = na
 
 
 @njit(cache=True)
-def flow_segment(y, t_start, sc, buf, n0, ret, spans):
+def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
     """Integrate one flow segment from (t_start, y) with the record sc
     = (run, seg) of the module docstring.
 
-    Writes samples into buf starting at row n0 (10 columns: t then y) and
-    fills ret = [code, t_final, n_written, n_spans]. The
-    interior rows of a recorded span are reserved, not written: the call
-    leaves one descriptor per such span in spans[:n_spans], from which
-    the engine fills them (emission.fill_spans, emission.ClosedForm).
-    spans needs (len(buf) - n0) // 2 rows, since each descriptor comes
-    with at least two rows.
+    Writes samples into buf starting at row n0 (3 columns: t, tau, z1),
+    an anchor per anchoring of the closed form into anchors[:n_anchors]
+    (layout AN_*, first rows in buf's rows) and fills ret = [code,
+    t_final, n_written, n_spans, n_anchors]. The interior rows of a
+    recorded span are reserved, not written: the call leaves one
+    descriptor per such span in spans[:n_spans], from which the engine
+    fills them (emission.fill_spans). spans needs (len(buf) - n0) // 2
+    rows, since each descriptor comes with at least two rows.
     y is updated in place to the final state on every exit code. The
     caller is expected to have recorded the segment-start sample already.
-    A step starts only with at least MAX_STEP_ROWS free rows in buf, so no
-    sample is ever dropped; otherwise the call records the current point,
-    unless it is recorded already, and returns CODE_BUFFER_FULL there, so
-    the caller resumes from (t_final, y) without writing a row, and a
-    buffer of fewer than MAX_STEP_ROWS rows makes no progress.
+    A step starts only with at least MAX_STEP_ROWS free rows in buf and a
+    free row in anchors, so no sample is ever dropped; otherwise the call
+    records the current point, unless it is recorded already, and returns
+    CODE_BUFFER_FULL there, so the caller resumes from (t_final, y)
+    without writing a row. A buffer of fewer than MAX_STEP_ROWS rows, or
+    an anchor table of one row, makes no progress.
     """
     run, seg = sc
     a, k, modes, pm, settings, z2_floor = run
@@ -528,6 +574,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     g = seg + pm
     t = float(t_start)
     cap = buf.shape[0]
+    acap = anchors.shape[0]
     ys = (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
           float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
@@ -535,26 +582,24 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
     # the loop runs while code is 0, which is also CODE_HORIZON
     code = _guard_any(ys, g)
 
-    # s = sign z1; at z1 = 0, the sign of dz1/dt = k z*
-    s = 1.0
-    if ys[1] < 0.0 or (ys[1] == 0.0 and zstar < 0.0):
-        s = -1.0
+    s = _sign(ys[1], zstar)
     md, ya, nx = _mode(modes, s, ys)     # ya: anchor of the closed form
+    n = n0
+    na = _anchor(anchors, 0, n, s, ys, 0.0)
     f0 = _f(p, md, ya, nx, ys[0], ys[1])
     h = max_step * 0.1
     flipped = False             # s switched at t without a step since
 
     last_rec_t, last_rec_tau, last_rec_z1 = t, ys[0], ys[1]
     have_pend = False           # the step start (t, ys) is not recorded yet
-    n = n0
     ns = 0                      # span descriptors written
 
     while code == 0:
-        if n > cap - MAX_STEP_ROWS:
+        if n > cap - MAX_STEP_ROWS or na == acap:
             # the caller resumes from (t, ys); a row is free, since the
             # last step took at most _SPAN_MAX_ROWS + 1 of MAX_STEP_ROWS
             if have_pend:
-                n = _record(buf, n, t, ys)
+                n = _record_pending(buf, n, t, ys, anchors, na, flipped)
             code = CODE_BUFFER_FULL
             break
         t_left = t_stop - t
@@ -583,6 +628,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
                 # the root is at the step start: switch the mode here
                 s = -s
                 md, ya, nx = _mode(modes, s, ys)
+                na = _anchor(anchors, na, n, s, ys, 0.0)
                 flipped = True
                 continue
             hs, y1, f1, err, pq, at_root = _step_to_root(p, md, ya, nx, y0,
@@ -596,7 +642,6 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         if not enorm <= 1.0:
             h = hs * _step_factor(enorm)
             continue
-        flipped = False
 
         # accepted step [t, t+hs]; f1 is f at the new point (FSAL), and the
         # closed form there reuses the FSAL stage's (p, q). _guard_any's
@@ -626,19 +671,18 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
             have_pend = True
         else:
             if have_pend:
-                n = _record(buf, n, t, ys)
+                n = _record_pending(buf, n, t, ys, anchors, na, flipped)
                 have_pend = False
-                last_rec_t, last_rec_tau, last_rec_z1 = t, ys[0], ys[1]
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
             if code != 0:
                 # an event ends the step, and the segment, at its point
                 t_new = _bisect_guard(t, hs, tc, md, ya, nx, ys[0], y1[0], g,
                                       event_tol)
                 ye = _dense(tc, md, ya, nx, ys[0], y1[0], (t_new - t) / hs)
-            n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, md, ya, ys[0],
-                               y1[0], last_rec_t, last_rec_tau, last_rec_z1,
+            n, ns = _emit_span(buf, n, spans, ns, t, hs, tc, ys[0], y1[0],
                                t_new, ye, budget_rel)
             last_rec_t, last_rec_tau, last_rec_z1 = t_new, ye[0], ye[1]
+        flipped = False
 
         # advance; a root re-anchors the closed form with the new sign, a
         # retaken step leaves the proposed step size as it was, and so does
@@ -650,6 +694,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         if at_root:
             s = -s
             md, ya, nx = _mode(modes, s, ys)
+            na = _anchor(anchors, na, n, s, ys, 0.0)
         if not crossed and (h != max_step or enorm > 0.5):
             h *= _step_factor(enorm)
         if code == 0 and z2_bad:
@@ -657,7 +702,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans):
         elif code == 0 and converged:
             code = CODE_CONVERGED
 
-    _finish(y, ys, ret, code, t, n, ns)
+    _finish(y, ys, ret, code, t, n, ns, na)
 
 
 def run_constants(params, gains, k, cert, solver) -> tuple:

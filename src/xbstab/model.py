@@ -503,10 +503,11 @@ class HybridTrajectory:
     instant twice (pre- and post-jump). Every column may be given as an
     array. simulate returns t, tau and z1, which its kernel integrates,
     as views of one array, and z2, z_tilde1, z_tilde2 and phi as
-    ClosedColumns, evaluated on read from the same stores; closed_rows
-    reads all four of a block of rows at once. j, cycle and z_star are
-    MarkColumns, which change only at jumps, so they take memory per
-    jump, not per row; one given as an array becomes MarkColumn.of(it).
+    ClosedColumns, evaluated on read at each row's tau from the anchor of
+    its mode arc; closed_rows reads all four of a block of rows at once.
+    j, cycle and z_star are MarkColumns, which change only at jumps, so
+    they take memory per jump, not per row; one given as an array becomes
+    MarkColumn.of(it).
     """
 
     t: np.ndarray

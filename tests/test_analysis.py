@@ -21,7 +21,7 @@ from xbstab.model import HybridTrajectory, JumpKind, JumpRecord
 
 
 def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
-              jumps=None):
+              jumps=None, z2=None):
     t = np.asarray(t, dtype=float)
     n = len(t)
     z1 = np.asarray(z1, dtype=float)
@@ -29,7 +29,8 @@ def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
     return HybridTrajectory(
         t=t, j=np.zeros(n, dtype=np.int64),
         cycle=np.zeros(n, dtype=np.int64) if cycle is None else cycle,
-        tau=np.zeros(n), z1=z1, z2=np.zeros(n),
+        tau=np.zeros(n), z1=z1,
+        z2=np.zeros(n) if z2 is None else np.asarray(z2, dtype=float),
         z_tilde1=zt[:, 0], z_tilde2=zt[:, 1],
         z_star=np.ones(n) if z_star is None else np.asarray(z_star),
         phi=np.tile(np.eye(2).ravel(), (n, 1)) if phi is None else phi,
@@ -127,7 +128,8 @@ def _fake_decay(kappa1, kappa2, mu):
 
 
 class TestThresholdEdges:
-    """The vobs and phi thresholds, with a case on each side of each."""
+    """The vobs, phi, dwell, zeno and progress thresholds, with a case on
+    each side of each."""
 
     @pytest.mark.parametrize("rise, ok", [(2e-6, False), (5e-7, True)])
     def test_vobs_relative_slack(self, sv_cert, rise, ok):
@@ -155,6 +157,43 @@ class TestThresholdEdges:
             dwell_ok=True, dwell_min_ratio=2.0, zeno_ok=True,
             zeno_max_jumps=0, z2_floor_margin=1.0)
         assert rep.verdicts["phi"] is ok
+
+    @pytest.mark.parametrize("ratio, ok", [(1.0 - 2e-9, False),
+                                           (1.0 - 5e-10, True)])
+    def test_dwell_slack(self, sv_params, sv_cfg, ratio, ok):
+        """Two successive WithinCycle jumps of cycle 1 `ratio` T_l1 apart,
+        inside the cycle's invariant set, against the slack 1 - 1e-9."""
+        _, t_l1, _ = dwell_time_lower_bound(sv_params, sv_cfg, 1)
+        a, b = t_l1, t_l1 + ratio * t_l1
+        jumps = [JumpRecord(t=a, j=0, kind=JumpKind.WITHIN_CYCLE),
+                 JumpRecord(t=b, j=1, kind=JumpKind.WITHIN_CYCLE)]
+        traj = make_traj([0.0, 3.0 * t_l1], np.zeros(2),
+                         cycle=np.ones(2, np.int64), jumps=jumps)
+        got, min_ratio = check_dwell_lower_bound(traj, sv_params, sv_cfg)
+        assert got is ok
+        assert min_ratio == pytest.approx(ratio, abs=1e-14)
+
+    @pytest.mark.parametrize("jumps, ok", [(9, True), (10, False)])
+    def test_zeno_ceiling(self, jumps, ok):
+        """`jumps` jumps within one time unit, against the ceiling
+        2 ceil(1/T_lmin) + 1, which is 9 at T_lmin = 0.3: exactly the
+        limit passes, one more fails."""
+        log = [JumpRecord(t=0.1 * k, j=k, kind=JumpKind.WITHIN_CYCLE)
+               for k in range(jumps)]
+        traj = make_traj([0.0, 1.0], np.ones(2), jumps=log)
+        assert check_zeno(traj, 0.3) == (ok, jumps)
+
+    @pytest.mark.parametrize("margin, ok", [(2e-12, True), (5e-13, False)])
+    def test_progress_floor(self, sv_params, sv_cfg, sv_cert, margin, ok):
+        """z2 comes within `margin` d/c of -d/c once, against the floor
+        1e-12 on min(z2 + d/c)/(d/c)."""
+        floor = sv_params.z2_floor
+        traj = make_traj(np.arange(3.0), np.ones(3),
+                         z2=[0.3, floor - margin * floor, 0.3])
+        rep = verify_bounds(traj, sv_params, sv_cfg, sv_cert,
+                            _fake_decay(2.0, 1.0, 1.0), from_cycle=0)
+        assert rep.z2_floor_margin == pytest.approx(margin, rel=1e-3)
+        assert rep.verdicts["progress"] is ok
 
 
 class TestEnvelope:

@@ -504,9 +504,11 @@ class TestBlockedPasses:
                                                monkeypatch):
         """With a counter on the evaluator of z2, z_tilde and phi
         (emission.ClosedForm), extract_dwell and the per-cycle dwell
-        reports evaluate no row, and execute evaluates each filled row
-        once in this process: verify_bounds reads them all in one pass,
-        and the CSV writer's children evaluate their own shares."""
+        reports evaluate no row, and execute evaluates each row once in
+        this process in blocks, verify_bounds reading them all in one
+        pass, and besides at most 4 single rows (the envelope's first row
+        and the final state); the CSV writer's children evaluate their own
+        shares."""
         scn, traj = bundled_run
         ranges = []
         call = emission.ClosedForm.__call__
@@ -521,18 +523,13 @@ class TestBlockedPasses:
         assert ranges == []
         monkeypatch.setattr(cli, "simulate", lambda *a, **kw: traj)
         cli.execute(scn, tmp_path)
-        n, src = len(traj), traj.z2.source
-
-        def count(starts, stops):
-            edges = np.zeros(n + 1, np.int64)
-            np.add.at(edges, starts, 1)
-            np.add.at(edges, stops, -1)
-            return np.cumsum(edges[:-1])
-
-        filled = count(src._first, src._end) > 0
-        reads = count(*np.array(ranges).T)
-        assert np.count_nonzero(filled) == src._filled > 0.9 * n
-        assert np.all(reads[filled] == 1)
+        edges = np.zeros(len(traj) + 1, np.int64)
+        lo, hi = np.array(ranges).T
+        blocks = hi - lo > 1
+        np.add.at(edges, lo[blocks], 1)
+        np.add.at(edges, hi[blocks], -1)
+        assert np.all(np.cumsum(edges[:-1]) == 1)
+        assert np.count_nonzero(~blocks) <= 4
 
 
 class TestEndToEnd:
@@ -964,8 +961,8 @@ class TestEndToEnd:
         codes = []
         flow = fastpath.flow_segment
 
-        def recording_flow(y, t_start, sc, buf, n0, ret, spans):
-            flow(y, t_start, sc, buf, n0, ret, spans)
+        def recording_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
+            flow(y, t_start, sc, buf, n0, ret, spans, anchors)
             codes.append(int(ret[0]))
 
         monkeypatch.setattr(fastpath, "flow_segment", recording_flow)
@@ -973,6 +970,27 @@ class TestEndToEnd:
         assert codes[-1] == fastpath.CODE_CONVERGED
         report = json.loads((out / "report.json").read_text())
         assert 0.0 < report["t_final"] < scenario_dict["solver"]["t_end"]
+
+    def test_negative_zero_error_is_written_as_stored(self, tmp_path,
+                                                      scenario_dict):
+        """z_hat0 = (-0.0, 0.3001) against z0 = (0, 0.3) starts with
+        z_tilde1 = -0.0, and R_tilde = 1e-4 skips to cycle 9 with z* < 0,
+        so the start row's anchor is in the mode of z1 < 0, in which the
+        closed form at dt = 0, X + 0 (N X), gives +0.0. The row the
+        engine wrote keeps its -0 in trajectory.csv."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        cfg["initial"]["z_hat0"] = [-0.0, 0.3001]
+        cfg["controller"]["R_tilde"] = 1e-4
+        cfg["solver"]["t_end"] = 0.002
+        path = tmp_path / "negzero.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", encoding="ascii") as fh:
+            head, row = fh.readline(), fh.readline()
+        row = dict(zip(head.strip().split(","), row.strip().split(",")))
+        assert row["z1"] == "0" and float(row["z_star"]) < 0.0
+        assert row["z_tilde1"] == "-0"
 
     def test_checks_none_always_passes(self, short_scenario, tmp_path):
         out = tmp_path / "out"

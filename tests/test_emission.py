@@ -1,11 +1,11 @@
 """The vectorized fill of reserved sample rows (emission.fill_spans) and
-their closed-form columns evaluated on read (emission.ClosedForm) against
-the kernel's per-sample path, _record(_dense(...)), bit for bit."""
+the closed-form columns evaluated on read (emission.ClosedForm) against
+the kernel's per-sample path, _dense(...), bit for bit."""
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xbstab import emission, fastpath
@@ -34,7 +34,8 @@ def _unit(lo, hi):
 
 @st.composite
 def _span(draw):
-    """(branch, linear tau, _emit_span arguments after buf, n, spans, ns)."""
+    """(branch, linear tau, mode, anchor, _emit_span arguments after buf,
+    n, spans, ns)."""
     branch = draw(st.sampled_from(sorted(_MATRICES)))
     scale = draw(_unit(0.1, 10.0))
     md = (*fastpath._split(*(scale * v for v in _MATRICES[branch])),
@@ -64,12 +65,15 @@ def _span(draw):
     t0 = draw(_unit(0.0, 1.0))
     h = draw(_unit(1e-7, 1e-3))
     tb = t0 + h * draw(_unit(0.01, 1.0))     # below t0 + h: an event span
-    # z1 = 0 at both ends makes the tau/trapezoid mismatch |dtau|, so the
-    # budget 1/(m - 1/2)^2 gives the span m samples
+    yb = fastpath._closed(md, ya, fastpath._n_products(md, ya), tau1, 0.0)
+    # a budget that gives the span m samples: the composite trapezoid's
+    # mismatch e, against budget_rel |dtau|, asks for 1/(m - 1/2)^2 of it
     m = draw(st.integers(2, 40))
-    yb = (tau1, 0.0, *ya[2:])
-    return branch, linear, (t0, h, tc, md, ya, tau0, tau1, t0, tau0 - 1.0,
-                            0.0, tb, yb, 1.0 / (m - 0.5) ** 2)
+    dtau = tau1 - tau0
+    e = abs(dtau - 0.5 * abs(tc[0]) * (tb - t0))
+    assume(e > 1e-6 * dtau)
+    return branch, linear, md, ya, (t0, h, tc, tau0, tau1, tb, yb,
+                                    e / (dtau * (m - 0.5) ** 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,49 +81,68 @@ def _span(draw):
        chunk=st.sampled_from([1, 7, 1 << 11]))
 def test_fill_matches_dense_bit_for_bit(spans, chunk):
     """Spans on every branch of _expm_pq and both cases of _tau_at, side
-    by side in one buffer: fill_spans writes t, tau and z1 of each
-    reserved row and nothing else, ClosedForm gives the other seven
-    columns of every row from the span records and the written rows, and
-    each row equals the row of the per-sample loop the fill replaced, in
-    every bit."""
+    by side in one buffer, each under its own anchor: fill_spans writes t,
+    tau and z1 of each reserved row and nothing else, ClosedForm gives the
+    other seven columns of every row from the anchors, and each row
+    equals the row of the per-sample loop the fill replaced, in every
+    bit."""
     rows = 1 + 40 * len(spans)
-    buf = np.full((rows, 10), np.nan)
+    buf = np.full((rows, 3), np.nan)
     ref = np.full((rows, 10), np.nan)
     descr = np.full((rows // 2, fastpath.N_SP), np.nan)
+    anchors = np.empty((len(spans), fastpath.N_AN))
     reserved = np.zeros(rows, bool)
     n, ns = 1, 0
-    for branch, linear, args in spans:
-        t0, h, tc, md, ya, tau0, tau1, ta, _, _, tb, yb, _ = args
+    for branch, linear, md, ya, args in spans:
+        t0, h, tc, tau0, tau1, tb, yb, _ = args
         n_end, ns = fastpath._emit_span(buf, n, descr, ns, *args)
         m = n_end - n
         assert m >= 2 and descr[ns - 1, fastpath.SP_M] == m
         assert (tc[4] == 0.0) == linear
         # the loop of _emit_span before the fill took over
-        dt = (tb - ta) / m
+        dt = (tb - t0) / m
         for i in range(1, m):
-            tt = ta + i * dt
+            tt = t0 + i * dt
             y = fastpath._dense(tc, md, ya, fastpath._n_products(md, ya),
                                 tau0, tau1, (tt - t0) / h)
             assert _branch(md, y[0] - ya[0]) == branch
-            fastpath._record(ref, n + i - 1, tt, y)
-        fastpath._record(ref, n_end - 1, tb, yb)
+            ref[n + i - 1] = (tt, *y)
+        ref[n_end - 1] = (tb, *yb)
         reserved[n:n_end - 1] = True
+        # each span its own mode: the modes table has a row per anchor
+        anchors[ns - 1] = (n, ns - 1, 0.0, *ya)
         n = n_end
+    modes = np.array([md for _, _, md, _, _ in spans])
     with mock.patch.object(emission, "_FILL_ROWS", chunk), \
             mock.patch.object(emission, "_CLOSED_ROWS", chunk):
         emission.fill_spans(buf, descr, ns)
-        wrote = emission.written_rows(descr, ns, n)
-        assert np.array_equal(wrote, ~reserved[:n])
-        # each span its own mode: the modes table has a row per record
-        rec = np.empty((ns, emission.N_R))
-        emission.span_records(descr, ns, 0, rec)
-        rec[:, emission.R_MODE] = np.arange(ns)
-        closed = emission.ClosedForm(
-            buf[:n, 1], buf[:n][wrote, 3:], rec,
-            descr[:ns, fastpath.SP_MD:fastpath.SP_YA])(0, n)
-    assert np.array_equal(buf[1:n, :3].view(np.uint64),
+        closed = emission.ClosedForm(buf[:n, 1], anchors, modes)(1, n)
+    assert np.array_equal(buf[1:n].view(np.uint64),
                           ref[1:n, :3].view(np.uint64))
-    assert np.isnan(buf[reserved, 3:]).all()
-    assert np.array_equal(closed[:, 1:].view(np.uint64),
+    assert np.array_equal(closed.view(np.uint64),
                           ref[1:n, 3:].T.view(np.uint64))
     assert np.isnan(buf[0]).all() and np.isnan(buf[n:]).all()
+
+
+def test_held_row_reads_its_anchor_state():
+    """A row the kernel records at its anchor's state right after a mode
+    switch (fastpath._record_pending with flipped) holds that state, and
+    reads it as stored, -0.0 included; a row at the state of an anchor
+    it does not hold is its closed form at dt = 0, X + 0 (N X), which
+    gives +0.0 there, and the rows after it are that closed form."""
+    md = fastpath._split(-8.0, 16.0, 375.0, -0.952) + (-24.0, 0.5)
+    ya = (0.0, 0.0, 0.3, -0.0, 1e-4, 1.0, 0.0, 0.0, 1.0)
+    nx = fastpath._n_products(md, ya)
+    buf, anchors = np.empty((3, 3)), np.empty((2, fastpath.N_AN))
+    na = fastpath._anchor(anchors, 0, 0, 1.0, ya, 0.0)
+    n = fastpath._record(buf, 0, 0.0, ya)
+    na = fastpath._anchor(anchors, na, n, -1.0, ya, 0.0)
+    n = fastpath._record_pending(buf, n, 0.0, ya, anchors, na, True)
+    fastpath._record(buf, n, 1e-3, (1e-3, 0.0))
+    assert anchors[:, fastpath.AN_HELD].tolist() == [0.0, 1.0]
+    got = emission.ClosedForm(buf[:, 1], anchors, np.array([md, md]))(0, 3)
+    want = [fastpath._closed(md, ya, nx, 0.0, 0.0)[2:], ya[2:],
+            fastpath._closed(md, ya, nx, 1e-3, 0.0)[2:]]
+    assert np.array_equal(got.T.view(np.uint64),
+                          np.array(want).view(np.uint64))
+    assert nx[0] > 0.0 and not np.signbit(got[1, 0]) and np.signbit(got[1, 1])

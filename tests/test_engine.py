@@ -134,15 +134,13 @@ def integrate_flow(params, gains, cert, cfg, solver, state, t_start, k):
     else its guard ("Dc" or "Dnc") and time."""
     arc = _Arc()
     arc.add_state(t_start, state)
-    code, t_fin, _ = _run_segment(
-        params, cert, cfg, fastpath.run_constants(params, gains, k, cert,
-                                                  solver),
-        state, t_start, arc)
+    run = fastpath.run_constants(params, gains, k, cert, solver)
+    code, t_fin, _ = _run_segment(params, cert, cfg, run, state, t_start, arc)
     event = None
     if code in (fastpath.CODE_DC, fastpath.CODE_DNC):
         event = SimpleNamespace(
             t=t_fin, guard="Dc" if code == fastpath.CODE_DC else "Dnc")
-    return arc.trajectory(), event
+    return arc.trajectory(run[2]), event
 
 
 class TestIntegrateFlow:
@@ -222,21 +220,23 @@ class TestIntegrateFlow:
     def test_first_window_fits_the_first_array(self, sv_initial, sv_params,
                                                sv_gains, sv_cert):
         """The kernel's window holds _INIT_BUFFER_ROWS rows, and the arc's
-        first stores hold the start row and a full window, so the first
-        call does not reallocate them; one more row grows them, at least
-        doubling."""
+        first stores hold the start row and a full window of rows and of
+        anchors, so the first call does not reallocate them; one more row
+        or anchor grows them, at least doubling."""
         arc = _Arc()
-        first = arc.flow, arc.kept
+        first = arc.flow, arc.anchors
         state = initialize(sv_params, sv_gains, sv_cert, make_cfg(),
                            *sv_initial)
         arc.add_state(0.0, state)
         assert len(arc.window) == engine._INIT_BUFFER_ROWS
-        arc.take(engine._INIT_BUFFER_ROWS, 0)
-        assert arc.flow is first[0] and arc.kept is first[1]
-        assert arc.n == arc.nk == 1 + engine._INIT_BUFFER_ROWS
-        arc.take(1, 0)
-        assert arc.flow is not first[0] and arc.kept is not first[1]
-        assert len(arc.flow) == len(arc.kept) == 2 * len(first[0])
+        full = len(arc.window_anchors)
+        arc.take(engine._INIT_BUFFER_ROWS, 0, full)
+        assert arc.flow is first[0] and arc.anchors is first[1]
+        assert (arc.n, arc.na) == (1 + engine._INIT_BUFFER_ROWS, 1 + full)
+        arc.take(1, 0, 1)
+        assert arc.flow is not first[0] and arc.anchors is not first[1]
+        assert len(arc.flow) == 2 * len(first[0])
+        assert len(arc.anchors) == 2 * len(first[1])
 
     def test_buffer_resume_is_seamless(self, monkeypatch, sv_params,
                                        sv_gains, sv_cert):
@@ -332,8 +332,8 @@ def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
     codes = []
     flow = fastpath.flow_segment
 
-    def counting_flow(y, t_start, sc, buf, n0, ret, spans):
-        flow(y, t_start, sc, buf, n0, ret, spans)
+    def counting_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
+        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
         codes.append(int(ret[0]))
 
     monkeypatch.setattr(fastpath, "flow_segment", counting_flow)
@@ -370,9 +370,9 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
     calls = []
     flow = fastpath.flow_segment
 
-    def nan_flow(y, t_start, sc, buf, n0, ret, spans):
+    def nan_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
         buf[n0:] = np.nan
-        flow(y, t_start, sc, buf, n0, ret, spans)
+        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
         ns = int(ret[3])
         # does the call's last span end on its last row?
         last = ns > 0 and spans[ns - 1, fastpath.SP_N] \
@@ -396,60 +396,152 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
         assert not np.isnan(getattr(traj, name)).any(), name
 
 
-@pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
-def test_filled_rows_read_back_bit_for_bit(monkeypatch, sv_params, sv_gains,
-                                          sv_cert, sv_cfg, sv_initial, rows):
-    """simulate stores t, tau and z1 of a filled row and evaluates z2,
-    z_tilde and phi when they are read. On the 20 ms bundled run, at the
-    default buffer and at one that resumes often, every filled row read
-    through the trajectory equals the kernel's _record(_dense(...)) of
-    its span descriptor, bit for bit."""
+def _run_with_kernel_log(monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg,
+                         sv_initial, rows=None, anchor_rows=None):
+    """The 20 ms bundled run, with its kernel window of `rows` rows and
+    anchor table of `anchor_rows` rows where given, as (traj, want,
+    codes): want holds each row as the kernel or the engine computed it,
+    from the kernel's own calls in the order it made them (python
+    source on both backends). A row the kernel or the engine wrote is its
+    state, and one the kernel wrote is also asserted to equal _closed of
+    the anchor the kernel had set last at its tau, bit for bit; a row the
+    kernel reserved is its t and _dense(...) of its span under that anchor;
+    codes are the calls' exit codes."""
+    fp = fastpath
+    for name in ("flow_segment", "_emit_span", "_record_pending"):
+        monkeypatch.setattr(fp, name, getattr(getattr(fp, name), "py_func",
+                                              getattr(fp, name)))
+    log, events, codes = [], [], []
+    record, anchor, emit = fp._record, fp._anchor, fp._emit_span
+
+    def logged_record(buf, n, tt, y):
+        log.append(("row", n, tt, tuple(y)))
+        return record(buf, n, tt, y)
+
+    def logged_anchor(anchors, na, n, s, ys, held):
+        log.append(("anchor", n, s, tuple(ys)))
+        return anchor(anchors, na, n, s, ys, held)
+
+    def logged_emit(buf, n, spans, ns, *args):
+        n1, ns1 = emit(buf, n, spans, ns, *args)
+        if ns1 > ns:
+            log.append(("span", n, spans[ns].copy()))
+        return n1, ns1
+
+    class Logged(_Arc):
+        def __init__(self):
+            super().__init__()
+            if anchor_rows is not None:
+                self.window_anchors = self.window_anchors[:anchor_rows]
+
+        def add_state(self, t, state):
+            super().add_state(t, state)
+            log.clear()                 # the engine's own anchor
+            events.append(("state", self.n - 1, t,
+                           tuple(engine._state_to_y(state))))
+
+        def take(self, rows, count, anchors):
+            events.extend((kind, self.n + n, *rest)
+                          for kind, n, *rest in log)
+            log.clear()
+            super().take(rows, count, anchors)
+
+    flow = fp.flow_segment
+
+    def coded_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
+        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
+        codes.append(int(ret[0]))
+
+    monkeypatch.setattr(fp, "_record", logged_record)
+    monkeypatch.setattr(fp, "_anchor", logged_anchor)
+    monkeypatch.setattr(fp, "_emit_span", logged_emit)
+    monkeypatch.setattr(fp, "flow_segment", coded_flow)
+    monkeypatch.setattr(engine, "_Arc", Logged)
+    if rows is not None:
+        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
     z0, z_hat0 = sv_initial
     solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
                           max_step=5.4e-5, t_end=0.02)
-    calls = []
-
-    class Recorded(_Arc):
-        def take(self, rows, count):
-            calls.append((self.n, self.spans[:count].tolist()))
-            super().take(rows, count)
-
-    monkeypatch.setattr(engine, "_Arc", Recorded)
-    if rows is not None:
-        monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
     traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
                     k=500.0)
-    fp = fastpath
-    buf, idx, want = np.empty((1, 10)), [], []
-    for first_row, descriptors in calls:
-        for d in descriptors:
-            tc, md, ya = d[fp.SP_TC:fp.SP_MD], d[fp.SP_MD:fp.SP_YA], \
-                d[fp.SP_YA:]
-            nx = fp._n_products(md, ya)
+    modes = fp.run_constants(sv_params, sv_gains, 500.0, sv_cert, solver)[2]
+    want = np.full((len(traj), 10), np.nan)
+    for kind, n, *rest in events:
+        if kind == "state":
+            want[n] = (rest[0], *rest[1])
+        elif kind == "row":
+            want[n] = (rest[0], *rest[1])
+            closed = fp._closed(md, ya, nx, *rest[1][:2])
+            assert np.array_equal(np.array(closed).view(np.uint64),
+                                  want[n, 1:].view(np.uint64)), n
+        elif kind == "anchor":
+            md, ya, nx = fp._mode(modes, *rest)
+        else:
+            d = rest[0]
+            tc = tuple(d[fp.SP_TC:])
             for i in range(1, int(d[fp.SP_M])):
-                tt = d[fp.SP_TA] + i * d[fp.SP_DT]
-                fp._record(buf, 0, tt, fp._dense(
+                tt = d[fp.SP_T0] + i * d[fp.SP_DT]
+                want[n + i - 1] = (tt, *fp._dense(
                     tc, md, ya, nx, d[fp.SP_TAU0], d[fp.SP_TAU1],
                     (tt - d[fp.SP_T0]) / d[fp.SP_H]))
-                idx.append(first_row + int(d[fp.SP_N]) + i - 1)
-                want.append(buf[0].copy())
-    if rows is not None:
-        # at least 5 buffer resumes: calls beyond one per segment
-        assert len(calls) >= len(traj.jumps) + 1 + 5
-    assert len(set(idx)) == len(idx) == traj.z2.source._filled
-    assert len(idx) > 0.9 * len(traj)
+    return traj, want, codes
+
+
+def _assert_rows_read_back(traj, want):
+    """Every row of traj, all ten columns, equals want's in every bit."""
+    assert not np.isnan(want).any()
     got = np.column_stack([traj.t, traj.tau, traj.z1, traj.z2, traj.z_tilde1,
-                           traj.z_tilde2, traj.phi])[idx]
-    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+                           traj.z_tilde2, traj.phi])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
+def test_every_row_reads_back_bit_for_bit(monkeypatch, sv_params, sv_gains,
+                                          sv_cert, sv_cfg, sv_initial, rows):
+    """simulate stores t, tau and z1 of every row and an anchor per
+    anchoring of the closed form, and evaluates z2, z_tilde and phi when
+    they are read. On the 20 ms bundled run, at the default buffer and at
+    one that resumes often, every row read through the trajectory equals
+    the state the kernel computed for it (its closed form under the anchor
+    it used), its t and the kernel's _dense(...) for a reserved row, and
+    the stored state for a row the engine wrote, bit for bit."""
+    traj, want, codes = _run_with_kernel_log(
+        monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg, sv_initial, rows)
+    if rows is not None:
+        assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+    src = traj.z2.source
+    assert len(traj.jumps) + 1 < len(src._anchors) < len(traj) // 100
+    _assert_rows_read_back(traj, want)
+
+
+def test_small_anchor_table_resumes(monkeypatch, sv_params, sv_gains,
+                                    sv_cert, sv_cfg, sv_initial, dense_20ms):
+    """An anchor table of 2 rows, the fewest with which a call takes a
+    step, fills at the first z1 root of a call: the kernel returns
+    CODE_BUFFER_FULL there and the segment resumes, so the 20 ms bundled
+    run gives the default run's jumps, and every row still reads back bit
+    for bit."""
+    traj, want, codes = _run_with_kernel_log(
+        monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+        anchor_rows=2)
+    assert codes.count(fastpath.CODE_BUFFER_FULL) >= 3
+    assert [jr.kind for jr in traj.jumps] == \
+        [jr.kind for jr in dense_20ms.jumps]
+    assert np.allclose([jr.t for jr in traj.jumps],
+                       [jr.t for jr in dense_20ms.jumps], rtol=0.0, atol=1e-7)
+    assert traj.t[-1] == dense_20ms.t[-1]
+    assert _max_tau_drift(traj) <= 0.0
+    _assert_rows_read_back(traj, want)
 
 
 @pytest.mark.parametrize("thinned", [False, True])
 def test_arc_storage(scenario_dict, thinned):
     """Every column of the shipped run has nbytes, and beside the marks
-    the arc holds 24 B per filled row, 80 B per row the kernel wrote and
-    at most 120 B per span record. With long_thinned's recording no span
-    has filled rows, and the arc holds no more than 80 B a row, as when
-    every row was stored whole, and the two modes' table."""
+    the arc holds 24 B per row and 104 B per anchor (its 12 floats and its
+    first row as an index), and the two modes' table. Anchors are few: a
+    segment start, a z1 root or a row the engine wrote makes one. With
+    long_thinned's recording the arc holds no more than 80 B a row, as
+    when every row was stored whole, and the modes' table."""
     raw = json.loads(json.dumps(scenario_dict))
     if thinned:
         raw["solver"].update(record_interval=1e-3, tau_budget_rel=1e9)
@@ -457,19 +549,19 @@ def test_arc_storage(scenario_dict, thinned):
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
     src = traj.z2.source
-    n, spans, filled = len(traj), len(src._records), src._filled
+    n, anchors = len(traj), len(src._anchors)
     marks = sum(getattr(traj, name).nbytes for name in ("j", "cycle",
                                                         "z_star"))
     held = sum(getattr(traj, name).nbytes for name in (
         "t", "tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"))
-    assert held <= (24 * filled + 80 * (n - filled) + 120 * spans
-                    + src._modes.nbytes)
+    # the four ClosedColumns' shares of the source round down
+    assert 0 <= 24 * n + 104 * anchors + src._modes.nbytes - held < 4
     assert marks < 200 * (len(traj.jumps) + 1)
     if thinned:
-        assert spans == filled == 0
+        # no more than when every row was stored whole
         assert held <= 80 * n + src._modes.nbytes
     else:
-        assert filled > 0.9 * n and held < 0.4 * 80 * n
+        assert anchors < 0.002 * n
 
 
 def _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
@@ -541,17 +633,15 @@ def test_columns_are_views_of_one_array(dense_20ms):
 
 
 def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
-    """Besides its stores (t, tau and z1 of every row, the closed-form
-    columns of the rows the kernel wrote, and the span records),
-    simulate's trajectory holds only arrays of one entry per mark or per
-    span record: j, cycle and z_star are MarkColumns, not full-length
-    columns, and z2, z_tilde and phi are not stored for the filled
-    rows."""
+    """Besides its stores (t, tau and z1 of every row, and the anchors)
+    and the two modes, simulate's trajectory holds only arrays of one
+    entry per mark or per anchor: j, cycle and z_star are MarkColumns, not
+    full-length columns, and z2, z_tilde and phi are not stored for any
+    row."""
     src = dense_20ms.z2.source
-    stores = (dense_20ms.t.base, src._kept, src._records)
-    marks, spans = len(dense_20ms.jumps) + 1, len(src._records)
-    assert len(dense_20ms) > 100 * marks and len(dense_20ms) > 10 * spans
-    assert len(src._kept) < len(dense_20ms) // 4
+    stores = (dense_20ms.t.base, src._anchors)
+    marks, anchors = len(dense_20ms.jumps) + 1, len(src._anchors)
+    assert len(dense_20ms) > 100 * marks and len(dense_20ms) > 100 * anchors
     for name in ("j", "cycle", "z_star"):
         assert isinstance(getattr(dense_20ms, name), MarkColumn), name
     seen, todo, arrays = set(), [dense_20ms], []
@@ -566,10 +656,10 @@ def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
             todo.extend(vars(obj).values())
     views = [a for a in arrays
              if any(np.shares_memory(a, store) for store in stores)]
-    assert len(views) == 6 and len(arrays) > 6      # the marks were reached
+    assert len(views) == 5 and len(arrays) > 5      # the marks were reached
     for a in arrays:
-        assert a.size <= max(marks, spans) or any(a is v for v in views), \
-            a.shape
+        assert a.size <= max(marks, anchors) or a is src._modes \
+            or any(a is v for v in views), a.shape
 
 
 def _smaps_entry(address: int) -> dict:
@@ -658,7 +748,7 @@ def test_initial_within_cycle_precedes_flow(dense_20ms):
 def _frozen_flow(code, starts):
     """A stand-in for fastpath.flow_segment that reports the guard code at
     its start point without advancing t or writing a row."""
-    def flow(y, t_start, sc, buf, n0, ret, spans):
+    def flow(y, t_start, sc, buf, n0, ret, spans, anchors):
         starts.append(t_start)
         ret[0], ret[1], ret[2], ret[3] = code, t_start, n0, 0.0
     return flow
