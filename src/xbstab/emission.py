@@ -14,8 +14,8 @@ transcendental.
 On each mode arc the other seven columns, z2, z_tilde and Phi, are
 closed-form functions of tau set by one anchor state. The arc keeps one
 anchor (layout fastpath.AN_*: first row, mode, state) per anchoring of the
-closed form: the kernel's at each segment start and z1 root, the engine's
-at each row it writes. ClosedForm evaluates the seven columns of a block
+closed form: the kernel's at each z1 root, the engine's at each row it
+writes (a segment's start). ClosedForm evaluates the seven columns of a block
 of rows on read by the rest of fastpath._closed: N zt and N Phi, the state
 p X + q (N X) and the z2 propagation, at the stored tau under the anchor
 that covers each row; a row that holds its anchor's state (AN_HELD) reads
@@ -110,7 +110,7 @@ def _fill(flow, sp):
 def fill_spans(flow, spans, count):
     """Write t, tau and z1 of every row that a flow_segment call reserved,
     from the first `count` rows of its span descriptors, into the first
-    three columns of flow, whose rows are those of the call's buffer; in
+    three columns of flow, the store the call wrote its rows into; in
     passes of about _FILL_ROWS rows."""
     ends = np.cumsum(spans[:count, SP_M] - 1.0)
     lo = 0

@@ -8,26 +8,28 @@ HybridTrajectory ordered lexicographically in hybrid time (t, j).
 The jump sets D_c, D_nc and the jump map live here too, with one function
 per guard constant that in_Dc, in_Dnc and the kernel's segment record read.
 
-The kernel writes t, tau and z1 of each call's rows into one window of
-_INIT_BUFFER_ROWS rows that every call reuses from its row 0, reserves the
-interior rows of its recorded spans, and leaves an anchor (fastpath AN_*:
-first row, mode, state) wherever it anchors the closed form. After each
-call the engine moves the rows into the arc's flow store, fills the
-reserved ones there (emission.fill_spans) and appends the anchors
-(_Arc.take). So a row costs 24 B, and an anchor 96 B; the engine adds an
-anchor at each row it writes itself, which that row holds (AN_HELD). Each
-row is recorded once: a segment whose window fills resumes from the last
-row the kernel recorded, and only a jump instant has two rows, its pre-
-and post-jump points. Each store starts with room for the start row and a
-full window and grows between calls by allocate-and-copy, at least
-doubling. The window, the stores and the kernel's tables live in anonymous
-memory mapped in base pages (_Arc._buffer), so reserved capacity is
-resident only in the 4 KB pages a run writes. j, cycle and z_star change
-only at jumps: the run keeps one (first row, cycle, z_star) mark per run
-of rows, whose index is j, and the trajectory reads j, cycle, z_star and
-the jump log off those marks. Its t, tau and z1 are views of the flow
-store, and z2, z_tilde and phi ClosedColumns that evaluate each row from
-its anchor when read (emission.ClosedForm).
+The kernel writes t, tau and z1 of each row straight into the arc's flow
+store, through a view of _INIT_BUFFER_ROWS rows past the stored ones,
+reserves the interior rows of its recorded spans, and leaves an anchor
+(fastpath AN_*: first row, mode, state) in the anchor store at each z1
+root, where it anchors the closed form anew; from a segment start on it
+goes on with the engine's anchor. After each call the engine fills the
+reserved rows (emission.fill_spans) and counts the rows and anchors. So a
+row costs 24 B, and an anchor 96 B; the engine adds an anchor at each row
+it writes itself, which that row holds (AN_HELD). Each row is recorded
+once, and only a jump instant has two rows, its pre- and post-jump points.
+A call whose view fills pauses at a recorded point, and the next call goes
+on from there with the same step size and anchor, so no row depends on the
+view's size. Each store starts with room for the start row and the first
+call's views and grows before a call by allocate-and-copy, at least
+doubling. The stores and the kernel's span table live in anonymous memory
+mapped in base pages (_Arc._buffer), so reserved capacity is resident only
+in the 4 KB pages a run writes. j, cycle and z_star change only at jumps:
+the run keeps one (first row, cycle, z_star) mark per run of rows, whose
+index is j, and the trajectory reads j, cycle, z_star and the jump log off
+those marks. Its t, tau and z1 are views of the flow store, and z2, z_tilde
+and phi ClosedColumns that evaluate each row from its anchor when read
+(emission.ClosedForm).
 """
 
 from __future__ import annotations
@@ -77,11 +79,17 @@ def initialize(params: PlantParams, gains: ObserverGains,
     picks the initial cycle index from the contraction schedule, and sets
     the initial reference opposite in sign to the estimate zhat2 (or to
     +z_star_init when no initialization cycle can be skipped, i0 = 0).
+    A non-finite entry of z0 or z_hat0, whose norm no ball test would
+    refuse, is refused by name.
     """
     z0 = np.asarray(z0, dtype=float)
     z_hat0 = np.asarray(z_hat0, dtype=float)
     if z0.shape != (2,) or z_hat0.shape != (2,):
         raise BadInitialBall("z0 and z_hat0 must be 2-vectors")
+    for name, v in (("z0", z0), ("z_hat0", z_hat0)):
+        if not np.isfinite(v).all():
+            raise BadInitialBall(f"{name}={v.tolist()} has a non-finite "
+                                 f"entry")
     if np.linalg.norm(z0) > cfg.R * _BALL_SLACK:
         raise BadInitialBall(f"|z0|={np.linalg.norm(z0)} exceeds R={cfg.R}")
     z_tilde0 = z_hat0 - z0
@@ -122,22 +130,18 @@ class _Arc:
     run of rows between jumps in marks: mark j opens the rows of jump
     counter j.
 
-    window, spans and window_anchors are the kernel's buffer, span table
-    and anchor table, which each call uses from row 0. Every array comes
-    from _buffer, so its reserved capacity costs memory only where the run
-    writes.
+    The kernel writes into flow and anchors in place, through views();
+    spans is its span table, which each call uses from row 0.
+    Every array comes from _buffer, so its reserved capacity costs memory
+    only where the run writes.
     """
 
     def __init__(self):
-        self.window = self._buffer(_INIT_BUFFER_ROWS, 3)
         # each descriptor comes with at least 2 rows
         self.spans = self._buffer(_INIT_BUFFER_ROWS // 2, fastpath.N_SP)
-        # a call that fills it returns CODE_BUFFER_FULL and resumes
-        self.window_anchors = self._buffer(_INIT_BUFFER_ROWS // 2,
-                                           fastpath.N_AN)
-        # the start row and a full window
+        # the start row and the first call's views
         self.flow = self._buffer(_INIT_BUFFER_ROWS + 1, 3)
-        self.anchors = self._buffer(_INIT_BUFFER_ROWS // 2 + 1, fastpath.N_AN)
+        self.anchors = self._buffer(_INIT_BUFFER_ROWS + 2, fastpath.N_AN)
         self.marks = self._buffer(_INIT_BUFFER_ROWS // 2, 3)
         self.n = self.na = self.nm = 0
 
@@ -150,7 +154,7 @@ class _Arc:
         at a time: the mapping is advised against transparent huge pages
         (MADV_NOHUGEPAGE, where mmap has it), which numpy requests for
         every array of 4 MB or more, and which would make a reserved
-        window resident in 2 MB steps.
+        view resident in 2 MB steps.
         """
         mem = mmap.mmap(-1, rows * cols * 8, **_MAP_PRIVATE)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
@@ -167,11 +171,6 @@ class _Arc:
         grown[:used] = store[:used]
         return grown
 
-    def _append(self, rows: int, anchors: int):
-        """Room for rows and anchors past the stored ones."""
-        self.flow = self._grow(self.flow, self.n, rows)
-        self.anchors = self._grow(self.anchors, self.na, anchors)
-
     def add_state(self, t: float, state: HybridState):
         """Write the row (t, state), a mark, and an anchor at the state in
         the mode the kernel starts from there, whose row holds the state
@@ -179,26 +178,23 @@ class _Arc:
         self.marks = self._grow(self.marks, self.nm, 1)
         self.marks[self.nm] = (self.n, state.cycle, state.z_star)
         self.nm += 1
-        self._append(1, 1)
+        self.flow = self._grow(self.flow, self.n, 1)
+        self.anchors = self._grow(self.anchors, self.na, 1)
         y = _state_to_y(state)
         self.flow[self.n] = (t, *y[:2])
         self.na = fastpath._anchor(self.anchors, self.na, self.n,
                                    fastpath._sign(y[1], state.z_star), y, 1.0)
         self.n += 1
 
-    def take(self, rows: int, count: int, anchors: int):
-        """Move a kernel call's first `rows` rows of window and `anchors`
-        anchors into the stores, and fill the rows its `count` span
-        descriptors reserved."""
-        self._append(rows, anchors)
-        flow = self.flow[self.n:self.n + rows]
-        flow[:] = self.window[:rows]
-        emission.fill_spans(flow, self.spans, count)
-        new = self.anchors[self.na:self.na + anchors]
-        new[:] = self.window_anchors[:anchors]
-        new[:, fastpath.AN_FIRST] += self.n
-        self.n += rows
-        self.na += anchors
+    def views(self) -> tuple:
+        """A kernel call's views of the stores: flow through
+        _INIT_BUFFER_ROWS rows past the stored ones, and anchors from the
+        anchor in force on, with room for one more anchor than rows."""
+        self.flow = self._grow(self.flow, self.n, _INIT_BUFFER_ROWS)
+        self.anchors = self._grow(self.anchors, self.na,
+                                  _INIT_BUFFER_ROWS + 1)
+        return (self.flow[:self.n + _INIT_BUFFER_ROWS],
+                self.anchors[self.na - 1:self.na + _INIT_BUFFER_ROWS + 1])
 
     def jump_t(self, k: int) -> float:
         """The time of jump k, the t of mark k + 1's first row."""
@@ -295,27 +291,27 @@ def _run_segment(params, cert, cfg, run, state, t_start, arc):
     """Flow from (t_start, state) until an event or the horizon, with the
     run's constants `run` (fastpath.run_constants).
 
-    Records the samples after the start sample into arc and returns (code,
-    t_final, state_final). The kernel writes them into arc.window from its
-    row 0 on, and its anchors into arc.window_anchors, and arc.take moves
-    them into the stores after each call. The window's _INIT_BUFFER_ROWS
-    rows must exceed one step's worst case (fastpath.MAX_STEP_ROWS). When
-    they fill, the kernel has recorded the point it stopped at, and the
-    segment resumes from it in the emptied window without writing a row,
-    so each flow instant is recorded once.
+    Records the samples after the start sample, which arc holds with its
+    anchor (_Arc.add_state), into arc and returns (code, t_final,
+    state_final). The kernel writes into arc.views(), _INIT_BUFFER_ROWS
+    rows past the stored ones, which must exceed one step's worst case
+    (fastpath.MAX_STEP_ROWS); a call that fills them pauses, and the next
+    goes on bit for bit, so the arc does not depend on the buffer size.
     """
     if _INIT_BUFFER_ROWS <= fastpath.MAX_STEP_ROWS:
         raise ValueError(f"sample buffer of {_INIT_BUFFER_ROWS} rows cannot "
                          f"hold one step ({fastpath.MAX_STEP_ROWS} rows)")
     sc = (run, _segment_constants(params, cfg, cert, state))
     y = _state_to_y(state)
-    ret = np.zeros(5)
+    ret = np.zeros(6)
     t_fin = t_start
     while True:
-        fastpath.flow_segment(y, t_fin, sc, arc.window, 0, ret, arc.spans,
-                              arc.window_anchors)
+        flow, anchors = arc.views()
+        fastpath.flow_segment(y, t_fin, sc, flow, arc.n, ret, arc.spans,
+                              anchors)
         code, t_fin = int(ret[0]), float(ret[1])
-        arc.take(int(ret[2]), int(ret[3]), int(ret[4]))
+        emission.fill_spans(arc.flow, arc.spans, int(ret[3]))
+        arc.n, arc.na = int(ret[2]), arc.na + int(ret[4])
         if code != fastpath.CODE_BUFFER_FULL:
             break
     if code == fastpath.CODE_DOMAIN:

@@ -37,9 +37,9 @@ The kernel writes t, tau and z1 of each recorded row, the values it
 integrates, and nothing else. It writes each span's endpoint row, reserves
 the rows before it and leaves one descriptor per span (layout SP_*), from
 which emission.fill_spans writes t, tau and z1 of every reserved row in
-one vectorized pass after the call. Wherever it anchors the closed form
-(_mode: at the segment start and at each z1 root), it leaves an anchor
-(layout AN_*): the first row the anchor covers, its mode and its state.
+one vectorized pass after the call. At each z1 root, where it anchors the
+closed form anew (_mode), it leaves an anchor (layout AN_*): the first
+row the anchor covers, its mode and its state.
 z2, zt and Phi of a row are the closed form of its anchor at the row's
 tau, which emission.ClosedForm evaluates when they are read. The closed
 form's arithmetic after the transcendental calls is written once, in
@@ -436,6 +436,13 @@ def _step_to_root(p, md, ya, nx, y0, f0, hr, h):
 
 
 @njit(cache=True)
+def _floats(v):
+    """The 9 entries of the array v as a tuple of floats."""
+    return (float(v[0]), float(v[1]), float(v[2]), float(v[3]), float(v[4]),
+            float(v[5]), float(v[6]), float(v[7]), float(v[8]))
+
+
+@njit(cache=True)
 def _record(buf, n, tt, y):
     """Write t, tau and z1 of the point (tt, y) into row n."""
     buf[n, 0] = tt
@@ -458,16 +465,6 @@ def _anchor(anchors, na, n, s, ys, held):
     for m in range(9):
         anchors[na, AN_YA + m] = ys[m]
     return na + 1
-
-
-@njit(cache=True)
-def _record_pending(buf, n, t, ys, anchors, na, flipped):
-    """Record the pending point (t, ys). Right after a mode switch at it
-    (flipped), ys is the last anchor's state, and its row that anchor's
-    first row, which then holds the state as stored (AN_HELD)."""
-    if flipped:
-        anchors[na - 1, AN_HELD] = 1.0
-    return _record(buf, n, t, ys)
 
 
 @njit(cache=True)
@@ -533,7 +530,7 @@ def _bisect_guard(t0, h, tc, md, ya, nx, tau0, tau1, g, event_tol):
 
 
 @njit(cache=True)
-def _finish(y, ys, ret, code, t, n, ns, na):
+def _finish(y, ys, ret, code, t, n, ns, na, h):
     """Write the state ys back into y and the exit record into ret."""
     for m in range(9):
         y[m] = ys[m]
@@ -542,29 +539,30 @@ def _finish(y, ys, ret, code, t, n, ns, na):
     ret[2] = n
     ret[3] = ns
     ret[4] = na
+    ret[5] = h
 
 
 @njit(cache=True)
 def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
     """Integrate one flow segment from (t_start, y) with the record sc
-    = (run, seg) of the module docstring.
+    = (run, seg) of the module docstring, or go on with a paused one.
 
-    Writes samples into buf starting at row n0 (3 columns: t, tau, z1),
-    an anchor per anchoring of the closed form into anchors[:n_anchors]
-    (layout AN_*, first rows in buf's rows) and fills ret = [code,
-    t_final, n_written, n_spans, n_anchors]. The interior rows of a
-    recorded span are reserved, not written: the call leaves one
-    descriptor per such span in spans[:n_spans], from which the engine
-    fills them (emission.fill_spans). spans needs (len(buf) - n0) // 2
-    rows, since each descriptor comes with at least two rows.
-    y is updated in place to the final state on every exit code. The
-    caller is expected to have recorded the segment-start sample already.
-    A step starts only with at least MAX_STEP_ROWS free rows in buf and a
-    free row in anchors, so no sample is ever dropped; otherwise the call
-    records the current point, unless it is recorded already, and returns
-    CODE_BUFFER_FULL there, so the caller resumes from (t_final, y)
-    without writing a row. A buffer of fewer than MAX_STEP_ROWS rows, or
-    an anchor table of one row, makes no progress.
+    Writes samples into buf from row n0 on (3 columns: t, tau, z1), goes
+    on with the anchor in force anchors[0] (layout AN_*, first rows in
+    buf's rows), appends one per z1 root, at most one more than the rows
+    written, and fills ret = [code, t_final, n, n_spans, n_anchors, h]:
+    the rows end at n, n_anchors were appended, and h is the proposed
+    step size, which a call given ret[5] goes on with (0: max_step / 10).
+    The interior rows of a recorded span are reserved, not written: the
+    call leaves one descriptor per such span in spans[:n_spans], from
+    which the engine fills them (emission.fill_spans); spans needs
+    (len(buf) - n0) // 2 rows. y is updated in place to the final state
+    on every exit code. The caller has recorded the segment-start sample.
+    A step starts only with at least MAX_STEP_ROWS free rows in buf, so
+    no sample is ever dropped; otherwise the call pauses at its last row
+    with CODE_BUFFER_FULL, and a call from (t_final, y) with that ret,
+    buf's rows from n on and anchors from the last one on goes on bit for
+    bit. A buffer of fewer than MAX_STEP_ROWS rows makes no progress.
     """
     run, seg = sc
     a, k, modes, pm, settings, z2_floor = run
@@ -574,20 +572,19 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
     g = seg + pm
     t = float(t_start)
     cap = buf.shape[0]
-    acap = anchors.shape[0]
-    ys = (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
-          float(y[5]), float(y[6]), float(y[7]), float(y[8]))
+    ys = _floats(y)
 
     # a guard already active at the segment start is a zero-width event;
     # the loop runs while code is 0, which is also CODE_HORIZON
     code = _guard_any(ys, g)
 
-    s = _sign(ys[1], zstar)
-    md, ya, nx = _mode(modes, s, ys)     # ya: anchor of the closed form
+    # the anchor in force; ya is read as floats by every stage
+    s = 1.0 if anchors[0, AN_MODE] == 0.0 else -1.0
+    md, ya, nx = _mode(modes, s, _floats(anchors[0, AN_YA:]))
     n = n0
-    na = _anchor(anchors, 0, n, s, ys, 0.0)
+    na = 1
     f0 = _f(p, md, ya, nx, ys[0], ys[1])
-    h = max_step * 0.1
+    h = float(ret[5]) if ret[5] > 0.0 else max_step * 0.1
     flipped = False             # s switched at t without a step since
 
     last_rec_t, last_rec_tau, last_rec_z1 = t, ys[0], ys[1]
@@ -595,11 +592,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
     ns = 0                      # span descriptors written
 
     while code == 0:
-        if n > cap - MAX_STEP_ROWS or na == acap:
-            # the caller resumes from (t, ys); a row is free, since the
-            # last step took at most _SPAN_MAX_ROWS + 1 of MAX_STEP_ROWS
-            if have_pend:
-                n = _record_pending(buf, n, t, ys, anchors, na, flipped)
+        if n > cap - MAX_STEP_ROWS:
+            # only a step that records writes rows, and it leaves nothing
+            # pending and no fresh mode switch: (t, ys) is the last row,
+            # from which the next call goes on with h and the last anchor
             code = CODE_BUFFER_FULL
             break
         t_left = t_stop - t
@@ -671,7 +667,9 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
             have_pend = True
         else:
             if have_pend:
-                n = _record_pending(buf, n, t, ys, anchors, na, flipped)
+                if flipped:     # the last anchor's state, at its first row
+                    anchors[na - 1, AN_HELD] = 1.0
+                n = _record(buf, n, t, ys)
                 have_pend = False
             tc = _tau_curve(hs, ys[1], f0[1], y1[1], f1[1])
             if code != 0:
@@ -702,7 +700,7 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
         elif code == 0 and converged:
             code = CODE_CONVERGED
 
-    _finish(y, ys, ret, code, t, n, ns, na)
+    _finish(y, ys, ret, code, t, n, ns, na - 1, h)
 
 
 def run_constants(params, gains, k, cert, solver) -> tuple:

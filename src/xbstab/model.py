@@ -48,8 +48,9 @@ class PlantParams:
     d: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.c > 0 and self.d > 0):
-            raise ValueError(f"plant coefficients must be positive, got "
+        if not all(0 < v < math.inf for v in (self.a, self.c, self.d)):
+            raise ValueError(f"plant coefficients must be finite and "
+                             f"positive, got "
                              f"a={self.a}, c={self.c}, d={self.d}")
 
     @property
@@ -198,16 +199,14 @@ class ControllerConfig:
     max_cycles: int = 64
 
     def __post_init__(self):
-        if not self.z_star_init > 0:
-            raise ValueError("z_star_init must be positive")
-        if not self.k_prime > 0:
-            raise ValueError("k_prime must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not (self.R >= 0 and self.R_tilde >= 0):
-            raise ValueError("R and R_tilde must be non-negative")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be at least 1")
+        for name in ("z_star_init", "k_prime", "epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("R", "R_tilde"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 1 <= self.max_cycles < math.inf:
+            raise ValueError("max_cycles must be finite and at least 1")
 
     def h0(self, gamma: float) -> float:
         """Contraction target gating the initialization cycle.
@@ -607,9 +606,12 @@ class SolverConfig:
     """Integrator and runtime-guard settings (artifact policy, not physics).
 
     rel_tol, abs_tol and max_step alone set the step sizes, and a z1 root
-    ends a step. record_interval = 0 records a sample at every accepted
-    step; a positive value thins the recording (samples are still forced
-    at a z1 root and wherever the recording budget below demands them).
+    ends a step; a kernel call that fills its buffer pauses, and the next
+    goes on with the same step size, so no row depends on a buffer size.
+    Every field must be finite. record_interval = 0 records a sample at
+    every accepted step; a positive value thins the recording (samples are
+    still forced at a z1 root and wherever the recording budget below
+    demands them).
 
     The guards D_c and D_nc are tested at accepted step endpoints only,
     and an event is then located by bisection inside the step. A D_c
@@ -641,9 +643,11 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_end",
                      "zeno_window", "tau_budget_rel"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.zeno_max_jumps < 2:
-            raise ValueError("zeno_max_jumps must be at least 2")
-        if not self.record_interval >= 0:
-            raise ValueError("record_interval must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly "
+                                 f"positive")
+        if not 2 <= self.zeno_max_jumps < math.inf:
+            raise ValueError("zeno_max_jumps must be finite and at least 2")
+        if not 0 <= self.record_interval < math.inf:
+            raise ValueError("record_interval must be finite and "
+                             "non-negative")

@@ -126,7 +126,7 @@ def test_fill_matches_dense_bit_for_bit(spans, chunk):
 
 def test_held_row_reads_its_anchor_state():
     """A row the kernel records at its anchor's state right after a mode
-    switch (fastpath._record_pending with flipped) holds that state, and
+    switch (flow_segment marks it AN_HELD) holds that state, and
     reads it as stored, -0.0 included; a row at the state of an anchor
     it does not hold is its closed form at dt = 0, X + 0 (N X), which
     gives +0.0 there, and the rows after it are that closed form."""
@@ -137,7 +137,8 @@ def test_held_row_reads_its_anchor_state():
     na = fastpath._anchor(anchors, 0, 0, 1.0, ya, 0.0)
     n = fastpath._record(buf, 0, 0.0, ya)
     na = fastpath._anchor(anchors, na, n, -1.0, ya, 0.0)
-    n = fastpath._record_pending(buf, n, 0.0, ya, anchors, na, True)
+    anchors[na - 1, fastpath.AN_HELD] = 1.0
+    n = fastpath._record(buf, n, 0.0, ya)
     fastpath._record(buf, n, 1e-3, (1e-3, 0.0))
     assert anchors[:, fastpath.AN_HELD].tolist() == [0.0, 1.0]
     got = emission.ClosedForm(buf[:, 1], anchors, np.array([md, md]))(0, 3)

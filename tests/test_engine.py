@@ -76,6 +76,20 @@ class TestInitialize:
             initialize(sv_params, sv_gains, sv_cert, make_cfg(),
                        z0, z_hat0)
 
+    @pytest.mark.parametrize("z0,z_hat0,name", [
+        ([math.nan, 0.3], [0.0, 0.7], "z0"),
+        ([0.0, 0.3], [0.0, math.nan], "z_hat0"),
+        ([0.0, math.inf], [0.0, 0.7], "z0"),
+    ])
+    def test_non_finite_entry_rejected(self, sv_params, sv_gains, sv_cert,
+                                       z0, z_hat0, name):
+        """A NaN's norm passes every ball test, and a run from it ended
+        in a step size underflow at t = 0: a non-finite entry is refused
+        by name."""
+        with pytest.raises(BadInitialBall, match=rf"^{name}=.*non-finite"):
+            initialize(sv_params, sv_gains, sv_cert, make_cfg(),
+                       z0, z_hat0)
+
 
 def _off_guard_state(sv_params, sv_gains, sv_cert):
     cfg = make_cfg()
@@ -127,13 +141,20 @@ def _reference_end(sv_params, sv_gains, y0, t_end):
                          f"restarts to reach t={t_end}")
 
 
+def _started_arc(state, t=0.0):
+    """An arc that holds the segment start (t, state), as _run_segment
+    expects."""
+    arc = _Arc()
+    arc.add_state(t, state)
+    return arc
+
+
 def integrate_flow(params, gains, cert, cfg, solver, state, t_start, k):
     """One flow segment through engine._run_segment, as (segment, event).
 
     The segment includes the start sample; event is None at the horizon,
     else its guard ("Dc" or "Dnc") and time."""
-    arc = _Arc()
-    arc.add_state(t_start, state)
+    arc = _started_arc(state, t_start)
     run = fastpath.run_constants(params, gains, k, cert, solver)
     code, t_fin, _ = _run_segment(params, cert, cfg, run, state, t_start, arc)
     event = None
@@ -141,6 +162,33 @@ def integrate_flow(params, gains, cert, cfg, solver, state, t_start, k):
         event = SimpleNamespace(
             t=t_fin, guard="Dc" if code == fastpath.CODE_DC else "Dnc")
     return arc.trajectory(run[2]), event
+
+
+def _count_codes(monkeypatch):
+    """The exit codes of every fastpath.flow_segment call from now on."""
+    codes = []
+    flow = fastpath.flow_segment
+
+    def counting_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
+        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
+        codes.append(int(ret[0]))
+
+    monkeypatch.setattr(fastpath, "flow_segment", counting_flow)
+    return codes
+
+
+def _assert_same_arc(traj, ref):
+    """traj and ref hold the same rows, all ten columns, and the same
+    jump log, bit for bit."""
+    assert len(traj) == len(ref)
+    for name in ("t", "j", "cycle", "tau", "z1", "z2", "z_tilde1",
+                 "z_tilde2", "z_star", "phi"):
+        got, want = (np.asarray(getattr(x, name)[:], float)
+                     for x in (traj, ref))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            name
+    assert [(jr.t, jr.j, jr.kind) for jr in traj.jumps] == \
+        [(jr.t, jr.j, jr.kind) for jr in ref.jumps]
 
 
 class TestIntegrateFlow:
@@ -217,60 +265,64 @@ class TestIntegrateFlow:
         zhat2 = seg.z2[-1] + seg.z_tilde2[-1]
         assert zhat2 == pytest.approx(thr, abs=1e-5)
 
-    def test_first_window_fits_the_first_array(self, sv_initial, sv_params,
-                                               sv_gains, sv_cert):
-        """The kernel's window holds _INIT_BUFFER_ROWS rows, and the arc's
-        first stores hold the start row and a full window of rows and of
-        anchors, so the first call does not reallocate them; one more row
-        or anchor grows them, at least doubling."""
+    def test_first_views_fit_the_first_stores(self, sv_initial, sv_params,
+                                              sv_gains, sv_cert):
+        """A kernel call writes into views of the arc's stores: the flow
+        rows through _INIT_BUFFER_ROWS past the stored ones, and the
+        anchors from the one in force on, with room for one more anchor
+        than rows. The first stores hold the start row and the first
+        call's views, so the first call reallocates neither; the next
+        call's views grow both, at least doubling, and keep what is
+        stored."""
         arc = _Arc()
         first = arc.flow, arc.anchors
         state = initialize(sv_params, sv_gains, sv_cert, make_cfg(),
                            *sv_initial)
         arc.add_state(0.0, state)
-        assert len(arc.window) == engine._INIT_BUFFER_ROWS
-        full = len(arc.window_anchors)
-        arc.take(engine._INIT_BUFFER_ROWS, 0, full)
+        flow, anchors = arc.views()
         assert arc.flow is first[0] and arc.anchors is first[1]
-        assert (arc.n, arc.na) == (1 + engine._INIT_BUFFER_ROWS, 1 + full)
-        arc.take(1, 0, 1)
+        assert len(flow) == 1 + engine._INIT_BUFFER_ROWS
+        assert len(anchors) == engine._INIT_BUFFER_ROWS + 2
+        assert np.shares_memory(flow, arc.flow)
+        assert np.shares_memory(anchors[0], arc.anchors[0])
+        arc.add_state(0.0, state)
+        flow, anchors = arc.views()
         assert arc.flow is not first[0] and arc.anchors is not first[1]
         assert len(arc.flow) == 2 * len(first[0])
         assert len(arc.anchors) == 2 * len(first[1])
+        assert np.array_equal(arc.flow[:2], first[0][:2])
+        assert np.array_equal(arc.anchors[:2], first[1][:2])
+        assert np.shares_memory(anchors[0], arc.anchors[1])
 
     def test_buffer_resume_is_seamless(self, monkeypatch, sv_params,
                                        sv_gains, sv_cert):
-        """A tiny kernel window forces mid-segment resumes; the recorded
-        samples must be identical to a single-pass run."""
+        """A kernel buffer barely above one step's worst case pauses the
+        segment many times; each next call goes on with the step size and
+        anchor in force, so the segment records the single-pass rows and
+        anchors, and ends in the same state, bit for bit."""
         cfg, state = _off_guard_state(sv_params, sv_gains, sv_cert)
         solver = SolverConfig(max_step=5.4e-5, t_end=5e-4)
         run = fastpath.run_constants(sv_params, sv_gains, 500.0, sv_cert,
                                      solver)
-        big = _Arc()
+        big = _started_arc(state)
         code_a, t_a, end_a = _run_segment(sv_params, sv_cert, cfg, run,
                                           state, 0.0, big)
+        codes = _count_codes(monkeypatch)
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
-                            fastpath.MAX_STEP_ROWS + 104)
-        small = _Arc()
+                            fastpath.MAX_STEP_ROWS + 4)
+        small = _started_arc(state)
         code_b, t_b, end_b = _run_segment(sv_params, sv_cert, cfg, run,
                                           state, 0.0, small)
-        assert code_a == code_b and t_a == pytest.approx(t_b)
-        assert np.allclose(end_a.z, end_b.z, rtol=1e-9)
-        assert np.allclose(end_a.z_tilde, end_b.z_tilde,
-                           rtol=1e-9, atol=1e-12)
-        ta = big.flow[:big.n, 0]
-        tb = small.flow[:small.n, 0]
-        # the resumed run restarts its step controller, so the sample
-        # grids differ; both must still be recordings of the same solution
-        # over the same span, and without a jump no instant is recorded
-        # twice, at a resume either
-        assert np.all(np.diff(ta) > 0) and np.all(np.diff(tb) > 0)
-        assert ta[0] == tb[0] and ta[-1] == pytest.approx(tb[-1])
-        za = big.flow[:big.n, 2]
-        zb = small.flow[:small.n, 2]
-        common = np.linspace(0.0, min(ta[-1], tb[-1]), 200)
-        assert np.allclose(np.interp(common, ta, za),
-                           np.interp(common, tb, zb), rtol=1e-6, atol=1e-9)
+        assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+        assert (code_a, t_a) == (code_b, t_b)
+        for name in ("tau", "z", "z_tilde", "phi"):
+            assert np.array_equal(getattr(end_a, name), getattr(end_b, name))
+        # without a jump no instant is recorded twice, at a pause either
+        assert np.all(np.diff(big.flow[:big.n, 0]) > 0)
+        assert (big.n, big.na) == (small.n, small.na)
+        for a, b in ((big.flow[:big.n], small.flow[:small.n]),
+                     (big.anchors[:big.na], small.anchors[:small.na])):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_domain_exit_raises(self, sv_params, sv_gains, sv_cert,
                                 sv_cfg):
@@ -286,7 +338,8 @@ class TestIntegrateFlow:
                                      solver)
         with pytest.raises(StateOutOfDomain,
                            match=rf"z2 reached -d/c={floor} at t=0\.00138"):
-            _run_segment(sv_params, sv_cert, sv_cfg, run, state, 0.0, _Arc())
+            _run_segment(sv_params, sv_cert, sv_cfg, run, state, 0.0,
+                         _started_arc(state))
 
     def test_buffer_below_one_step_rejected(self, monkeypatch, sv_params,
                                             sv_gains, sv_cert):
@@ -300,7 +353,7 @@ class TestIntegrateFlow:
             _run_segment(sv_params, sv_cert, cfg,
                          fastpath.run_constants(sv_params, sv_gains, 500.0,
                                                 sv_cert, solver),
-                         state, 0.0, _Arc())
+                         state, 0.0, _started_arc(state))
 
 
 def _max_tau_drift(traj):
@@ -320,53 +373,67 @@ def _max_tau_drift(traj):
 
 
 def test_small_buffer_run_matches_default(monkeypatch, sv_params, sv_gains,
-                                          sv_cert, sv_cfg, sv_initial):
+                                          sv_cert, sv_cfg, sv_initial,
+                                          dense_20ms):
     """The 20 ms bundled run with a buffer barely above one step's worst
-    case resumes many times mid-segment and still records the same arc."""
-    z0, z_hat0 = sv_initial
-    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
-                          max_step=5.4e-5, t_end=0.02)
-    ref = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
-                   k=500.0)
-
-    codes = []
-    flow = fastpath.flow_segment
-
-    def counting_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
-        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
-        codes.append(int(ret[0]))
-
-    monkeypatch.setattr(fastpath, "flow_segment", counting_flow)
+    case pauses many times mid-segment and still records the default
+    run's arc: every column and the jump log, bit for bit."""
+    codes = _count_codes(monkeypatch)
     monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
                         fastpath.MAX_STEP_ROWS + 200)
+    traj = _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+                         2e-7)
+    assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+    _assert_same_arc(traj, dense_20ms)
+
+
+def test_thinned_pauses_match_unpaused_run(monkeypatch, sv_params,
+                                           sv_gains, sv_cert, sv_cfg,
+                                           sv_initial):
+    """Under thinned recording most step starts are left pending. With
+    spans of at most 4 rows and a 16-row buffer, the 0.3 s bundled run at
+    record_interval 2e-4 pauses over 300 times, each time at its last
+    recorded row, and records the unpaused run's arc, every column and
+    the jump log, bit for bit. No call appends more anchors than it
+    writes rows plus one, so a view of _INIT_BUFFER_ROWS + 2 anchors, the
+    one in force among them, cannot fill."""
+    z0, z_hat0 = sv_initial
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
+                          max_step=5.4e-5, t_end=0.3, record_interval=2e-4,
+                          tau_budget_rel=1e9)
+    monkeypatch.setattr(fastpath, "_SPAN_MAX_ROWS", 4)
+    monkeypatch.setattr(fastpath, "MAX_STEP_ROWS", 2 * 4 + 1)
+    ref = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
+                   k=500.0)
+    calls = []
+    flow = fastpath.flow_segment
+
+    def checked_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
+        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
+        n = int(ret[2])
+        calls.append((int(ret[0]), n - n0, int(ret[4])))
+        if int(ret[0]) == fastpath.CODE_BUFFER_FULL:
+            assert tuple(buf[n - 1]) == (ret[1], y[0], y[1])
+
+    monkeypatch.setattr(fastpath, "flow_segment", checked_flow)
+    monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", 16)
     traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
                     k=500.0)
-
-    assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
-    assert [jr.kind for jr in traj.jumps] == [jr.kind for jr in ref.jumps]
-    assert np.allclose([jr.t for jr in traj.jumps],
-                       [jr.t for jr in ref.jumps], rtol=0.0, atol=1e-7)
-    assert np.all(np.diff(traj.t) >= 0.0)
-    assert traj.t[-1] == ref.t[-1]
-    assert _max_tau_drift(traj) <= 0.0
-    # no rows lost at a resume: a kernel that drops the rows of a step
-    # that overruns its buffer keeps criterion 5 but records about 30 %
-    # fewer samples here (a 4196-row buffer with a 4096-row margin).
-    # Resumes restart the step controller, so the count may rise by about
-    # 1 %.
-    assert len(traj) >= 0.98 * len(ref)
+    assert [c[0] for c in calls].count(fastpath.CODE_BUFFER_FULL) > 300
+    assert all(anchors <= rows + 1 for _, rows, anchors in calls)
+    assert max(anchors for *_, anchors in calls) >= 1
+    _assert_same_arc(traj, ref)
 
 
 @pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
 def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
-                                      sv_cert, sv_cfg, sv_initial, rows):
+                                      sv_cert, sv_cfg, sv_initial, rows,
+                                      dense_20ms):
     """flow_segment leaves the interior rows of each recorded span to
     emission.fill_spans. With the call's free rows NaN-filled first, no
     NaN reaches the trajectory of the 20 ms bundled run, whose segments
-    end on events, at the default buffer and at one that resumes often."""
-    z0, z_hat0 = sv_initial
-    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-10, event_tol=1e-9,
-                          max_step=5.4e-5, t_end=0.02)
+    end on events, at the default buffer and at one that pauses often,
+    where the run still records the default run's arc bit for bit."""
     calls = []
     flow = fastpath.flow_segment
 
@@ -382,12 +449,13 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
     monkeypatch.setattr(fastpath, "flow_segment", nan_flow)
     if rows is not None:
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
-    traj = simulate(sv_params, sv_gains, sv_cert, sv_cfg, solver, z0, z_hat0,
-                    k=500.0)
+    traj = _bundled_20ms(sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
+                         2e-7)
 
     codes = [c[0] for c in calls]
     if rows is not None:
         assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+        _assert_same_arc(traj, dense_20ms)
     # a segment ended on an event right after a span with reserved rows
     assert any(code in (fastpath.CODE_DC, fastpath.CODE_DNC) and last
                for code, _, last in calls)
@@ -397,65 +465,46 @@ def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
 
 
 def _run_with_kernel_log(monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg,
-                         sv_initial, rows=None, anchor_rows=None):
-    """The 20 ms bundled run, with its kernel window of `rows` rows and
-    anchor table of `anchor_rows` rows where given, as (traj, want,
-    codes): want holds each row as the kernel or the engine computed it,
-    from the kernel's own calls in the order it made them (python
-    source on both backends). A row the kernel or the engine wrote is its
-    state, and one the kernel wrote is also asserted to equal _closed of
-    the anchor the kernel had set last at its tau, bit for bit; a row the
-    kernel reserved is its t and _dense(...) of its span under that anchor;
-    codes are the calls' exit codes."""
+                         sv_initial, rows=None):
+    """The 20 ms bundled run, with its kernel buffer of `rows` rows where
+    given, as (traj, want, codes): want holds each row as the kernel or
+    the engine computed it, from their own calls in the order they made
+    them (python source on both backends). A row the kernel or the
+    engine wrote is its state, and one the kernel wrote is also asserted
+    to equal _closed of the anchor set last at its tau, bit for bit; a
+    row the kernel reserved is its t and _dense(...) of its span under
+    that anchor; codes are the calls' exit codes."""
     fp = fastpath
-    for name in ("flow_segment", "_emit_span", "_record_pending"):
+    for name in ("flow_segment", "_emit_span"):
         monkeypatch.setattr(fp, name, getattr(getattr(fp, name), "py_func",
                                               getattr(fp, name)))
-    log, events, codes = [], [], []
+    events = []
     record, anchor, emit = fp._record, fp._anchor, fp._emit_span
 
     def logged_record(buf, n, tt, y):
-        log.append(("row", n, tt, tuple(y)))
+        events.append(("row", n, tt, tuple(y)))
         return record(buf, n, tt, y)
 
     def logged_anchor(anchors, na, n, s, ys, held):
-        log.append(("anchor", n, s, tuple(ys)))
+        events.append(("anchor", n, s, tuple(map(float, ys))))
         return anchor(anchors, na, n, s, ys, held)
 
     def logged_emit(buf, n, spans, ns, *args):
         n1, ns1 = emit(buf, n, spans, ns, *args)
         if ns1 > ns:
-            log.append(("span", n, spans[ns].copy()))
+            events.append(("span", n, spans[ns].copy()))
         return n1, ns1
 
     class Logged(_Arc):
-        def __init__(self):
-            super().__init__()
-            if anchor_rows is not None:
-                self.window_anchors = self.window_anchors[:anchor_rows]
-
         def add_state(self, t, state):
             super().add_state(t, state)
-            log.clear()                 # the engine's own anchor
             events.append(("state", self.n - 1, t,
                            tuple(engine._state_to_y(state))))
-
-        def take(self, rows, count, anchors):
-            events.extend((kind, self.n + n, *rest)
-                          for kind, n, *rest in log)
-            log.clear()
-            super().take(rows, count, anchors)
-
-    flow = fp.flow_segment
-
-    def coded_flow(y, t_start, sc, buf, n0, ret, spans, anchors):
-        flow(y, t_start, sc, buf, n0, ret, spans, anchors)
-        codes.append(int(ret[0]))
 
     monkeypatch.setattr(fp, "_record", logged_record)
     monkeypatch.setattr(fp, "_anchor", logged_anchor)
     monkeypatch.setattr(fp, "_emit_span", logged_emit)
-    monkeypatch.setattr(fp, "flow_segment", coded_flow)
+    codes = _count_codes(monkeypatch)
     monkeypatch.setattr(engine, "_Arc", Logged)
     if rows is not None:
         monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS", rows)
@@ -497,40 +546,23 @@ def _assert_rows_read_back(traj, want):
 
 @pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
 def test_every_row_reads_back_bit_for_bit(monkeypatch, sv_params, sv_gains,
-                                          sv_cert, sv_cfg, sv_initial, rows):
+                                          sv_cert, sv_cfg, sv_initial, rows,
+                                          dense_20ms):
     """simulate stores t, tau and z1 of every row and an anchor per
     anchoring of the closed form, and evaluates z2, z_tilde and phi when
     they are read. On the 20 ms bundled run, at the default buffer and at
-    one that resumes often, every row read through the trajectory equals
+    one that pauses often, every row read through the trajectory equals
     the state the kernel computed for it (its closed form under the anchor
     it used), its t and the kernel's _dense(...) for a reserved row, and
-    the stored state for a row the engine wrote, bit for bit."""
+    the stored state for a row the engine wrote, bit for bit; the paused
+    run records the default run's arc bit for bit."""
     traj, want, codes = _run_with_kernel_log(
         monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg, sv_initial, rows)
     if rows is not None:
         assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
+        _assert_same_arc(traj, dense_20ms)
     src = traj.z2.source
     assert len(traj.jumps) + 1 < len(src._anchors) < len(traj) // 100
-    _assert_rows_read_back(traj, want)
-
-
-def test_small_anchor_table_resumes(monkeypatch, sv_params, sv_gains,
-                                    sv_cert, sv_cfg, sv_initial, dense_20ms):
-    """An anchor table of 2 rows, the fewest with which a call takes a
-    step, fills at the first z1 root of a call: the kernel returns
-    CODE_BUFFER_FULL there and the segment resumes, so the 20 ms bundled
-    run gives the default run's jumps, and every row still reads back bit
-    for bit."""
-    traj, want, codes = _run_with_kernel_log(
-        monkeypatch, sv_params, sv_gains, sv_cert, sv_cfg, sv_initial,
-        anchor_rows=2)
-    assert codes.count(fastpath.CODE_BUFFER_FULL) >= 3
-    assert [jr.kind for jr in traj.jumps] == \
-        [jr.kind for jr in dense_20ms.jumps]
-    assert np.allclose([jr.t for jr in traj.jumps],
-                       [jr.t for jr in dense_20ms.jumps], rtol=0.0, atol=1e-7)
-    assert traj.t[-1] == dense_20ms.t[-1]
-    assert _max_tau_drift(traj) <= 0.0
     _assert_rows_read_back(traj, want)
 
 

@@ -33,6 +33,15 @@ class TestPlantParams:
         with pytest.raises(ValueError):
             PlantParams(**bad)
 
+    @pytest.mark.parametrize("name", ["a", "c", "d"])
+    def test_infinity_refused(self, name):
+        """An infinity passes the positivity test; it is refused by name,
+        as the CLI refuses it."""
+        kw = dict(a=375.0, c=24.0, d=12.5)
+        kw[name] = math.inf
+        with pytest.raises(ValueError, match=f"finite.*{name}=inf"):
+            PlantParams(**kw)
+
 
 class TestObserverGains:
     def test_mode_matrices(self, sv_gains):
@@ -129,6 +138,13 @@ class TestControllerConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             make_cfg(**kw)
+
+    @pytest.mark.parametrize("name", ["z_star_init", "k_prime", "epsilon",
+                                      "R", "R_tilde", "max_cycles"])
+    def test_infinity_refused(self, name):
+        """An infinity passes every sign test; it is refused by name."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_cfg(**{name: math.inf})
 
 
 class TestScheduleHelpers:
@@ -309,3 +325,13 @@ class TestSolverConfig:
                    dict(tau_budget_rel=0.0)] + nan:
             with pytest.raises(ValueError):
                 SolverConfig(**kw)
+
+    @pytest.mark.parametrize("name", [
+        "rel_tol", "abs_tol", "event_tol", "max_step", "t_end",
+        "zeno_window", "zeno_max_jumps", "record_interval",
+        "tau_budget_rel"])
+    def test_infinity_refused(self, name):
+        """SolverConfig(t_end=inf, rel_tol=inf) constructed, though the
+        CLI refuses both: every field's infinity is refused by name."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SolverConfig(**{name: math.inf})
