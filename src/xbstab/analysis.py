@@ -1,25 +1,27 @@
 """Post-processing checks: every assumption and bound the construction
 relies on is re-verified numerically on a simulated trajectory.
 
-All functions are read-only over HybridTrajectory instances. Each check is
-one function, which finds the cycles it needs itself (cycle_slices). Every
-pass over the rows reads them in blocks of _BLOCK_ROWS rows and carries
-from one block to the next only what its result needs: a min or max, a
-first or last index, the block's last row where it takes differences of
+All functions are read-only over HybridTrajectory instances, and read
+its rows through HybridTrajectory.block only. Each check is one function,
+which finds the cycles it needs itself (cycle_slices). Every pass over the
+rows reads them in blocks of model._BLOCK_ROWS rows and carries from one
+block to the next only what its result needs: a min or max, a first or
+last index, the block's last row where it takes differences of
 neighbouring rows, or a running sum. Min, max and index results do not
 depend on the blocks, and a running sum is carried in the order of the
 whole-array sum, so every result is that of one pass over whole columns,
-bit for bit. A pass's scratch is a few blocks however long the arc:
-cycle_slices reads the cycle column's marks, not its rows, and the
-sliding windows of extract_dwell read the cumulative integral of |z1|
-through two forward cursors, each of which carries its own running sum.
+bit for bit. A pass's scratch is a few blocks however long the arc: t and
+z1 are views of the arc's flow store, cycle_slices reads the marks, not
+the rows, and the sliding windows of extract_dwell read the cumulative
+integral of |z1| through two forward cursors, each of which carries its
+own running sum.
 
-simulate stores z2, z_tilde and Phi only where its kernel wrote them and
-evaluates the rest when read (model.ClosedColumn). So the checks that
-read them, V_obs, the envelope, the Phi oracle and verify_bounds' progress
-floor, are passes (_Vobs, _Envelope, _PhiOracle, _Floor) that
-verify_bounds runs together, evaluating each block once; extract_dwell
-and check_dwell_lower_bound read only t, z1 and the marks.
+The arc evaluates z2, z_tilde and Phi of a block only when they are read.
+So the checks that read them, V_obs, the envelope, the Phi oracle and
+verify_bounds' progress floor, are passes (_Vobs, _Envelope, _PhiOracle,
+_Floor) that verify_bounds runs together on each block, evaluating it
+once; extract_dwell and check_dwell_lower_bound read only t, z1 and the
+marked columns.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import numpy as np
 from .errors import CycleNotFound, NoExcitation
 from .lyapunov import (DecayCertificate, LyapunovCertificate,
                        dwell_time_lower_bound)
-from .model import (_BLOCK_ROWS, ControllerConfig, HybridTrajectory,
-                    JumpKind, PlantParams, as_dict, g_of)
+from . import model
+from .model import (ControllerConfig, HybridTrajectory, JumpKind,
+                    PlantParams, as_dict, g_of)
 
 _TINY = 1e-300
 # the excitation floor |z1| >= |z*|/2: the z_underbar_i = z*_in/2^(i+1) of
@@ -88,12 +91,11 @@ class BoundReport:
                 "progress": self.z2_floor_margin > _PROGRESS_FLOOR}
 
 
-def _blocks(rows: slice, overlap: int = 0, size: int = 0):
-    """Slices of at most `size` rows (by default _BLOCK_ROWS) that cover
-    `rows` in order, each extended by `overlap` rows into the next one;
-    with overlap 1 every pair of neighbouring rows lies in exactly one
-    block."""
-    size = size or _BLOCK_ROWS
+def _blocks(rows: slice, overlap: int = 0):
+    """Slices of at most model._BLOCK_ROWS rows that cover `rows` in
+    order, each extended by `overlap` rows into the next one; with overlap
+    1 every pair of neighbouring rows lies in exactly one block."""
+    size = model._BLOCK_ROWS
     for lo in range(rows.start, rows.stop - overlap, size):
         yield slice(lo, min(lo + size + overlap, rows.stop))
 
@@ -101,7 +103,7 @@ def _blocks(rows: slice, overlap: int = 0, size: int = 0):
 def cycle_slices(traj: HybridTrajectory) -> dict:
     """{i: index range of cycle i's samples, first to last}, in ascending
     cycle order, from the marks where the cycle changes."""
-    rows, cyc = traj.cycle.marks()
+    rows, _, cyc, _ = traj.marks
     if len(cyc) == 0:
         return {}
     runs = np.flatnonzero(np.concatenate(([True], cyc[1:] != cyc[:-1])))
@@ -122,28 +124,28 @@ def cycle_slice(traj: HybridTrajectory, i: int) -> slice:
         raise CycleNotFound(f"cycle {i} has no samples") from None
 
 
-def _excitation_pass(traj: HybridTrajectory) -> tuple:
-    """One pass over a trajectory of at least two rows: (first and last
-    rows of the excitation runs, the smallest excitation floor, the
-    largest |z1|).
+def _excitation_pass(traj: HybridTrajectory, rows: slice) -> tuple:
+    """One pass over rows of a trajectory, at least two: (first and last
+    rows of the excitation runs, counted from rows.start, the smallest
+    excitation floor, the largest |z1|).
 
     A run of rows with |z1| >= _EXCITATION_FLOOR |z*| starts where that
-    test turns true, or at row 0, and ends at the row where it turns
-    false, or at the last row."""
-    n = len(traj)
+    test turns true, or at the first row, and ends at the row where it
+    turns false, or at the last row."""
     rise, fall, floors, peaks = [], [], [], []
-    for b in _blocks(slice(0, n), 1):
-        a = np.abs(traj.z1[b])
-        thr = _EXCITATION_FLOOR * np.abs(traj.z_star[b])
+    for b in _blocks(rows, 1):
+        c = traj.block(b.start, b.stop)
+        a = np.abs(c["z1"])
+        thr = _EXCITATION_FLOOR * np.abs(c["z_star"])
         mask = a >= thr
-        if b.start == 0:
+        if b.start == rows.start:
             rise.append(np.flatnonzero(mask[:1]))
         edges = np.diff(mask.astype(np.int8))
-        rise.append(np.flatnonzero(edges == 1) + (b.start + 1))
-        fall.append(np.flatnonzero(edges == -1) + (b.start + 1))
+        rise.append(np.flatnonzero(edges == 1) + (b.start - rows.start + 1))
+        fall.append(np.flatnonzero(edges == -1) + (b.start - rows.start + 1))
         floors.append(thr.min())
         peaks.append(a.max())
-    fall.append(np.flatnonzero(mask[-1:]) + (n - 1))
+    fall.append(np.flatnonzero(mask[-1:]) + (rows.stop - rows.start - 1))
     return (np.concatenate(rise), np.concatenate(fall), np.min(floors),
             np.max(peaks))
 
@@ -157,8 +159,8 @@ class _Integral:
     holds or a walk on from its last row reaches a block at a time. Only
     the last slice is kept."""
 
-    def __init__(self, traj: HybridTrajectory):
-        self._t, self._z1 = traj.t, traj.z1
+    def __init__(self, c: dict):
+        self._t, self._z1 = c["t"], c["z1"]
         self._lo, self._cum = 0, np.zeros(1)    # rows lo:lo + len(cum)
 
     def _sum(self, lo: int, hi: int, start: float) -> np.ndarray:
@@ -172,7 +174,7 @@ class _Integral:
     def __getitem__(self, rows: slice) -> np.ndarray:
         while rows.start >= self._lo + len(self._cum):
             end = self._lo + len(self._cum) - 1
-            self._cum = self._sum(end, min(end + _BLOCK_ROWS + 1,
+            self._cum = self._sum(end, min(end + model._BLOCK_ROWS + 1,
                                            rows.start + 1), self._cum[-1])
             self._lo = end
         self._cum = self._sum(rows.start, rows.stop,
@@ -197,7 +199,7 @@ def _interp_sorted(x: np.ndarray, t: np.ndarray, f: np.ndarray,
     out = np.empty(len(x))
     n, k = len(t), 0
     while True:
-        stop = min(start + _BLOCK_ROWS + 1, n)
+        stop = min(start + model._BLOCK_ROWS + 1, n)
         cnt = (len(x) - k if stop == n
                else int(np.searchsorted(x[k:], t[stop - 1])))
         if cnt:
@@ -217,24 +219,36 @@ def _within_cycle_pairs(jumps: list) -> list:
             and b.kind is JumpKind.WITHIN_CYCLE]
 
 
-def _within_cycle_period(traj: HybridTrajectory) -> float:
-    """Largest spacing between consecutive within-cycle jumps of one cycle;
-    the natural excitation period for the sliding mu window."""
-    return max([0.0] + [b.t - a.t for a, b in _within_cycle_pairs(traj.jumps)])
+def _within_cycle_period(jumps: list) -> float:
+    """Largest spacing between consecutive within-cycle jumps of one cycle
+    in a jump log; the natural excitation period for the sliding mu
+    window."""
+    return max([0.0] + [b.t - a.t for a, b in _within_cycle_pairs(jumps)])
 
 
-def extract_dwell(traj: HybridTrajectory) -> DwellReport:
-    """Excitation intervals I_d = {t : |z1(t)| >= |z*|/2}.
+def extract_dwell(traj: HybridTrajectory, rows: slice = None) -> DwellReport:
+    """Excitation intervals I_d = {t : |z1(t)| >= |z*|/2} over rows (step
+    1) of traj, all of them by default.
 
     The threshold follows the per-sample reference magnitude, so the report
     is meaningful across cycle transitions. mu is the minimum over sliding
     windows of the average of |z1|; the window is one within-cycle period
-    (or the full horizon if the trajectory contains no switching).
+    (or the full horizon if the trajectory contains no switching). Over
+    part of the arc, the period is that of the jumps between its first and
+    its last row.
     """
-    if len(traj) < 2:
+    if rows is None:
+        rows = slice(0, len(traj))
+    if rows.stop - rows.start < 2:
         raise NoExcitation("trajectory too short to classify")
-    t = traj.t
-    starts, ends, z_under, z_bar = _excitation_pass(traj)
+    jumps = traj.jumps
+    if rows != slice(0, len(traj)):
+        j_lo, j_hi = (int(traj.block(r, r + 1)["j"][0])
+                      for r in (rows.start, rows.stop - 1))
+        jumps = [jr for jr in jumps if j_lo <= jr.j < j_hi]
+    c = traj.block(rows.start, rows.stop)
+    t = c["t"]
+    starts, ends, z_under, z_bar = _excitation_pass(traj, rows)
     keep = t[ends] > t[starts]
     intervals = np.column_stack([t[starts[keep]], t[ends[keep]]])
     if intervals.size == 0:
@@ -245,7 +259,7 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
     gaps = intervals[1:, 0] - intervals[:-1, 1]
     tau_s = float(gaps.max()) if gaps.size else 0.0
 
-    window = _within_cycle_period(traj)
+    window = _within_cycle_period(jumps)
     if window <= 0.0:
         window = float(t[-1] - t[0])
     # the windows start at the samples t <= t[-1] - window: a prefix of
@@ -260,7 +274,7 @@ def extract_dwell(traj: HybridTrajectory) -> DwellReport:
         # a window starts on a sample, where np.interp would return the
         # integral's own value (a t repeated at a jump has an equal one)
         means, hi_row = [], 0
-        lo_cum, hi_cum = _Integral(traj), _Integral(traj)
+        lo_cum, hi_cum = _Integral(c), _Integral(c)
         for b in _blocks(slice(0, m)):
             lo = lo_cum[b]
             hi, hi_row = _interp_sorted(t[b] + window, t, hi_cum, hi_row)
@@ -287,9 +301,9 @@ class _Vobs:
         self._p = cert.P[0, 0], cert.P[0, 1], cert.P[1, 1]
         self._last, self._rises = None, []
 
-    def feed(self, b: slice, c: np.ndarray):
+    def feed(self, b: slice, c: dict):
         p11, p12, p22 = self._p
-        zt1, zt2 = c[1], c[2]
+        zt1, zt2 = c["z_tilde1"], c["z_tilde2"]
         v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
         if self._last is not None:
             v = np.concatenate(([self._last], v))
@@ -313,22 +327,23 @@ class _PhiOracle:
         self._start = {}                # index in _cycles -> (zt0, |zt0|)
         self._errs = {}
 
-    def feed(self, b: slice, c: np.ndarray):
+    def feed(self, b: slice, c: dict):
+        zt1, zt2, phi = c["z_tilde1"], c["z_tilde2"], c["phi"]
         for k, sl in enumerate(self._cycles):
             lo, hi = max(sl.start, b.start), min(sl.stop, b.stop)
             if lo >= hi:
                 continue
             if lo == sl.start:
-                zt0 = np.array([c[1, lo - b.start], c[2, lo - b.start]])
+                zt0 = np.array([zt1[lo - b.start], zt2[lo - b.start]])
                 self._start[k] = zt0, np.linalg.norm(zt0)
             zt0, n0 = self._start[k]
             if n0 == 0.0:
                 continue
             r = slice(lo - b.start, hi - b.start)
-            pred1 = c[3, r] * zt0[0] + c[4, r] * zt0[1]
-            pred2 = c[5, r] * zt0[0] + c[6, r] * zt0[1]
+            pred1 = phi[r, 0] * zt0[0] + phi[r, 1] * zt0[1]
+            pred2 = phi[r, 2] * zt0[0] + phi[r, 3] * zt0[1]
             self._errs.setdefault(k, []).append(
-                np.hypot(c[1, r] - pred1, c[2, r] - pred2).max())
+                np.hypot(zt1[r] - pred1, zt2[r] - pred2).max())
 
     def result(self) -> float:
         return max([0.0] + [float(np.max(errs)) / float(self._start[k][1])
@@ -341,20 +356,21 @@ class _Envelope:
 
     def __init__(self, traj: HybridTrajectory, decay: DecayCertificate,
                  from_cycle: int):
-        self._t = traj.t
+        self._t = traj.block(0, len(traj))["t"]
         self._first = first = cycle_slice(traj, from_cycle).start
-        self._t0 = traj.t[first]
-        zt = traj.closed_rows(slice(first, first + 1))
-        self._zt0 = math.hypot(zt[1, 0], zt[2, 0])
+        self._t0 = self._t[first]
+        c = traj.block(first, first + 1)
+        self._zt0 = math.hypot(c["z_tilde1"][0], c["z_tilde2"][0])
         self._decay = decay
         self._start, self._margin, self._zero = first, math.inf, True
         self._n = len(traj)
 
-    def feed(self, b: slice, c: np.ndarray):
+    def feed(self, b: slice, c: dict):
         lo = max(b.start, self._first)
         if lo >= b.stop:
             return
-        zt1, zt2 = c[1, lo - b.start:], c[2, lo - b.start:]
+        zt1 = c["z_tilde1"][lo - b.start:]
+        zt2 = c["z_tilde2"][lo - b.start:]
         if self._zt0 == 0.0:
             self._zero &= bool(np.all(np.hypot(zt1, zt2) == 0.0))
             return
@@ -393,8 +409,8 @@ class _Floor:
     def __init__(self, params: PlantParams):
         self._floor, self._gaps = params.z2_floor, []
 
-    def feed(self, b: slice, c: np.ndarray):
-        self._gaps.append((c[0] - self._floor).min())
+    def feed(self, b: slice, c: dict):
+        self._gaps.append((c["z2"] - self._floor).min())
 
     def result(self) -> float:
         return np.min(self._gaps)
@@ -403,14 +419,10 @@ class _Floor:
 def _closed_pass(traj: HybridTrajectory, checks: tuple,
                  start: int = 0) -> list:
     """Feed rows start: to each of `checks` a block at a time, with the
-    block's closed-form columns (HybridTrajectory.closed_rows) evaluated
-    once for all of them into one buffer; returns their results. The
-    blocks are half of _BLOCK_ROWS: the buffer holds seven columns, and
-    the evaluation's scratch is about as large again."""
-    size = max(1, _BLOCK_ROWS // 2)
-    buf = np.empty((7, size))
-    for b in _blocks(slice(start, len(traj)), size=size):
-        c = traj.closed_rows(b, buf)
+    block's columns read once for all of them, so its closed-form columns
+    are evaluated once; returns their results."""
+    for b in _blocks(slice(start, len(traj))):
+        c = traj.block(b.start, b.stop)
         for check in checks:
             check.feed(b, c)
     return [check.result() for check in checks]
@@ -463,21 +475,23 @@ def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
     if i_star < 1:
         raise CycleNotFound("comparison bound applies to cycles i >= 1")
     sl = cycle_slice(traj, i_star)
-    t_c = traj.t[sl.start]
+    arc = traj.block(0, len(traj))
+    t = arc["t"]
+    t_c = t[sl.start]
     c, d = params.c, params.d
-    M = float(np.abs(traj.z1[sl]).max())
+    M = float(np.abs(arc["z1"][sl]).max())
     _, _, t_lmin = dwell_time_lower_bound(params, cfg, i_star)
     z2_0 = (d / c + cfg.epsilon) / 2.0 ** (i_star - 1)
 
     for b in _blocks(slice(sl.start, len(traj))):
-        stop = b.start + int(np.searchsorted(traj.t[b], t_c + t_lmin,
+        stop = b.start + int(np.searchsorted(t[b], t_c + t_lmin,
                                              side="right"))
         if stop < b.stop:
             break
     sel = slice(sl.start, stop)
-    ts = traj.t[sel] - t_c
+    ts = t[sel] - t_c
     bound = z2_0 + (z2_0 + d / c) * np.expm1(M * c * np.clip(ts, 0.0, t_lmin))
-    return ts, traj.z2[sel], bound
+    return ts, traj.block(sel.start, sel.stop)["z2"], bound
 
 
 def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,
@@ -499,18 +513,20 @@ def check_dwell_lower_bound(traj: HybridTrajectory, params: PlantParams,
     """
     min_ratio = math.inf
     pairs = _within_cycle_pairs(traj.jumps)
+    arc = traj.block(0, len(traj))
+    t, z1 = arc["t"], arc["z1"]
     for i, sl in cycle_slices(traj).items():
         if i < 1:
             continue
         z_bar_i = (cfg.z_star_init / 2.0 ** (i - 1)) * (1.0 + g_of(cfg, i - 1))
         for rows in _blocks(sl):
-            inside = np.abs(traj.z1[rows]) <= z_bar_i
+            inside = np.abs(z1[rows]) <= z_bar_i
             if inside.any():
                 break
         else:
             continue
-        t_entered = traj.t[rows.start + int(inside.argmax())]
-        t_first, t_last = traj.t[sl.start], traj.t[sl.stop - 1]
+        t_entered = t[rows.start + int(inside.argmax())]
+        t_first, t_last = t[sl.start], t[sl.stop - 1]
         _, t_li, _ = dwell_time_lower_bound(params, cfg, i)
         for a, b in pairs:
             if t_entered <= a.t <= t_last and t_first <= b.t <= t_last:

@@ -56,7 +56,7 @@ from .lyapunov import (LyapunovCertificate, complete_gains,
                        decay_certificate, dwell_certificate,
                        solve_common_lyapunov)
 from .model import (ControllerConfig, HSchedule, HybridTrajectory,
-                    PlantParams, SolverConfig, control, derive_control_gain)
+                    PlantParams, SolverConfig, derive_control_gain)
 
 SCHEMA_VERSION = 1
 
@@ -291,32 +291,22 @@ def _plot_files(out: Path, outputs: dict) -> list:
             (out / outputs["timeseries_csv"], _TIMESERIES_COLUMNS)]
 
 
-def _block_reader(traj: HybridTrajectory, u=None):
-    """block(lo, hi) for csvwriter.write_csvs: every trajectory column the
-    CSV files can name, of rows lo:hi, as arrays. u, the control input
-    under (params, k) = u, is there only when u is given.
-
-    The closed-form columns of a block are evaluated once
-    (HybridTrajectory.closed_rows), into one buffer that the reader keeps
-    from block to block: in a forked writer child, the child's own. The
-    columns of a block are valid until the next block is read."""
-    buf = np.empty((7, 0))
-
+def _csv_columns(traj: HybridTrajectory, u=None):
+    """block(lo, hi) for csvwriter.write_csvs: every column the CSV files
+    can name, of rows lo:hi, as arrays. The stored ones are
+    HybridTrajectory.block's, and the others are derived here: the
+    estimates z1_hat and z2_hat, and, when u = (params, k) is given, the
+    certainty-equivalence control u = a z1 zhat2 - k (z1 - z*)."""
     def block(lo: int, hi: int) -> dict:
-        nonlocal buf
-        if buf.shape[1] < hi - lo:
-            buf = np.empty((7, hi - lo))
-        v = traj.rows(slice(lo, hi))
-        z2, zt1, zt2, _, _, _, _ = traj.closed_rows(slice(lo, hi), buf)
-        z_star = v.z_star[:]
-        z2_hat = z2 + zt2
-        columns = {"t": v.t, "j": v.j[:], "i": v.cycle[:], "tau": v.tau,
-                   "z1": v.z1, "z2": z2, "z1_hat": v.z1 + zt1,
-                   "z2_hat": z2_hat, "z_tilde1": zt1, "z_tilde2": zt2,
-                   "z_star": z_star}
+        c = traj.block(lo, hi)
+        c["i"] = c["cycle"]
+        c["z1_hat"] = c["z1"] + c["z_tilde1"]
+        c["z2_hat"] = c["z2"] + c["z_tilde2"]
         if u is not None:
-            columns["u"] = control(*u, v.z1, z2_hat, z_star)
-        return columns
+            params, k = u
+            c["u"] = params.a * c["z1"] * c["z2_hat"] \
+                - k * (c["z1"] - c["z_star"])
+        return c
     return block
 
 
@@ -333,7 +323,7 @@ def write_trajectory_csv(scn: Scenario, traj: HybridTrajectory, path):
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    write_csvs(len(traj), _block_reader(traj, (scn.params, scn.k)),
+    write_csvs(len(traj), _csv_columns(traj, (scn.params, scn.k)),
                [(out / scn.outputs["trajectory_csv"], CSV_COLUMNS)]
                + _plot_files(out, scn.outputs))
 
@@ -349,24 +339,15 @@ def emit_plot_data(traj: HybridTrajectory, path) -> tuple:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = _plot_files(out, _DEFAULT_OUTPUTS)
-    write_csvs(len(traj), _block_reader(traj), files)
+    write_csvs(len(traj), _csv_columns(traj), files)
     return files[0][0], files[1][0]
-
-
-def _slice_trajectory(traj: HybridTrajectory, sl: slice) -> HybridTrajectory:
-    """Column-wise sub-trajectory with the jump log restricted to it."""
-    j_lo, j_hi = int(traj.j[sl.start]), int(traj.j[sl.stop - 1])
-    sub = traj.rows(sl)
-    sub.jumps = [jr for jr in traj.jumps if j_lo <= jr.j < j_hi]
-    return sub
 
 
 def _dwell_reports_per_cycle(traj: HybridTrajectory, slices: dict) -> dict:
     reports = {}
     for i, sl in slices.items():
-        sub = _slice_trajectory(traj, sl)
         try:
-            reports[str(i)] = extract_dwell(sub).to_dict()
+            reports[str(i)] = extract_dwell(traj, sl).to_dict()
         except NoExcitation as exc:
             reports[str(i)] = {"error": str(exc)}
     return reports
@@ -432,6 +413,7 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
                         "h-schedule cannot drive the estimation error to "
                         "zero across cycles")
 
+    last = traj.block(len(traj) - 1, len(traj))
     report = {
         "schema": SCHEMA_VERSION,
         "config": scn.raw,
@@ -451,13 +433,14 @@ def execute(scn: Scenario, out_dir, checks: str = "all") -> dict:
         "jumps": [{"t": jr.t, "j": jr.j, "kind": jr.kind.value}
                   for jr in traj.jumps],
         "samples": len(traj),
-        "t_final": float(traj.t[-1]),
+        "t_final": float(last["t"][0]),
         "cycles_reached": list(slices),
         "final_state": {
-            "z": [float(traj.z1[-1]), float(traj.z2[-1])],
-            "z_tilde": [float(traj.z_tilde1[-1]), float(traj.z_tilde2[-1])],
-            "z_star": float(traj.z_star[-1]),
-            "tau": float(traj.tau[-1]),
+            "z": [float(last["z1"][0]), float(last["z2"][0])],
+            "z_tilde": [float(last["z_tilde1"][0]),
+                        float(last["z_tilde2"][0])],
+            "z_star": float(last["z_star"][0]),
+            "tau": float(last["tau"][0]),
         },
         "all_checks_passed": all_passed,
     }

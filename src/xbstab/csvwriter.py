@@ -34,11 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-# rows per block. All float columns of a block go through the formatter
-# at once, about 20,000 values per numpy call for the three artifacts;
-# blocks of 1024 to 4096 rows format at about the same speed, blocks of
-# 256 rows take about 40 % longer (Python 3.11, numpy 2.4, 2-CPU x86 VM)
-_BLOCK_ROWS = 2048
+from . import model
+
 # fewest rows a share takes when there are several. fork plus wait took
 # 1.7-2.4 ms in the median (6.3 ms at worst) for a 47 MB process on a
 # 2-CPU x86 VM, and a share of 8192 rows takes tens of ms to format
@@ -47,11 +44,13 @@ _MIN_SHARE_ROWS = 8192
 # block. glibc serves a request of 128 KB or more from its own mapping and,
 # when such a mapping is freed, raises that threshold to its size and the
 # heap's trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD). Most
-# of a block's arrays are 160-550 KB, so without this each block can map
-# fresh pages, and how many depends on what the parent freed before the
-# fork: the two children on the shipped scenario took 7,400-9,100 minor
-# faults. After it, every block's arrays reuse the heap pages of the first
-# block (5,370-5,400). np.empty touches no page of it.
+# of a block's arrays are 160-550 KB at 2,048 rows a block, so without
+# this each block can map fresh pages, and how many depends on what the
+# parent freed before the fork: the two children on the shipped scenario
+# took 7,400-9,100 minor faults. After it, every block's arrays reuse the
+# heap pages of the first block (5,240-5,400 faults at 2,048 rows a block,
+# 7,710 at model._BLOCK_ROWS = 4,096 and 12,640 at 8,192). np.empty
+# touches no page of it.
 _HEAP_WARMUP_BYTES = 8 << 20
 # bytes asked of one os.copy_file_range call (Linux copies at most about
 # 2 GiB per call); a share's file takes as many calls as it needs
@@ -247,12 +246,13 @@ def _share_bounds(n: int) -> list:
 
 
 def _format_rows(block, names: list, outs: list, lo: int, hi: int):
-    """Write rows lo:hi, read by block() _BLOCK_ROWS at a time, into each
-    (binary file, column indices into `names`) of `outs`: the float
+    """Write rows lo:hi, read by block() model._BLOCK_ROWS at a time, into
+    each (binary file, column indices into `names`) of `outs`: the float
     columns of a block are formatted in one call of _float_fields, and
     every file's rows are joined from the same fields."""
-    for b_lo in range(lo, hi, _BLOCK_ROWS):
-        n = min(b_lo + _BLOCK_ROWS, hi) - b_lo
+    size = model._BLOCK_ROWS
+    for b_lo in range(lo, hi, size):
+        n = min(b_lo + size, hi) - b_lo
         columns = block(b_lo, b_lo + n)
         floats = [name for name in names
                   if columns[name].dtype.kind not in "iu"]

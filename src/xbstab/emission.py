@@ -15,11 +15,11 @@ On each mode arc the other seven columns, z2, z_tilde and Phi, are
 closed-form functions of tau set by one anchor state. The arc keeps one
 anchor (layout fastpath.AN_*: first row, mode, state) per anchoring of the
 closed form: the kernel's at each z1 root, the engine's at each row it
-writes (a segment's start). ClosedForm evaluates the seven columns of a block
-of rows on read by the rest of fastpath._closed: N zt and N Phi, the state
-p X + q (N X) and the z2 propagation, at the stored tau under the anchor
-that covers each row; a row that holds its anchor's state (AN_HELD) reads
-it as stored. What stays here is what arrays need: the branch masks of
+writes (a segment's start). ClosedForm evaluates the seven columns of a
+block of rows when HybridTrajectory.block is asked for one of them, by the
+rest of fastpath._closed: N zt and N Phi, the state p X + q (N X) and the
+z2 propagation, at the stored tau under the anchor that covers each row;
+a row that holds its anchor's state (AN_HELD) reads it as stored. What stays here is what arrays need: the branch masks of
 fastpath._expm_pq, the a1 <= 0 case of fastpath._tau_at and the
 transcendentals, which go through CPython's math one element at a time,
 because numpy's ufuncs are not bit-identical to libm. On 1e6 uniform

@@ -26,10 +26,10 @@ doubling. The stores and the kernel's span table live in anonymous memory
 mapped in base pages (_Arc._buffer), so reserved capacity is resident only
 in the 4 KB pages a run writes. j, cycle and z_star change only at jumps:
 the run keeps one (first row, cycle, z_star) mark per run of rows, whose
-index is j, and the trajectory reads j, cycle, z_star and the jump log off
-those marks. Its t, tau and z1 are views of the flow store, and z2, z_tilde
-and phi ClosedColumns that evaluate each row from its anchor when read
-(emission.ClosedForm).
+index is j, and the jump log is read off those marks. The trajectory holds
+the flow store, the marks and the closed form (emission.ClosedForm), which
+evaluates z2, z_tilde and phi of a row from its anchor when
+HybridTrajectory.block reads them.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from . import emission, fastpath
 from .errors import (BadInitialBall, IllegalJump, StateOutOfDomain,
                      StepFailure, ZenoSuspected)
 from .lyapunov import LyapunovCertificate
-from .model import (ClosedColumn, ControllerConfig, HybridState,
-                    HybridTrajectory, JumpKind, JumpRecord, MarkColumn,
-                    ObserverGains, PlantParams, SolverConfig, g_of)
+from .model import (ControllerConfig, HybridState, HybridTrajectory,
+                    JumpKind, JumpRecord, ObserverGains, PlantParams,
+                    SolverConfig, g_of)
 
 _BALL_SLACK = 1.0 + 1e-12
 _INIT_BUFFER_ROWS = 1 << 17
@@ -201,14 +201,11 @@ class _Arc:
         return float(self.flow[int(self.marks[k + 1, 0]), 0])
 
     def trajectory(self, modes) -> HybridTrajectory:
-        """The recorded arc under the run's two modes (run_constants): t,
-        tau and z1 are views of flow, z2, z_tilde and phi ClosedColumns
-        over flow and anchors, and j, cycle and z_star MarkColumns over the
-        marks. Jump k is a NewCycle where mark k + 1 starts a new cycle,
-        else a WithinCycle."""
+        """The recorded arc under the run's two modes (run_constants): the
+        flow store, the marks with j their index, and the closed form over
+        flow and anchors. Jump k is a NewCycle where mark k + 1 starts a
+        new cycle, else a WithinCycle."""
         flow = self.flow[:self.n]
-        closed = emission.ClosedForm(flow[:, 1], self.anchors[:self.na],
-                                     np.array(modes))
         marks = self.marks[:self.nm]
         first, cyc = marks[:, :2].T.astype(np.int64)
         new = (cyc[1:] != cyc[:-1]).tolist()
@@ -216,13 +213,11 @@ class _Arc:
                             else JumpKind.WITHIN_CYCLE)
                  for k, t in enumerate(flow[first[1:], 0].tolist())]
         return HybridTrajectory(
-            t=flow[:, 0], j=MarkColumn(first, np.arange(len(first)), self.n),
-            cycle=MarkColumn(first, cyc, self.n), tau=flow[:, 1],
-            z1=flow[:, 2], z2=ClosedColumn(closed, 0, self.n),
-            z_tilde1=ClosedColumn(closed, 1, self.n),
-            z_tilde2=ClosedColumn(closed, 2, self.n),
-            z_star=MarkColumn(first, marks[:, 2].copy(), self.n),
-            phi=ClosedColumn(closed, slice(3, 7), self.n), jumps=jumps)
+            flow=flow,
+            marks=(first, np.arange(len(first)), cyc, marks[:, 2].copy()),
+            closed=emission.ClosedForm(flow[:, 1], self.anchors[:self.na],
+                                       np.array(modes)),
+            jumps=jumps)
 
 
 def _dc_threshold(params: PlantParams, cfg: ControllerConfig,
@@ -344,11 +339,11 @@ def simulate(params: PlantParams, gains: ObserverGains,
     row raise ZenoSuspected, and a WithinCycle chained onto a WithinCycle
     raises IllegalJump.
 
-    The arc is held once, in the stores of the module docstring: the
-    returned t, tau and z1 are views of the flow store, z2, z_tilde1,
-    z_tilde2 and phi are evaluated from each row's anchor when read, and
-    j, cycle, z_star and the jump log are read off one (first row, cycle,
-    z_star) mark per jump and one for the start (_Arc.trajectory).
+    The arc is held once, in the stores of the module docstring: t, tau
+    and z1 of every row in the flow store, z2, z_tilde1, z_tilde2 and phi
+    evaluated from each row's anchor when read, and j, cycle, z_star and
+    the jump log read off one (first row, cycle, z_star) mark per jump and
+    one for the start (_Arc.trajectory).
     """
     state = initialize(params, gains, cert, cfg, z0, z_hat0)
     run = fastpath.run_constants(params, gains, k, cert, solver)

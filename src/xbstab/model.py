@@ -1,13 +1,18 @@
 """Domain types, configuration and the cycle schedule.
 
-Everything here is an immutable value object; the other modules only ever
-read these. The plant is the 2-state bilinear model
+Everything here but the recorded arc is an immutable value object; the
+other modules only ever read these. The plant is the 2-state bilinear
+model
 
     dz1/dt = -a z1 z2 + u
     dz2/dt = (c z2 + d) z1,      y = z1,
 
 and the controller runs through cycles i = 0, 1, 2, ... during which the
 piecewise-constant reference takes the values +-z_star_init / 2**i.
+
+The arc that simulate returns (HybridTrajectory) is read through one
+function, block(lo, hi), which gives every column of a range of rows; each
+pass over the rows calls it a block of _BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +24,20 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .errors import InvalidGains
 
-# rows per block of a pass over the rows: the float scratch of a block is
-# 64 KiB a column, and each numpy call still takes thousands of rows
-_BLOCK_ROWS = 8192
+# rows per block of every pass over an arc after simulate: the checks,
+# the reports and the CSV writer's children. On the shipped scenario
+# (2-CPU x86 VM), execute's VmHWM read 32.6-32.7 MB at 2,048 and 4,096
+# rows and 32.8-33.3 MB at 8,192; the parent's passes took about 2 ms
+# more at 2,048, and the writer's children fault more pages at 8,192
+_BLOCK_ROWS = 4096
+# the columns of an arc by where it keeps them: the flow store, the marks
+# and the closed form
+_FLOW = ("t", "tau", "z1")
+_MARKED = ("j", "cycle", "z_star")
+_CLOSED = ("z2", "z_tilde1", "z_tilde2", "phi")
 # the largest double below 1, the power schedule's h(i) where 1/(1 + b**-i)
 # rounds to 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -37,6 +49,17 @@ def as_dict(obj) -> dict:
     vals = ((f.name, getattr(obj, f.name)) for f in fields(obj))
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
             for k, v in vals}
+
+
+def _check_count(config, name: str, least: int):
+    """Refuse config.name unless it is an integer of at least `least`:
+    Python's or NumPy's, not a bool, and not a float even where it is
+    integral, with a ValueError naming the field."""
+    v = getattr(config, name)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
+            or v < least:
+        raise ValueError(f"{name} must be finite, an integer and at least "
+                         f"{least}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +228,7 @@ class ControllerConfig:
         for name in ("R", "R_tilde"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
-        if not 1 <= self.max_cycles < math.inf:
-            raise ValueError("max_cycles must be finite and at least 1")
+        _check_count(self, "max_cycles", 1)
 
     def h0(self, gamma: float) -> float:
         """Contraction target gating the initialization cycle.
@@ -270,12 +292,6 @@ def derive_control_gain(params: PlantParams, cfg: ControllerConfig,
     return gamma * a * cfg.R_tilde + k_prime
 
 
-def control(params: PlantParams, k: float, z1, z2_hat,
-            z_star) -> np.ndarray:
-    """The certainty-equivalence control u = a z1 zhat2 - k (z1 - z*)."""
-    return params.a * z1 * z2_hat - k * (z1 - np.asarray(z_star))
-
-
 @dataclass(frozen=True)
 class HybridState:
     """Augmented closed-loop state (tau, i, z, z_tilde, z_star, Phi)."""
@@ -317,287 +333,129 @@ class JumpRecord:
     kind: JumpKind
 
 
-class MarkColumn:
-    """A column that changes only at marks: row r holds values[k] of the
-    last mark k whose first row first[k] is at most r. first starts at 0
-    and rises strictly. simulate keeps j, cycle and z_star this way, one
-    mark per flow interval, instead of one value per row.
+class Column:
+    """Column `name` of an arc, read through HybridTrajectory.block: an int
+    index gives the row's value, a slice of step 1 an array of its rows,
+    np.asarray the whole column, and every other index is NumPy's on the
+    whole column. nbytes is what the arc keeps for it: 8 B a row of the
+    flow store, its marks, or its share of the closed form's anchors."""
 
-    It reads as the expanded column np.repeat(values, np.diff(first,
-    append=n)) does: an int index gives a NumPy scalar, a slice of step 1
-    a new array, and np.asarray the whole column; every other index is
-    NumPy's on the whole column. rows(sl) is the column of rows sl, over
-    the marks that cover them.
-    """
-
-    def __init__(self, first, values, n: int):
-        self._first = np.asarray(first, dtype=np.int64)
-        self._values = np.asarray(values)
-        self._n = n
-
-    @classmethod
-    def of(cls, column) -> "MarkColumn":
-        """The column of a 1-D array, with a mark wherever the value
-        changes; floats compare by their bits, so -0.0 and nan keep
-        theirs."""
-        col = np.asarray(column)
-        if col.ndim != 1:
-            raise ValueError(f"a column is one-dimensional, got shape "
-                             f"{col.shape}")
-        bits = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
-        first = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        if col.size:
-            first = np.concatenate(([0], first))
-        return cls(first, col[first], len(col))
+    def __init__(self, arc: "HybridTrajectory", name: str):
+        self._arc, self._name = arc, name
 
     def __len__(self) -> int:
-        return self._n
-
-    def __repr__(self) -> str:
-        return (f"MarkColumn({len(self._first)} marks, {self._n} rows, "
-                f"{self.dtype})")
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._values.dtype
+        return len(self._arc)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the marks."""
-        return self._first.nbytes + self._values.nbytes
-
-    def marks(self) -> tuple:
-        """(first rows, values) of the marks."""
-        return self._first, self._values
-
-    def rows(self, sl: slice) -> "MarkColumn":
-        """The column of rows sl (step 1): the marks that cover them, with
-        first rows counted from sl's first row."""
-        lo, hi, step = sl.indices(self._n)
-        if step != 1:
-            raise ValueError("rows() takes a slice of step 1")
-        k0 = int(self._first.searchsorted(lo, "right")) - 1
-        k1 = int(self._first.searchsorted(hi, "left")) if hi > lo else k0
-        first = self._first[k0:k1] - lo
-        first[:1] = 0
-        return MarkColumn(first, self._values[k0:k1], max(hi - lo, 0))
-
-    def _expand(self, a: int, b: int) -> np.ndarray:
-        """Rows a:b, a < b."""
-        first = self._first
-        k = int(first.searchsorted(a, "right"))
-        if k == len(first) or first[k] >= b:
-            return self._values[k - 1:k].repeat(b - a)
-        m = int(first.searchsorted(b, "left"))
-        edges = np.empty(m - k + 2, np.int64)
-        edges[0], edges[1:-1], edges[-1] = a, first[k:m], b
-        return self._values[k - 1:m].repeat(edges[1:] - edges[:-1])
+        arc, name = self._arc, self._name
+        if name in _FLOW:
+            return len(arc) * arc.flow.itemsize
+        if name in _MARKED:
+            first, *values = arc.marks
+            return first.nbytes + values[_MARKED.index(name)].nbytes
+        return arc.closed.nbytes * (4 if name == "phi" else 1) // 7
 
     def __getitem__(self, key):
-        rows = range(self._n)
-        if isinstance(key, (int, np.integer)):
-            return self._values[self._first.searchsorted(rows[key],
-                                                         "right") - 1]
-        if isinstance(key, slice) and rows[key].step == 1:
-            rows = rows[key]
-            return self._expand(rows.start, rows.stop) if rows \
-                else self._values[:0].copy()
-        return self[:][key]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        col = self[:]
-        return col if dtype is None else col.astype(dtype, copy=False)
-
-    def __eq__(self, other):
-        # as <, > and the rest do, instead of comparing identities
-        raise TypeError("a MarkColumn does not compare; compare "
-                        "np.asarray(column)")
-
-    __ne__ = __eq__
-
-
-class ClosedColumn(NDArrayOperatorsMixin):
-    """A column that simulate evaluates when read instead of storing it
-    for every row: z2, z_tilde1, z_tilde2 or phi, closed-form functions
-    of tau on each mode arc.
-
-    source(lo, hi, out=None) gives the seven closed-form columns (z2,
-    z_tilde1, z_tilde2, phi11, phi12, phi21, phi22) of rows lo:hi at once,
-    as a (7, hi - lo) array (emission.ClosedForm); this column is its row
-    `index`, or for a slice its rows transposed, as phi's (n, 4). Rows
-    0:n of the column are rows lo:lo + n of the source.
-
-    It reads as the evaluated column would: an int index gives a row, a
-    slice of step 1 a new array, evaluated _BLOCK_ROWS rows at a time, and
-    np.asarray the whole column; NumPy's operators and ufuncs act on the
-    whole column, and every other index is NumPy's on it. rows(sl) is
-    the column of rows sl over the same source, and block(sl) all seven
-    columns of rows sl from one call of source. nbytes is this column's
-    share of the bytes the source holds.
-    """
-
-    def __init__(self, source, index, n: int, lo: int = 0):
-        self.source, self._index, self._n, self._lo = source, index, n, lo
-        self._width = len(range(7)[index]) if isinstance(index, slice) \
-            else 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __repr__(self) -> str:
-        return f"ClosedColumn({self._index}, {self._n} rows)"
-
-    @property
-    def shape(self) -> tuple:
-        return (self._n,) if self._width == 1 else (self._n, self._width)
-
-    @property
-    def nbytes(self) -> int:
-        return self.source.nbytes * self._width // 7
-
-    def rows(self, sl: slice) -> "ClosedColumn":
-        """The column of rows sl (step 1)."""
-        lo, hi, step = sl.indices(self._n)
-        if step != 1:
-            raise ValueError("rows() takes a slice of step 1")
-        return ClosedColumn(self.source, self._index, max(hi - lo, 0),
-                            self._lo + lo)
-
-    def block(self, sl: slice, out=None) -> np.ndarray:
-        """The seven columns of rows sl (step 1) as a (7, m) array."""
-        rows = range(self._n)[sl]
-        return self.source(self._lo + rows.start, self._lo + rows.stop, out)
-
-    def __getitem__(self, key):
-        rows = range(self._n)
+        rows = range(len(self))
         if isinstance(key, (int, np.integer)):
             r = rows[key]
             return self[r:r + 1][0]
-        if not (isinstance(key, slice) and rows[key].step == 1):
-            return self[:][key]
-        rows = rows[key]
-        col = np.empty((len(rows),) + self.shape[1:])
-        for a in range(0, len(rows), _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, len(rows))
-            col[a:b] = self.block(slice(rows.start + a,
-                                        rows.start + b))[self._index].T
-        return col
+        if isinstance(key, slice) and rows[key].step == 1:
+            rows = rows[key]
+            return self._arc.block(rows.start,
+                                   rows.start + len(rows))[self._name]
+        return self[:][key]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        col = self[:]
-        return col if dtype is None else col.astype(dtype, copy=False)
+        col = np.asarray(self[:], dtype)
+        return col.copy() if copy else col
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [np.asarray(x) if isinstance(x, ClosedColumn) else x
-                  for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
+
+class _Block(dict):
+    """The columns of rows lo:hi of an arc by name (HybridTrajectory.block):
+    t, tau and z1 as views of the flow store; j, cycle and z_star expanded
+    from the marks, and z2, z_tilde1, z_tilde2 and phi evaluated, all of a
+    group when one of it is first read."""
+
+    def __init__(self, arc: "HybridTrajectory", lo: int, hi: int):
+        flow = arc.flow[lo:hi]
+        super().__init__(zip(_FLOW, flow.T))
+        self._arc, self._lo, self._hi = arc, lo, hi
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name in _MARKED:
+            first, *values = self._arc.marks
+            k = first.searchsorted(np.arange(self._lo, self._hi), "right") - 1
+            self.update(zip(_MARKED, (v[k] for v in values)))
+        elif name in _CLOSED:
+            c = self._arc.closed(self._lo, self._hi)
+            self.update(zip(_CLOSED, (c[0], c[1], c[2], c[3:].T)))
+        else:
+            raise KeyError(name)
+        return self[name]
 
 
 @dataclass
 class HybridTrajectory:
-    """A hybrid arc stored column-wise, indexed by hybrid time (t, j).
+    """A hybrid arc indexed by hybrid time (t, j), in the stores simulate
+    writes (engine._Arc).
 
-    Samples are lexicographically ordered in (t, j); j increments by one at
-    each entry of `jumps`. Every flow instant appears once, and a jump
-    instant twice (pre- and post-jump). Every column may be given as an
-    array. simulate returns t, tau and z1, which its kernel integrates,
-    as views of one array, and z2, z_tilde1, z_tilde2 and phi as
-    ClosedColumns, evaluated on read at each row's tau from the anchor of
-    its mode arc; closed_rows reads all four of a block of rows at once.
-    j, cycle and z_star are MarkColumns, which change only at jumps, so
-    they take memory per jump, not per row; one given as an array becomes
-    MarkColumn.of(it).
+    Rows are lexicographically ordered in (t, j): every flow instant has
+    one row and a jump instant two, its pre- and post-jump points, and j
+    increments by one at each entry of `jumps`. flow holds t, tau and z1 of
+    every row as an (n, 3) array. marks is (first, j, cycle, z_star),
+    arrays of one entry per mark: row r takes j, cycle and z_star of the
+    last mark whose first row is at most r, and first rises from row 0.
+    closed(lo, hi) gives z2, z_tilde1, z_tilde2 and phi11 to phi22 of rows
+    lo:hi as a (7, hi - lo) array and has nbytes (emission.ClosedForm).
+
+    block(lo, hi) is the one read of the rows; every column is also an
+    attribute by its name, a Column over block.
     """
 
-    t: np.ndarray
-    j: MarkColumn
-    cycle: MarkColumn
-    tau: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray | ClosedColumn
-    z_tilde1: np.ndarray | ClosedColumn
-    z_tilde2: np.ndarray | ClosedColumn
-    z_star: MarkColumn
-    phi: np.ndarray | ClosedColumn  # (n, 4) row-major flattening
+    flow: np.ndarray
+    marks: tuple
+    closed: object
     jumps: list = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("j", "cycle", "z_star"):
-            if not isinstance(getattr(self, name), MarkColumn):
-                setattr(self, name, MarkColumn.of(getattr(self, name)))
-        n = len(self.t)
-        for name in ("j", "cycle", "tau", "z1", "z2", "z_tilde1",
-                     "z_tilde2", "z_star"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} has inconsistent length")
-        if self.phi.shape != (n, 4):
-            raise ValueError("phi column must have shape (n, 4)")
+        if len({len(m) for m in self.marks}) != 1 \
+                or (len(self) > 0) != (self.marks[0][:1] == 0).any():
+            raise ValueError("marks must be arrays of one length whose first "
+                             "rows start at row 0")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.flow)
 
-    def rows(self, sl: slice) -> "HybridTrajectory":
-        """Rows sl (step 1) of every column, arrays as views, without the
-        jump log; nothing is evaluated."""
-        def part(col):
-            if isinstance(col, (MarkColumn, ClosedColumn)):
-                return col.rows(sl)
-            return col[sl]
-        return HybridTrajectory(**{f.name: part(getattr(self, f.name))
-                                   for f in fields(self)
-                                   if f.name != "jumps"})
+    def __getattr__(self, name: str) -> Column:
+        if name in _FLOW + _MARKED + _CLOSED:
+            return Column(self, name)
+        raise AttributeError(name)
 
-    def closed_rows(self, sl: slice, out=None) -> np.ndarray:
-        """The closed-form columns z2, z_tilde1, z_tilde2 and phi11 to
-        phi22 of rows sl (step 1) as a (7, m) array, into out[:, :m] when
-        out is given: from one evaluation where all four are ClosedColumns
-        of one source, as simulate returns them."""
-        cols = (self.z2, self.z_tilde1, self.z_tilde2, self.phi)
-        sources = {(c.source, c._lo) if isinstance(c, ClosedColumn)
-                   else None for c in cols}
-        if len(sources) == 1 and None not in sources:
-            return self.z2.block(sl, out)
-        rows = range(len(self))[sl]
-        out = np.empty((7, len(rows))) if out is None \
-            else out[:, :len(rows)]
-        sl = slice(rows.start, rows.stop)
-        out[0], out[1], out[2] = self.z2[sl], self.z_tilde1[sl], \
-            self.z_tilde2[sl]
-        out[3:] = self.phi[sl].T
-        return out
-
-    @property
-    def z1_hat(self) -> np.ndarray:
-        return self.z1 + self.z_tilde1
-
-    @property
-    def z2_hat(self) -> np.ndarray:
-        return self.z2 + self.z_tilde2
-
-    def control(self, params: PlantParams, k: float) -> np.ndarray:
-        """Control input u at every sample."""
-        return control(params, k, self.z1, self.z2_hat, self.z_star)
+    def block(self, lo: int, hi: int) -> dict:
+        """Every column of rows lo:hi (0 <= lo <= hi <= n) by name, as
+        arrays, phi as (hi - lo, 4): t, tau and z1 as views, the others
+        computed only for a caller that reads them (_Block)."""
+        return _Block(self, lo, hi)
 
     def validate_domain(self):
         """Check hybrid-time-domain well-formedness; raise on violation.
-        Reads the marks of j and cycle, and t a block of rows at a time."""
-        _, j = self.j.marks()
-        i_first, i = self.cycle.marks()
-
-        def without_jump(rows):         # rows r whose j is that of r - 1
-            return any(self.j[r] == self.j[r - 1] for r in rows.tolist())
-
+        Reads the marks, and t a block of rows at a time."""
+        first, j, i, _ = self.marks
+        jumped = np.concatenate(([False], j[1:] != j[:-1]))
         if np.any(j[1:] < j[:-1]):
             raise ValueError("jump counter decreases")
-        t = self.t
-        for lo in range(0, len(t) - 1, _BLOCK_ROWS):
-            tb = t[lo:lo + _BLOCK_ROWS + 1]
-            if without_jump(np.flatnonzero(tb[1:] < tb[:-1]) + (lo + 1)):
+        n = len(self)
+        for lo in range(0, n - 1, _BLOCK_ROWS):
+            t = self.block(lo, min(lo + _BLOCK_ROWS + 1, n))["t"]
+            back = np.flatnonzero(t[1:] < t[:-1]) + (lo + 1)
+            k = first.searchsorted(back, "right") - 1   # marks of the rows
+            if not np.all(jumped[k] & (first[k] == back)):
                 raise ValueError("time decreases within a flow interval")
         if np.any(j[1:] > j[:-1] + 1):
             raise ValueError("jump counter skips a value")
-        if np.any(i[1:] < i[:-1]) or without_jump(
-                i_first[1:][i[1:] != i[:-1]]):
+        if np.any((i[1:] < i[:-1]) | ((i[1:] != i[:-1]) & (j[1:] == j[:-1]))):
             raise ValueError("cycle index decreases or changes without a jump")
 
 
@@ -646,8 +504,7 @@ class SolverConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly "
                                  f"positive")
-        if not 2 <= self.zeno_max_jumps < math.inf:
-            raise ValueError("zeno_max_jumps must be finite and at least 2")
+        _check_count(self, "zeno_max_jumps", 2)
         if not 0 <= self.record_interval < math.inf:
             raise ValueError("record_interval must be finite and "
                              "non-negative")

@@ -147,7 +147,7 @@ def check_vobs_monotone(traj: HybridTrajectory,
                         cert: LyapunovCertificate) -> tuple[bool, float]:
     """analysis.check_vobs_monotone."""
     p11, p12, p22 = cert.P[0, 0], cert.P[0, 1], cert.P[1, 1]
-    zt1, zt2 = traj.z_tilde1, traj.z_tilde2
+    zt1, zt2 = np.asarray(traj.z_tilde1), np.asarray(traj.z_tilde2)
     v = p11 * zt1 ** 2 + 2.0 * p12 * zt1 * zt2 + p22 * zt2 ** 2
     dv = np.diff(v)
     rel = dv / np.maximum(v[:-1], _TINY)

@@ -26,9 +26,10 @@ from xbstab.analysis import (check_dwell_lower_bound, check_phi_oracle,
                              check_zeno, cycle_slice)
 from xbstab.errors import InvalidGains
 from xbstab.lyapunov import decay_certificate, dwell_time_lower_bound
-from xbstab.model import HybridTrajectory, JumpKind
+from xbstab.model import JumpKind
 from xbstab.cli import g_converges_to_zero
 
+from arcs import arc
 from rundiff import oracle
 
 
@@ -284,7 +285,8 @@ def test_criterion_8_convergence_reproduction(criterion_8_run, sv_params,
         if 8.0 <= t_next <= 40.0:
             predicted.append(i)
     assert predicted == [4]
-    in_window = (traj.t >= 8.0) & (traj.t <= 40.0)
+    t = np.asarray(traj.t)
+    in_window = (t >= 8.0) & (t <= 40.0)
     seen = np.abs(traj.z_star[in_window])
     assert seen.min() == z_in / 2.0 ** predicted[0], (
         f"reference magnitudes active in [8, 40]: {sorted(set(seen))}")
@@ -373,7 +375,7 @@ def test_criterion_10_adversarial_vobs(sv_cert):
     n = 200
     t = np.linspace(0.0, 1.0, n)
     grow = 0.1 * np.exp(t)               # estimation error growing in time
-    traj = HybridTrajectory(
+    traj = arc(
         t=t, j=np.zeros(n, dtype=np.int64), cycle=np.zeros(n, dtype=np.int64),
         tau=t.copy(), z1=np.ones(n), z2=np.zeros(n),
         z_tilde1=grow, z_tilde2=grow, z_star=np.ones(n),

@@ -17,7 +17,9 @@ from xbstab.cli import build_scenario
 from xbstab.errors import CycleNotFound, NoExcitation
 from xbstab.lyapunov import (DecayCertificate, decay_certificate,
                              dwell_time_lower_bound)
-from xbstab.model import HybridTrajectory, JumpKind, JumpRecord
+from xbstab.model import JumpKind, JumpRecord
+
+from arcs import arc
 
 
 def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
@@ -26,7 +28,7 @@ def make_traj(t, z1, z_tilde=None, z_star=None, cycle=None, phi=None,
     n = len(t)
     z1 = np.asarray(z1, dtype=float)
     zt = np.zeros((n, 2)) if z_tilde is None else np.asarray(z_tilde)
-    return HybridTrajectory(
+    return arc(
         t=t, j=np.zeros(n, dtype=np.int64),
         cycle=np.zeros(n, dtype=np.int64) if cycle is None else cycle,
         tau=np.zeros(n), z1=z1,

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from xbstab import (analysis, cli, csvwriter, emission, engine, fastpath,
-                    lanes)
+                    lanes, model)
 from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         _resolve_checks, _sanitize, build_scenario,
                         emit_plot_data, g_converges_to_zero, load_config,
@@ -28,6 +28,7 @@ from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
 from xbstab.lyapunov import decay_certificate, dwell_certificate
 from xbstab.model import HScheduleKind, HybridTrajectory, PlantParams
 
+from arcs import arc
 from conftest import SCENARIO_PATH
 from test_analysis import make_traj
 
@@ -160,12 +161,14 @@ def _savetxt_reference(scn, traj, out):
     """The CSV files as np.savetxt wrote them, one file at a time: the
     byte-for-byte reference for the one-pass writer."""
     out.mkdir(parents=True, exist_ok=True)
+    z1, z2, z_star = (np.asarray(c) for c in (traj.z1, traj.z2, traj.z_star))
+    z1_hat = z1 + np.asarray(traj.z_tilde1)
+    z2_hat = z2 + np.asarray(traj.z_tilde2)
+    u = scn.params.a * z1 * z2_hat - scn.k * (z1 - z_star)
     cols = np.column_stack([
         traj.t, np.asarray(traj.j).astype(float),
         np.asarray(traj.cycle).astype(float), traj.tau,
-        traj.z1, traj.z2, traj.z1_hat, traj.z2_hat,
-        traj.z_tilde1, traj.z_tilde2, traj.z_star,
-        traj.control(scn.params, scn.k),
+        z1, z2, z1_hat, z2_hat, traj.z_tilde1, traj.z_tilde2, z_star, u,
     ])
     fmt = ["%.17g"] * len(CSV_COLUMNS)
     fmt[1] = fmt[2] = "%d"
@@ -177,8 +180,7 @@ def _savetxt_reference(scn, traj, out):
                fmt="%.17g", delimiter=",", header="z1,z2", comments="",
                encoding="utf-8")
     np.savetxt(out / scn.outputs["timeseries_csv"],
-               np.column_stack([traj.t, traj.z1, traj.z2,
-                                traj.z1_hat, traj.z2_hat, traj.z_star]),
+               np.column_stack([traj.t, z1, z2, z1_hat, z2_hat, z_star]),
                fmt="%.17g", delimiter=",",
                header="t,z1,z2,z1_hat,z2_hat,z_star", comments="",
                encoding="utf-8")
@@ -208,7 +210,7 @@ def _edge_trajectory(n: int) -> HybridTrajectory:
     j[-1] = 10 ** 6
     cycle = np.sort(rng.integers(0, 10 ** 6, n))
     cycle[-1] = 10 ** 6
-    return HybridTrajectory(
+    return arc(
         t=cols[0], j=j, cycle=cycle, tau=cols[1], z1=cols[2],
         z2=cols[3], z_tilde1=cols[4], z_tilde2=cols[5], z_star=cols[6],
         phi=np.zeros((n, 4)))
@@ -225,7 +227,7 @@ class TestOnePassWriter:
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_block_edges_and_extreme_values(self, tmp_path, offset):
-        n = 1 if offset is None else csvwriter._BLOCK_ROWS + offset
+        n = 1 if offset is None else model._BLOCK_ROWS + offset
         traj = _edge_trajectory(n)
         scn = _EDGE_SCENARIO
         out = tmp_path / "out"
@@ -239,7 +241,7 @@ class TestOnePassWriter:
         assert ",1000000,1000000," in text.splitlines()[-1]
 
     def test_emit_plot_data_matches_reference(self, tmp_path):
-        traj = _edge_trajectory(csvwriter._BLOCK_ROWS + 1)
+        traj = _edge_trajectory(model._BLOCK_ROWS + 1)
         scn = _EDGE_SCENARIO
         ref = tmp_path / "ref"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -261,7 +263,7 @@ class TestOnePassWriter:
         out = tmp_path / "out"
         assert main(["run", str(short_scenario), "--out", str(out)]) == 0
         scn = build_scenario(load_config(short_scenario))
-        assert len(runs) == 1 and len(runs[0]) > csvwriter._BLOCK_ROWS
+        assert len(runs) == 1 and len(runs[0]) > model._BLOCK_ROWS
         _assert_csvs_match_reference(scn, runs[0], out)
 
 
@@ -273,7 +275,7 @@ def three_shares(monkeypatch, tmp_path):
     child forked so far, by this process or by a forked sweep lane: each
     appends its children's pids to one file."""
     monkeypatch.setattr(csvwriter, "_MIN_SHARE_ROWS", 300)
-    monkeypatch.setattr(csvwriter, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 256)
     monkeypatch.setattr(csvwriter, "_usable_cpus", lambda: 3)
     fork_share, log = csvwriter._fork_share, tmp_path / "share_pids"
     log.touch()
@@ -447,7 +449,7 @@ def _artifacts(out: Path) -> dict:
 
 class TestBlockedPasses:
     """The passes after simulate read the arc in blocks of
-    analysis._BLOCK_ROWS rows."""
+    model._BLOCK_ROWS rows."""
 
     def test_artifacts_do_not_depend_on_the_block(self, bundled_run,
                                                   tmp_path, monkeypatch):
@@ -463,10 +465,10 @@ class TestBlockedPasses:
         cycle_1 = analysis.cycle_slice(traj, 1).start
         within = next(r for r in jump_rows if 1 < r < cycle_1)
         assert cycle_1 in jump_rows
-        sizes = [analysis._BLOCK_ROWS, 997, within, cycle_1, n]
+        sizes = [model._BLOCK_ROWS, 997, within, cycle_1, n]
         runs = []
         for rows in sizes:
-            monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
             cli.execute(scn, tmp_path / str(rows))
             runs.append(_artifacts(tmp_path / str(rows)))
         assert all(run == runs[0] for run in runs[1:])
@@ -485,7 +487,7 @@ class TestBlockedPasses:
         of |z1| through cursors, execute held that one column."""
         scn, traj = bundled_run
         rows = 4096
-        monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
         assert len(traj) >= 8 * rows
 
         def simulated(*a, **kw):

@@ -19,7 +19,7 @@ from xbstab.analysis import cycle_slice
 from xbstab.cli import build_scenario
 from xbstab.engine import _Arc, _run_segment, initial_cycle
 from xbstab.errors import IllegalJump
-from xbstab.model import ClosedColumn, MarkColumn, g_of
+from xbstab.model import g_of
 
 from flow_oracles import flow_map
 from test_model import make_cfg
@@ -561,7 +561,7 @@ def test_every_row_reads_back_bit_for_bit(monkeypatch, sv_params, sv_gains,
     if rows is not None:
         assert codes.count(fastpath.CODE_BUFFER_FULL) >= 5
         _assert_same_arc(traj, dense_20ms)
-    src = traj.z2.source
+    src = traj.closed
     assert len(traj.jumps) + 1 < len(src._anchors) < len(traj) // 100
     _assert_rows_read_back(traj, want)
 
@@ -580,13 +580,13 @@ def test_arc_storage(scenario_dict, thinned):
     scn = build_scenario(raw)
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
-    src = traj.z2.source
+    src = traj.closed
     n, anchors = len(traj), len(src._anchors)
     marks = sum(getattr(traj, name).nbytes for name in ("j", "cycle",
                                                         "z_star"))
     held = sum(getattr(traj, name).nbytes for name in (
         "t", "tau", "z1", "z2", "z_tilde1", "z_tilde2", "phi"))
-    # the four ClosedColumns' shares of the source round down
+    # the four closed-form columns' shares of the source round down
     assert 0 <= 24 * n + 104 * anchors + src._modes.nbytes - held < 4
     assert marks < 200 * (len(traj.jumps) + 1)
     if thinned:
@@ -649,33 +649,30 @@ def test_dense_recording_contract(dense_20ms):
 
 
 def test_columns_are_views_of_one_array(dense_20ms):
-    """simulate holds the arc once: tau and z1 are views of the array
-    that t is a view of, not copies, and z2, z_tilde1, z_tilde2 and phi
-    are ClosedColumns over one source, which evaluates them on read from
-    the same stores."""
-    rows = dense_20ms.t.base
-    for name in ("tau", "z1"):
-        assert np.shares_memory(getattr(dense_20ms, name), rows), name
-    closed = [getattr(dense_20ms, name)
-              for name in ("z2", "z_tilde1", "z_tilde2", "phi")]
-    assert all(isinstance(c, ClosedColumn) for c in closed)
-    assert len({c.source for c in closed}) == 1
-    assert isinstance(closed[0].source, emission.ClosedForm)
-    assert np.shares_memory(closed[0].source._tau, rows)
+    """simulate holds the arc once: a block's t, tau and z1 are views of
+    the flow store, not copies, and z2, z_tilde1, z_tilde2 and phi come
+    from one closed form, which evaluates them on read from the same
+    stores."""
+    rows = dense_20ms.flow.base
+    block = dense_20ms.block(0, len(dense_20ms))
+    for name in ("t", "tau", "z1"):
+        assert np.shares_memory(block[name], rows), name
+        assert np.shares_memory(getattr(dense_20ms, name)[:], rows), name
+    assert isinstance(dense_20ms.closed, emission.ClosedForm)
+    assert np.shares_memory(dense_20ms.closed._tau, rows)
 
 
 def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
     """Besides its stores (t, tau and z1 of every row, and the anchors)
     and the two modes, simulate's trajectory holds only arrays of one
-    entry per mark or per anchor: j, cycle and z_star are MarkColumns, not
-    full-length columns, and z2, z_tilde and phi are not stored for any
-    row."""
-    src = dense_20ms.z2.source
-    stores = (dense_20ms.t.base, src._anchors)
+    entry per mark or per anchor: j, cycle and z_star are kept as marks,
+    not full-length columns, and z2, z_tilde and phi are not stored for
+    any row."""
+    src = dense_20ms.closed
+    stores = (dense_20ms.flow.base, src._anchors)
     marks, anchors = len(dense_20ms.jumps) + 1, len(src._anchors)
     assert len(dense_20ms) > 100 * marks and len(dense_20ms) > 100 * anchors
-    for name in ("j", "cycle", "z_star"):
-        assert isinstance(getattr(dense_20ms, name), MarkColumn), name
+    assert all(len(m) == marks for m in dense_20ms.marks)
     seen, todo, arrays = set(), [dense_20ms], []
     while todo:
         obj = todo.pop()
@@ -684,11 +681,15 @@ def test_trajectory_holds_no_array_beside_the_rows(dense_20ms):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             arrays.append(obj)
+        elif isinstance(obj, tuple):
+            todo.extend(obj)
         elif hasattr(obj, "__dict__"):
             todo.extend(vars(obj).values())
     views = [a for a in arrays
              if any(np.shares_memory(a, store) for store in stores)]
-    assert len(views) == 5 and len(arrays) > 5      # the marks were reached
+    # the flow store, the closed form's tau and its anchors; the marks
+    # were reached
+    assert len(views) == 3 and len(arrays) > 3 + len(dense_20ms.marks)
     for a in arrays:
         assert a.size <= max(marks, anchors) or a is src._modes \
             or any(a is v for v in views), a.shape
@@ -733,7 +734,7 @@ def test_arc_buffers_are_in_base_pages(monkeypatch, scenario_dict):
     traj = simulate(scn.params, scn.gains, scn.cert, scn.cfg, scn.solver,
                     scn.z0, scn.z_hat0, k=scn.k)
     assert len(traj) > engine._INIT_BUFFER_ROWS // 4
-    t = traj.t
+    t = traj.flow[:, 0]
     first, last = t.ctypes.data, t.ctypes.data + (len(t) - 1) * t.strides[0]
     spans = arcs[0].spans
     entries = {hex(address): _smaps_entry(address)
@@ -745,6 +746,66 @@ def test_arc_buffers_are_in_base_pages(monkeypatch, scenario_dict):
     for address, entry in entries.items():
         if "VmFlags" in entry:
             assert "nh" in entry["VmFlags"].split(), address
+
+
+_COLUMNS = ("t", "j", "cycle", "tau", "z1", "z2", "z_tilde1", "z_tilde2",
+            "z_star", "phi")
+
+
+def _bits(x: np.ndarray) -> tuple:
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocks_do_not_depend_on_the_split(dense_20ms, seed):
+    """HybridTrajectory.block over a random split of the 20 ms run's rows,
+    concatenated, equals one whole-arc block bit for bit in every column
+    (so a -0.0 stays -0.0). The split has blocks of one row and edges at
+    the post-jump row of every jump, whose t repeats the row before it, at
+    the first row of every mark and at the first row of every anchor. Each
+    column attribute reads as the whole block's column under an int, a
+    slice of any step, an index array and a mask, and no other name is a
+    column. j, cycle and z_star read as their marks' values repeated over
+    the marks' rows."""
+    traj, rng = dense_20ms, np.random.default_rng(seed)
+    n = len(traj)
+    whole = traj.block(0, n)
+    first, *values = traj.marks
+    for name, v in zip(("j", "cycle", "z_star"), values):
+        assert _bits(whole[name]) == _bits(
+            np.repeat(v, np.diff(first, append=n))), name
+    t = whole["t"]
+    jump_rows = np.flatnonzero(t[1:] == t[:-1]) + 1
+    marks, anchors = traj.marks[0][1:], traj.closed._first[1:]
+    assert len(jump_rows) == len(marks) == len(traj.jumps) == 5
+    assert np.array_equal(jump_rows, marks)
+    assert len(np.setdiff1d(anchors, marks)) == 4      # the z1 roots
+    singles = rng.choice(np.concatenate([marks, anchors]), 8)
+    edges = np.unique(np.concatenate([
+        [0, n], marks, anchors, singles, singles + 1, singles - 1,
+        rng.integers(1, n, 30)]))
+    assert np.any(np.diff(edges) == 1) and edges[-1] == n
+    blocks = [traj.block(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    for name in _COLUMNS:
+        assert _bits(np.concatenate([c[name] for c in blocks])) \
+            == _bits(whole[name]), name
+        col, full = getattr(traj, name), whole[name]
+        r = int(rng.integers(-n, n))
+        assert _bits(np.asarray(col[r])) == _bits(np.asarray(full[r]))
+        assert _bits(np.asarray(col)) == _bits(full)
+        a, b = (int(x) for x in rng.integers(-n - 2, n + 2, 2))
+        for step in (None, 1, 3, -2):
+            assert _bits(col[a:b:step]) == _bits(full[a:b:step]), step
+        idx = rng.integers(-n, n, 7)
+        mask = rng.random(n) < 0.1
+        assert _bits(col[idx]) == _bits(full[idx])
+        assert _bits(col[mask]) == _bits(full[mask])
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                col[bad]
+    with pytest.raises(KeyError):       # u is derived, not a column
+        whole["u"]
+    assert not hasattr(traj, "u")
 
 
 def test_z1_roots_are_recorded(dense_20ms):

@@ -123,6 +123,30 @@ class TestCommonLyapunov:
         with pytest.raises(NoCertificate, match="residuals too large"):
             solve_common_lyapunov(gains)
 
+    @pytest.mark.parametrize("k1_plus, k2_plus", [
+        (1e160, -1e160),                            # -2 tr det overflows
+        (25.475987993997, -1.630463231615808)])     # det A1 rounds to 0
+    def test_singular_system_refused(self, sv_params, k1_plus, k2_plus):
+        """Gains that pass ObserverGains' validation can leave the
+        Lyapunov system of A1 without a finite solution in floats: its
+        denominator -2 tr(A1) det(A1) overflows to inf, or det(A1), the
+        difference of two products that cancel, rounds to 0."""
+        gains = ObserverGains(sv_params, k1_plus, k2_plus, 8.0, -1e10)
+        with pytest.raises(NoCertificate, match="^Lyapunov system is "
+                                                "singular"):
+            solve_common_lyapunov(gains)
+
+    def test_underflowing_p_is_not_positive_definite(self):
+        """With a = 1e-200, p22 = a^2 / (-2 tr det) underflows to 0: gains
+        that pass validation, and those complete_gains derives, are refused
+        as not positive definite."""
+        params = PlantParams(a=1e-200, c=24.0, d=12.5)
+        for gains in (ObserverGains(params, 40.0, -1e203, 8.0, -1e203),
+                      complete_gains(params, 40.0, -1e203)):
+            with pytest.raises(NoCertificate, match="^P is not positive "
+                                                    "definite"):
+                solve_common_lyapunov(gains)
+
 
 _EPS = np.finfo(float).eps
 

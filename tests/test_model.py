@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from xbstab import (ControllerConfig, HSchedule, HybridState,
                     HybridTrajectory, InvalidGains, ObserverGains,
                     PlantParams, SolverConfig, derive_control_gain, g_of,
                     t_lmin_asymptote)
-from xbstab.model import MarkColumn
+from xbstab.cli import _csv_columns
+from xbstab.engine import initial_cycle
+
+from arcs import arc
 
 
 def make_cfg(**kw):
@@ -146,6 +149,23 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_cfg(**{name: math.inf})
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3", np.float64(3.0),
+                                     np.int64(0)])
+    def test_max_cycles_must_be_an_integer(self, bad):
+        """A fraction, an integral float, a bool or a string is refused by
+        name: simulate would call range() on it and raise a bare
+        TypeError."""
+        with pytest.raises(ValueError, match="^max_cycles must be finite, "
+                                             "an integer and at least 1"):
+            make_cfg(max_cycles=bad)
+
+    @pytest.mark.parametrize("good", [1, 3, np.int64(3), np.int32(2)])
+    def test_max_cycles_integers_accepted(self, good, sv_cert):
+        """Python's and NumPy's integers are counts."""
+        cfg = make_cfg(max_cycles=good)
+        assert cfg.max_cycles == good
+        assert 0 <= initial_cycle(cfg, sv_cert.gamma) <= good
+
 
 class TestScheduleHelpers:
     def test_g_is_cumulative_product(self):
@@ -199,7 +219,7 @@ class TestHybridState:
 
 def _tiny_traj(t, j, cycle=None):
     n = len(t)
-    return HybridTrajectory(
+    return arc(
         t=np.asarray(t, dtype=float), j=np.asarray(j, dtype=np.int64),
         cycle=np.zeros(n, dtype=np.int64) if cycle is None
         else np.asarray(cycle, dtype=np.int64), tau=np.zeros(n),
@@ -226,91 +246,38 @@ class TestHybridTrajectory:
             _tiny_traj([0.0, 1.0, 2.0], [0, 0, 0], [0, 0, 1]).validate_domain()
 
     def test_column_length_consistency(self):
+        """The marks are arrays of one length, one entry per mark, whose
+        first rows start at row 0."""
+        tr = _tiny_traj([0.0, 1.0, 1.0], [0, 0, 1])
+        first, j, cycle, z_star = tr.marks
+        for marks in [(first, j[:1], cycle, z_star), (first + 1, j, cycle,
+                                                      z_star)]:
+            with pytest.raises(ValueError):
+                HybridTrajectory(tr.flow, marks, tr.closed)
         with pytest.raises(ValueError):
-            HybridTrajectory(
-                t=np.zeros(3), j=np.zeros(2, dtype=np.int64),
+            arc(t=np.zeros(3), j=np.zeros(2, dtype=np.int64),
                 cycle=np.zeros(3, dtype=np.int64), tau=np.zeros(3),
                 z1=np.zeros(3), z2=np.zeros(3), z_tilde1=np.zeros(3),
                 z_tilde2=np.zeros(3), z_star=np.zeros(3),
                 phi=np.zeros((3, 4)))
 
     def test_estimate_and_control_columns(self, sv_params):
-        tr = _tiny_traj([0.0, 1.0], [0, 0])
-        tr.z1[:] = [1.0, -1.0]
-        tr.z_tilde2[:] = 0.25
-        u = tr.control(sv_params, k=500.0)
-        expected = sv_params.a * tr.z1 * (tr.z2 + 0.25) \
-            - 500.0 * (tr.z1 - tr.z_star)
-        assert np.allclose(u, expected)
-        assert np.allclose(tr.z2_hat, 0.25)
-
-
-def _same(got, expect):
-    """got is the array expect: same dtype, shape and bits."""
-    assert isinstance(got, np.ndarray)
-    assert got.dtype == expect.dtype and got.shape == expect.shape
-    assert got.tobytes() == expect.tobytes()
-
-
-# (rows, value) of each mark: runs of one to four rows
-_MARKS = st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)),
-                  min_size=1, max_size=8)
-
-
-class TestMarkColumn:
-    @settings(max_examples=200, deadline=None)
-    @given(marks=_MARKS, dtype=st.sampled_from([np.int64, np.float64]),
-           data=st.data())
-    def test_reads_as_its_expansion(self, marks, dtype, data):
-        """Every access equals that of np.repeat of the values over their
-        runs, on the column and on a column of its rows."""
-        counts = [c for c, _ in marks]
-        values = np.array([v for _, v in marks], dtype=dtype)
-        n = sum(counts)
-        full = np.repeat(values, counts)
-        col = MarkColumn(np.cumsum([0] + counts[:-1]), values, n)
-        rows = st.integers(-n - 2, n + 2)
-        lo, hi = data.draw(rows), data.draw(rows)
-        for c, f in [(col, full), (col.rows(slice(lo, hi)), full[lo:hi])]:
-            m = len(f)
-            assert len(c) == m and c.dtype == f.dtype
-            _same(np.asarray(c), f)
-            _same(c[:], f)
-            first, vals = c.marks()
-            _same(np.repeat(vals, np.diff(first, append=m)), f)
-            if m:
-                r = data.draw(st.integers(-m, m - 1))
-                got = c[r]
-                assert type(got) is type(f[r]) and got == f[r]
-            for bad in (m, -m - 1):
-                with pytest.raises(IndexError):
-                    c[bad]
-            a, b = data.draw(rows), data.draw(rows)
-            step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
-            _same(c[a:b:step], f[a:b:step])
-            _same(c[a:a], f[a:a])
-            idx = data.draw(st.lists(st.integers(-m, m - 1), max_size=6)
-                            if m else st.just([]))
-            _same(c[idx], f[idx])
-            _same(c[np.array(idx, dtype=np.int64)], f[idx])
-            mask = np.array(data.draw(st.lists(st.booleans(), min_size=m,
-                                               max_size=m)), dtype=bool)
-            _same(c[mask], f[mask])
-
-    def test_of_an_array_keeps_every_bit(self):
-        col = np.array([0.0, -0.0, -0.0, math.nan, math.nan, 1.0, 1.0])
-        marks = MarkColumn.of(col)
-        assert marks.marks()[0].tolist() == [0, 1, 3, 5]
-        _same(np.asarray(marks), col)
-        assert len(MarkColumn.of(np.zeros(0, np.int64))) == 0
-
-    def test_does_not_compare(self):
-        """== and != raise, as < does, instead of comparing identities."""
-        col = MarkColumn([0, 2], np.array([0, 1]), 3)
-        for op in (lambda: col == 1, lambda: col != 1, lambda: col < 1):
-            with pytest.raises(TypeError):
-                op()
-        assert (np.array([0, 0, 1]) == col).all()
+        """The CSV's estimates and control input, which the arc does not
+        keep, are derived from its columns."""
+        n = 2
+        tr = arc(t=[0.0, 1.0], j=np.zeros(n, dtype=np.int64),
+                 cycle=np.zeros(n, dtype=np.int64), tau=np.zeros(n),
+                 z1=[1.0, -1.0], z2=np.zeros(n), z_tilde1=[0.5, 0.0],
+                 z_tilde2=np.full(n, 0.25), z_star=np.ones(n),
+                 phi=np.zeros((n, 4)))
+        c = _csv_columns(tr, (sv_params, 500.0))(0, n)
+        z1, z_star = np.asarray(tr.z1), np.asarray(tr.z_star)
+        expected = sv_params.a * z1 * (np.asarray(tr.z2) + 0.25) \
+            - 500.0 * (z1 - z_star)
+        assert np.allclose(c["u"], expected)
+        assert np.allclose(c["z2_hat"], 0.25)
+        assert c["z1_hat"].tolist() == [1.5, -1.0]
+        assert c["i"].tolist() == [0, 0]
 
 
 class TestSolverConfig:
@@ -335,3 +302,17 @@ class TestSolverConfig:
         CLI refuses both: every field's infinity is refused by name."""
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SolverConfig(**{name: math.inf})
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3", np.float64(4.0),
+                                     np.int64(1)])
+    def test_zeno_max_jumps_must_be_an_integer(self, bad):
+        """A jump count is refused by name unless it is an integer of at
+        least 2, not a bool or a float."""
+        with pytest.raises(ValueError, match="^zeno_max_jumps must be "
+                                             "finite, an integer and at "
+                                             "least 2"):
+            SolverConfig(zeno_max_jumps=bad)
+
+    @pytest.mark.parametrize("good", [2, 4000, np.int64(5), np.int16(3)])
+    def test_zeno_max_jumps_integers_accepted(self, good):
+        assert SolverConfig(zeno_max_jumps=good).zeno_max_jumps == good

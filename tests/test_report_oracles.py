@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import report_oracles as old
-from xbstab import analysis
+from xbstab import model
 from xbstab.analysis import (_within_cycle_period, check_dwell_lower_bound,
                              check_envelope, check_phi_oracle,
                              check_vobs_monotone, cycle_slice, cycle_slices,
@@ -23,16 +23,16 @@ from xbstab.cli import _sanitize
 from xbstab.errors import CycleNotFound, NoExcitation
 from xbstab.lyapunov import (decay_certificate, dwell_certificate,
                              dwell_time_lower_bound)
-from xbstab.model import (HybridTrajectory, JumpKind, JumpRecord,
-                          MarkColumn)
+from xbstab.model import JumpKind, JumpRecord
 
+from arcs import arc
 from test_analysis import _fake_decay, make_traj
 from test_model import make_cfg
 
 _INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 _CYCLES = st.lists(st.integers(-2, 4) | _INT64, max_size=60)
 # rows per block of the passes: from one row to several blocks per arc
-_ROWS = st.integers(1, 9) | st.just(analysis._BLOCK_ROWS)
+_ROWS = st.integers(1, 9) | st.just(model._BLOCK_ROWS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -42,7 +42,7 @@ def test_cycle_slices_match_flatnonzero(col, ordered, rows):
     traj = make_traj(np.zeros(cyc.size), np.zeros(cyc.size), cycle=cyc)
     expect = [(i, old.cycle_slice(traj, i)) for i in np.unique(cyc).tolist()]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        mp.setattr(model, "_BLOCK_ROWS", rows)
         assert list(cycle_slices(traj).items()) == expect
         for i, sl in expect:
             assert cycle_slice(traj, i) == sl
@@ -89,9 +89,9 @@ def test_within_cycle_pairs_match_oracle(sv_params, draws, cycles, z1,
                      z1 * np.linspace(1.0, 0.0, n) ** 2, cycle=cyc,
                      jumps=_jump_log(draws, sort_t))
     cfg = make_cfg()
-    assert _within_cycle_period(traj) == old._within_cycle_period(traj)
+    assert _within_cycle_period(traj.jumps) == old._within_cycle_period(traj)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        mp.setattr(model, "_BLOCK_ROWS", rows)
         assert (check_dwell_lower_bound(traj, sv_params, cfg)
                 == old.check_dwell_lower_bound(traj, sv_params, cfg))
 
@@ -137,7 +137,7 @@ def test_blocked_passes_match_whole_columns(sv_params, sv_cert, seed, n,
             return str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        mp.setattr(model, "_BLOCK_ROWS", rows)
         assert dwell(extract_dwell) == dwell(old.extract_dwell)
         assert (check_vobs_monotone(traj, sv_cert)
                 == old.check_vobs_monotone(traj, sv_cert))
@@ -150,9 +150,9 @@ def test_blocked_passes_match_whole_columns(sv_params, sv_cert, seed, n,
 
 
 def _marked_arc(seed: int, n_marks: int):
-    """An arc kept as simulate keeps it: j, cycle and z_star as
-    MarkColumns over one mark per flow interval, each mark's first row
-    the post-jump copy of the row before it. Within-cycle jumps flip z*,
+    """An arc kept as simulate keeps it: j, cycle and z_star as marks,
+    one per flow interval, each mark's first row the post-jump copy of
+    the row before it. Within-cycle jumps flip z*,
     cycle jumps halve it; the cycle column repeats its value over the
     marks of one cycle, as the engine's does."""
     rng = np.random.default_rng(seed)
@@ -172,16 +172,18 @@ def _marked_arc(seed: int, n_marks: int):
     zt = (rng.standard_normal((n, 2))
           * np.exp(rng.uniform(-3.0, 3.0) * np.sin(t * rng.uniform(1, 9)))
           [:, None])
-    return HybridTrajectory(
-        t=t, j=MarkColumn(first, np.arange(n_marks), n),
-        cycle=MarkColumn(first, cyc, n), tau=np.zeros(n), z1=z1,
+    traj = arc(
+        t=t, j=np.repeat(np.arange(n_marks), counts),
+        cycle=np.repeat(cyc, counts), tau=np.zeros(n), z1=z1,
         z2=rng.uniform(-0.5, 1.0, n), z_tilde1=zt[:, 0], z_tilde2=zt[:, 1],
-        z_star=MarkColumn(first, z_star, n),
+        z_star=np.repeat(z_star, counts),
         phi=1.0 + 1e-3 * rng.standard_normal((n, 4)),
         jumps=[JumpRecord(t=float(t[r]), j=k,
                           kind=(JumpKind.NEW_CYCLE if new_cycle[k + 1]
                                 else JumpKind.WITHIN_CYCLE))
                for k, r in enumerate(first[1:].tolist())])
+    assert np.array_equal(traj.marks[0], first)
+    return traj
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,7 +208,7 @@ def test_marks_backed_arc_matches_whole_columns(sv_params, sv_cert, seed,
 
     cycles = np.unique(traj.cycle).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        mp.setattr(model, "_BLOCK_ROWS", rows)
         assert list(cycle_slices(traj).items()) == [
             (i, old.cycle_slice(traj, i)) for i in cycles]
         assert dwell(extract_dwell) == dwell(old.extract_dwell)
@@ -221,13 +223,14 @@ def test_marks_backed_arc_matches_whole_columns(sv_params, sv_cert, seed,
             assert ((rep.dwell_ok, rep.dwell_min_ratio)
                     == old.check_dwell_lower_bound(traj, sv_params, cfg))
             assert rep.z2_floor_margin == float(
-                np.min(traj.z2 - sv_params.z2_floor) / -sv_params.z2_floor)
+                np.min(np.asarray(traj.z2) - sv_params.z2_floor)
+                / -sv_params.z2_floor)
 
 
 def test_within_cycle_pairs_match_oracle_on_golden_run(golden_run, sv_params,
                                                        sv_cfg):
-    assert _within_cycle_period(golden_run) > 0.0
-    assert (_within_cycle_period(golden_run)
+    assert _within_cycle_period(golden_run.jumps) > 0.0
+    assert (_within_cycle_period(golden_run.jumps)
             == old._within_cycle_period(golden_run))
     ok, ratio = check_dwell_lower_bound(golden_run, sv_params, sv_cfg)
     assert math.isfinite(ratio)
@@ -253,12 +256,12 @@ def test_overshoot_rows_match_masks_on_golden_run(golden_run, sv_params,
     assert expect[0].size > 100
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(analysis, "_BLOCK_ROWS", rows)
+            mp.setattr(model, "_BLOCK_ROWS", rows)
         _assert_same_bits(overshoot_comparison(golden_run, sv_params, sv_cfg,
                                                i_star), expect)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, analysis._BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [1, 2, 3, model._BLOCK_ROWS])
 def test_overshoot_rows_run_past_a_short_cycle(sv_params, sv_cfg, rows):
     """A cycle shorter than T_lmin: the rows of the next cycle up to
     t_c + T_lmin are selected too, a repeated t at that end included, as
@@ -271,7 +274,7 @@ def test_overshoot_rows_run_past_a_short_cycle(sv_params, sv_cfg, rows):
     expect = old.overshoot_comparison(traj, sv_params, sv_cfg, 1)
     assert expect[0].size == 12
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BLOCK_ROWS", rows)
+        mp.setattr(model, "_BLOCK_ROWS", rows)
         _assert_same_bits(overshoot_comparison(traj, sv_params, sv_cfg, 1),
                           expect)
 
