@@ -491,7 +491,8 @@ def overshoot_comparison(traj: HybridTrajectory, params: PlantParams,
     sel = slice(sl.start, stop)
     ts = t[sel] - t_c
     bound = z2_0 + (z2_0 + d / c) * np.expm1(M * c * np.clip(ts, 0.0, t_lmin))
-    return ts, traj.block(sel.start, sel.stop)["z2"], bound
+    z2 = [traj.block(b.start, b.stop)["z2"] for b in _blocks(sel)]
+    return ts, np.concatenate(z2), bound
 
 
 def check_overshoot_bound(traj: HybridTrajectory, params: PlantParams,

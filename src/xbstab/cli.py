@@ -5,6 +5,7 @@ Config schema (``"schema": 1``)::
 
     {
       "schema": 1,
+      "comment":    "any text",          # optional
       "plant":      {"a": ..., "c": ..., "d": ...},
       "observer":   {"k1_plus": ..., "k2_plus": ...},
       "controller": {"k": ...            # explicit control gain, or
@@ -20,11 +21,18 @@ Config schema (``"schema": 1``)::
                      "phase_csv": ..., "timeseries_csv": ...}
     }
 
-controller.epsilon is required. The four file names in "outputs" must be
-distinct, and none may be error.json. A malformed field (missing, not a
-finite number, a section that is not an object, two outputs naming one
-file) is rejected by name before anything is integrated, and the run ends
-in an error.json.
+The fields of "plant", "controller" and "solver" are those of
+model.PlantParams, ControllerConfig and SolverConfig (plus controller.k),
+with their kinds and defaults: controller.z_star_init, epsilon, R and
+R_tilde are required, k_prime defaults to 1 and h_schedule to "paper_v".
+An h-schedule is a list of values in (0, 1), repeated from its last
+("constant:v" is [v] and "paper_v" a list of nine), or a power law; g(i)
+tends to zero for every list and for no power law, which the report
+flags. The four file names in "outputs" must be distinct, and none may be
+error.json. A malformed field (missing, not a finite number, a section
+that is not an object, two outputs naming one file) and a key that no
+section or the top level knows are rejected by name before anything is
+integrated, and the run ends in an error.json.
 
 All output files are UTF-8 and deterministic: two runs of the same
 configuration produce byte-identical artifacts. The three CSV files are
@@ -44,8 +52,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,6 +77,10 @@ _TIMESERIES_COLUMNS = ("t", "z1", "z2", "z1_hat", "z2_hat", "z_star")
 
 CHECK_NAMES = ("vobs", "envelope", "phi", "dwell", "zeno", "progress", "excitation")
 
+# the keys of a configuration's top level
+_TOP_LEVEL = ("schema", "comment", "plant", "observer", "controller",
+              "solver", "initial", "outputs")
+
 _DEFAULT_OUTPUTS = {
     "trajectory_csv": "trajectory.csv",
     "report_json": "report.json",
@@ -75,18 +88,10 @@ _DEFAULT_OUTPUTS = {
     "timeseries_csv": "timeseries.csv",
 }
 
-# the cumulative contraction g(i) must vanish; "converges to zero" is
-# decided from the log partial product over this many cycles
-_G_PROBE_CYCLES = 400
-_G_ZERO_LOG = math.log(1e-12)
-
 # the failures that end a run, or one sweep variant, in an error.json
 # (json.JSONDecodeError is a ValueError; math.exp raises OverflowError, an
 # ArithmeticError)
 _RUN_ERRORS = (XbstabError, ValueError, KeyError, OSError, ArithmeticError)
-
-# marks a config field that has no default
-_REQUIRED = object()
 
 
 @dataclass
@@ -109,9 +114,7 @@ def parse_h_schedule(spec) -> HSchedule:
     """Parse an h-schedule spec: "paper_v", "constant:v", "power:b" or a
     list of explicit values."""
     if isinstance(spec, (list, tuple)):
-        if any(type(v) not in (int, float) for v in spec):
-            raise ValueError(f"h_schedule values must be numbers: {spec!r}")
-        return HSchedule.explicit([float(v) for v in spec])
+        return HSchedule.explicit(spec)
     if not isinstance(spec, str):
         raise ValueError(f"h_schedule must be a string or list, got {spec!r}")
     if spec == "paper_v":
@@ -124,13 +127,11 @@ def parse_h_schedule(spec) -> HSchedule:
 
 
 def g_converges_to_zero(sched: HSchedule) -> bool:
-    """Whether the cumulative product g(i) = prod h(j) tends to zero."""
-    log_g = 0.0
-    for i in range(1, _G_PROBE_CYCLES + 1):
-        log_g += math.log(sched.h(i))
-        if log_g < _G_ZERO_LOG:
-            return True
-    return False
+    """Whether the cumulative product g(i) = prod h(j) tends to zero: for
+    every list of values, which lie in (0, 1), and for no power law, whose
+    terms 1/(1 + b**-i) have a positive product since sum b**-i is
+    finite."""
+    return sched.base is None
 
 
 def _require(section: dict, name: str, where: str):
@@ -139,23 +140,31 @@ def _require(section: dict, name: str, where: str):
     return section[name]
 
 
-def _section(raw: dict, name: str) -> dict:
-    """Config section `name`, {} if absent; anything but a JSON object is
+def _known(section: dict, where: str, valid) -> dict:
+    """section, whose keys must all be in valid; the first that is not is
     rejected with a ValueError naming it."""
+    for key in section:
+        if key not in valid:
+            raise ValueError(f"unknown {where} field '{key}'; valid fields: "
+                             f"{', '.join(valid)}")
+    return section
+
+
+def _section(raw: dict, name: str, valid=None) -> dict:
+    """Config section `name`, {} if absent, with keys in valid if given;
+    anything but a JSON object is rejected with a ValueError naming it."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section '{name}' must be an object, "
                          f"got {section!r}")
-    return section
+    return section if valid is None else _known(section, name, valid)
 
 
-def _number(section: dict, name: str, where: str, default=_REQUIRED,
-            kind=float):
-    """section[name] converted by `kind`; a missing required field, a value
-    that is not a finite JSON number (json.load takes NaN and Infinity) or
-    a fraction for kind=int is rejected with a ValueError naming it."""
-    val = (_require(section, name, where) if default is _REQUIRED
-           else section.get(name, default))
+def _number(section: dict, name: str, where: str, kind=float):
+    """section[name] converted by `kind`; a missing field, a value that is
+    not a finite JSON number (json.load takes NaN and Infinity) or a
+    fraction for kind=int is rejected with a ValueError naming it."""
+    val = _require(section, name, where)
     try:
         num = kind(val)
         ok = type(val) in (int, float) and math.isfinite(num)
@@ -181,18 +190,19 @@ def _state(section: dict, name: str) -> np.ndarray:
     return vec
 
 
-def _build_solver(section: dict) -> SolverConfig:
-    """SolverConfig from the "solver" section; unknown keys and values that
-    are not finite numbers are rejected with a ValueError naming the key."""
-    valid = [f.name for f in fields(SolverConfig)]
-    kwargs = {}
-    for key in section:
-        if key not in valid:
-            raise ValueError(f"unknown solver field '{key}'; valid fields: "
-                             f"{', '.join(valid)}")
-        kwargs[key] = _number(section, key, "solver",
-                              kind=int if key == "zeno_max_jumps" else float)
-    return SolverConfig(**kwargs)
+def _build(cls, raw: dict, where: str, extra=(), **parsed):
+    """cls from the config section `where`: each field
+    of cls that the section gives, or that has no default, read by _number
+    with the kind of its annotation, the fields in `parsed` as given, and
+    every other field left to its default. A key that is neither a field
+    nor in extra is rejected with a ValueError naming it."""
+    names = [f.name for f in fields(cls)]
+    section = _section(raw, where, names + list(extra))
+    kinds = get_type_hints(cls)
+    kwargs = {f.name: _number(section, f.name, where, kinds[f.name])
+              for f in fields(cls) if f.name not in parsed
+              and (f.name in section or f.default is MISSING)}
+    return cls(**kwargs, **parsed)
 
 
 def _build_outputs(section: dict) -> dict:
@@ -200,13 +210,10 @@ def _build_outputs(section: dict) -> dict:
     section. Unknown keys, names that are not non-empty strings, error.json
     (a failed run's report) and two keys naming one file are rejected with
     a ValueError naming the keys."""
-    outputs = dict(_DEFAULT_OUTPUTS)
-    outputs.update(section)
+    outputs = {**_DEFAULT_OUTPUTS, **_known(section, "outputs",
+                                            _DEFAULT_OUTPUTS)}
     owner = {}
     for key, name in outputs.items():
-        if key not in _DEFAULT_OUTPUTS:
-            raise ValueError(f"unknown outputs field '{key}'; valid fields: "
-                             f"{', '.join(_DEFAULT_OUTPUTS)}")
         if not isinstance(name, str) or not name \
                 or Path(name) == Path("error.json"):
             raise ValueError(f"outputs.{key}={name!r} must be a file name "
@@ -236,40 +243,30 @@ def load_config(path) -> dict:
 def build_scenario(raw: dict) -> Scenario:
     """Validate a configuration dict and construct all domain objects.
 
-    Every malformed field is rejected with a ValueError that names it,
-    before anything is integrated."""
-    plant = _section(raw, "plant")
-    params = PlantParams(a=_number(plant, "a", "plant"),
-                         c=_number(plant, "c", "plant"),
-                         d=_number(plant, "d", "plant"))
-    obs = _section(raw, "observer")
+    Every malformed field and every unknown key, of a section or of the
+    top level, is rejected with a ValueError that names it, before
+    anything is integrated."""
+    _known(raw, "top-level", _TOP_LEVEL)
+    params = _build(PlantParams, raw, "plant")
+    obs = _section(raw, "observer", ("k1_plus", "k2_plus"))
     gains = complete_gains(params, _number(obs, "k1_plus", "observer"),
                            _number(obs, "k2_plus", "observer"))
     cert = solve_common_lyapunov(gains)
 
     ctl = _section(raw, "controller")
-    z_star_init = _number(ctl, "z_star_init", "controller")
-    epsilon = _number(ctl, "epsilon", "controller")
+    parsed = {}
+    if "h_schedule" in ctl:
+        try:
+            parsed["h_schedule"] = parse_h_schedule(ctl["h_schedule"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"controller.h_schedule={ctl['h_schedule']!r}: "
+                             f"{exc}") from exc
+    cfg = _build(ControllerConfig, raw, "controller", ("k",), **parsed)
     # the dwell-time certificates need the band d/c - epsilon to be positive;
     # rejecting here avoids integrating a run whose report cannot be built
-    if not epsilon < params.d / params.c:
-        raise ValueError(f"controller.epsilon={epsilon} must be below "
+    if not cfg.epsilon < params.d / params.c:
+        raise ValueError(f"controller.epsilon={cfg.epsilon} must be below "
                          f"d/c={params.d / params.c}")
-    h_spec = ctl.get("h_schedule", "paper_v")
-    try:
-        h_schedule = parse_h_schedule(h_spec)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"controller.h_schedule={h_spec!r}: {exc}") from exc
-    cfg = ControllerConfig(
-        z_star_init=z_star_init,
-        k_prime=_number(ctl, "k_prime", "controller", default=1.0),
-        epsilon=epsilon,
-        R=_number(ctl, "R", "controller"),
-        R_tilde=_number(ctl, "R_tilde", "controller"),
-        h_schedule=h_schedule,
-        max_cycles=_number(ctl, "max_cycles", "controller",
-                           default=ControllerConfig.max_cycles, kind=int),
-    )
     if "k" in ctl:
         k = _number(ctl, "k", "controller")
         if k <= 0:
@@ -277,9 +274,8 @@ def build_scenario(raw: dict) -> Scenario:
     else:
         k = derive_control_gain(params, cfg, cert.gamma)
 
-    solver = _build_solver(_section(raw, "solver"))
-
-    init = _section(raw, "initial")
+    solver = _build(SolverConfig, raw, "solver")
+    init = _section(raw, "initial", ("z0", "z_hat0"))
     return Scenario(raw=raw, params=params, gains=gains, cert=cert,
                     cfg=cfg, solver=solver, z0=_state(init, "z0"),
                     z_hat0=_state(init, "z_hat0"), k=k,

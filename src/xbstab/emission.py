@@ -163,10 +163,9 @@ class ClosedForm:
         self._first = anchors[:, AN_FIRST].astype(np.int64)
         self.nbytes = sum(a.nbytes for a in (anchors, modes, self._first))
 
-    def __call__(self, lo: int, hi: int, out=None) -> np.ndarray:
-        """The seven columns of rows lo:hi as a (7, hi - lo) array, into
-        out[:, :hi - lo] when out is given."""
-        out = np.empty((7, hi - lo)) if out is None else out[:, :hi - lo]
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        """The seven columns of rows lo:hi as a (7, hi - lo) array."""
+        out = np.empty((7, hi - lo))
         for c in range(lo, hi, _CLOSED_ROWS):
             rows = np.arange(c, min(c + _CLOSED_ROWS, hi))
             k = self._first.searchsorted(rows, "right") - 1

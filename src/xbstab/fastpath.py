@@ -599,8 +599,10 @@ def flow_segment(y, t_start, sc, buf, n0, ret, spans, anchors):
             code = CODE_BUFFER_FULL
             break
         t_left = t_stop - t
-        if t_left <= 0.0:
-            break               # horizon; its sample was force-recorded
+        if t_left < _MIN_STEP:
+            # horizon, its sample force-recorded; t + (t_stop - t) can
+            # round to just below t_stop
+            break
         if h > max_step:
             h = max_step
         if h > t_left:

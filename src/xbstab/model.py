@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -38,6 +39,8 @@ _BLOCK_ROWS = 4096
 _FLOW = ("t", "tau", "z1")
 _MARKED = ("j", "cycle", "z_star")
 _CLOSED = ("z2", "z_tilde1", "z_tilde2", "phi")
+# the kinds of a number field: an int or a float, Python's or NumPy's
+_REAL = (int, float, np.integer, np.floating)
 # the largest double below 1, the power schedule's h(i) where 1/(1 + b**-i)
 # rounds to 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -51,15 +54,21 @@ def as_dict(obj) -> dict:
             for k, v in vals}
 
 
-def _check_count(config, name: str, least: int):
-    """Refuse config.name unless it is an integer of at least `least`:
-    Python's or NumPy's, not a bool, and not a float even where it is
-    integral, with a ValueError naming the field."""
-    v = getattr(config, name)
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
-            or v < least:
-        raise ValueError(f"{name} must be finite, an integer and at least "
-                         f"{least}, got {v!r}")
+def _check_number(name: str, v, low, high=math.inf, *, closed=False,
+                  count=False):
+    """Refuse v, the value of field `name`, with a ValueError naming the
+    field unless it is a finite number above low (at least low if closed)
+    and below high: an int or a float, Python's or NumPy's, not a bool,
+    and an int if count, not a float even where it is integral."""
+    ok = (isinstance(v, (int, np.integer) if count else _REAL)
+          and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+          and (low <= v if closed else low < v) and v < high)
+    if not ok:
+        bound = (f"in ({low}, {high})" if high < math.inf
+                 else f"{'at least' if closed else 'above'} {low}")
+        kind = ", an integer" if count else ""
+        raise ValueError(f"{name} must be finite{kind} and {bound}, got "
+                         f"{name}={v!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +80,8 @@ class PlantParams:
     d: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.a, self.c, self.d)):
-            raise ValueError(f"plant coefficients must be finite and "
-                             f"positive, got "
-                             f"a={self.a}, c={self.c}, d={self.d}")
+        for name in ("a", "c", "d"):
+            _check_number(name, getattr(self, name), 0)
 
     @property
     def z2_floor(self) -> float:
@@ -137,98 +144,87 @@ class ObserverGains:
         return 0.0, 0.0
 
 
-class HScheduleKind(enum.Enum):
-    CONSTANT = "constant"
-    PAPER_V = "paper_v"
-    EXPLICIT = "explicit"
-    POWER = "power"
-
-
 @dataclass(frozen=True)
 class HSchedule:
-    """Per-cycle contraction targets h(i) in (0, 1) for i >= 1.
+    """Per-cycle contraction targets h(i) in (0, 1) for i >= 1, in one of
+    two forms:
 
-    Kinds:
-      constant  -- h(i) == value for every i
-      paper_v   -- h(i) = 1/(1 + 4**-i) for i in 1..8, then 1/2
-      explicit  -- a finite list, repeated from its last entry
-      power     -- h(i) = 1/(1 + value**-i) for every i, or the largest
-                   double below 1 where that rounds to 1 (for base 4 from
-                   i = 27 on, for bases of about 1e16 or more from i = 1);
-                   the cumulative product g(i) then has a positive limit,
-                   which violates the convergence requirement lim g(i) = 0
-                   (kept so the runner can detect and flag exactly this
-                   misuse)
+      values -- a list whose i-th entry is h(i), repeated from its last;
+      base   -- the power law h(i) = 1/(1 + base**-i), or the largest
+                double below 1 where that rounds to 1 (for base 4 from
+                i = 27 on, for bases of about 1e16 or more from i = 1).
+
+    The cumulative product g(i) = prod h(j) tends to zero for every list,
+    whose entries lie in (0, 1), and for no power law: the sum of base**-i
+    is finite, so prod 1/(1 + base**-i) has a positive limit, which
+    violates the convergence requirement lim g(i) = 0 (the form is kept so
+    that the runner can flag exactly this misuse).
     """
 
-    kind: HScheduleKind
-    value: float = 0.5
     values: tuple = ()
+    base: float | None = None
 
     @staticmethod
     def constant(v: float) -> "HSchedule":
-        return HSchedule(HScheduleKind.CONSTANT, value=v)
+        return HSchedule((v,))
 
     @staticmethod
     def paper_v() -> "HSchedule":
-        return HSchedule(HScheduleKind.PAPER_V)
+        """h(i) = 1/(1 + 4**-i) for i in 1..8, then 1/2."""
+        return HSchedule(tuple(1.0 / (1.0 + 4.0 ** (-i))
+                               for i in range(1, 9)) + (0.5,))
 
     @staticmethod
     def explicit(vals: Sequence[float]) -> "HSchedule":
-        return HSchedule(HScheduleKind.EXPLICIT, values=tuple(vals))
+        return HSchedule(tuple(vals))
 
     @staticmethod
     def power(base: float) -> "HSchedule":
-        return HSchedule(HScheduleKind.POWER, value=base)
+        return HSchedule(base=base)
 
     def __post_init__(self):
-        if self.kind is HScheduleKind.CONSTANT:
-            if not 0.0 < self.value < 1.0:
-                raise ValueError(f"constant h must lie in (0,1), got {self.value}")
-        elif self.kind is HScheduleKind.POWER:
-            if not 1.0 < self.value < math.inf:
-                raise ValueError(f"power base must be a finite number above "
-                                 f"1, got {self.value}")
-        elif self.kind is HScheduleKind.EXPLICIT:
-            if not self.values:
-                raise ValueError("explicit h schedule needs at least one value")
-            for v in self.values:
-                if not 0.0 < v < 1.0:
-                    raise ValueError(f"h values must lie in (0,1), got {v}")
+        if not isinstance(self.values, tuple) \
+                or (self.base is None) != bool(self.values):
+            raise ValueError(f"an h schedule takes a non-empty tuple of "
+                             f"values or a base, got values={self.values!r}, "
+                             f"base={self.base!r}")
+        if self.base is not None:
+            _check_number("base", self.base, 1)
+        for m, v in enumerate(self.values):
+            _check_number(f"values[{m}]", v, 0, 1)
 
     def h(self, i: int) -> float:
         """h(i) for cycle index i >= 1."""
         if i < 1:
             raise ValueError(f"h(i) is defined for i >= 1, got {i}")
-        if self.kind is HScheduleKind.CONSTANT:
-            return self.value
-        if self.kind is HScheduleKind.PAPER_V:
-            return 1.0 / (1.0 + 4.0 ** (-i)) if i <= 8 else 0.5
-        if self.kind is HScheduleKind.POWER:
-            return min(1.0 / (1.0 + self.value ** (-i)), _BELOW_ONE)
-        return self.values[min(i, len(self.values)) - 1]
+        if self.base is None:
+            return self.values[min(i, len(self.values)) - 1]
+        return min(1.0 / (1.0 + self.base ** (-i)), _BELOW_ONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ControllerConfig:
-    """Reference/cycle configuration of the hybrid controller."""
+    """Reference/cycle configuration of the hybrid controller, built by
+    keyword; k_prime defaults to 1 and h_schedule to paper_v."""
 
     z_star_init: float
-    k_prime: float
+    k_prime: float = 1.0
     epsilon: float
     R: float
     R_tilde: float
-    h_schedule: HSchedule
+    h_schedule: HSchedule = HSchedule.paper_v()
     max_cycles: int = 64
 
     def __post_init__(self):
         for name in ("z_star_init", "k_prime", "epsilon"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            _check_number(name, getattr(self, name), 0)
         for name in ("R", "R_tilde"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        _check_count(self, "max_cycles", 1)
+            _check_number(name, getattr(self, name), 0, closed=True)
+        _check_number("max_cycles", self.max_cycles, 1, closed=True,
+                      count=True)
+        if not isinstance(self.h_schedule, HSchedule):
+            raise ValueError(f"h_schedule must be an HSchedule, got "
+                             f"h_schedule={self.h_schedule!r}")
 
     def h0(self, gamma: float) -> float:
         """Contraction target gating the initialization cycle.
@@ -501,10 +497,8 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "event_tol", "max_step", "t_end",
                      "zeno_window", "tau_budget_rel"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly "
-                                 f"positive")
-        _check_count(self, "zeno_max_jumps", 2)
-        if not 0 <= self.record_interval < math.inf:
-            raise ValueError("record_interval must be finite and "
-                             "non-negative")
+            _check_number(name, getattr(self, name), 0)
+        _check_number("zeno_max_jumps", self.zeno_max_jumps, 2, closed=True,
+                      count=True)
+        _check_number("record_interval", self.record_interval, 0,
+                      closed=True)

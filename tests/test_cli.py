@@ -26,7 +26,7 @@ from xbstab.cli import (CHECK_NAMES, CSV_COLUMNS, HSchedule, _parse_sweep,
                         emit_plot_data, g_converges_to_zero, load_config,
                         main, parse_h_schedule, run_scenario)
 from xbstab.lyapunov import decay_certificate, dwell_certificate
-from xbstab.model import HScheduleKind, HybridTrajectory, PlantParams
+from xbstab.model import HybridTrajectory, PlantParams
 
 from arcs import arc
 from conftest import SCENARIO_PATH
@@ -35,7 +35,7 @@ from test_analysis import make_traj
 
 class TestParseHSchedule:
     def test_named_and_parametrized_forms(self):
-        assert parse_h_schedule("paper_v").kind is HScheduleKind.PAPER_V
+        assert parse_h_schedule("paper_v") == HSchedule.paper_v()
         c = parse_h_schedule("constant:0.5")
         assert c.h(1) == 0.5 and c.h(9) == 0.5
         p = parse_h_schedule("power:4")
@@ -58,6 +58,15 @@ class TestGConvergence:
     def test_power_schedule_flagged(self):
         # g(i) for h = 1/(1+4^-i) tends to a positive limit (~0.75)
         assert not g_converges_to_zero(HSchedule.power(4.0))
+
+    def test_list_close_to_one_converges(self):
+        """g(i) = 0.999999**i tends to zero, past any finite probe."""
+        assert g_converges_to_zero(parse_h_schedule([0.999999]))
+
+    def test_slow_power_law_flagged(self):
+        """For base 1.01, g(i) falls below 1e-12 within 400 cycles, but
+        sum 1.01**-i is finite, so g(i) tends to a positive limit."""
+        assert not g_converges_to_zero(parse_h_schedule("power:1.01"))
 
     @pytest.mark.parametrize("spec", ["power:4", "power:1e16", "power:1e300"])
     def test_power_schedule_below_one_still_flagged(self, spec):
@@ -515,9 +524,9 @@ class TestBlockedPasses:
         ranges = []
         call = emission.ClosedForm.__call__
 
-        def counted(self, lo, hi, out=None):
+        def counted(self, lo, hi):
             ranges.append((lo, hi))
-            return call(self, lo, hi, out)
+            return call(self, lo, hi)
 
         monkeypatch.setattr(emission.ClosedForm, "__call__", counted)
         analysis.extract_dwell(traj)
@@ -680,6 +689,43 @@ class TestEndToEnd:
         assert "max_stpe" in err["error"]["message"]
         assert "max_step" in err["error"]["message"]
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("plant", "b"), ("observer", "k1_minus"), ("controller", "kp"),
+        ("initial", "z1"), (None, "solvr")])
+    def test_unknown_key_writes_error_json(self, tmp_path, monkeypatch,
+                                           scenario_dict, section, key):
+        """An unknown key of a section or of the top level is refused by
+        name, before anything is integrated: a section misspelt "solvr"
+        used to run at the solver defaults."""
+        cfg = json.loads(json.dumps(scenario_dict))
+        (cfg if section is None else cfg[section])[key] = {"t_end": 0.01}
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "ValueError"
+        assert f"'{key}'" in err["error"]["message"]
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    def test_misspelt_sweep_section_fails_every_variant(self, tmp_path):
+        """--sweep controler.k=400,500 adds an unknown top-level section to
+        each variant; each ends in an error.json naming it, where both used
+        to run the shipped k = 500."""
+        out = tmp_path / "out"
+        assert main(["run", str(SCENARIO_PATH), "--out", str(out),
+                     "--sweep", "controler.k=400,500"]) == 1
+        for k in (400, 500):
+            dest = out / f"sweep_controler_k={k}"
+            err = json.loads((dest / "error.json").read_text())
+            assert "'controler'" in err["error"]["message"]
+            assert sorted(f.name for f in dest.iterdir()) == ["error.json"]
 
     def test_non_numeric_solver_value_rejected(self, scenario_dict):
         cfg = json.loads(json.dumps(scenario_dict))

@@ -425,6 +425,99 @@ def test_thinned_pauses_match_unpaused_run(monkeypatch, sv_params,
     _assert_same_arc(traj, ref)
 
 
+def _edge(inside, lo: float, hi: float) -> tuple:
+    """(lo, hi) after 60 halvings of [lo, hi], where inside(hi) holds and
+    inside(lo) does not, keeping both so."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return lo, hi
+
+
+def _anchors(traj) -> np.ndarray:
+    return traj.closed._anchors
+
+
+def test_pending_flip_holds_its_anchor_state(sv_params, sv_gains, sv_cert):
+    """A z1 root at the start of a step whose start a thinned recording
+    left pending: the root's anchor then opens at that row, which holds
+    its state (AN_HELD). z1(0) is bisected until the first step, of
+    max_step / 10, ends short of the root by far less than one minimal
+    step of z1's motion. Every row of the thinned run equals the dense
+    run's row at the same (t, j), every column bit for bit, and the
+    anchors' modes and states are the dense run's."""
+    cfg, h1 = make_cfg(), 5.4e-6
+
+    def run(z10, **kw):
+        solver = SolverConfig(max_step=10 * h1, tau_budget_rel=1e9, **kw)
+        return simulate(sv_params, sv_gains, sv_cert, cfg, solver,
+                        [z10, 0.3], [z10, 0.3], k=500.0)
+
+    def crossed(z10) -> bool:
+        b = run(z10, t_end=3 * h1).block(0, 4)
+        return not (b["t"][1] == h1 and b["z1"][1] < 0.0)
+
+    z10, _ = _edge(crossed, -0.25, -0.15)
+    thinned = run(z10, t_end=1e-4, record_interval=1.01 * h1)
+    dense = run(z10, t_end=1e-4)
+    an = _anchors(thinned)
+    kernel = ~np.isin(an[:, fastpath.AN_FIRST], thinned.marks[0])
+    assert (an[kernel, fastpath.AN_HELD] == 1.0).any()
+    want = dense.block(0, len(dense))
+    row = {(t, j): r for r, (t, j) in enumerate(zip(want["t"].tolist(),
+                                                    want["j"].tolist()))}
+    got = thinned.block(0, len(thinned))
+    at = [row[t, j] for t, j in zip(got["t"].tolist(), got["j"].tolist())]
+    for name in ("t", "j", "cycle", "tau", "z1", "z2", "z_tilde1",
+                 "z_tilde2", "z_star", "phi"):
+        assert _bits(np.asarray(got[name], float)) \
+            == _bits(np.asarray(want[name], float)[at]), name
+    cols = [fastpath.AN_MODE, *range(fastpath.AN_YA, fastpath.N_AN)]
+    assert _bits(an[:, cols]) == _bits(_anchors(dense)[:, cols])
+
+
+def test_event_in_a_root_step_overwrites_its_anchor(monkeypatch, sv_params,
+                                                    sv_gains, sv_cert):
+    """An event located inside a step that ends at a z1 root: the root's
+    anchor covers no row, and the jump's anchor, at the same row, is
+    written over it (fastpath._anchor). Near a root, Phi moves by O(|z1|)
+    per step, so the contraction bound of D_nc is set here and bisected
+    until the first NewCycle falls inside the root step. A run that
+    pauses every few steps records the same rows and anchors, bit for
+    bit."""
+    cfg = make_cfg()
+    solver = SolverConfig(max_step=5.4e-5, t_end=3e-5)
+    over = []
+    anchor = fastpath._anchor
+
+    def counted(anchors, na, n, s, ys, held):
+        if na > 0 and anchors[na - 1, fastpath.AN_FIRST] == n:
+            over.append(n)
+        return anchor(anchors, na, n, s, ys, held)
+
+    def run(bound):
+        monkeypatch.setattr(engine, "_contraction_bound",
+                            lambda cfg, cert, cycle: bound)
+        return simulate(sv_params, sv_gains, sv_cert, cfg, solver,
+                        [-0.1, -0.1], [-0.1, -0.1], k=500.0)
+
+    def before_root(bound) -> bool:
+        traj = run(bound)
+        r = int(traj.marks[0][1]) - 1 if traj.jumps else 0
+        return bool(traj.jumps) and traj.block(r, r + 1)["z1"][0] < 0.0
+
+    _, bound = _edge(before_root, 0.0, 1e3)
+    monkeypatch.setattr(fastpath, "_anchor", counted)
+    ref = run(bound)
+    assert over
+    monkeypatch.setattr(engine, "_INIT_BUFFER_ROWS",
+                        fastpath.MAX_STEP_ROWS + 4)
+    traj = run(bound)
+    assert len(over) == 2
+    _assert_same_arc(traj, ref)
+    assert _bits(_anchors(traj)) == _bits(_anchors(ref))
+
+
 @pytest.mark.parametrize("rows", [None, fastpath.MAX_STEP_ROWS + 200])
 def test_every_reserved_row_is_filled(monkeypatch, sv_params, sv_gains,
                                       sv_cert, sv_cfg, sv_initial, rows,
@@ -900,6 +993,19 @@ class TestSimulate:
                 assert traj.cycle[post] == traj.cycle[pre] + 1
                 assert traj.tau[post] == 0.0
                 assert np.array_equal(traj.phi[post], [1.0, 0.0, 0.0, 1.0])
+
+    def test_horizon_below_t_end_by_rounding_ends_the_run(self, sv_params,
+                                                          sv_gains, sv_cert):
+        """The last step, of t_end - t, can end where t + (t_end - t)
+        rounds to just below t_end: here at 2.9999999999999997e-05 for
+        t_end = 3e-5. The run ends there at the horizon; it used to take
+        the remaining 3.4e-21 s for a step below the minimal one and fail
+        with StepFailure."""
+        solver = SolverConfig(max_step=5.4e-5, t_end=3e-5)
+        traj = simulate(sv_params, sv_gains, sv_cert, make_cfg(), solver,
+                        [-0.3, 0.3], [-0.3, 0.5], k=500.0)
+        t = traj.block(len(traj) - 1, len(traj))["t"][0]
+        assert 0.0 <= solver.t_end - t < fastpath._MIN_STEP
 
     def test_cycles_monotone_and_reach_two(self, golden_run):
         c = golden_run.cycle

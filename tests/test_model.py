@@ -1,10 +1,13 @@
 """Unit tests for domain types, schedules and configuration validation."""
 
 import math
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbstab import (ControllerConfig, HSchedule, HybridState,
@@ -195,6 +198,41 @@ class TestScheduleHelpers:
         assert k_prime >= 10.0 * math.log(2.0) / t_lmin
         with pytest.raises(ValueError):
             derive_control_gain(sv_params, cfg, gamma=0.5)
+
+
+# fields that construct each config; every other field takes its default
+_VALID = {PlantParams: dict(a=375.0, c=24.0, d=12.5),
+          ControllerConfig: dict(z_star_init=75.0, epsilon=0.01, R=1.0,
+                                 R_tilde=0.5),
+          SolverConfig: {}, HSchedule: dict(base=4.0)}
+# wrong types, bools, fractions for the integer fields, signed zeros,
+# infinities, nan and extremes, beside any float or integer
+_ODD = st.one_of(
+    st.sampled_from([True, False, np.True_, None, "1", b"1", [1.0], (1.0,),
+                     1j, Fraction(1, 2), Decimal("0.5"), 0.0, -0.0, 2.5,
+                     -2.5, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                     np.float64(3.0), np.int64(3), 10 ** 400]),
+    st.floats(), st.integers())
+
+
+@settings(max_examples=600, deadline=None)
+@given(cls=st.sampled_from(list(_VALID)), data=st.data(), value=_ODD)
+def test_odd_field_values_refused_by_name(cls, data, value):
+    """Any value of any field of the four configs either constructs the
+    config, as a finite number that is not a bool, or is refused with a
+    ValueError naming the field. 600 examples, about 1 s."""
+    name = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+    kw = dict(_VALID[cls])
+    if cls is HSchedule and name == "values":
+        kw = dict(values=(value,))
+    else:
+        kw[name] = value
+    try:
+        cls(**kw)
+    except ValueError as exc:
+        assert name in str(exc)
+    else:
+        assert not isinstance(value, bool) and math.isfinite(value)
 
 
 class TestHybridState:
